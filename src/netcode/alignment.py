@@ -188,9 +188,6 @@ class AlignmentInstance:
     def field(self) -> FieldSpec:
         return self.plan.field
 
-    def mhat_elements(self, i: int, j: int) -> list[FieldElement]:
-        return [FieldElement(self.field, c) for c in self.mhat[i][j]]
-
     def distinct_ratios(self) -> int:
         """Distinct T entries; n+1 or more makes V1 full column rank."""
         if self.T is None:
@@ -690,11 +687,19 @@ def check_tv(
     """
     N = inst.N
     M = inst.M
+    # six stacks are inverted below; the other three only need full rank
+    inv = {}
     for i in range(3):
         for j in range(3):
-            if M[i][j].rank() < N:
-                raise SingularBlock(f"stack ({i + 1},{j + 1}) is singular")
-    inv = {(i, j): M[i][j].inverse() for i in range(3) for j in range(3)}
+            singular = SingularBlock(f"stack ({i + 1},{j + 1}) is singular")
+            if (i, j) in ((1, 0), (1, 1), (2, 2)):
+                if M[i][j].rank() < N:
+                    raise singular
+                continue
+            try:
+                inv[(i, j)] = M[i][j].inverse()
+            except ValueError:
+                raise singular from None
 
     V1 = theta
     V2 = inv[(1, 2)] * (M[0][2] * (V1 * A))

@@ -40,7 +40,7 @@ from .netmodel import (
     validate,
 )
 from .transform import eigen_blocks, make_plan
-from .feasibility import FeasibilityReport, analyze
+from .feasibility import FeasibilityReport, _demanded_columns, analyze
 from .alignment import (
     NotFound,
     align_search,
@@ -131,12 +131,28 @@ def _check_schema(doc: dict, need: str) -> list[str]:
     return problems
 
 
-def _load_doc(path: str, need: str) -> dict:
-    doc = _read_input(path)
+def _require(doc: dict, need: str) -> None:
     problems = _check_schema(doc, need)
     if problems:
         raise ParseError("; ".join(problems))
+
+
+def _load_doc(path: str, need: str) -> dict:
+    doc = _read_input(path)
+    _require(doc, need)
     return doc
+
+
+def _load_transfer(path: str):
+    """(transfer result, demand triples) from a transfer or network document."""
+    doc = _read_input(path)
+    if isinstance(doc, dict) and doc.get("kind") == "transfer":
+        _require(doc, "transfer")
+        tr = transfer_from_dict(doc["transfer"])
+        return tr, [tuple(int(x) for x in c) for c in doc["connections"]]
+    _require(doc, "network")
+    net, leks = _net_and_leks(doc)
+    return transfer_matrix(net, leks), list(net.connections)
 
 
 def _net_and_leks(doc: dict, need_kernels: bool = True):
@@ -281,20 +297,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    doc = _read_input(args.input)
-    if doc.get("kind") == "transfer":
-        problems = _check_schema(doc, "transfer")
-        if problems:
-            raise ParseError("; ".join(problems))
-        tr = transfer_from_dict(doc["transfer"])
-        conns = [tuple(int(x) for x in c) for c in doc["connections"]]
-    else:
-        problems = _check_schema(doc, "network")
-        if problems:
-            raise ParseError("; ".join(problems))
-        net, leks = _net_and_leks(doc)
-        tr = transfer_matrix(net, leks)
-        conns = list(net.connections)
+    tr, conns = _load_transfer(args.input)
     rep = analyze(
         tr,
         conns,
@@ -307,20 +310,7 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    doc = _read_input(args.input)
-    if doc.get("kind") == "transfer":
-        problems = _check_schema(doc, "transfer")
-        if problems:
-            raise ParseError("; ".join(problems))
-        tr = transfer_from_dict(doc["transfer"])
-        conns = [tuple(int(x) for x in c) for c in doc["connections"]]
-    else:
-        problems = _check_schema(doc, "network")
-        if problems:
-            raise ParseError("; ".join(problems))
-        net, leks = _net_and_leks(doc)
-        tr = transfer_matrix(net, leks)
-        conns = list(net.connections)
+    tr, conns = _load_transfer(args.input)
     if args.n is None:
         raise ParseError("--n is required for the transform report")
     # evaluation happens in the smallest extension holding an order-n root
@@ -339,26 +329,16 @@ def _cmd_transform(args) -> int:
     plan = make_plan(args.n, spec, alpha, tr.d_max)
     blocks = eigen_blocks(tr.M, plan)
 
-    # demanded square submatrix per sink, as in the invertibility test
-    col_of = {}
-    pos = 0
-    for i, m in enumerate(tr.mu_list):
-        for l in range(m):
-            col_of[(i, l)] = pos
-            pos += 1
-    by_sink: dict[int, list[int]] = {}
-    for (i, j, l) in conns:
-        by_sink.setdefault(j, []).append(col_of[(i, l)])
-    row_off = [0]
-    for nv in tr.nu_list:
-        row_off.append(row_off[-1] + nv)
+    # demanded square submatrix per demanding sink, as in the invertibility test
+    demanded = {}
+    for j in sorted({j for (_, j, _) in conns}):
+        r0 = sum(tr.nu_list[:j])
+        demanded[j] = (range(r0, r0 + tr.nu_list[j]), _demanded_columns(tr, conns, j))
 
     lines = []
     all_ok = True
     for t in range(plan.n):
-        for j in sorted(by_sink):
-            cols = sorted(by_sink[j])
-            rows = range(row_off[j], row_off[j + 1])
+        for j, (rows, cols) in demanded.items():
             sub = blocks[t].submatrix(rows, cols)
             det = sub.det() if sub.nrows == sub.ncols else None
             solvable = bool(det) if det is not None else False
@@ -467,11 +447,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="input file or bundled fixture name")
         p.add_argument("-o", "--out", default=None, help="write report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="compact JSON (default)")
         p.add_argument("--pretty", action="store_true", help="indented JSON")
-        if name in ("feasibility", "transform"):
+        if name == "feasibility":
             p.add_argument("--find-plan", action="store_true")
             p.add_argument("--n-min", type=int, default=2)
+        if name in ("feasibility", "transform"):
             p.add_argument("--max-ext-degree", type=int, default=12)
         if name in ("transform", "align"):
             p.add_argument("--n", type=int, default=None)

@@ -525,9 +525,6 @@ class FqMatrix:
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.spec, self.rows[i][j])
 
-    def column(self, j: int) -> list[FieldElement]:
-        return [FieldElement(self.spec, row[j]) for row in self.rows]
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FqMatrix":
         return FqMatrix(
             self.spec, [[self.rows[i][j] for j in col_idx] for i in row_idx]

@@ -10,12 +10,15 @@ output). With unit delays the per-step recursion is
     Y(t)[r]   = sum_e' eps[e',r] Z(t)[e']
 
 so a path of L unit edges delivers an impulse L steps after injection and
-the simulator agrees with the transfer matrix degree for degree.
+the simulator agrees with the transfer matrix degree for degree. A
+delay-d edge behaves like a chain of d unit edges with identity relays:
+D^d in the transfer matrix, a d-step delay line in the simulator.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
@@ -226,6 +229,11 @@ class LekAssignment:
 # ----------------------------------------------------------------------
 
 
+def _check_delay(e: Edge) -> None:
+    if e.delay < 1:
+        raise ValueError(f"edge {e.key} has delay {e.delay}; must be >= 1")
+
+
 def validate(net: NetworkSpec) -> list[str]:
     """Check every structural invariant; return a topological node order.
 
@@ -240,8 +248,7 @@ def validate(net: NetworkSpec) -> list[str]:
     for e in net.edges:
         if e.tail not in node_set or e.head not in node_set:
             raise ValueError(f"edge {e.key} references unknown nodes")
-        if e.delay < 1:
-            raise ValueError(f"edge {e.key} has delay {e.delay}; must be >= 1")
+        _check_delay(e)
         if e.key in seen_keys:
             raise ValueError(f"duplicate edge key {e.key}")
         seen_keys.add(e.key)
@@ -502,65 +509,64 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     return a_terms, b_terms, e_terms
 
 
+def _axpy(spec: FieldSpec, acc: list[int], code: int, src: Sequence[int]) -> None:
+    """acc += code * src on raw coefficient lists, growing acc as needed."""
+    if len(acc) < len(src):
+        acc.extend([0] * (len(src) - len(acc)))
+    add, mul = spec._add_codes, spec._mul_codes
+    for d, s in enumerate(src):
+        if s:
+            acc[d] = add(acc[d], mul(code, s))
+
+
 def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
     """Exact transfer matrix of a time-invariant kernel assignment.
 
-    Accumulates B K^(d-1) A^T for raw delay d = 1, 2, ... until the DAG's
-    nilpotency cuts the series off, then divides out the common delay
-    D^d_prime_min.
+    This is M(D) = B (I - K(D))^-1 A with the link delays inside K(D),
+    computed in one pass over the edges in topological order of their
+    tails: per input c, edge e carries the raw code list
+    F_e[c] = D^delay(e) (alpha_ce + sum_e' beta_e'e F_e'[c]), and sink row
+    r sums eps_er F_e[c]. The common delay D^d_prime_min is divided out.
     """
     if leks.mode != "invariant":
         raise ValueError("transfer_matrix needs time-invariant kernels")
-    if not net.is_unit_delay():
-        net, leks = normalize_delays(net, leks)
-    validate(net)
+    order = validate(net)
     spec = leks.field
-    ne = len(net.edges)
     mu, nu = net.mu, net.nu
     a_terms, b_terms, e_terms = _compiled_kernels(
         net, (leks.alpha, leks.beta, leks.eps), spec
     )
-
-    # R starts as A^T (|E| x mu); step R -> K^T R moves symbols one hop
-    R = FqMatrix.zeros(spec, ne, mu)
+    alpha_in: list[list[tuple[int, int]]] = [[] for _ in net.edges]
     for epos, flat, code in a_terms:
-        R.rows[epos][flat] = spec._add_codes(R.rows[epos][flat], code)
-    KT = FqMatrix.zeros(spec, ne, ne)
+        alpha_in[epos].append((flat, code))
+    beta_in: list[list[tuple[int, int]]] = [[] for _ in net.edges]
     for out_pos, in_pos, code in b_terms:
-        KT.rows[out_pos][in_pos] = spec._add_codes(KT.rows[out_pos][in_pos], code)
-    B = FqMatrix.zeros(spec, nu, ne)
+        beta_in[out_pos].append((in_pos, code))
+
+    rank = {v: k for k, v in enumerate(order)}
+    F: list[list[list[int]]] = [[] for _ in net.edges]
+    for k in sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail]):
+        acc: list[list[int]] = [[] for _ in range(mu)]
+        for flat, code in alpha_in[k]:
+            acc[flat] = [code]  # alpha keys are unique per (input, edge)
+        for in_pos, code in beta_in[k]:
+            for c, src in enumerate(F[in_pos]):
+                _axpy(spec, acc[c], code, src)
+        lag = [0] * net.edges[k].delay
+        F[k] = [lag + a if a else a for a in acc]
+
+    raw: list[list[list[int]]] = [[[] for _ in range(mu)] for _ in range(nu)]
     for flat, epos, code in e_terms:
-        B.rows[flat][epos] = spec._add_codes(B.rows[flat][epos], code)
-
-    raw: list[FqMatrix] = [FqMatrix.zeros(spec, nu, mu)]  # lag 0 is empty
-    for _ in range(ne + 1):
-        if all(not any(row) for row in R.rows):
-            break
-        raw.append(B * R)
-        R = KT * R
-    else:
-        raise CycleDetected("kernel walk did not terminate; graph has a cycle")
-
-    nonzero = [d for d, Md in enumerate(raw) if any(any(r) for r in Md.rows)]
-    if not nonzero:
+        for c, src in enumerate(F[epos]):
+            _axpy(spec, raw[flat][c], code, src)
+    lags = [d for row in raw for a in row for d, x in enumerate(a) if x]
+    if not lags:
         return TransferResult(
-            spec,
-            PolyMatrix.zeros(spec, nu, mu),
-            0,
-            0,
-            net.mu_list,
-            net.nu_list,
+            spec, PolyMatrix.zeros(spec, nu, mu), 0, 0, net.mu_list, net.nu_list
         )
-    dmin, dmax = nonzero[0], nonzero[-1]
-    entries = []
-    for r in range(nu):
-        row = []
-        for c in range(mu):
-            row.append(Poly(spec, [raw[d].rows[r][c] for d in range(dmin, dmax + 1)]))
-        entries.append(row)
-    return TransferResult(
-        spec, PolyMatrix(spec, entries), dmin, dmax, net.mu_list, net.nu_list
-    )
+    dmin, dmax = min(lags), max(lags)
+    M = PolyMatrix(spec, [[Poly(spec, a[dmin:]) for a in row] for row in raw])
+    return TransferResult(spec, M, dmin, dmax, net.mu_list, net.nu_list)
 
 
 # ----------------------------------------------------------------------
@@ -579,16 +585,21 @@ def simulate(
     inputs[t][i] is the symbol vector source i injects at step t. Link
     registers are zero before the window. Returns outputs[t][j], sink j's
     reading at step t, one entry per step of the input window.
+
+    A delay-d edge keeps d - 1 symbols in flight behind its register, so
+    its head reads at step t + d what its tail wrote at step t. Kernels of
+    step t act where a symbol enters or leaves an edge, which is what a
+    chain of d unit edges with identity relays does.
     """
-    if not net.is_unit_delay():
-        if leks.mode == "invariant":
-            net, leks = normalize_delays(net, leks)
-        else:
-            raise ValueError("normalize delays before time-indexed simulation")
     spec = leks.field
     ne = len(net.edges)
     add = spec._add_codes
     mul = spec._mul_codes
+    lines: dict[int, deque[int]] = {}
+    for k, e in enumerate(net.edges):
+        _check_delay(e)
+        if e.delay > 1:
+            lines[k] = deque([0] * (e.delay - 1))
 
     invariant = leks.mode == "invariant"
     compiled = None
@@ -636,6 +647,9 @@ def simulate(
         for out_pos, in_pos, code in b_terms:
             if state[in_pos]:
                 new_state[out_pos] = add(new_state[out_pos], mul(code, state[in_pos]))
+        for k, line in lines.items():
+            line.append(new_state[k])
+            new_state[k] = line.popleft()
         state = new_state
     return outputs
 

@@ -24,6 +24,7 @@ from .galois import (
     dft_matrix,
     inverse_dft_matrix,
     multiplicative_order,
+    poly_eval_matrix,
 )
 from .netmodel import LekAssignment, NetworkSpec, TransferResult, simulate, transfer_matrix
 
@@ -131,15 +132,8 @@ def eigen_blocks(pm: PolyMatrix, plan: TransformPlan) -> list[FqMatrix]:
     out = []
     for t in range(plan.n):
         x = plan.alpha ** (plan.n - 1 - t)
-        out.append(_eval_block(pm, x))
+        out.append(poly_eval_matrix(pm, x))
     return out
-
-
-def _eval_block(pm: PolyMatrix, x: FieldElement) -> FqMatrix:
-    spec = x.spec
-    return FqMatrix(
-        spec, [[p.eval(x).code for p in row] for row in pm.rows]
-    )
 
 
 def diagonalize(C: BlockCirculant, plan: TransformPlan) -> list[FqMatrix]:

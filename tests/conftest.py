@@ -89,8 +89,12 @@ CATEGORY_LENGTHS = {
 }
 
 
-def random_dag_net(rng: random.Random, max_nodes=8, multi_terminal=True):
-    """Random unit-delay DAG with 1-2 sources and sinks, edges forward only."""
+def random_dag_net(rng: random.Random, max_nodes=8, multi_terminal=True, delays=(1,)):
+    """Random DAG with 1-2 sources and sinks, edges forward only.
+
+    Edge delays are drawn from delays. With a single choice nothing is
+    drawn, so the default unit-delay networks stay as they were per seed.
+    """
     n_nodes = rng.randrange(4, max_nodes + 1)
     names = [f"n{i}" for i in range(n_nodes)]
     edges = []
@@ -98,7 +102,8 @@ def random_dag_net(rng: random.Random, max_nodes=8, multi_terminal=True):
         for j in range(i + 1, n_nodes):
             for par in range(rng.choice([0, 0, 0, 1, 1, 2])):
                 if rng.random() < 0.55:
-                    edges.append(Edge(names[i], names[j], par, 1))
+                    delay = rng.choice(delays) if len(delays) > 1 else delays[0]
+                    edges.append(Edge(names[i], names[j], par, delay))
     sources = [Source(names[0], rng.randrange(1, 3))]
     if multi_terminal and rng.random() < 0.5 and n_nodes > 5:
         sources.append(Source(names[1], 1))

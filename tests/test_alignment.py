@@ -1,6 +1,8 @@
 """Three-session interference alignment: categories, precoders, decoding."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -19,7 +21,7 @@ from netcode.alignment import (
     encode_decode,
     tv_assignment_from_alignment,
 )
-from netcode.galois import FieldElement, build_field
+from netcode.galois import FieldElement, FqMatrix, build_field
 from netcode.netmodel import (
     Edge,
     LekAssignment,
@@ -260,6 +262,26 @@ def test_tv_reduction_from_invariant_witness(ex2):
     assert rep["sink2_span"] and rep["sink3_span"]
     assert all(c["ok"] for c in rep["conditions"])
     assert rep["ok"]
+
+
+def test_check_tv_names_first_singular_stack(ex2):
+    net, leks = ex2
+    tv = build_tv(net, leks, 3)
+    theta, A, B, C = tv_assignment_from_alignment(tv, build_instance(net, leks, 3))
+    zero = FqMatrix.zeros(tv.field, tv.N, tv.N)
+    # (2,2), (2,1) and (3,3) are only rank-checked; the others are inverted
+    for stacks, first in (
+        (((1, 1), (1, 2)), "(2,2)"),
+        (((2, 2),), "(3,3)"),
+        (((1, 0), (0, 1)), "(1,2)"),
+        (((2, 1), (1, 0)), "(2,1)"),
+    ):
+        M = [list(row) for row in tv.M]
+        for i, j in stacks:
+            M[i][j] = zero
+        bad = dataclasses.replace(tv, M=tuple(tuple(row) for row in M))
+        with pytest.raises(SingularBlock, match=re.escape(f"stack {first} is singular")):
+            check_tv(bad, theta, A, B, C)
 
 
 def test_tv_window_must_cover_run(ex2, gf64):

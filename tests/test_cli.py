@@ -140,6 +140,26 @@ def test_simulate_report(tmp_path, capsys):
     assert rep["outputs"] == [[[[0]]], [[[0]]], [[[1]]]]
 
 
+@pytest.mark.parametrize("sub", ["transfer", "simulate"])
+def test_delay_zero_edge_is_input_error(tmp_path, capsys, sub):
+    net = NetworkSpec(
+        ["S", "A", "T"],
+        [Edge("S", "A", 0, 0), Edge("A", "T", 0, 2)],
+        [Source("S", 1)],
+        [Sink("T", 1)],
+        [(0, 0, 0)],
+    )
+    leks = random_leks(net, GF2, "ones", nonzero=True)
+    doc = {"kind": "network", "network": network_to_dict(net), "kernels": leks_to_dict(leks)}
+    if sub == "simulate":
+        doc.update(kind="simulation", inputs=[[[[1]]], [[[0]]]])
+    p = tmp_path / "delay0.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, sub, str(p))
+    assert code == 2
+    assert rep["error"] == "ValueError" and "has delay 0" in rep["message"]
+
+
 # ----------------------------------------------------------------------
 # feasibility
 # ----------------------------------------------------------------------

@@ -32,6 +32,9 @@ from tests.conftest import random_dag_net
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
+GF9 = build_field(3, 2)
+GF256 = build_field(2, 8)
+DELAYS = (1, 2, 3, 5)
 
 
 def line_net(length, delays=None):
@@ -244,7 +247,7 @@ def test_simulation_matches_polynomial_product():
     rng = random.Random("conv")
     checked = 0
     while checked < 20:
-        net = random_dag_net(rng)
+        net = random_dag_net(rng, delays=DELAYS if checked % 2 else (1,))
         try:
             validate(net)
         except CycleDetected:  # pragma: no cover - forward edges only
@@ -271,6 +274,27 @@ def test_simulation_matches_polynomial_product():
                 for t in range(total):
                     assert out[t][j][r] == acc.coeff(t)
         checked += 1
+
+
+def test_delay_native_paths_match_chain_expansion():
+    """Delayed edges give the same M, d'min, d'max and simulated outputs as
+    the chain-expanded unit-delay network, in both kernel modes."""
+    rng = random.Random("native-delays")
+    for k in range(36):
+        spec = (GF8, GF9, GF256)[k % 3]
+        net = random_dag_net(rng, delays=DELAYS)
+        inv = random_leks(net, spec, f"nd{k}")
+        tv = random_leks(net, spec, f"nd-tv{k}", mode="time", window=(-3, 20))
+        x = _flat_inputs(net, rng, spec, 24)
+        net2, inv2 = normalize_delays(net, inv)
+        tr, tr2 = transfer_matrix(net, inv), transfer_matrix(net2, inv2)
+        assert (tr.M, tr.d_prime_min, tr.d_prime_max) == (
+            tr2.M, tr2.d_prime_min, tr2.d_prime_max
+        )
+        assert simulate(net, inv, x, t_start=5) == simulate(net2, inv2, x, t_start=5)
+        assert simulate(net, tv, x, t_start=-3) == simulate(
+            *normalize_delays(net, tv), x, t_start=-3
+        )
 
 
 def test_simulate_checks_input_shape():
