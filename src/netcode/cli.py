@@ -40,7 +40,7 @@ from .netmodel import (
     validate,
 )
 from .transform import eigen_blocks, make_plan
-from .feasibility import FeasibilityReport, _demanded_columns, analyze
+from .feasibility import FeasibilityReport, SearchExhausted, _demanded_columns, analyze
 from .alignment import (
     NotFound,
     align_search,
@@ -467,6 +467,10 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except SearchExhausted as e:
+        # a verdict on well-formed input, like an infeasible report
+        _emit({"error": type(e).__name__, "message": str(e)}, args)
+        return 1
     except (ParseError, UnknownFixture) as e:
         _emit({"error": type(e).__name__, "message": str(e)}, args)
         return 2

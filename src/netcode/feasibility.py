@@ -23,7 +23,7 @@ from .galois import (
     poly_eval_matrix,
     _factorint,
 )
-from .netmodel import TransferResult
+from .netmodel import TransferResult, _check_demand
 from .transform import TransformPlan, make_plan
 
 __all__ = [
@@ -85,6 +85,8 @@ def zero_interference(tr: TransferResult, connections) -> list[tuple[int, int, i
 
 
 def _demanded_columns(tr: TransferResult, connections, j: int) -> list[int]:
+    for c in connections:
+        _check_demand(c, tr.mu_list, len(tr.nu_list))
     offsets = [sum(tr.mu_list[:i]) for i in range(len(tr.mu_list))]
     cols = sorted(
         offsets[i] + l for (i, j2, l) in connections if j2 == j

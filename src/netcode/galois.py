@@ -137,12 +137,59 @@ def _pf_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
+def _pf_inverse(a: list[int], mod: Sequence[int], p: int) -> list[int]:
+    """s with s * a = 1 modulo the irreducible mod, a nonzero of lower degree.
+
+    Extended Euclid: keep s * a = u and t * a = v modulo mod, and cancel the
+    leading term of the higher-degree one of u, v until u is a constant.
+    """
+    u, v = _pf_trim(list(a)), list(mod)
+    s, t = [1], []
+    while len(u) > 1:
+        if len(u) < len(v):
+            u, v, s, t = v, u, t, s
+        shift = len(u) - len(v)
+        f = u[-1] * pow(v[-1], p - 2, p) % p
+        for i, c in enumerate(v):
+            u[shift + i] = (u[shift + i] - f * c) % p
+        _pf_trim(u)
+        if len(s) < len(t) + shift:
+            s.extend([0] * (len(t) + shift - len(s)))
+        for i, c in enumerate(t):
+            s[shift + i] = (s[shift + i] - f * c) % p
+    scale = pow(u[0], p - 2, p)
+    return [c * scale % p for c in s]
+
+
 def _digits(code: int, p: int, length: int) -> list[int]:
     out = []
     for _ in range(length):
         out.append(code % p)
         code //= p
     return out
+
+
+def _spread(code: int, p: int, w: int) -> int:
+    """code's base-p digits, one per w-bit field."""
+    out = 0
+    shift = 0
+    while code:
+        code, d = divmod(code, p)
+        out |= d << shift
+        shift += w
+    return out
+
+
+def _unspread_table(p: int, w: int, k: int) -> list[int]:
+    """Code of the digits mod p, indexed by k w-bit fields of digits < 2p - 1."""
+    spreads, codes = [0], [0]
+    for i in range(k):
+        spreads = [s + (d << w * i) for d in range(2 * p - 1) for s in spreads]
+        codes = [c + d % p * p**i for d in range(2 * p - 1) for c in codes]
+    table = [0] * (1 << w * k)
+    for s, c in zip(spreads, codes):
+        table[s] = c
+    return table
 
 
 def _undigits(vec: Sequence[int], p: int) -> int:
@@ -164,13 +211,15 @@ class FieldSpec:
     when (p, m, modulus) agree. Construct through :func:`build_field`.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_gen_code")
+    __slots__ = ("p", "m", "q", "modulus", "_tail", "_exp", "_log", "_gen_code")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
         self.m = m
         self.q = p**m
         self.modulus = tuple(int(c) for c in modulus)
+        # x^m = sum of t * x^i over these (i, t): the modulus's negated tail
+        self._tail = tuple((i, -c % p) for i, c in enumerate(self.modulus[:m]) if c)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._gen_code: int | None = None
@@ -246,14 +295,25 @@ class FieldSpec:
         if a == 0 or b == 0:
             return 0
         p, m = self.p, self.m
-        av = _digits(a, p, m)
-        bv = _digits(b, p, m)
+        bv = _pf_trim(_digits(b, p, m))
         prod = [0] * (2 * m - 1)
-        for i, ac in enumerate(av):
+        shift = 0
+        while a:
+            a, ac = divmod(a, p)
             if ac:
-                for j, bc in enumerate(bv):
-                    prod[i + j] = (prod[i + j] + ac * bc) % p
-        return _undigits(_pf_mod(prod, list(self.modulus), p), p)
+                for j, bc in enumerate(bv, shift):
+                    prod[j] += ac * bc
+            shift += 1
+        # coefficients are reduced mod p only where they are read
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i, t in self._tail:
+                    prod[k - m + i] += c * t
+        code = 0
+        for k in range(m - 1, -1, -1):
+            code = code * p + prod[k] % p
+        return code
 
     def _pow_code_slow(self, a: int, e: int) -> int:
         out = 1
@@ -288,19 +348,43 @@ class FieldSpec:
         return self._gen_code
 
     def _ensure_tables(self) -> None:
-        if self._exp is not None or self.q > _TABLE_CAP:
-            return
+        # runs before every table lookup; the build is a separate method
+        # because its comprehensions would make this body allocate closure
+        # cells on each call
+        if self._exp is None and self.q <= _TABLE_CAP:
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        p, m, q = self.p, self.m, self.q
         g = self._find_generator()
-        exp = [1] * (self.q - 1)
-        log = [0] * self.q
-        acc = 1
-        for i in range(1, self.q - 1):
-            acc = self._schoolbook_mul(acc, g)
+        # acc = lo + x^h * hi, so acc * g = lo * g + hi * (x^h * g): two
+        # lookups in tables of p^h and p^(m-h) products replace a schoolbook
+        # multiply per step. The products are stored spread, one w-bit field
+        # per digit, so adding two is one integer addition; one lookup per
+        # half then reduces the digit sums mod p.
+        h = m // 2
+        split = p**h
+        w = (2 * p - 2).bit_length()
+        mul = self._schoolbook_mul
+        lo_g = [_spread(mul(a, g), p, w) for a in range(split)]
+        shifted_g = mul(split, g)
+        hi_g = [_spread(mul(b, shifted_g), p, w) for b in range(q // split)]
+        lo_of, hi_of = _unspread_table(p, w, h), _unspread_table(p, w, m - h)
+        cut = w * h
+        mask = (1 << cut) - 1
+        exp = [1] * (q - 1)
+        log = [0] * q
+        lo, hi = 1 % split, 1 // split
+        for i in range(1, q - 1):
+            total = lo_g[lo] + hi_g[hi]
+            lo, hi = lo_of[total & mask], hi_of[total >> cut]
+            acc = lo + split * hi
             exp[i] = acc
             log[acc] = i
-        log[1] = 0
-        self._exp = exp
+        # specs are shared, so another thread may read these while they are
+        # set: _exp is what readers test, so it goes last
         self._log = log
+        self._exp = exp
 
     def _mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -316,7 +400,8 @@ class FieldSpec:
         self._ensure_tables()
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._pow_code_slow(a, self.q - 2)
+        p = self.p
+        return _undigits(_pf_inverse(_digits(a, p, self.m), self.modulus, p), p)
 
     def _pow_code(self, a: int, e: int) -> int:
         if e < 0:
@@ -329,34 +414,49 @@ class FieldSpec:
         return self._pow_code_slow(a, e)
 
 
+# One spec per field, so its tables and generator are computed once per
+# process. Keys are (p, m, None) for the default modulus and
+# (p, m, modulus) for an explicit one; only validated fields get in.
+_FIELDS: dict[tuple, FieldSpec] = {}
+
+
 def build_field(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSpec:
-    """Construct GF(p^m).
+    """The shared GF(p^m) spec.
 
     When modulus is omitted the monic irreducible of degree m with the
     smallest integer encoding is selected, which makes independent runs
     agree on the representation. A supplied modulus must be monic, of
     degree exactly m, with coefficients in [0, p), lowest power first.
+    Equal arguments return the same instance.
     """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be at least 1")
-    if modulus is None:
+    mod = None if modulus is None else tuple(int(c) for c in modulus)
+    spec = _FIELDS.get((p, m, mod))
+    if spec is not None:
+        return spec
+    if mod is None:
         for low in range(p**m):
-            cand = _digits(low, p, m) + [1]
+            cand = tuple(_digits(low, p, m) + [1])
             if _pf_is_irreducible(cand, p):
-                return FieldSpec(p, m, cand)
-        raise NetcodeError("no irreducible modulus found")  # pragma: no cover
-    mod = [int(c) for c in modulus]
-    if len(mod) != m + 1:
-        raise ValueError(f"modulus must have degree exactly {m}")
-    if mod[-1] != 1:
-        raise ReducibleModulus("modulus must be monic")
-    if any(not 0 <= c < p for c in mod):
-        raise ValueError("modulus coefficients out of range")
-    if not _pf_is_irreducible(mod, p):
-        raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
-    return FieldSpec(p, m, mod)
+                break
+        else:  # pragma: no cover - irreducibles exist in every degree
+            raise NetcodeError("no irreducible modulus found")
+    else:
+        if len(mod) != m + 1:
+            raise ValueError(f"modulus must have degree exactly {m}")
+        if mod[-1] != 1:
+            raise ReducibleModulus("modulus must be monic")
+        if any(not 0 <= c < p for c in mod):
+            raise ValueError("modulus coefficients out of range")
+        if not _pf_is_irreducible(mod, p):
+            raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
+        cand = mod
+    spec = _FIELDS.setdefault((p, m, cand), FieldSpec(p, m, cand))
+    _FIELDS[(p, m, mod)] = spec
+    return spec
 
 
 def spec_to_dict(spec: FieldSpec) -> dict:
@@ -1104,16 +1204,30 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
         raise ValueError(f"{sub!r} does not embed in {sup!r}")
     mul, add = sup._mul_codes, sup._add_codes
     mod_digits = list(reversed(sub.modulus))
-    root = None
-    for cand in range(sup.q):
+
+    def is_root(cand: int) -> bool:
         acc = 0
         for digit in mod_digits:
             acc = add(mul(acc, cand), digit)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:  # pragma: no cover - a root always exists when m | m'
-        raise NetcodeError("no root of the base modulus found")
+        return acc == 0
+
+    # every root lies in the order-q_sub subfield, {0} and the powers of h;
+    # the roots are the Frobenius conjugates r, r^p, ... of any one of them
+    if is_root(0):
+        root = 0
+    else:
+        h = sup._pow_code(sup._find_generator(), (sup.q - 1) // (sub.q - 1))
+        cand = 1
+        for _ in range(sub.q - 1):
+            if is_root(cand):
+                break
+            cand = mul(cand, h)
+        else:  # pragma: no cover - a root always exists when m | m'
+            raise NetcodeError("no root of the base modulus found")
+        conjugates = [cand]
+        for _ in range(sub.m - 1):
+            conjugates.append(sup._pow_code(conjugates[-1], sub.p))
+        root = min(conjugates)
     emb = Embedding(sub, sup, root)
     _EMBED_CACHE[key] = emb
     return emb

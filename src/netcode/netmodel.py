@@ -234,6 +234,19 @@ def _check_delay(e: Edge) -> None:
         raise ValueError(f"edge {e.key} has delay {e.delay}; must be >= 1")
 
 
+def _check_demand(c, mu_list: Sequence[int], n_sinks: int) -> None:
+    """Raise DanglingDemand unless c names an existing (source, sink, process)."""
+    if len(c) != 3:
+        raise DanglingDemand(f"malformed demand {c}")
+    i, j, l = c
+    if not 0 <= i < len(mu_list):
+        raise DanglingDemand(f"demand {c}: no source {i}")
+    if not 0 <= j < n_sinks:
+        raise DanglingDemand(f"demand {c}: no sink {j}")
+    if not 0 <= l < mu_list[i]:
+        raise DanglingDemand(f"demand {c}: source {i} has no process {l}")
+
+
 def validate(net: NetworkSpec) -> list[str]:
     """Check every structural invariant; return a topological node order.
 
@@ -263,15 +276,8 @@ def validate(net: NetworkSpec) -> list[str]:
         if s.outputs < 1:
             raise ValueError("sink must read at least one output")
     for c in net.connections:
-        if len(c) != 3:
-            raise DanglingDemand(f"malformed demand {c}")
-        i, j, l = c
-        if not 0 <= i < len(net.sources):
-            raise DanglingDemand(f"demand {c}: no source {i}")
-        if not 0 <= j < len(net.sinks):
-            raise DanglingDemand(f"demand {c}: no sink {j}")
-        if not 0 <= l < net.sources[i].processes:
-            raise DanglingDemand(f"demand {c}: source {i} has no process {l}")
+        _check_demand(c, net.mu_list, len(net.sinks))
+        i, j, _ = c
         if net.sources[i].node == net.sinks[j].node:
             raise DanglingDemand(f"demand {c}: source and sink share a node")
 
@@ -610,6 +616,11 @@ def simulate(
     outputs: list[list[list[FieldElement]]] = []
     for step, x_t in enumerate(inputs):
         t = t_start + step
+        if len(x_t) != len(net.sources):
+            raise ValueError(
+                f"step {step} gives {len(x_t)} source vectors, the network has "
+                f"{len(net.sources)} sources"
+            )
         if invariant:
             a_terms, b_terms, e_terms = compiled
         else:
@@ -621,7 +632,9 @@ def simulate(
         for i, src in enumerate(net.sources):
             vec = x_t[i]
             if len(vec) != src.processes:
-                raise ValueError(f"source {i} expects {src.processes} symbols")
+                raise ValueError(
+                    f"step {step}: source {i} expects {src.processes} symbols"
+                )
             off = net.input_offset(i)
             for l, sym in enumerate(vec):
                 if sym.spec != spec:

@@ -160,9 +160,40 @@ def test_delay_zero_edge_is_input_error(tmp_path, capsys, sub):
     assert rep["error"] == "ValueError" and "has delay 0" in rep["message"]
 
 
+def test_simulate_step_with_missing_source_is_input_error(tmp_path, capsys):
+    doc = load_fixture("example2")  # three single-process sources
+    doc.update(kind="simulation", inputs=[[[[1]]], [[[0]]]])
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "simulate", str(p))
+    assert code == 2
+    assert rep["error"] == "ValueError"
+    assert rep["message"] == "step 0 gives 1 source vectors, the network has 3 sources"
+
+
 # ----------------------------------------------------------------------
 # feasibility
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [("feasibility",), ("transform", "--n", "7")])
+def test_connection_to_missing_source_is_input_error(tmp_path, capsys, argv):
+    doc = load_fixture("example1")
+    doc["connections"] = [[9, 0, 0]]
+    p = tmp_path / "dangling.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, argv[0], str(p), *argv[1:])
+    assert code == 2
+    assert rep == {"error": "DanglingDemand", "message": "demand (9, 0, 0): no source 9"}
+
+
+def test_exhausted_plan_search_is_a_verdict(capsys):
+    code, rep = jcli(
+        capsys, "feasibility", "example1", "--find-plan", "--max-ext-degree", "1"
+    )
+    assert code == 1
+    assert rep["error"] == "SearchExhausted"
+    assert "extensions of degree up to 1" in rep["message"]
 
 
 def test_feasibility_reference_report(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from netcode.galois import (
     CharacteristicDividesN,
     FieldElement,
+    FieldSpec,
     FqMatrix,
     NoSuchElement,
     NotPrime,
@@ -25,6 +26,7 @@ from netcode.galois import (
     poly_eval_matrix,
     spec_from_dict,
     spec_to_dict,
+    _is_prime,
 )
 
 GF2 = build_field(2, 1)
@@ -55,6 +57,35 @@ def test_bad_construction():
 def test_spec_roundtrip():
     d = spec_to_dict(GF64)
     assert spec_from_dict(d) == GF64
+
+
+def test_build_field_is_interned():
+    f = build_field(2, 8)
+    assert build_field(2, 8) is f
+    assert spec_from_dict(spec_to_dict(f)) is f
+    assert build_field(2, 8, f.modulus) is f
+    assert build_field(2, 8, list(f.modulus)) is f
+    # value semantics are unchanged for a spec made outside build_field
+    twin = FieldSpec(2, 8, f.modulus)
+    assert twin is not f and twin == f and hash(twin) == hash(f)
+
+
+def test_explicit_and_default_modulus_share_the_spec():
+    # GF(3^3)'s default modulus is x^3 + 2x + 1
+    f = build_field(3, 3, [1, 2, 0, 1])
+    assert build_field(3, 3) is f
+
+
+def test_bad_modulus_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus):
+            build_field(2, 2, modulus=[1, 0, 1])
+        with pytest.raises(ValueError):
+            build_field(2, 2, modulus=[1, 2, 1])
+        with pytest.raises(ValueError):
+            build_field(2, 3, modulus=[1, 1, 1])
+        with pytest.raises(NotPrime):
+            build_field(4, 1)
 
 
 def test_prime_field_is_plain_modular():
@@ -282,3 +313,124 @@ def test_embedding_is_a_field_homomorphism():
     assert phi(GF8.one()) == GF64.one()
     # orders survive the embedding
     assert multiplicative_order(phi(generator(GF8))) == 7
+
+
+def _linear_scan_root(sub, sup):
+    """The smallest code of sup that is a root of sub's modulus, found by
+    trying every code in order."""
+    for cand in range(sup.q):
+        acc = 0
+        for digit in reversed(sub.modulus):
+            acc = sup._add_codes(sup._mul_codes(acc, cand), digit)
+        if acc == 0:
+            return cand
+    raise AssertionError("no root")
+
+
+def _small_lifts():
+    for p in (q for q in range(2, 65) if _is_prime(q)):
+        m_sup = 1
+        while p**m_sup <= 1 << 12:
+            for m_sub in range(1, m_sup + 1):
+                if m_sup % m_sub == 0:
+                    yield p, m_sub, m_sup
+            m_sup += 1
+
+
+def test_embed_root_matches_linear_scan():
+    lifts = list(_small_lifts()) + [(2, 4, 16)]
+    assert len(lifts) > 60
+    for p, m_sub, m_sup in lifts:
+        sub, sup = build_field(p, m_sub), build_field(p, m_sup)
+        assert embed(sub, sup).root == _linear_scan_root(sub, sup), (p, m_sub, m_sup)
+    # a non-default base modulus, whose roots are other elements of sup
+    sub, sup = build_field(2, 4, [1, 0, 0, 1, 1]), build_field(2, 8)
+    assert embed(sub, sup).root == _linear_scan_root(sub, sup)
+
+
+# ----------------------------------------------------------------------
+# table build and inverses above the table cap
+# ----------------------------------------------------------------------
+
+
+def _stepped_tables(spec):
+    """exp/log by one schoolbook multiply by the generator per entry."""
+    g = spec._find_generator()
+    exp, log, acc = [1] * (spec.q - 1), [0] * spec.q, 1
+    for i in range(1, spec.q - 1):
+        acc = spec._schoolbook_mul(acc, g)
+        exp[i], log[acc] = acc, i
+    return exp, log
+
+
+def _textbook_mul(spec, a, b):
+    """Digit-vector product reduced by long division, mod p at every step."""
+    p, m = spec.p, spec.m
+    av = [a // p**i % p for i in range(m)]
+    bv = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i in range(m):
+        for j in range(m):
+            prod[i + j] = (prod[i + j] + av[i] * bv[j]) % p
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        for i, mc in enumerate(spec.modulus):
+            prod[k - m + i] = (prod[k - m + i] - c * mc) % p
+    return sum(c * p**i for i, c in enumerate(prod[:m]))
+
+
+@pytest.mark.parametrize(
+    "p, m, modulus",
+    [(2, 8, None), (2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]), (3, 5, None), (5, 3, None),
+     (7, 2, None), (2, 17, None), (2, 20, None), (3, 11, None), (5, 7, None),
+     (65537, 1, None)],
+)
+def test_schoolbook_mul_matches_textbook_product(p, m, modulus):
+    spec = build_field(p, m, modulus)
+    rng = random.Random(f"mul:{p}:{m}:{modulus}")
+    pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(200)]
+    pairs += [(0, 1), (1, spec.q - 1), (spec.q - 1, spec.q - 1), (p ** (m - 1), p ** (m - 1))]
+    for a, b in pairs:
+        assert spec._schoolbook_mul(a, b) == _textbook_mul(spec, a, b), (a, b)
+
+
+def test_tables_match_schoolbook_steps():
+    for p in (2, 3, 5, 7, 11, 13, 61):
+        m = 1
+        while p**m <= 1 << 12:
+            spec = build_field(p, m)
+            spec._ensure_tables()
+            exp, log = _stepped_tables(spec)
+            assert spec._exp == exp and spec._log[1:] == log[1:], (p, m)
+            m += 1
+
+
+@pytest.mark.parametrize("p, m", [(2, 16), (3, 10)])
+def test_table_build_uses_few_schoolbook_products(monkeypatch, p, m):
+    spec = FieldSpec(p, m, build_field(p, m).modulus)  # fresh, no tables yet
+    spec._find_generator()
+    calls = 0
+    plain = FieldSpec._schoolbook_mul
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return plain(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_schoolbook_mul", counted)
+    spec._ensure_tables()
+    assert calls <= 2 * p ** ((m + 1) // 2) + 1
+    g = spec._gen_code
+    for i in (1, 2, 12345, spec.q - 2):
+        assert spec._exp[i] == plain(spec, spec._exp[i - 1], g)
+
+
+@pytest.mark.parametrize("p, m", [(2, 17), (2, 20), (3, 11), (5, 7)])
+def test_inverse_above_table_cap(p, m):
+    spec = build_field(p, m)
+    assert spec.q > 1 << 16
+    rng = random.Random(f"inv:{p}:{m}")
+    for a in [1, p - 1, spec.q - 1] + [rng.randrange(1, spec.q) for _ in range(12)]:
+        inv = spec._inv_code(a)
+        assert inv == spec._pow_code_slow(a, spec.q - 2)
+        assert spec._schoolbook_mul(a, inv) == 1
