@@ -20,6 +20,7 @@ from importlib import resources
 from .galois import (
     FieldElement,
     NetcodeError,
+    ParseError,
     Poly,
     build_field,
     element_of_order,
@@ -52,10 +53,6 @@ from .alignment import (
 __all__ = ["ParseError", "UnknownFixture", "load_fixture", "run", "main"]
 
 _FIXTURES = ("example1", "example2")
-
-
-class ParseError(NetcodeError):
-    pass
 
 
 class UnknownFixture(NetcodeError):

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "NetcodeError",
+    "ParseError",
     "NotPrime",
     "ReducibleModulus",
     "NoSuchElement",
@@ -44,6 +45,10 @@ _TABLE_CAP = 1 << 16
 
 class NetcodeError(Exception):
     """Base class for every error raised by this package."""
+
+
+class ParseError(NetcodeError):
+    """An input document or value has the wrong type or shape."""
 
 
 class NotPrime(NetcodeError):
@@ -249,11 +254,15 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        if len(coeffs) > self.m:
-            raise ValueError(f"at most {self.m} coefficients expected")
-        for c in coeffs:
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} out of range [0, {self.p})")
+        try:
+            if len(coeffs) > self.m:
+                raise ValueError(f"at most {self.m} coefficients expected")
+            for c in coeffs:
+                if not 0 <= c < self.p:
+                    raise ValueError(f"coefficient {c} out of range [0, {self.p})")
+        except TypeError:
+            msg = f"a field element is a list of integer coefficients, got {coeffs!r}"
+            raise ParseError(msg) from None
         return FieldElement(self, _undigits(list(coeffs), self.p))
 
     def scalar(self, c: int) -> "FieldElement":
@@ -904,6 +913,39 @@ def inverse_dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
 # ----------------------------------------------------------------------
 
 
+def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int], mul, add) -> None:
+    """out += a * b for code sequences, lowest power first."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+
+
+def _div_exact(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a / b for code sequences; raises ArithmeticError unless b divides a."""
+    mul, add, neg = spec._mul_codes, spec._add_codes, spec._neg_code
+    rem = list(a)
+    while rem and not rem[-1]:
+        rem.pop()
+    if len(b) == 1 and b[0] == 1:
+        return tuple(rem)
+    db = len(b) - 1
+    # -1 / lead(b), so each step adds c * b to cancel the top of rem
+    scale = neg(spec._inv_code(b[-1]))
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = mul(rem[i + db], scale)
+        if c:
+            quot[i] = neg(c)
+            for j, y in enumerate(b, i):
+                if y:
+                    rem[j] = add(rem[j], mul(c, y))
+    if any(rem):
+        raise ArithmeticError("polynomial division leaves a remainder")
+    return tuple(quot)
+
+
 class Poly:
     """Polynomial with FieldElement coefficients, lowest power first."""
 
@@ -995,13 +1037,8 @@ class Poly:
         self._check(other)
         if not self.codes or not other.codes:
             return Poly.zero(self.spec)
-        mul, add = self.spec._mul_codes, self.spec._add_codes
         out = [0] * (len(self.codes) + len(other.codes) - 1)
-        for i, a in enumerate(self.codes):
-            if a:
-                for j, b in enumerate(other.codes):
-                    if b:
-                        out[i + j] = add(out[i + j], mul(a, b))
+        _mul_into(out, self.codes, other.codes, self.spec._mul_codes, self.spec._add_codes)
         return Poly(self.spec, out)
 
     def __pow__(self, e: int) -> "Poly":
@@ -1123,27 +1160,36 @@ class PolyMatrix:
         )
 
     def det(self) -> Poly:
+        """Determinant by fraction-free (Bareiss) elimination over F_q[D].
+
+        Step k sets a_ij = (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) for
+        i, j > k; every division is exact, so entries stay polynomials.
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return self._det_rec(list(range(self.nrows)), list(range(self.ncols)))
-
-    def _det_rec(self, rows: list[int], cols: list[int]) -> Poly:
-        # cofactor expansion along the first remaining column; sizes stay small
-        if len(rows) == 1:
-            return self.rows[rows[0]][cols[0]]
-        col = cols[0]
-        rest = cols[1:]
-        acc = Poly.zero(self.spec)
-        for k, r in enumerate(rows):
-            p = self.rows[r][col]
-            if not p:
-                continue
-            minor = self._det_rec(rows[:k] + rows[k + 1 :], rest)
-            term = p * minor
-            if k % 2:
-                term = -term
-            acc = acc + term
-        return acc
+        spec, n = self.spec, self.nrows
+        mul, add, neg = spec._mul_codes, spec._add_codes, spec._neg_code
+        a = [[p.codes for p in row] for row in self.rows]
+        prev, negate = (1,), False
+        for k in range(n):
+            piv = next((i for i in range(k, n) if a[i][k]), None)
+            if piv is None:
+                return Poly.zero(spec)
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                negate = not negate
+            row_k = a[k]
+            akk = row_k[k]
+            for row_i in a[k + 1 :]:
+                minus_aik = [neg(c) for c in row_i[k]]
+                for j in range(k + 1, n):
+                    aij, akj = row_i[j], row_k[j]
+                    out = [0] * (max(len(akk) + len(aij), len(minus_aik) + len(akj)) - 1)
+                    _mul_into(out, akk, aij, mul, add)
+                    _mul_into(out, minus_aik, akj, mul, add)
+                    row_i[j] = _div_exact(spec, out, prev)
+            prev = akk
+        return -Poly(spec, prev) if negate else Poly(spec, prev)
 
     def __repr__(self) -> str:
         return f"<PolyMatrix {self.nrows}x{self.ncols} over {self.spec!r}>"

@@ -27,6 +27,7 @@ from .galois import (
     FieldSpec,
     FqMatrix,
     NetcodeError,
+    ParseError,
     Poly,
     PolyMatrix,
     spec_from_dict,
@@ -756,6 +757,15 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
+def _objects(d: dict, key: str, required: set[str]) -> list[dict]:
+    """d[key] as a list of objects that each hold the required keys."""
+    for k, x in enumerate(d[key]):
+        if not isinstance(x, dict) or not x.keys() >= required:
+            keys = ", ".join(sorted(required))
+            raise ParseError(f"network.{key}[{k}] must be an object with {keys}, got {x!r}")
+    return d[key]
+
+
 def network_from_dict(d: dict) -> NetworkSpec:
     edges = [
         Edge(
@@ -764,12 +774,15 @@ def network_from_dict(d: dict) -> NetworkSpec:
             int(e.get("index", 0)),
             int(e.get("delay", 1)),
         )
-        for e in d["edges"]
+        for e in _objects(d, "edges", {"tail", "head"})
     ]
-    sources = [Source(str(s["node"]), int(s.get("processes", 1))) for s in d["sources"]]
+    sources = [
+        Source(str(s["node"]), int(s.get("processes", 1)))
+        for s in _objects(d, "sources", {"node"})
+    ]
     sinks = []
     connections = []
-    for j, s in enumerate(d["sinks"]):
+    for j, s in enumerate(_objects(d, "sinks", {"node"})):
         sinks.append(Sink(str(s["node"]), int(s.get("outputs", 1))))
         for i, l in s.get("demands", []):
             connections.append((int(i), j, int(l)))

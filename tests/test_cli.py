@@ -81,6 +81,30 @@ def test_kind_mismatch_rejected(capsys):
     assert 'needs kind "network"' in rep["message"]
 
 
+def test_bare_number_symbol_is_parse_error(tmp_path, capsys):
+    # each symbol is a coefficient list; a bare number passes the schema check
+    doc = load_fixture("example2")
+    doc.update(kind="simulation", inputs=[[[1], [0], [1]]])
+    p = tmp_path / "sim.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "simulate", str(p))
+    assert code == 2
+    assert rep["error"] == "ParseError"
+    assert "list of integer coefficients, got 1" in rep["message"]
+
+
+@pytest.mark.parametrize("sub", ["validate", "transfer", "mincut"])
+def test_edge_as_list_is_parse_error(tmp_path, capsys, sub):
+    doc = load_fixture("example2")
+    doc["network"]["edges"][0] = ["S1", "A", 1]
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, sub, str(p))
+    assert code == 2
+    assert rep["error"] == "ParseError"
+    assert rep["message"].startswith("network.edges[0] must be an object with head, tail")
+
+
 # ----------------------------------------------------------------------
 # network reports
 # ----------------------------------------------------------------------
