@@ -196,8 +196,7 @@ class AlignmentInstance:
 
 
 def _diag_mul(spec: FieldSpec, diag: Sequence[int], M: FqMatrix) -> FqMatrix:
-    mul = spec._mul_codes
-    return FqMatrix(spec, [[mul(d, c) for c in row] for d, row in zip(diag, M.rows)])
+    return FqMatrix(spec, [spec._row_scaled(d, row) for d, row in zip(diag, M.rows)])
 
 
 def _diag_inv(spec: FieldSpec, diag: Sequence[int], where: str) -> list[int]:

@@ -216,7 +216,7 @@ class FieldSpec:
     when (p, m, modulus) agree. Construct through :func:`build_field`.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_tail", "_exp", "_log", "_gen_code")
+    __slots__ = ("p", "m", "q", "modulus", "_tail", "_exp", "_log", "_exp2", "_gen_code")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
@@ -227,6 +227,7 @@ class FieldSpec:
         self._tail = tuple((i, -c % p) for i, c in enumerate(self.modulus[:m]) if c)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._exp2: list[int] | None = None
         self._gen_code: int | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -255,14 +256,18 @@ class FieldSpec:
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
         try:
-            if len(coeffs) > self.m:
-                raise ValueError(f"at most {self.m} coefficients expected")
-            for c in coeffs:
-                if not 0 <= c < self.p:
-                    raise ValueError(f"coefficient {c} out of range [0, {self.p})")
+            count = len(coeffs)
+            ints = all(type(c) is int for c in coeffs)  # not bool, not float
         except TypeError:
+            ints = False
+        if not ints:
             msg = f"a field element is a list of integer coefficients, got {coeffs!r}"
-            raise ParseError(msg) from None
+            raise ParseError(msg)
+        if count > self.m:
+            raise ValueError(f"at most {self.m} coefficients expected")
+        for c in coeffs:
+            if not 0 <= c < self.p:
+                raise ValueError(f"coefficient {c} out of range [0, {self.p})")
         return FieldElement(self, _undigits(list(coeffs), self.p))
 
     def scalar(self, c: int) -> "FieldElement":
@@ -357,9 +362,9 @@ class FieldSpec:
         return self._gen_code
 
     def _ensure_tables(self) -> None:
-        # runs before every table lookup; the build is a separate method
-        # because its comprehensions would make this body allocate closure
-        # cells on each call
+        # callers test _exp first and come here only while it is None; the
+        # build is a separate method because its comprehensions would make
+        # this body allocate closure cells on each call
         if self._exp is None and self.q <= _TABLE_CAP:
             self._build_tables()
 
@@ -393,22 +398,32 @@ class FieldSpec:
         # specs are shared, so another thread may read these while they are
         # set: _exp is what readers test, so it goes last
         self._log = log
+        if p == 2:
+            # the row kernel adds two logs in [0, q - 2] and reads the sum here
+            self._exp2 = exp + exp
         self._exp = exp
 
     def _mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        self._ensure_tables()
-        if self._exp is None:
-            return self._schoolbook_mul(a, b)
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        exp = self._exp
+        if exp is None:
+            self._ensure_tables()
+            exp = self._exp
+            if exp is None:
+                return self._schoolbook_mul(a, b)
+        log = self._log
+        return exp[(log[a] + log[b]) % (self.q - 1)]
 
     def _inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        exp = self._exp
+        if exp is None:
+            self._ensure_tables()
+            exp = self._exp
+        if exp is not None:
+            return exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         p = self.p
         return _undigits(_pf_inverse(_digits(a, p, self.m), self.modulus, p), p)
 
@@ -417,10 +432,65 @@ class FieldSpec:
             return self._pow_code(self._inv_code(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
+        exp = self._exp
+        if exp is None:
+            self._ensure_tables()
+            exp = self._exp
+        if exp is not None:
+            return exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_code_slow(a, e)
+
+    # -- row kernel ----------------------------------------------------
+    #
+    # Matrix and polynomial loops are runs of dst += f * src in which one
+    # src row meets many factors, so src is prepared once. In GF(2^m) with
+    # tables a prepared row holds (j, log v) for its nonzero entries v, and
+    # each update is one lookup and one XOR per entry; in every other field
+    # it holds (j, v) and each update calls _mul_codes and _add_codes. In
+    # both forms an entry's position j can be changed freely.
+
+    def _row_prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
+        """The nonzero entries of scale * row, in the form _row_axpy reads."""
+        if not scale:
+            return []
+        if self._exp is None:
+            self._ensure_tables()
+        if self._exp2 is not None:
+            log, qm1 = self._log, self.q - 1
+            ls = log[scale]
+            return [(j, (log[v] + ls) % qm1) for j, v in enumerate(row) if v]
+        if scale == 1:
+            return [(j, v) for j, v in enumerate(row) if v]
+        mul = self._mul_codes
+        return [(j, mul(scale, v)) for j, v in enumerate(row) if v]
+
+    def _row_axpy(
+        self, dst: list[int], factor: int, src: list[tuple[int, int]], off: int = 0
+    ) -> None:
+        """dst[off + j] += factor * v for every entry (j, v) of a prepared row."""
+        if not factor:
+            return
+        exp2 = self._exp2
+        if exp2 is not None:
+            lf = self._log[factor]
+            if off:
+                for j, lv in src:
+                    dst[off + j] ^= exp2[lf + lv]
+            else:
+                # most callers pass no offset, and the add costs about 15%
+                # per entry on 85-entry GF(256) rows
+                for j, lv in src:
+                    dst[j] ^= exp2[lf + lv]
+            return
+        mul, add = self._mul_codes, self._add_codes
+        for j, v in src:
+            dst[off + j] = add(dst[off + j], mul(factor, v))
+
+    def _row_scaled(self, factor: int, row: Sequence[int]) -> list[int]:
+        """factor * row as a new list."""
+        out = [0] * len(row)
+        self._row_axpy(out, factor, self._row_prep(row))
+        return out
 
 
 # One spec per field, so its tables and generator are computed once per
@@ -680,9 +750,7 @@ class FqMatrix:
     def scale(self, s: FieldElement) -> "FqMatrix":
         if s.spec != self.spec:
             raise ValueError("mixed fields")
-        mul = self.spec._mul_codes
-        sc = s.code
-        return FqMatrix(self.spec, [[mul(sc, c) for c in row] for row in self.rows])
+        return FqMatrix(self.spec, [self.spec._row_scaled(s.code, row) for row in self.rows])
 
     def __mul__(self, other: "FqMatrix | FieldElement") -> "FqMatrix":
         if isinstance(other, FieldElement):
@@ -693,37 +761,15 @@ class FqMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         spec = self.spec
-        spec._ensure_tables()
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        brows = other.rows
-        ncols = other.ncols
-        if spec._exp is not None and spec.p == 2:
-            exp, log, qm1 = spec._exp, spec._log, spec.q - 1
-            for i in range(self.nrows):
-                arow = self.rows[i]
-                crow = out[i]
-                for k in range(self.ncols):
-                    a = arow[k]
-                    if a:
-                        la = log[a]
-                        brow = brows[k]
-                        for j in range(ncols):
-                            b = brow[j]
-                            if b:
-                                crow[j] ^= exp[(la + log[b]) % qm1]
-        else:
-            mul, add = spec._mul_codes, spec._add_codes
-            for i in range(self.nrows):
-                arow = self.rows[i]
-                crow = out[i]
-                for k in range(self.ncols):
-                    a = arow[k]
-                    if a:
-                        brow = brows[k]
-                        for j in range(ncols):
-                            b = brow[j]
-                            if b:
-                                crow[j] = add(crow[j], mul(a, b))
+        axpy = spec._row_axpy
+        srcs = [spec._row_prep(row) for row in other.rows]
+        out = []
+        for arow in self.rows:
+            crow = [0] * other.ncols
+            for a, src in zip(arow, srcs):
+                if a:
+                    axpy(crow, a, src)
+            out.append(crow)
         return FqMatrix(spec, out)
 
     __matmul__ = __mul__
@@ -766,12 +812,7 @@ class FqMatrix:
     def _eliminate(self, rows: list[list[int]]) -> tuple[list[int], int]:
         """Forward-eliminate in place; return (pivot columns, swap count)."""
         spec = self.spec
-        mul, add, neg, inv = (
-            spec._mul_codes,
-            spec._add_codes,
-            spec._neg_code,
-            spec._inv_code,
-        )
+        axpy = spec._row_axpy
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         pivots: list[int] = []
@@ -790,15 +831,14 @@ class FqMatrix:
             if pivot_row != r:
                 rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
                 swaps += 1
-            inv_p = inv(rows[r][c])
             row_r = rows[r]
-            for i in range(r + 1, nrows):
-                row_i = rows[i]
-                if row_i[c]:
-                    factor = neg(mul(row_i[c], inv_p))
-                    for j in range(c, ncols):
-                        if row_r[j]:
-                            row_i[j] = add(row_i[j], mul(factor, row_r[j]))
+            below = [row_i for row_i in rows[r + 1 :] if row_i[c]]
+            if below:
+                # row_r is zero left of column c, and adding row_i[c] * src
+                # to row_i clears row_i[c]
+                src = spec._row_prep(row_r, spec._neg_code(spec._inv_code(row_r[c])))
+                for row_i in below:
+                    axpy(row_i, row_i[c], src)
             pivots.append(c)
             r += 1
         return pivots, swaps
@@ -819,7 +859,7 @@ class FqMatrix:
         acc = 1
         for i, c in enumerate(pivots):
             acc = spec._mul_codes(acc, work[i][c])
-        if swaps % 2 and spec.p != 2:
+        if swaps % 2:
             acc = spec._neg_code(acc)
         return FieldElement(spec, acc)
 
@@ -841,12 +881,7 @@ class FqMatrix:
         if rhs.nrows != self.nrows:
             raise ValueError("right-hand side has wrong number of rows")
         spec = self.spec
-        mul, add, neg, inv = (
-            spec._mul_codes,
-            spec._add_codes,
-            spec._neg_code,
-            spec._inv_code,
-        )
+        prep, axpy = spec._row_prep, spec._row_axpy
         n_unknown = self.ncols
         n_rhs = rhs.ncols
         work = [self.rows[i][:] + rhs.rows[i][:] for i in range(self.nrows)]
@@ -857,18 +892,19 @@ class FqMatrix:
         for i in range(len(pivots), self.nrows):
             if any(work[i]):
                 raise ValueError("system is inconsistent")
-        # back substitution
-        out = [[0] * n_rhs for _ in range(n_unknown)]
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            inv_p = inv(work[r][c])
-            for j in range(n_rhs):
-                acc = work[r][n_unknown + j]
-                row_r = work[r]
-                for c2 in range(c + 1, n_unknown):
-                    if row_r[c2] and out[c2][j]:
-                        acc = add(acc, neg(mul(row_r[c2], out[c2][j])))
-                out[c][j] = mul(acc, inv_p)
+        # back substitution; pivot r sits in column r, and minus[r] is the
+        # prepared row -X[r]
+        minus_one = spec._neg_code(1)
+        out: list[list[int]] = [[]] * n_unknown
+        minus: list[list[tuple[int, int]]] = [[]] * n_unknown
+        for r in range(n_unknown - 1, -1, -1):
+            row_r = work[r]
+            acc = row_r[n_unknown:]
+            for c in range(r + 1, n_unknown):
+                if row_r[c]:
+                    axpy(acc, row_r[c], minus[c])
+            out[r] = spec._row_scaled(spec._inv_code(row_r[r]), acc)
+            minus[r] = prep(out[r], minus_one)
         return FqMatrix(spec, out)
 
 
@@ -913,34 +949,33 @@ def inverse_dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
 # ----------------------------------------------------------------------
 
 
-def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int], mul, add) -> None:
-    """out += a * b for code sequences, lowest power first."""
+def _mul_into(
+    spec: FieldSpec, out: list[int], a: Sequence[int], b: list[tuple[int, int]]
+) -> None:
+    """out += a * b for code sequences, lowest power first; b is prepared."""
+    axpy = spec._row_axpy
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b, i):
-                if y:
-                    out[j] = add(out[j], mul(x, y))
+            axpy(out, x, b, i)
 
 
 def _div_exact(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """a / b for code sequences; raises ArithmeticError unless b divides a."""
-    mul, add, neg = spec._mul_codes, spec._add_codes, spec._neg_code
     rem = list(a)
     while rem and not rem[-1]:
         rem.pop()
     if len(b) == 1 and b[0] == 1:
         return tuple(rem)
     db = len(b) - 1
-    # -1 / lead(b), so each step adds c * b to cancel the top of rem
-    scale = neg(spec._inv_code(b[-1]))
+    # -b / lead(b), so each step adds rem's top coefficient times it
+    inv_lead = spec._inv_code(b[-1])
+    minus_b = spec._row_prep(b, spec._neg_code(inv_lead))
     quot = [0] * max(len(rem) - db, 0)
     for i in range(len(quot) - 1, -1, -1):
-        c = mul(rem[i + db], scale)
+        c = rem[i + db]
         if c:
-            quot[i] = neg(c)
-            for j, y in enumerate(b, i):
-                if y:
-                    rem[j] = add(rem[j], mul(c, y))
+            quot[i] = spec._mul_codes(c, inv_lead)
+            spec._row_axpy(rem, c, minus_b, i)
     if any(rem):
         raise ArithmeticError("polynomial division leaves a remainder")
     return tuple(quot)
@@ -1032,13 +1067,12 @@ class Poly:
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
                 raise ValueError("mixed fields")
-            mul = self.spec._mul_codes
-            return Poly(self.spec, [mul(other.code, c) for c in self.codes])
+            return Poly(self.spec, self.spec._row_scaled(other.code, self.codes))
         self._check(other)
         if not self.codes or not other.codes:
             return Poly.zero(self.spec)
         out = [0] * (len(self.codes) + len(other.codes) - 1)
-        _mul_into(out, self.codes, other.codes, self.spec._mul_codes, self.spec._add_codes)
+        _mul_into(self.spec, out, self.codes, self.spec._row_prep(other.codes))
         return Poly(self.spec, out)
 
     def __pow__(self, e: int) -> "Poly":
@@ -1168,7 +1202,7 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         spec, n = self.spec, self.nrows
-        mul, add, neg = spec._mul_codes, spec._add_codes, spec._neg_code
+        prep, minus_one = spec._row_prep, spec._neg_code(1)
         a = [[p.codes for p in row] for row in self.rows]
         prev, negate = (1,), False
         for k in range(n):
@@ -1180,13 +1214,15 @@ class PolyMatrix:
                 negate = not negate
             row_k = a[k]
             akk = row_k[k]
+            akk_src = prep(akk)
+            rest = [(j, row_k[j], prep(row_k[j], minus_one)) for j in range(k + 1, n)]
             for row_i in a[k + 1 :]:
-                minus_aik = [neg(c) for c in row_i[k]]
-                for j in range(k + 1, n):
-                    aij, akj = row_i[j], row_k[j]
-                    out = [0] * (max(len(akk) + len(aij), len(minus_aik) + len(akj)) - 1)
-                    _mul_into(out, akk, aij, mul, add)
-                    _mul_into(out, minus_aik, akj, mul, add)
+                aik = row_i[k]
+                for j, akj, minus_akj in rest:
+                    aij = row_i[j]
+                    out = [0] * (max(len(akk) + len(aij), len(aik) + len(akj)) - 1)
+                    _mul_into(spec, out, aij, akk_src)
+                    _mul_into(spec, out, aik, minus_akj)
                     row_i[j] = _div_exact(spec, out, prev)
             prev = akk
         return -Poly(spec, prev) if negate else Poly(spec, prev)

@@ -757,6 +757,19 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
+def _int(x, path: str) -> int:
+    """A JSON integer, or a ParseError naming where it sits."""
+    if type(x) is not int:
+        raise ParseError(f"{path} must be an integer, got {x!r}")
+    return x
+
+
+def _list(x, path: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{path} must be a list, got {x!r}")
+    return x
+
+
 def _objects(d: dict, key: str, required: set[str]) -> list[dict]:
     """d[key] as a list of objects that each hold the required keys."""
     for k, x in enumerate(d[key]):
@@ -771,21 +784,24 @@ def network_from_dict(d: dict) -> NetworkSpec:
         Edge(
             str(e["tail"]),
             str(e["head"]),
-            int(e.get("index", 0)),
-            int(e.get("delay", 1)),
+            _int(e.get("index", 0), f"network.edges[{k}].index"),
+            _int(e.get("delay", 1), f"network.edges[{k}].delay"),
         )
-        for e in _objects(d, "edges", {"tail", "head"})
+        for k, e in enumerate(_objects(d, "edges", {"tail", "head"}))
     ]
     sources = [
-        Source(str(s["node"]), int(s.get("processes", 1)))
-        for s in _objects(d, "sources", {"node"})
+        Source(str(s["node"]), _int(s.get("processes", 1), f"network.sources[{k}].processes"))
+        for k, s in enumerate(_objects(d, "sources", {"node"}))
     ]
     sinks = []
     connections = []
     for j, s in enumerate(_objects(d, "sinks", {"node"})):
-        sinks.append(Sink(str(s["node"]), int(s.get("outputs", 1))))
-        for i, l in s.get("demands", []):
-            connections.append((int(i), j, int(l)))
+        sinks.append(Sink(str(s["node"]), _int(s.get("outputs", 1), f"network.sinks[{j}].outputs")))
+        for k, demand in enumerate(_list(s.get("demands", []), f"network.sinks[{j}].demands")):
+            path = f"network.sinks[{j}].demands[{k}]"
+            if not isinstance(demand, list) or len(demand) != 2:
+                raise ParseError(f"{path} must be a [source, process] pair, got {demand!r}")
+            connections.append((_int(demand[0], path), j, _int(demand[1], path)))
     nodes = [str(n) for n in d["nodes"]]
     return NetworkSpec(nodes, edges, sources, sinks, connections)
 
@@ -863,16 +879,21 @@ def transfer_to_dict(tr: TransferResult) -> dict:
 def transfer_from_dict(d: dict) -> TransferResult:
     spec = spec_from_dict(d["field"])
     rows = []
-    for row in d["entries"]:
-        rows.append(
-            [Poly.from_elements([spec.element(c) for c in p] or [spec.zero()]) if p else Poly.zero(spec) for p in row]
-        )
+    for r, row in enumerate(_list(d["entries"], "transfer.entries")):
+        entries = []
+        for c, p in enumerate(_list(row, f"transfer.entries[{r}]")):
+            path = f"transfer.entries[{r}][{c}]"
+            try:
+                entries.append(Poly(spec, [spec.element(x).code for x in _list(p, path)]))
+            except ParseError as e:
+                raise ParseError(f"{path}: {e}") from None
+        rows.append(entries)
     M = PolyMatrix(spec, rows)
     return TransferResult(
         spec,
         M,
-        int(d["d_prime_min"]),
-        int(d["d_prime_max"]),
-        tuple(int(x) for x in d["mu_list"]),
-        tuple(int(x) for x in d["nu_list"]),
+        _int(d["d_prime_min"], "transfer.d_prime_min"),
+        _int(d["d_prime_max"], "transfer.d_prime_max"),
+        tuple(_int(x, "transfer.mu_list") for x in _list(d["mu_list"], "transfer.mu_list")),
+        tuple(_int(x, "transfer.nu_list") for x in _list(d["nu_list"], "transfer.nu_list")),
     )

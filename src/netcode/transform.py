@@ -21,8 +21,6 @@ from .galois import (
     FqMatrix,
     NetcodeError,
     PolyMatrix,
-    dft_matrix,
-    inverse_dft_matrix,
     multiplicative_order,
     poly_eval_matrix,
 )
@@ -173,23 +171,27 @@ def _dft_apply(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]], inve
         raise WindowMismatch(f"expected {n} generations, got {len(gens)}")
     width = len(gens[0])
     spec = plan.field
-    F = inverse_dft_matrix(plan.alpha, n) if invert else dft_matrix(plan.alpha, n)
-    mul, add = spec._mul_codes, spec._add_codes
-    # stacked position of generation t is n-1-t; fold that into the index math
-    out: list[list[int]] = [[0] * width for _ in range(n)]
-    for t_out in range(n):
-        r = n - 1 - t_out
-        frow = F.rows[r]
-        orow = out[t_out]
-        for t_in in range(n):
-            f = frow[n - 1 - t_in]
-            if f:
-                grow = gens[t_in]
-                for w in range(width):
-                    g = grow[w]
-                    if g.code:
-                        orow[w] = add(orow[w], mul(f, g.code))
-    return [[FieldElement(spec, c) for c in row] for row in out]
+    # entry (r, c) of the transform is alpha^(rc) and of its inverse
+    # alpha^(-rc) / n: entry k of powers, for k = rc mod n
+    a, powers = plan.alpha.code, [1]
+    if invert:
+        a, powers = spec._inv_code(a), [spec._inv_code(n % spec.p)]
+    for _ in range(n - 1):
+        powers.append(spec._mul_codes(powers[-1], a))
+    # no power is zero, so the prepared row holds all n of them in order
+    # and a column is its entries moved to new positions
+    prepared = [x for _, x in spec._row_prep(powers)]
+    # the stacked position of generation t is n-1-t; out[w][t] is lane w
+    # of output generation t, and input generation t_in adds its symbols
+    # times column c = n-1-t_in
+    out = [[0] * n for _ in range(width)]
+    for t_in, grow in enumerate(gens):
+        if any(grow):
+            c = n - 1 - t_in
+            col = [(t, prepared[c * (n - 1 - t) % n]) for t in range(n)]
+            for lane, g in zip(out, grow):
+                spec._row_axpy(lane, g.code, col)
+    return [[FieldElement(spec, lane[t]) for lane in out] for t in range(n)]
 
 
 def cp_encode(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:

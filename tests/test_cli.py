@@ -6,7 +6,7 @@ import pytest
 
 from netcode.cli import UnknownFixture, load_fixture, run
 from netcode.feasibility import analyze
-from netcode.galois import build_field
+from netcode.galois import ParseError, build_field
 from netcode.netmodel import (
     Edge,
     NetworkSpec,
@@ -91,6 +91,46 @@ def test_bare_number_symbol_is_parse_error(tmp_path, capsys):
     assert code == 2
     assert rep["error"] == "ParseError"
     assert "list of integer coefficients, got 1" in rep["message"]
+
+
+def test_transfer_entries_not_a_list_is_parse_error(tmp_path, capsys):
+    doc = load_fixture("example1")
+    doc["transfer"]["entries"] = 5
+    p = tmp_path / "entries.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "feasibility", str(p))
+    assert code == 2
+    assert rep == {"error": "ParseError", "message": "transfer.entries must be a list, got 5"}
+
+
+def test_edge_index_not_an_integer_is_parse_error(tmp_path, capsys):
+    doc = load_fixture("example2")
+    doc["network"]["edges"][0]["index"] = [1]
+    p = tmp_path / "index.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "validate", str(p))
+    assert code == 2
+    assert rep == {
+        "error": "ParseError",
+        "message": "network.edges[0].index must be an integer, got [1]",
+    }
+
+
+@pytest.mark.parametrize("coeff", [1.0, True])
+def test_non_integer_coefficient_is_parse_error(tmp_path, capsys, coeff):
+    doc = load_fixture("example1")
+    doc["transfer"]["entries"][0][0] = [[coeff]]
+    p = tmp_path / "coeff.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "feasibility", str(p))
+    assert code == 2
+    assert rep["error"] == "ParseError"
+    assert rep["message"] == (
+        "transfer.entries[0][0]: a field element is a list of integer "
+        f"coefficients, got [{coeff!r}]"
+    )
+    with pytest.raises(ParseError):
+        GF2.element([coeff])
 
 
 @pytest.mark.parametrize("sub", ["validate", "transfer", "mincut"])

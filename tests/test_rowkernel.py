@@ -1,0 +1,286 @@
+"""The row kernel against textbook loops over scalar field arithmetic.
+
+FieldSpec._row_prep/_row_axpy serve elimination (rank, det, solve,
+inverse), back substitution, matrix products, polynomial products and the
+DFT. The oracles here call only the scalar _mul_codes and _add_codes, one
+element at a time, and sympy's DomainMatrix rank over prime fields.
+"""
+
+import random
+
+import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
+
+from netcode.galois import (
+    FieldElement,
+    FqMatrix,
+    _mul_into,
+    build_field,
+    dft_matrix,
+    element_of_order,
+    inverse_dft_matrix,
+)
+from netcode.transform import _dft_apply, make_plan
+
+FIELDS = [(2, 1), (2, 4), (2, 6), (2, 8), (2, 16), (3, 2), (7, 1)]
+SHAPES = [(6, 6), (4, 7), (8, 5), (1, 1), (1, 5), (5, 1)]
+
+
+# ----------------------------------------------------------------------
+# textbook oracles: scalar multiplies and adds only
+# ----------------------------------------------------------------------
+
+
+def _neg(spec, a):
+    return spec._mul_codes(spec.p - 1, a)
+
+
+def _inv(spec, a):
+    out, e = 1, spec.q - 2
+    while e:
+        if e & 1:
+            out = spec._mul_codes(out, a)
+        a = spec._mul_codes(a, a)
+        e >>= 1
+    return out
+
+
+def _echelon(spec, rows):
+    """(echelon rows, pivot columns, swap count) by Gaussian elimination."""
+    mul, add = spec._mul_codes, spec._add_codes
+    rows = [row[:] for row in rows]
+    pivots, swaps, r = [], 0, 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        inv_p = _inv(spec, rows[r][c])
+        for i in range(r + 1, len(rows)):
+            f = _neg(spec, mul(rows[i][c], inv_p))
+            rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots, swaps
+
+
+def _rank(spec, rows):
+    return len(_echelon(spec, rows)[1])
+
+
+def _det(spec, rows):
+    ech, pivots, swaps = _echelon(spec, rows)
+    if len(pivots) < len(rows):
+        return 0
+    acc = 1
+    for i, c in enumerate(pivots):
+        acc = spec._mul_codes(acc, ech[i][c])
+    return _neg(spec, acc) if swaps % 2 else acc
+
+
+def _matmul(spec, a, b):
+    mul, add = spec._mul_codes, spec._add_codes
+    out = []
+    for arow in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = 0
+            for k, x in enumerate(arow):
+                acc = add(acc, mul(x, b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _solve(spec, a, b):
+    """X with a X = b for a of full column rank, by back substitution."""
+    mul, add = spec._mul_codes, spec._add_codes
+    n = len(a[0])
+    ech, pivots, _ = _echelon(spec, [ra + rb for ra, rb in zip(a, b)])
+    assert pivots == list(range(n))
+    x = [[0] * len(b[0]) for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        for j in range(len(b[0])):
+            acc = ech[r][n + j]
+            for c in range(r + 1, n):
+                acc = add(acc, _neg(spec, mul(ech[r][c], x[c][j])))
+            x[r][j] = mul(acc, _inv(spec, ech[r][r]))
+    return x
+
+
+# ----------------------------------------------------------------------
+# matrices
+# ----------------------------------------------------------------------
+
+
+def _rand(spec, rng, nrows, ncols, zero_share=0.2):
+    return [
+        [0 if rng.random() < zero_share else rng.randrange(spec.q) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _singular(spec, rng, n):
+    """n x n of rank n - 1: the last row is a combination of two others."""
+    rows = _rand(spec, rng, n, n)
+    a, b = rng.randrange(1, spec.q), rng.randrange(spec.q)
+    mul, add = spec._mul_codes, spec._add_codes
+    rows[-1] = [add(mul(a, x), mul(b, y)) for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def _swapping(spec, rng, n):
+    """n x n whose first column is zero above the last row: a swap is forced."""
+    rows = _rand(spec, rng, n, n, zero_share=0.0)
+    for row in rows[:-1]:
+        row[0] = 0
+    rows[-1][0] = rng.randrange(1, spec.q)
+    return rows
+
+
+def _cases(spec, seed):
+    rng = random.Random(f"rowkernel:{spec.p}:{spec.m}:{seed}")
+    cases = [_rand(spec, rng, r, c) for r, c in SHAPES]
+    cases += [_singular(spec, rng, 5), _swapping(spec, rng, 5)]
+    cases.append([[0] + row for row in _swapping(spec, rng, 4)])  # zero leading column
+    cases.append([[0] * 4 for _ in range(3)])
+    return cases
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_rank_det_match_textbook_elimination(p, m):
+    spec = build_field(p, m)
+    for rows in _cases(spec, "rank"):
+        A = FqMatrix(spec, [row[:] for row in rows])
+        assert A.rank() == _rank(spec, rows), rows
+        if A.nrows == A.ncols:
+            assert A.det().code == _det(spec, rows), rows
+        assert A.rows == rows  # the queries work on a copy
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_mul_and_scale_match_textbook(p, m):
+    spec = build_field(p, m)
+    rng = random.Random(f"mul:{p}:{m}")
+    for r, k in SHAPES:
+        a = _rand(spec, rng, r, k)
+        b = _rand(spec, rng, k, rng.randrange(1, 6))
+        assert (FqMatrix(spec, a) * FqMatrix(spec, b)).rows == _matmul(spec, a, b)
+    s = rng.randrange(1, spec.q)
+    scaled = [[spec._mul_codes(s, x) for x in row] for row in a]
+    assert FqMatrix(spec, a).scale(FieldElement(spec, s)).rows == scaled
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_solve_inverse_match_back_substitution(p, m):
+    spec = build_field(p, m)
+    rng = random.Random(f"solve:{p}:{m}")
+    done = 0
+    for n, extra in [(1, 0), (4, 0), (6, 0), (5, 3), (3, 1)] * 4:
+        a = _rand(spec, rng, n + extra, n)
+        if _rank(spec, a) < n:
+            with pytest.raises(ValueError, match="rank deficient"):
+                FqMatrix(spec, a).solve(FqMatrix(spec, _rand(spec, rng, n + extra, 2)))
+            continue
+        x = _rand(spec, rng, n, 3)
+        b = _matmul(spec, a, x)  # consistent, also when tall
+        got = FqMatrix(spec, a).solve(FqMatrix(spec, b)).rows
+        assert got == x == _solve(spec, a, b)
+        if not extra:
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert FqMatrix(spec, a).inverse().rows == _solve(spec, a, eye)
+        done += 1
+    assert done >= 5
+    swapped = _swapping(spec, rng, 5)
+    if _rank(spec, swapped) == 5:
+        b = _rand(spec, rng, 5, 2)
+        assert FqMatrix(spec, swapped).solve(FqMatrix(spec, b)).rows == _solve(spec, swapped, b)
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (7, 1)])
+def test_swap_sign_in_odd_characteristic(p, m):
+    spec = build_field(p, m)
+    minus_one = _neg(spec, 1)
+    assert FqMatrix(spec, [[0, 1], [1, 0]]).det().code == minus_one
+    assert FqMatrix(spec, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det().code == minus_one
+    assert FqMatrix(spec, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det().code == 1
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_rank_matches_sympy(p):
+    spec = build_field(p, 1)
+    K = sympy.GF(p)
+    rng = random.Random(f"sympy-rank:{p}")
+    for r, c in SHAPES + [(7, 7), (9, 4)]:
+        rows = _rand(spec, rng, r, c, zero_share=0.5)
+        dm = DomainMatrix([[K(x) for x in row] for row in rows], (r, c), K)
+        assert FqMatrix(spec, rows).rank() == dm.rank(), rows
+
+
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_property_elimination_and_product(field, nrows, ncols, rng):
+    spec = build_field(*field)
+    rows = _rand(spec, rng, nrows, ncols, zero_share=rng.random())
+    A = FqMatrix(spec, rows)
+    assert A.rank() == _rank(spec, rows)
+    assert (A * A.transpose()).rows == _matmul(spec, rows, A.transpose().rows)
+    if nrows == ncols:
+        assert A.det().code == _det(spec, rows)
+
+
+# ----------------------------------------------------------------------
+# polynomial products
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_mul_into_matches_convolution(p, m):
+    spec = build_field(p, m)
+    mul, add = spec._mul_codes, spec._add_codes
+    rng = random.Random(f"conv:{p}:{m}")
+    for la, lb in [(1, 1), (1, 7), (7, 1), (5, 9), (12, 4)]:
+        a, b = _rand(spec, rng, 1, la)[0], _rand(spec, rng, 1, lb)[0]
+        out = _rand(spec, rng, 1, la + lb - 1)[0]
+        want = out[:]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] = add(want[i + j], mul(x, y))
+        _mul_into(spec, out, a, spec._row_prep(b))
+        assert out == want
+
+
+# ----------------------------------------------------------------------
+# the DFT across generations
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, m, n",
+    [(2, 8, 3), (2, 8, 5), (2, 8, 15), (2, 8, 17), (2, 8, 51), (2, 8, 255), (2, 16, 257)],
+)
+@pytest.mark.parametrize("width", [1, 3])
+def test_dft_apply_matches_dense_transform(p, m, n, width):
+    spec = build_field(p, m)
+    alpha = element_of_order(spec, n)
+    plan = make_plan(n, spec, alpha, 0)
+    rng = random.Random(f"dft:{p}:{m}:{n}:{width}")
+    # stacked row r is generation n-1-r; one generation is all zero
+    G = _rand(spec, rng, n, width)
+    G[rng.randrange(n)] = [0] * width
+    gens = [[FieldElement(spec, c) for c in G[n - 1 - t]] for t in range(n)]
+    for invert, F in ((False, dft_matrix(alpha, n)), (True, inverse_dft_matrix(alpha, n))):
+        want = _matmul(spec, F.rows, G)
+        got = _dft_apply(plan, gens, invert)
+        assert [[e.code for e in got[n - 1 - r]] for r in range(n)] == want
