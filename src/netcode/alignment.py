@@ -23,7 +23,7 @@ from .galois import (
     FieldSpec,
     FqMatrix,
     NetcodeError,
-    dft_matrix,
+    _dft,
     element_of_order,
 )
 from .netmodel import (
@@ -247,13 +247,13 @@ def build_instance(
     plan = make_plan(N, spec, alpha, tr.d_max)
 
     pattern = _CATEGORY_PATTERNS[category]
-    powers = [alpha**r for r in range(N)]
+    blocks = [tr.block(perm[a], perm[b]).entry(0, 0) for a in range(3) for b in range(3)]
+    evals = _dft(spec, [p.codes for p in blocks], alpha.code, N)
     mhat: list[tuple[tuple[int, ...], ...]] = []
     for a in range(3):
         row = []
         for b in range(3):
-            poly = tr.block(perm[a], perm[b]).entry(0, 0)
-            vals = tuple(poly.eval(x).code for x in powers)
+            vals = tuple(evals[3 * a + b])
             if (a, b) not in pattern and not all(vals):
                 raise SingularBlock(f"block ({a + 1},{b + 1}) has a zero eigenvalue")
             if (a, b) in pattern and any(vals):
@@ -738,14 +738,15 @@ def tv_assignment_from_alignment(
     """The constant-kernel assignment that reduces check_tv to check_alignment.
 
     With constant kernels each stack is Q1 diag(Mhat_ij) Q1^-1, so theta
-    = Q1 V1, A = the first-n column selector, B = the last-n column
-    selector and C = the identity satisfy T1 V1 A = V1 B C exactly:
-    multiplying V1 by T shifts its power-of-T columns one step.
+    = Q1 V1 (the transform of V1's columns), A = the first-n column
+    selector, B = the last-n column selector and C = the identity satisfy
+    T1 V1 A = V1 B C exactly: multiplying V1 by T shifts its power-of-T
+    columns one step.
     """
     spec = inst.field
     n = inst.n
-    Q1 = dft_matrix(inst.plan.alpha, inst.N)
-    theta = Q1 * inst.V1
+    cols = _dft(spec, list(zip(*inst.V1.rows)), inst.plan.alpha.code, inst.N)
+    theta = FqMatrix(spec, [list(row) for row in zip(*cols)])
     A = FqMatrix(spec, [[1 if r == c else 0 for c in range(n)] for r in range(n + 1)])
     B = FqMatrix(
         spec, [[1 if r == c + 1 else 0 for c in range(n)] for r in range(n + 1)]

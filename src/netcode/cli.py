@@ -468,10 +468,7 @@ def run(argv=None) -> int:
         # a verdict on well-formed input, like an infeasible report
         _emit({"error": type(e).__name__, "message": str(e)}, args)
         return 1
-    except (ParseError, UnknownFixture) as e:
-        _emit({"error": type(e).__name__, "message": str(e)}, args)
-        return 2
-    except NetcodeError as e:
+    except NetcodeError as e:  # ParseError, UnknownFixture and the library's errors
         _emit({"error": type(e).__name__, "message": str(e)}, args)
         return 2
     except ValueError as e:

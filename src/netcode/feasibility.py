@@ -20,11 +20,12 @@ from .galois import (
     Poly,
     build_field,
     element_of_order,
-    poly_eval_matrix,
+    _dft,
     _factorint,
+    _lift,
 )
 from .netmodel import TransferResult, _check_demand
-from .transform import TransformPlan, make_plan
+from .transform import TransformPlan, eigen_blocks, make_plan
 
 __all__ = [
     "NonSquare",
@@ -88,10 +89,7 @@ def _demanded_columns(tr: TransferResult, connections, j: int) -> list[int]:
     for c in connections:
         _check_demand(c, tr.mu_list, len(tr.nu_list))
     offsets = [sum(tr.mu_list[:i]) for i in range(len(tr.mu_list))]
-    cols = sorted(
-        offsets[i] + l for (i, j2, l) in connections if j2 == j
-    )
-    return cols
+    return sorted(offsets[i] + l for (i, j2, l) in connections if j2 == j)
 
 
 def invertibility(tr: TransferResult, connections) -> list[tuple[list[int], Poly]]:
@@ -128,7 +126,12 @@ def compute_f(dets: list[Poly]) -> tuple[Poly, bool]:
         if not d:
             raise ZeroDeterminant(f"sink {j} has a zero determinant")
         f = f * d
-    return f, not f.eval(spec.one())
+    return f, not _at_one(f)
+
+
+def _at_one(f: Poly) -> FieldElement:
+    """f(1), the one-point transform of f."""
+    return FieldElement(f.spec, _dft(f.spec, [f.codes], 1, 1)[0][0])
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,10 @@ class PlanCheck:
 
 def check_plan(f: Poly, plan: TransformPlan) -> PlanCheck:
     """Evaluate f at every power of alpha; feasible iff all nonzero."""
-    failing = []
-    for t in range(plan.n):
-        if not f.eval(plan.alpha**t):
-            failing.append(t)
-    return PlanCheck(not failing, tuple(failing))
+    lane = _lift(f.spec, plan.field, f.codes)
+    vals = _dft(plan.field, [lane], plan.alpha.code, plan.n)[0]
+    failing = tuple(t for t, v in enumerate(vals) if not v)
+    return PlanCheck(not failing, failing)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +182,7 @@ def find_plan(
     unity) and raises Unfixable immediately.
     """
     spec = f.spec
-    if not f.eval(spec.one()):
+    if not _at_one(f):
         raise Unfixable("f(1) = 0: every block length hits the root at 1")
     if d_max is None:
         d_max = max(n_min - 1, 0)
@@ -236,7 +238,7 @@ def analyze(
     feasible = not viol and all(bool(d) for d in dets)
     if feasible:
         f, divides = compute_f(list(dets))
-        f1 = f.eval(tr.field.one())
+        f1 = _at_one(f)
     plan = None
     if find and feasible and f is not None and f1:
         plan = find_plan(
@@ -286,31 +288,22 @@ def nontransform_equivalence(
     }
 
     # backward: evaluate the eigenblocks and compare structural zeros
-    n = plan.n
-    evals = [poly_eval_matrix(tr.M, plan.alpha ** (n - 1 - t)) for t in range(n)]
+    evals = eigen_blocks(tr.M, plan)
     det_at_one_ok = []
     for j, nu_j in enumerate(tr.nu_list):
         cols = _demanded_columns(tr, connections, j)
         r0 = sum(tr.nu_list[:j])
         # alpha^(n-1-t) = 1 at t = n-1: that generation is M'_j(1)
-        sub = evals[n - 1].submatrix(range(r0, r0 + nu_j), cols)
+        sub = evals[-1].submatrix(range(r0, r0 + nu_j), cols)
         det_at_one_ok.append(bool(sub.det()))
-    zero_cols_delay = {
-        (r, c)
-        for r in range(tr.nu)
-        for c in range(tr.mu)
-        if not tr.M.entry(r, c)
-    }
-    zero_cols_eigen = {
-        (r, c)
-        for r in range(tr.nu)
-        for c in range(tr.mu)
-        if all(not ev.entry(r, c) for ev in evals)
-    }
+    cells = [(r, c) for r in range(tr.nu) for c in range(tr.mu)]
+    zero_delay = {(r, c) for r, c in cells if not tr.M.rows[r][c]}
+    zero_eigen = {(r, c) for r, c in cells if not any(ev.rows[r][c] for ev in evals)}
+    match = zero_delay == zero_eigen
     report["backward"] = {
         "det_at_one_nonzero": det_at_one_ok,
-        "zero_pattern_match": zero_cols_delay == zero_cols_eigen,
-        "ok": all(det_at_one_ok) and zero_cols_delay == zero_cols_eigen,
+        "zero_pattern_match": match,
+        "ok": all(det_at_one_ok) and match,
     }
     report["ok"] = bool(report["forward"]["ok"] and report["backward"]["ok"])
     return report

@@ -10,7 +10,7 @@ every artifact down to the bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "NetcodeError",
@@ -254,7 +254,8 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def element(self, coeffs: Sequence[int]) -> "FieldElement":
+    def element(self, coeffs: Sequence[int], path: str | None = None) -> "FieldElement":
+        """The element with these coefficients; path names them in a ParseError."""
         try:
             count = len(coeffs)
             ints = all(type(c) is int for c in coeffs)  # not bool, not float
@@ -262,7 +263,7 @@ class FieldSpec:
             ints = False
         if not ints:
             msg = f"a field element is a list of integer coefficients, got {coeffs!r}"
-            raise ParseError(msg)
+            raise ParseError(msg if path is None else f"{path}: {msg}")
         if count > self.m:
             raise ValueError(f"at most {self.m} coefficients expected")
         for c in coeffs:
@@ -273,10 +274,6 @@ class FieldSpec:
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
         return FieldElement(self, c % self.p)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        """All q elements in ascending encoding order."""
-        return (FieldElement(self, code) for code in range(self.q))
 
     # -- code-level arithmetic -----------------------------------------
 
@@ -542,8 +539,27 @@ def spec_to_dict(spec: FieldSpec) -> dict:
     return {"p": spec.p, "m": spec.m, "modulus": list(spec.modulus)}
 
 
-def spec_from_dict(d: dict) -> FieldSpec:
-    return build_field(int(d["p"]), int(d["m"]), d.get("modulus"))
+def _int(x, path: str) -> int:
+    """A JSON integer, or a ParseError naming where it sits."""
+    if type(x) is not int:
+        raise ParseError(f"{path} must be an integer, got {x!r}")
+    return x
+
+
+def _list(x, path: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{path} must be a list, got {x!r}")
+    return x
+
+
+def spec_from_dict(d: dict, path: str = "field") -> FieldSpec:
+    """The field of a {p, m, modulus} object; path names it in a ParseError."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{path} must be an object with p and m, got {d!r}")
+    p, m, mod = _int(d.get("p"), f"{path}.p"), _int(d.get("m"), f"{path}.m"), d.get("modulus")
+    if mod is not None:
+        mod = [_int(c, f"{path}.modulus") for c in _list(mod, f"{path}.modulus")]
+    return build_field(p, m, mod)
 
 
 # ----------------------------------------------------------------------
@@ -692,9 +708,6 @@ class FqMatrix:
             rows.append([e.code for e in row])
         return cls(spec, rows)
 
-    def copy(self) -> "FqMatrix":
-        return FqMatrix(self.spec, [row[:] for row in self.rows])
-
     # -- accessors -----------------------------------------------------
 
     @property
@@ -708,10 +721,6 @@ class FqMatrix:
         return FqMatrix(
             self.spec, [[self.rows[i][j] for j in col_idx] for i in row_idx]
         )
-
-    def to_coeff_lists(self) -> list[list[list[int]]]:
-        p, m = self.spec.p, self.spec.m
-        return [[_digits(c, p, m) for c in row] for row in self.rows]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -866,10 +875,7 @@ class FqMatrix:
     def inverse(self) -> "FqMatrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        eye = FqMatrix.identity(self.spec, n)
-        sol = self.solve(eye)
-        return sol
+        return self.solve(FqMatrix.identity(self.spec, self.nrows))
 
     def solve(self, rhs: "FqMatrix") -> "FqMatrix":
         """Solve self @ X = rhs exactly.
@@ -909,39 +915,61 @@ class FqMatrix:
 
 
 # ----------------------------------------------------------------------
-# DFT matrices
+# evaluation at the powers of an element: the DFT
 # ----------------------------------------------------------------------
 
 
-def dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
-    """The n-point transform matrix [alpha^(ij)] over alpha's field."""
-    spec = alpha.spec
+def _dft(
+    spec: FieldSpec, lanes: Sequence[Sequence[int]], a: int, n: int, scale: int = 1
+) -> list[list[int]]:
+    """scale * f(a^k) for k < n, for each code list f in lanes.
+
+    a and scale are nonzero codes of spec and a^n = 1, so degree d reads
+    power (d mod n) k mod n. Every n-point evaluation in the package is a
+    call here.
+    """
+    mul, axpy = spec._mul_codes, spec._row_axpy
+    powers = [scale]
+    for _ in range(n - 1):
+        powers.append(mul(powers[-1], a))
+    # no power is zero, so the prepared row holds all n of them in order;
+    # the column of degree d is its entries moved to new positions, built
+    # once for all lanes and dropped before the next degree
+    prepared = [x for _, x in spec._row_prep(powers)]
+    out = [[0] * n for _ in lanes]
+    for d in range(max(map(len, lanes), default=0)):
+        col = None
+        for f, acc in zip(lanes, out):
+            if d < len(f) and f[d]:
+                if col is None:
+                    e = d % n
+                    col = [(k, prepared[e * k % n]) for k in range(n)]
+                axpy(acc, f[d], col)
+    return out
+
+
+def _check_dft_args(alpha: FieldElement, n: int) -> None:
     if n < 1:
         raise ValueError("transform length must be positive")
-    if n % spec.p == 0:
-        raise CharacteristicDividesN(f"characteristic {spec.p} divides {n}")
+    if n % alpha.spec.p == 0:
+        raise CharacteristicDividesN(f"characteristic {alpha.spec.p} divides {n}")
     if not alpha or multiplicative_order(alpha) != n:
         raise WrongOrder(f"alpha must have multiplicative order exactly {n}")
-    pw = spec._pow_code
-    a = alpha.code
-    return FqMatrix(spec, [[pw(a, i * j) for j in range(n)] for i in range(n)])
+
+
+def dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
+    """The n-point transform matrix [alpha^(ij)]: the transform of the identity."""
+    _check_dft_args(alpha, n)
+    eye = FqMatrix.identity(alpha.spec, n).rows
+    return FqMatrix(alpha.spec, _dft(alpha.spec, eye, alpha.code, n))
 
 
 def inverse_dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
     """Exact inverse of dft_matrix(alpha, n): (1/n) [alpha^(-ij)]."""
+    _check_dft_args(alpha, n)
     spec = alpha.spec
-    if n < 1:
-        raise ValueError("transform length must be positive")
-    if n % spec.p == 0:
-        raise CharacteristicDividesN(f"characteristic {spec.p} divides {n}")
-    if not alpha or multiplicative_order(alpha) != n:
-        raise WrongOrder(f"alpha must have multiplicative order exactly {n}")
-    n_inv = spec._inv_code(n % spec.p)
-    pw, mul = spec._pow_code, spec._mul_codes
-    a_inv = spec._inv_code(alpha.code)
-    return FqMatrix(
-        spec, [[mul(n_inv, pw(a_inv, i * j)) for j in range(n)] for i in range(n)]
-    )
+    a_inv, n_inv = spec._inv_code(alpha.code), spec._inv_code(n % spec.p)
+    return FqMatrix(spec, _dft(spec, FqMatrix.identity(spec, n).rows, a_inv, n, n_inv))
 
 
 # ----------------------------------------------------------------------
@@ -957,6 +985,15 @@ def _mul_into(
     for i, x in enumerate(a):
         if x:
             axpy(out, x, b, i)
+
+
+def _horner(spec: FieldSpec, codes: Sequence[int], x: int) -> int:
+    """The code of sum codes[d] x^d in spec, codes lowest power first."""
+    mul, add = spec._mul_codes, spec._add_codes
+    acc = 0
+    for c in reversed(codes):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def _div_exact(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -1097,17 +1134,7 @@ class Poly:
 
     def eval(self, x: FieldElement) -> FieldElement:
         """Evaluate at x, embedding coefficients if x lives in an extension."""
-        if x.spec == self.spec:
-            mul, add = self.spec._mul_codes, self.spec._add_codes
-            acc = 0
-            for c in reversed(self.codes):
-                acc = add(mul(acc, x.code), c)
-            return FieldElement(self.spec, acc)
-        emb = embed(self.spec, x.spec)
-        acc = x.spec.zero()
-        for c in reversed(self.codes):
-            acc = acc * x + emb(FieldElement(self.spec, c))
-        return acc
+        return FieldElement(x.spec, _horner(x.spec, _lift(self.spec, x.spec, self.codes), x.code))
 
     def __repr__(self) -> str:
         return f"<Poly {self.format_str()} over {self.spec!r}>"
@@ -1183,9 +1210,6 @@ class PolyMatrix:
             ],
         )
 
-    def shift(self, k: int) -> "PolyMatrix":
-        return PolyMatrix(self.spec, [[p.shift(k) for p in row] for row in self.rows])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PolyMatrix)
@@ -1260,12 +1284,12 @@ class Embedding:
     def __call__(self, e: FieldElement) -> FieldElement:
         if e.spec != self.sub:
             raise ValueError("element not in the base field")
-        sup = self.sup
-        mul, add = sup._mul_codes, sup._add_codes
-        acc = 0
-        for digit in reversed(_digits(e.code, self.sub.p, self.sub.m)):
-            acc = add(mul(acc, self.root), digit)
-        return FieldElement(sup, acc)
+        return FieldElement(self.sup, self._map([e.code])[0])
+
+    def _map(self, codes: Sequence[int]) -> list[int]:
+        """The images of sub codes: each one's digits evaluated at the root."""
+        p, m = self.sub.p, self.sub.m
+        return [_horner(self.sup, _digits(c, p, m), self.root) for c in codes]
 
 
 _EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], Embedding] = {}
@@ -1284,26 +1308,17 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
         raise ValueError("different characteristics")
     if sup.m % sub.m != 0:
         raise ValueError(f"{sub!r} does not embed in {sup!r}")
-    mul, add = sup._mul_codes, sup._add_codes
-    mod_digits = list(reversed(sub.modulus))
-
-    def is_root(cand: int) -> bool:
-        acc = 0
-        for digit in mod_digits:
-            acc = add(mul(acc, cand), digit)
-        return acc == 0
-
     # every root lies in the order-q_sub subfield, {0} and the powers of h;
     # the roots are the Frobenius conjugates r, r^p, ... of any one of them
-    if is_root(0):
+    if not _horner(sup, sub.modulus, 0):
         root = 0
     else:
         h = sup._pow_code(sup._find_generator(), (sup.q - 1) // (sub.q - 1))
         cand = 1
         for _ in range(sub.q - 1):
-            if is_root(cand):
+            if not _horner(sup, sub.modulus, cand):
                 break
-            cand = mul(cand, h)
+            cand = sup._mul_codes(cand, h)
         else:  # pragma: no cover - a root always exists when m | m'
             raise NetcodeError("no root of the base modulus found")
         conjugates = [cand]
@@ -1313,3 +1328,8 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     emb = Embedding(sub, sup, root)
     _EMBED_CACHE[key] = emb
     return emb
+
+
+def _lift(sub: FieldSpec, sup: FieldSpec, codes: Sequence[int]) -> Sequence[int]:
+    """Codes of sub mapped into sup by embed; unchanged when the fields agree."""
+    return codes if sub == sup else embed(sub, sup)._map(codes)

@@ -30,6 +30,8 @@ from .galois import (
     ParseError,
     Poly,
     PolyMatrix,
+    _int,
+    _list,
     spec_from_dict,
     spec_to_dict,
 )
@@ -516,16 +518,6 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     return a_terms, b_terms, e_terms
 
 
-def _axpy(spec: FieldSpec, acc: list[int], code: int, src: Sequence[int]) -> None:
-    """acc += code * src on raw coefficient lists, growing acc as needed."""
-    if len(acc) < len(src):
-        acc.extend([0] * (len(src) - len(acc)))
-    add, mul = spec._add_codes, spec._mul_codes
-    for d, s in enumerate(src):
-        if s:
-            acc[d] = add(acc[d], mul(code, s))
-
-
 def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
     """Exact transfer matrix of a time-invariant kernel assignment.
 
@@ -550,22 +542,31 @@ def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
     for out_pos, in_pos, code in b_terms:
         beta_in[out_pos].append((in_pos, code))
 
+    def add_into(dst: list[int], code: int, src: list[tuple[int, int]], delay: int) -> None:
+        # dst += code * D^delay * src, growing dst to the last entry of src
+        if src:
+            short = delay + src[-1][0] + 1 - len(dst)
+            if short > 0:
+                dst.extend([0] * short)
+            spec._row_axpy(dst, code, src, delay)
+
+    # F[k][c] is F_e[c] / D^delay(e), prepared once for every sum it enters
     rank = {v: k for k, v in enumerate(order)}
-    F: list[list[list[int]]] = [[] for _ in net.edges]
+    delay = [e.delay for e in net.edges]
+    F: list[list[list[tuple[int, int]]]] = [[] for _ in net.edges]
     for k in sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail]):
         acc: list[list[int]] = [[] for _ in range(mu)]
         for flat, code in alpha_in[k]:
             acc[flat] = [code]  # alpha keys are unique per (input, edge)
         for in_pos, code in beta_in[k]:
-            for c, src in enumerate(F[in_pos]):
-                _axpy(spec, acc[c], code, src)
-        lag = [0] * net.edges[k].delay
-        F[k] = [lag + a if a else a for a in acc]
+            for a, src in zip(acc, F[in_pos]):
+                add_into(a, code, src, delay[in_pos])
+        F[k] = [spec._row_prep(a) for a in acc]
 
     raw: list[list[list[int]]] = [[[] for _ in range(mu)] for _ in range(nu)]
     for flat, epos, code in e_terms:
-        for c, src in enumerate(F[epos]):
-            _axpy(spec, raw[flat][c], code, src)
+        for a, src in zip(raw[flat], F[epos]):
+            add_into(a, code, src, delay[epos])
     lags = [d for row in raw for a in row for d, x in enumerate(a) if x]
     if not lags:
         return TransferResult(
@@ -757,19 +758,6 @@ def network_to_dict(net: NetworkSpec) -> dict:
     }
 
 
-def _int(x, path: str) -> int:
-    """A JSON integer, or a ParseError naming where it sits."""
-    if type(x) is not int:
-        raise ParseError(f"{path} must be an integer, got {x!r}")
-    return x
-
-
-def _list(x, path: str) -> list:
-    if not isinstance(x, list):
-        raise ParseError(f"{path} must be a list, got {x!r}")
-    return x
-
-
 def _objects(d: dict, key: str, required: set[str]) -> list[dict]:
     """d[key] as a list of objects that each hold the required keys."""
     for k, x in enumerate(d[key]):
@@ -837,29 +825,43 @@ def leks_to_dict(leks: LekAssignment) -> dict:
     return out
 
 
-def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
-    spec = field if field is not None else spec_from_dict(d["field"])
+def _edge_key(x, path: str) -> EdgeKey:
+    if not isinstance(x, list) or len(x) != 3:
+        raise ParseError(f"{path} must be a [tail, head, index] edge, got {x!r}")
+    return (str(x[0]), str(x[1]), _int(x[2], path))
 
-    def triple_from_json(td: dict) -> KernelTriple:
-        al = {
-            ((int(i), int(l)), (str(t), str(h), int(x))): spec.element(c)
-            for i, l, (t, h, x), c in td.get("alpha", [])
-        }
-        be = {
-            ((str(t1), str(h1), int(x1)), (str(t2), str(h2), int(x2))): spec.element(c)
-            for (t1, h1, x1), (t2, h2, x2), c in td.get("beta", [])
-        }
-        ep = {
-            ((str(t), str(h), int(x)), (int(j), int(r))): spec.element(c)
-            for (t, h, x), j, r, c in td.get("eps", [])
-        }
-        return (al, be, ep)
+
+def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
+    if not isinstance(d, dict):
+        raise ParseError(f"kernels must be an object, got {d!r}")
+    spec = field if field is not None else spec_from_dict(d.get("field"), "kernels.field")
+
+    def triple_from_json(td: dict, path: str) -> KernelTriple:
+        if not isinstance(td, dict):
+            raise ParseError(f"{path} must be an object, got {td!r}")
+        triple: KernelTriple = ({}, {}, {})
+        for terms, key, size in zip(triple, ("alpha", "beta", "eps"), (4, 3, 4)):
+            for k, x in enumerate(_list(td.get(key, []), f"{path}.{key}")):
+                at = f"{path}.{key}[{k}]"
+                if not isinstance(x, list) or len(x) != size:
+                    raise ParseError(f"{at} must be a list of {size} values, got {x!r}")
+                if key == "alpha":  # [source, process, edge, value]
+                    pos = ((_int(x[0], at), _int(x[1], at)), _edge_key(x[2], at))
+                elif key == "beta":  # [in edge, out edge, value]
+                    pos = (_edge_key(x[0], at), _edge_key(x[1], at))
+                else:  # [edge, sink, output, value]
+                    pos = (_edge_key(x[0], at), (_int(x[1], at), _int(x[2], at)))
+                terms[pos] = spec.element(x[-1], at)
+        return triple
 
     if d.get("mode", "invariant") == "invariant":
-        al, be, ep = triple_from_json(d)
+        al, be, ep = triple_from_json(d, "kernels")
         return LekAssignment(spec, "invariant", al, be, ep)
-    steps = tuple(triple_from_json(td) for td in d["steps"])
-    return LekAssignment(spec, "time", t0=int(d["t0"]), steps=steps)
+    steps = tuple(
+        triple_from_json(td, f"kernels.steps[{k}]")
+        for k, td in enumerate(_list(d.get("steps"), "kernels.steps"))
+    )
+    return LekAssignment(spec, "time", t0=_int(d.get("t0"), "kernels.t0"), steps=steps)
 
 
 def transfer_to_dict(tr: TransferResult) -> dict:
@@ -877,16 +879,13 @@ def transfer_to_dict(tr: TransferResult) -> dict:
 
 
 def transfer_from_dict(d: dict) -> TransferResult:
-    spec = spec_from_dict(d["field"])
+    spec = spec_from_dict(d["field"], "transfer.field")
     rows = []
     for r, row in enumerate(_list(d["entries"], "transfer.entries")):
         entries = []
         for c, p in enumerate(_list(row, f"transfer.entries[{r}]")):
             path = f"transfer.entries[{r}][{c}]"
-            try:
-                entries.append(Poly(spec, [spec.element(x).code for x in _list(p, path)]))
-            except ParseError as e:
-                raise ParseError(f"{path}: {e}") from None
+            entries.append(Poly(spec, [spec.element(x, path).code for x in _list(p, path)]))
         rows.append(entries)
     M = PolyMatrix(spec, rows)
     return TransferResult(

@@ -20,9 +20,11 @@ from .galois import (
     FieldSpec,
     FqMatrix,
     NetcodeError,
+    Poly,
     PolyMatrix,
+    _dft,
+    _lift,
     multiplicative_order,
-    poly_eval_matrix,
 )
 from .netmodel import LekAssignment, NetworkSpec, TransferResult, simulate, transfer_matrix
 
@@ -126,12 +128,17 @@ def build_circulant(pm: PolyMatrix, n: int) -> BlockCirculant:
 
 
 def eigen_blocks(pm: PolyMatrix, plan: TransformPlan) -> list[FqMatrix]:
-    """Mhat(t) = M(alpha^(n-1-t)) for t = 0 .. n-1, natural order."""
-    out = []
-    for t in range(plan.n):
-        x = plan.alpha ** (plan.n - 1 - t)
-        out.append(poly_eval_matrix(pm, x))
-    return out
+    """Mhat(t) = M(alpha^(n-1-t)) for t = 0 .. n-1, natural order.
+
+    pm may live in a subfield of the plan's field.
+    """
+    spec, w = plan.field, pm.ncols
+    lanes = [_lift(pm.spec, spec, p.codes) for row in pm.rows for p in row]
+    vals = _dft(spec, lanes, plan.alpha.code, plan.n)
+    return [
+        FqMatrix(spec, [[v[k] for v in vals[r * w : r * w + w]] for r in range(pm.nrows)])
+        for k in reversed(range(plan.n))
+    ]
 
 
 def diagonalize(C: BlockCirculant, plan: TransformPlan) -> list[FqMatrix]:
@@ -143,16 +150,11 @@ def diagonalize(C: BlockCirculant, plan: TransformPlan) -> list[FqMatrix]:
     if C.n != plan.n:
         raise ValueError(f"circulant built for n = {C.n}, plan has n = {plan.n}")
     spec = C.realized.spec
-    out = []
-    for t in range(plan.n):
-        x = plan.alpha ** (plan.n - 1 - t)
-        acc = FqMatrix.zeros(spec, C.nu, C.mu)
-        xp = spec.one()
-        for A in C.blocks:
-            acc = acc + A.scale(xp)
-            xp = xp * x
-        out.append(acc)
-    return out
+    lags = [
+        [Poly(spec, [A.rows[r][c] for A in C.blocks]) for c in range(C.mu)]
+        for r in range(C.nu)
+    ]
+    return eigen_blocks(PolyMatrix(spec, lags), plan)
 
 
 # ----------------------------------------------------------------------
@@ -169,29 +171,16 @@ def _dft_apply(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]], inve
     n = plan.n
     if len(gens) != n:
         raise WindowMismatch(f"expected {n} generations, got {len(gens)}")
-    width = len(gens[0])
     spec = plan.field
-    # entry (r, c) of the transform is alpha^(rc) and of its inverse
-    # alpha^(-rc) / n: entry k of powers, for k = rc mod n
-    a, powers = plan.alpha.code, [1]
+    a, scale = plan.alpha.code, 1
     if invert:
-        a, powers = spec._inv_code(a), [spec._inv_code(n % spec.p)]
-    for _ in range(n - 1):
-        powers.append(spec._mul_codes(powers[-1], a))
-    # no power is zero, so the prepared row holds all n of them in order
-    # and a column is its entries moved to new positions
-    prepared = [x for _, x in spec._row_prep(powers)]
-    # the stacked position of generation t is n-1-t; out[w][t] is lane w
-    # of output generation t, and input generation t_in adds its symbols
-    # times column c = n-1-t_in
-    out = [[0] * n for _ in range(width)]
-    for t_in, grow in enumerate(gens):
-        if any(grow):
-            c = n - 1 - t_in
-            col = [(t, prepared[c * (n - 1 - t) % n]) for t in range(n)]
-            for lane, g in zip(out, grow):
-                spec._row_axpy(lane, g.code, col)
-    return [[FieldElement(spec, lane[t]) for lane in out] for t in range(n)]
+        a, scale = spec._inv_code(a), spec._inv_code(n % spec.p)
+    # the stacked position of generation t is n-1-t, so vector position w
+    # is the lane whose coefficient c is symbol w of generation n-1-c, and
+    # output generation t is its transform at power n-1-t
+    lanes = [[g[w].code for g in reversed(gens)] for w in range(len(gens[0]))]
+    vals = _dft(spec, lanes, a, n, scale)
+    return [[FieldElement(spec, v[k]) for v in vals] for k in reversed(range(n))]
 
 
 def cp_encode(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
@@ -242,10 +231,7 @@ def instantaneous_solve(
         raise ValueError(
             f"square decode needs exactly {nu} demands, got {len(demands)}"
         )
-    cols = []
-    for (i, l) in demands:
-        cols.append([blocks[i].rows[r][l] for r in range(nu)])
-    M = FqMatrix(spec, [[cols[c][r] for c in range(nu)] for r in range(nu)])
+    M = FqMatrix(spec, [[blocks[i].rows[r][l] for (i, l) in demands] for r in range(nu)])
     rhs = FqMatrix(spec, [[sym.code] for sym in y])
     try:
         sol = M.solve(rhs)

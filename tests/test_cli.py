@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -93,27 +94,66 @@ def test_bare_number_symbol_is_parse_error(tmp_path, capsys):
     assert "list of integer coefficients, got 1" in rep["message"]
 
 
-def test_transfer_entries_not_a_list_is_parse_error(tmp_path, capsys):
-    doc = load_fixture("example1")
-    doc["transfer"]["entries"] = 5
-    p = tmp_path / "entries.json"
-    p.write_text(json.dumps(doc))
-    code, rep = jcli(capsys, "feasibility", str(p))
-    assert code == 2
-    assert rep == {"error": "ParseError", "message": "transfer.entries must be a list, got 5"}
+# (subcommand, fixture, {JSON path: new value}, message); each document
+# passes the schema check and fails where its loader parses the value
+MALFORMED = {
+    "transfer.entries": (
+        "feasibility", "example1", {("transfer", "entries"): 5},
+        "transfer.entries must be a list, got 5",
+    ),
+    "edge.index": (
+        "validate", "example2", {("network", "edges", 0, "index"): [1]},
+        "network.edges[0].index must be an integer, got [1]",
+    ),
+    "transfer.field": (
+        "feasibility", "example1", {("transfer", "field"): 5},
+        "transfer.field must be an object with p and m, got 5",
+    ),
+    "kernels.field": (
+        "transfer", "example2", {("kernels", "field"): 5},
+        "kernels.field must be an object with p and m, got 5",
+    ),
+    "kernels.field.m": (
+        "transfer", "example2", {("kernels", "field", "m"): "x"},
+        "kernels.field.m must be an integer, got 'x'",
+    ),
+    "field.m": (
+        "align", "example2", {("field",): {"p": 2, "m": "x"}},
+        "field.m must be an integer, got 'x'",
+    ),
+    "kernels.alpha": (
+        "transfer", "example2", {("kernels", "alpha", 0): 7},
+        "kernels.alpha[0] must be a list of 4 values, got 7",
+    ),
+    "kernels.beta": (
+        "transfer", "example2", {("kernels", "beta"): 5},
+        "kernels.beta must be a list, got 5",
+    ),
+    "kernels.steps": (
+        "transfer", "example2", {("kernels", "mode"): "time", ("kernels", "steps"): 3},
+        "kernels.steps must be a list, got 3",
+    ),
+    "kernels.mode": (
+        "transfer", "example2", {("kernels", "mode"): "time"},
+        "kernels.steps must be a list, got None",
+    ),
+}
 
 
-def test_edge_index_not_an_integer_is_parse_error(tmp_path, capsys):
-    doc = load_fixture("example2")
-    doc["network"]["edges"][0]["index"] = [1]
-    p = tmp_path / "index.json"
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_value_is_parse_error(tmp_path, capsys, case):
+    sub, fixture, edits, message = MALFORMED[case]
+    doc = load_fixture(fixture)
+    for path, value in edits.items():
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    p = tmp_path / "malformed.json"
     p.write_text(json.dumps(doc))
-    code, rep = jcli(capsys, "validate", str(p))
+    code, rep = jcli(capsys, sub, str(p))
     assert code == 2
-    assert rep == {
-        "error": "ParseError",
-        "message": "network.edges[0].index must be an integer, got [1]",
-    }
+    assert rep == {"error": "ParseError", "message": message}
 
 
 @pytest.mark.parametrize("coeff", [1.0, True])
@@ -385,3 +425,49 @@ def test_byte_determinism(capsys):
         _, a = cli(capsys, *argv)
         _, b = cli(capsys, *argv)
         assert a == b and a
+
+
+# ----------------------------------------------------------------------
+# recorded report bytes
+# ----------------------------------------------------------------------
+
+# sha256 of "<exit code>\n<stdout>" for each command; any change to the
+# bytes of one of these reports fails here
+GOLDEN = {
+    "validate example2":
+        "acd50fa414fb5259998db972159755caaf0f4be909f5ccb96d56a572b8ac6c52",
+    "mincut example2":
+        "87e522ab2232dca8e155abf705d5153e6261d58049d689624c69361deb95bd0c",
+    "transfer example2":
+        "338b6b9a5f74d08f0afe9b014e0d81bd1239d8df3e967ff51f33d5fee6a1262e",
+    "feasibility example1":
+        "befa6195bbaf05afd4bae9041b4e542c4f3d459abc836d999ac94262d3b145ae",
+    "feasibility example1 --pretty":
+        "eb28f872e35efd97c703afae001b21348ca32d238e048836cd1638022f6bdf62",
+    "feasibility example1 --find-plan":
+        "f679e19d03afd695393167ad310835f84a520592976fc77bcf8150602b8c10a2",
+    "feasibility example1 --find-plan --n-min 5":
+        "f679e19d03afd695393167ad310835f84a520592976fc77bcf8150602b8c10a2",
+    "feasibility example2":
+        "3fae89c880cbb5c26159f30284458dbc96fb54ecaa06a1a6ba501982822907fe",
+    "transform example1 --n 7":
+        "8d2b0845dc4b8b7e6cdf56f05c9a937439943f7e5006806e252b9ead68a97fc4",
+    "transform example1 --n 9":
+        "dedd4e011a834dc48a02820c9da48c908f66bf6038d8fd3a16668af3e3ff45bc",
+    "transform example1 --n 15":
+        "7bcfab95bf72b4dbad33f1b09ea07ec80c623599a677e6a791569faf4c7901a0",
+    "transform example2 --n 7":
+        "c15dc6eb87d4a27e57a471344446f13f3c8930e2570ed2cc71497aeafc66212f",
+    "align example2 --verify-only":
+        "8f6145199f96665b5be1fadf54100e1c8b26a4b6e9958f1b5efd0009ad00d8c9",
+    "align example2":
+        "8c0450a9e6694ea7f62afeb293385fd6ac592f2cb9dbc5e9e8543cef7d3a9e5a",
+    "align example2 --seed 3":
+        "1a8bbfb6b54e3b2ce0331e60d3c8bd96a55d90aa2ff19e08b40db3ac3e709578",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN)
+def test_report_bytes_match_recorded_digest(capsys, argv):
+    code, out = cli(capsys, *argv.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == GOLDEN[argv]
