@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .galois import (
@@ -93,6 +94,18 @@ _CATEGORY_PATTERNS: dict[str, frozenset[tuple[int, int]]] = {
     "cat2": frozenset({(1, 0), (2, 0), (0, 1)}),
     "cat3": frozenset({(2, 0), (0, 1), (1, 2)}),
     "cat4": frozenset({(2, 0), (2, 1), (0, 2), (1, 2)}),
+}
+
+# Each sink's decode system per category, in report order: (condition
+# name, sink, sessions whose blocks it stacks, wanted session first). The
+# paper's decodability condition is that each system has full column
+# rank; cat4's sink 3 receives session 3's uncoded blocks alone.
+_DECODE_SYSTEMS: dict[str, tuple[tuple[str, int, tuple[int, ...]], ...]] = {
+    "full": (("sink1", 0, (0, 1)), ("sink2", 1, (1, 0)), ("sink3", 2, (2, 0))),
+    "cat1": (("sink1", 0, (0, 2)), ("sink2", 1, (1, 0)), ("sink3", 2, (2, 0))),
+    "cat2": (("sink1", 0, (0,)), ("sink2", 1, (1, 2)), ("sink3", 2, (2, 0))),
+    "cat3": (("sink1", 0, (0, 1)), ("sink2", 1, (1, 2)), ("sink3", 2, (2, 0))),
+    "cat4": (("sink3_direct", 2, (2,)), ("sink1", 0, (0, 1)), ("sink2", 1, (1, 0))),
 }
 
 _PERMUTATIONS = (
@@ -350,16 +363,9 @@ def _dv(inst: AlignmentInstance, i: int, j: int, V: FqMatrix) -> FqMatrix:
     return _diag_mul(inst.field, inst.mhat[i][j], V)
 
 
-def _dinv_v(inst: AlignmentInstance, i: int, j: int, M: FqMatrix) -> FqMatrix:
-    inv = _diag_inv(inst.field, inst.mhat[i][j], f"block ({i + 1},{j + 1})")
-    return _diag_mul(inst.field, inv, M)
-
-
-def _diag_matrix(inst: AlignmentInstance, i: int, j: int) -> FqMatrix:
-    out = FqMatrix.zeros(inst.field, inst.N, inst.N)
-    for r, c in enumerate(inst.mhat[i][j]):
-        out.rows[r][r] = c
-    return out
+def _decode_system(apply, j: int, sessions: Sequence[int], V) -> FqMatrix:
+    """Sink j's received blocks side by side: apply(i, j, V[i]) per session i."""
+    return FqMatrix.hstack([apply(i, j, V[i]) for i in sessions])
 
 
 def check_alignment(inst: AlignmentInstance) -> dict:
@@ -373,12 +379,6 @@ def check_alignment(inst: AlignmentInstance) -> dict:
     V1, V2, V3 = inst.V1, inst.V2, inst.V3
     report: dict = {"category": inst.category, "identities": {}, "conditions": []}
 
-    def cond(name: str, M: FqMatrix, target: int) -> None:
-        r = M.rank()
-        report["conditions"].append(
-            {"name": name, "rank": r, "target": target, "ok": r == target}
-        )
-
     ids = report["identities"]
     if inst.category == "full":
         ids["sink1_interference"] = _dv(inst, 1, 0, V2) == _dv(inst, 2, 0, V3)
@@ -388,36 +388,17 @@ def check_alignment(inst: AlignmentInstance) -> dict:
         ids["sink3_absorption"] = _dv(inst, 1, 2, V2) == _dv(inst, 0, 2, V1).submatrix(
             range(N), range(n)
         )
-        cond("sink1", FqMatrix.hstack([V1, _dinv_v(inst, 0, 0, _dv(inst, 1, 0, V2))]), N)
-        cond("sink2", FqMatrix.hstack([_dinv_v(inst, 0, 1, _dv(inst, 1, 1, V2)), V1]), N)
-        cond("sink3", FqMatrix.hstack([_dinv_v(inst, 0, 2, _dv(inst, 2, 2, V3)), V1]), N)
     elif inst.category == "cat1":
         ids["sink2_absorption"] = _dv(inst, 2, 1, V3) == _dv(inst, 0, 1, V1) * inst.B
+    if inst.category in ("cat1", "cat2"):
         ids["sink3_absorption"] = _dv(inst, 1, 2, V2) == _dv(inst, 0, 2, V1) * inst.A
-        cond("sink1", FqMatrix.hstack([V1, _dinv_v(inst, 0, 0, _dv(inst, 2, 0, V3))]), N)
-        cond("sink2", FqMatrix.hstack([_dinv_v(inst, 0, 1, _dv(inst, 1, 1, V2)), V1]), N)
-        cond("sink3", FqMatrix.hstack([_dinv_v(inst, 0, 2, _dv(inst, 2, 2, V3)), V1]), N)
-    elif inst.category == "cat2":
-        ids["sink3_absorption"] = _dv(inst, 1, 2, V2) == _dv(inst, 0, 2, V1) * inst.A
-        cond("sink1", _dv(inst, 0, 0, V1), n + 1)
-        cond(
-            "sink2",
-            FqMatrix.hstack([_dinv_v(inst, 2, 1, _dv(inst, 1, 1, V2)), V3]),
-            2 * n,
+
+    for name, j, sessions in _DECODE_SYSTEMS[inst.category]:
+        system = _decode_system(partial(_dv, inst), j, sessions, (V1, V2, V3))
+        r = system.rank()
+        report["conditions"].append(
+            {"name": name, "rank": r, "target": system.ncols, "ok": r == system.ncols}
         )
-        cond("sink3", FqMatrix.hstack([_dinv_v(inst, 2, 2, _dv(inst, 0, 2, V1)), V3]), N)
-    elif inst.category == "cat3":
-        cond("sink1", FqMatrix.hstack([V1, _dinv_v(inst, 0, 0, _dv(inst, 1, 0, V2))]), N)
-        cond(
-            "sink2",
-            FqMatrix.hstack([_dinv_v(inst, 2, 1, _dv(inst, 1, 1, V2)), V3]),
-            2 * n,
-        )
-        cond("sink3", FqMatrix.hstack([_dinv_v(inst, 2, 2, _dv(inst, 0, 2, V1)), V3]), N)
-    else:  # cat4
-        cond("sink3_direct", _diag_matrix(inst, 2, 2), N)
-        cond("sink1", FqMatrix.hstack([V1, _dinv_v(inst, 0, 0, _dv(inst, 1, 0, V2))]), N)
-        cond("sink2", FqMatrix.hstack([_dinv_v(inst, 0, 1, _dv(inst, 1, 1, V2)), V1]), N)
 
     report["identities_ok"] = all(ids.values())
     report["ok"] = report["identities_ok"] and all(c["ok"] for c in report["conditions"])
@@ -487,24 +468,20 @@ def encode_decode(
 ) -> DecodeResult:
     """Push precoded symbols through the network and decode every sink.
 
-    Inputs are per internal session: lengths (n+1, n, n), or (n+1, n, N)
-    in category cat4. Returns the recovered symbol lists in the same
-    order plus the throughput accounting; recovery is exact whenever the
-    instance passed check_alignment.
+    Inputs are per internal session, one symbol per precoder column:
+    lengths (n+1, n, n), or (n+1, n, N) in category cat4. Returns the
+    recovered symbol lists in the same order plus the throughput
+    accounting; recovery is exact whenever the instance passed
+    check_alignment.
     """
     spec = inst.field
-    n, N = inst.n, inst.N
-    widths = (n + 1, n, N if inst.category == "cat4" else n)
-    xs = (list(x1), list(x2), list(x3))
-    for k, (vec, w) in enumerate(zip(xs, widths)):
-        if len(vec) != w:
-            raise ValueError(f"session {k + 1} expects {w} symbols, got {len(vec)}")
-
+    N = inst.N
     V = (inst.V1, inst.V2, inst.V3)
-    stacked = []
-    for k in range(3):
-        col = FqMatrix(spec, [[sym.code] for sym in xs[k]])
-        stacked.append(V[k] * col)
+    xs = (list(x1), list(x2), list(x3))
+    for k, vec in enumerate(xs):
+        if len(vec) != V[k].ncols:
+            raise ValueError(f"session {k + 1} expects {V[k].ncols} symbols, got {len(vec)}")
+    stacked = [V[k] * FqMatrix(spec, [[sym.code] for sym in xs[k]]) for k in range(3)]
 
     # stacked position r is generation N-1-r; route by the session perm
     inputs_by_net_source: list = [None, None, None]
@@ -514,47 +491,23 @@ def encode_decode(
     decoded = run_pipeline(
         inst.net, inst.leks, inst.plan, inputs_by_net_source, transfer=inst.transfer
     )
-    y = []
-    for k in range(3):
-        sink_gens = decoded[inst.perm[k]]
-        y.append(FqMatrix(spec, [[sink_gens[N - 1 - r][0].code] for r in range(N)]))
+    y = [
+        FqMatrix(spec, [[decoded[inst.perm[k]][N - 1 - r][0].code] for r in range(N)])
+        for k in range(3)
+    ]
 
-    def solve(name: str, M: FqMatrix, rhs: FqMatrix, keep: int) -> list[FieldElement]:
+    recovered: list = [None, None, None]
+    for name, j, sessions in _DECODE_SYSTEMS[inst.category]:
+        system = _decode_system(partial(_dv, inst), j, sessions, V)
         try:
-            sol = M.solve(rhs)
+            sol = system.solve(y[j])
         except ValueError as exc:
             raise SingularDecodeSystem(f"{name}: {exc}") from None
-        return [sol.entry(r, 0) for r in range(keep)]
+        recovered[j] = [sol.entry(r, 0) for r in range(V[j].ncols)]
 
-    c = inst.category
-    if c == "cat1":
-        sys1 = FqMatrix.hstack([_dv(inst, 0, 0, inst.V1), _dv(inst, 2, 0, inst.V3)])
-    elif c == "cat2":
-        sys1 = _dv(inst, 0, 0, inst.V1)
-    else:
-        sys1 = FqMatrix.hstack([_dv(inst, 0, 0, inst.V1), _dv(inst, 1, 0, inst.V2)])
-    rec1 = solve("sink 1", sys1, y[0], n + 1)
-
-    if c in ("cat2", "cat3"):
-        sys2 = FqMatrix.hstack([_dv(inst, 1, 1, inst.V2), _dv(inst, 2, 1, inst.V3)])
-    else:
-        sys2 = FqMatrix.hstack([_dv(inst, 1, 1, inst.V2), _dv(inst, 0, 1, inst.V1)])
-    rec2 = solve("sink 2", sys2, y[1], n)
-
-    if c == "cat4":
-        inv33 = _diag_inv(spec, inst.mhat[2][2], "block (3,3)")
-        rec3 = [
-            FieldElement(spec, spec._mul_codes(inv33[r], y[2].rows[r][0]))
-            for r in range(N)
-        ]
-    else:
-        sys3 = FqMatrix.hstack([_dv(inst, 2, 2, inst.V3), _dv(inst, 0, 2, inst.V1)])
-        rec3 = solve("sink 3", sys3, y[2], n)
-
-    thr3 = Fraction(1) if c == "cat4" else Fraction(n, N)
     return DecodeResult(
-        recovered=(rec1, rec2, rec3),
-        throughputs=(Fraction(n + 1, N), Fraction(n, N), thr3),
+        recovered=tuple(recovered),
+        throughputs=tuple(Fraction(v.ncols, N) for v in V),
         channel_uses=N + inst.plan.d_max,
     )
 
@@ -686,19 +639,17 @@ def check_tv(
     """
     N = inst.N
     M = inst.M
-    # six stacks are inverted below; the other three only need full rank
+    # V2, V3 and T1 use four inverses; the other five stacks are rank-checked
     inv = {}
     for i in range(3):
         for j in range(3):
-            singular = SingularBlock(f"stack ({i + 1},{j + 1}) is singular")
-            if (i, j) in ((1, 0), (1, 1), (2, 2)):
-                if M[i][j].rank() < N:
-                    raise singular
-                continue
             try:
-                inv[(i, j)] = M[i][j].inverse()
+                if (i, j) in ((0, 1), (1, 2), (2, 0), (2, 1)):
+                    inv[(i, j)] = M[i][j].inverse()
+                elif M[i][j].rank() < N:
+                    raise ValueError
             except ValueError:
-                raise singular from None
+                raise SingularBlock(f"stack ({i + 1},{j + 1}) is singular") from None
 
     V1 = theta
     V2 = inv[(1, 2)] * (M[0][2] * (V1 * A))
@@ -715,12 +666,8 @@ def check_tv(
     report["sink3_span"] = FqMatrix.hstack([m13v1, M[1][2] * V2]).rank() == m13v1.rank()
 
     conds = []
-    for name, big in (
-        ("sink1", FqMatrix.hstack([V1, inv[(0, 0)] * (M[1][0] * V2)])),
-        ("sink2", FqMatrix.hstack([inv[(0, 1)] * (M[1][1] * V2), V1])),
-        ("sink3", FqMatrix.hstack([inv[(0, 2)] * (M[2][2] * V3), V1])),
-    ):
-        r = big.rank()
+    for name, j, sessions in _DECODE_SYSTEMS["full"]:
+        r = _decode_system(lambda i, k, X: M[i][k] * X, j, sessions, (V1, V2, V3)).rank()
         conds.append({"name": name, "rank": r, "target": N, "ok": r == N})
     report["conditions"] = conds
     report["ok"] = bool(

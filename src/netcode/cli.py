@@ -22,6 +22,9 @@ from .galois import (
     NetcodeError,
     ParseError,
     Poly,
+    _check_field_order,
+    _int,
+    _list,
     build_field,
     element_of_order,
     spec_from_dict,
@@ -146,7 +149,11 @@ def _load_transfer(path: str):
     if isinstance(doc, dict) and doc.get("kind") == "transfer":
         _require(doc, "transfer")
         tr = transfer_from_dict(doc["transfer"])
-        return tr, [tuple(int(x) for x in c) for c in doc["connections"]]
+        conns = [
+            tuple(_int(x, f"connections[{k}]") for x in _list(c, f"connections[{k}]"))
+            for k, c in enumerate(doc["connections"])
+        ]
+        return tr, conns
     _require(doc, "network")
     net, leks = _net_and_leks(doc)
     return transfer_matrix(net, leks), list(net.connections)
@@ -278,10 +285,18 @@ def _cmd_simulate(args) -> int:
     doc = _load_doc(args.input, "simulation")
     net, leks = _net_and_leks(doc)
     spec = leks.field
-    inputs = [
-        [[spec.element(c) for c in proc] for proc in gen] for gen in doc["inputs"]
-    ]
-    outs = simulate(net, leks, inputs, t_start=int(doc.get("t_start", 0)))
+    inputs = []
+    for t, gen in enumerate(doc["inputs"]):
+        try:
+            inputs.append([[spec.element(c) for c in proc] for proc in gen])
+        except (ParseError, TypeError):
+            # walk the step again to name the bad value; building a path per
+            # symbol up front costs ~5% of a simulate job
+            for i, proc in enumerate(_list(gen, f"inputs[{t}]")):
+                for l, c in enumerate(_list(proc, f"inputs[{t}][{i}]")):
+                    spec.element(c, f"inputs[{t}][{i}][{l}]")
+            raise
+    outs = simulate(net, leks, inputs, t_start=_int(doc.get("t_start", 0), "t_start"))
     _emit(
         {
             "outputs": [
@@ -310,10 +325,13 @@ def _cmd_transform(args) -> int:
     tr, conns = _load_transfer(args.input)
     if args.n is None:
         raise ParseError("--n is required for the transform report")
+    if args.n < 1:
+        raise ParseError(f"--n must be at least 1, got {args.n}")
     # evaluation happens in the smallest extension holding an order-n root
     spec = None
     base = tr.field
     for a in range(1, args.max_ext_degree + 1):
+        _check_field_order(base.p, base.m * a, "--max-ext-degree")
         if (base.p ** (base.m * a) - 1) % args.n == 0:
             spec = base if a == 1 else build_field(base.p, base.m * a)
             break
@@ -355,10 +373,14 @@ def _cmd_transform(args) -> int:
 def _cmd_align(args) -> int:
     doc = _load_doc(args.input, "network")
     net, leks = _net_and_leks(doc, need_kernels=False)
-    n = args.n if args.n is not None else doc.get("align", {}).get("n")
+    n = args.n
     if n is None:
-        raise ParseError("--n is required (no align.n in the input)")
-    n = int(n)
+        align = doc.get("align", {})
+        if not isinstance(align, dict):
+            raise ParseError(f"align must be an object with n, got {align!r}")
+        if align.get("n") is None:
+            raise ParseError("--n is required (no align.n in the input)")
+        n = _int(align["n"], "align.n")
 
     if args.verify_only:
         if leks is None:
@@ -382,10 +404,9 @@ def _cmd_align(args) -> int:
         report = result.report
 
     rng = random.Random(f"cli:{args.seed}")
-    widths = (n + 1, n, inst.N if inst.category == "cat4" else n)
     xs = [
-        [FieldElement(inst.field, rng.randrange(inst.field.q)) for _ in range(w)]
-        for w in widths
+        [FieldElement(inst.field, rng.randrange(inst.field.q)) for _ in range(v.ncols)]
+        for v in (inst.V1, inst.V2, inst.V3)
     ]
     decode_ok = None
     throughputs = None

@@ -42,6 +42,11 @@ __all__ = [
 # schoolbook reduction per product.
 _TABLE_CAP = 1 << 16
 
+# The largest field order accepted from an input document or flag. Past it
+# the default-modulus search and the primality test of p take seconds to
+# hours; every bundled and benchmarked field is at most 2^20.
+_MAX_FIELD_ORDER = 1 << 24
+
 
 class NetcodeError(Exception):
     """Base class for every error raised by this package."""
@@ -263,13 +268,14 @@ class FieldSpec:
             ints = False
         if not ints:
             msg = f"a field element is a list of integer coefficients, got {coeffs!r}"
-            raise ParseError(msg if path is None else f"{path}: {msg}")
-        if count > self.m:
-            raise ValueError(f"at most {self.m} coefficients expected")
-        for c in coeffs:
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} out of range [0, {self.p})")
-        return FieldElement(self, _undigits(list(coeffs), self.p))
+        elif count > self.m:
+            msg = f"at most {self.m} coefficients expected, got {count}"
+        else:
+            bad = [c for c in coeffs if not 0 <= c < self.p]
+            if not bad:
+                return FieldElement(self, _undigits(list(coeffs), self.p))
+            msg = f"coefficient {bad[0]} out of range [0, {self.p})"
+        raise ParseError(msg if path is None else f"{path}: {msg}")
 
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
@@ -552,11 +558,19 @@ def _list(x, path: str) -> list:
     return x
 
 
+def _check_field_order(p: int, m: int, path: str) -> None:
+    """ParseError naming path if GF(p^m) is past the limit; p**m stays small."""
+    bits = _MAX_FIELD_ORDER.bit_length()  # p >= 2 and m >= bits: too large
+    if p > 1 and m > 0 and (p > _MAX_FIELD_ORDER or m >= bits or p**m > _MAX_FIELD_ORDER):
+        raise ParseError(f"{path}: GF({p}^{m}) is larger than the limit of 2^{bits - 1} elements")
+
+
 def spec_from_dict(d: dict, path: str = "field") -> FieldSpec:
     """The field of a {p, m, modulus} object; path names it in a ParseError."""
     if not isinstance(d, dict):
         raise ParseError(f"{path} must be an object with p and m, got {d!r}")
     p, m, mod = _int(d.get("p"), f"{path}.p"), _int(d.get("m"), f"{path}.m"), d.get("modulus")
+    _check_field_order(p, m, path)
     if mod is not None:
         mod = [_int(c, f"{path}.modulus") for c in _list(mod, f"{path}.modulus")]
     return build_field(p, m, mod)

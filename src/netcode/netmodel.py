@@ -488,6 +488,8 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         if ekey not in pos:
             raise ValueError(f"alpha kernel on unknown edge {ekey}")
         i, l = inp
+        if not (0 <= i < len(net.sources) and 0 <= l < net.sources[i].processes):
+            raise ValueError(f"alpha kernel on unknown input {inp}")
         if net.sources[i].node != tail[ekey]:
             raise ValueError(f"alpha kernel {inp}->{ekey} not at the source node")
         if v.spec != spec:
@@ -509,6 +511,8 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         if ekey not in pos:
             raise ValueError(f"eps kernel on unknown edge {ekey}")
         j, r = out
+        if not (0 <= j < len(net.sinks) and 0 <= r < net.sinks[j].outputs):
+            raise ValueError(f"eps kernel on unknown output {out}")
         if net.sinks[j].node != head[ekey]:
             raise ValueError(f"eps kernel {ekey}->{out} not at the sink node")
         if v.spec != spec:
@@ -878,8 +882,17 @@ def transfer_to_dict(tr: TransferResult) -> dict:
     }
 
 
+def _counts(x, path: str) -> tuple[int, ...]:
+    out = tuple(_int(c, path) for c in _list(x, path))
+    if any(c < 0 for c in out):
+        raise ParseError(f"{path} must hold non-negative integers, got {x!r}")
+    return out
+
+
 def transfer_from_dict(d: dict) -> TransferResult:
     spec = spec_from_dict(d["field"], "transfer.field")
+    mu_list = _counts(d["mu_list"], "transfer.mu_list")
+    nu_list = _counts(d["nu_list"], "transfer.nu_list")
     rows = []
     for r, row in enumerate(_list(d["entries"], "transfer.entries")):
         entries = []
@@ -887,12 +900,16 @@ def transfer_from_dict(d: dict) -> TransferResult:
             path = f"transfer.entries[{r}][{c}]"
             entries.append(Poly(spec, [spec.element(x, path).code for x in _list(p, path)]))
         rows.append(entries)
-    M = PolyMatrix(spec, rows)
+    if len(rows) != sum(nu_list) or any(len(row) != sum(mu_list) for row in rows):
+        raise ParseError(
+            f"transfer.entries must be {sum(nu_list)} rows (sum of nu_list) "
+            f"of {sum(mu_list)} entries (sum of mu_list)"
+        )
     return TransferResult(
         spec,
-        M,
-        _int(d["d_prime_min"], "transfer.d_prime_min"),
-        _int(d["d_prime_max"], "transfer.d_prime_max"),
-        tuple(_int(x, "transfer.mu_list") for x in _list(d["mu_list"], "transfer.mu_list")),
-        tuple(_int(x, "transfer.nu_list") for x in _list(d["nu_list"], "transfer.nu_list")),
+        PolyMatrix(spec, rows),
+        _int(d.get("d_prime_min"), "transfer.d_prime_min"),
+        _int(d.get("d_prime_max"), "transfer.d_prime_max"),
+        mu_list,
+        nu_list,
     )

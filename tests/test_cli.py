@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,9 @@ def test_bare_number_symbol_is_parse_error(tmp_path, capsys):
     assert "list of integer coefficients, got 1" in rep["message"]
 
 
+# example2 as a simulation document, one step of inputs
+SIM = {("kind",): "simulation", ("inputs",): [[[[1]], [[0]], [[1]]]]}
+
 # (subcommand, fixture, {JSON path: new value}, message); each document
 # passes the schema check and fails where its loader parses the value
 MALFORMED = {
@@ -137,6 +141,67 @@ MALFORMED = {
         "transfer", "example2", {("kernels", "mode"): "time"},
         "kernels.steps must be a list, got None",
     ),
+    "kernels.alpha.coefficient": (
+        "transfer", "example2", {("kernels", "alpha", 0, 3): [5]},
+        "kernels.alpha[0]: coefficient 5 out of range [0, 2)",
+    ),
+    "kernels.alpha.length": (
+        "transfer", "example2", {("kernels", "alpha", 0, 3): [0] * 7},
+        "kernels.alpha[0]: at most 6 coefficients expected, got 7",
+    ),
+    "align": (
+        "align", "example2", {("align",): 5},
+        "align must be an object with n, got 5",
+    ),
+    "align.n": (
+        "align", "example2", {("align", "n"): [1]},
+        "align.n must be an integer, got [1]",
+    ),
+    "t_start": (
+        "simulate", "example2", {**SIM, ("t_start",): [1]},
+        "t_start must be an integer, got [1]",
+    ),
+    "inputs[t]": (
+        "simulate", "example2", {**SIM, ("inputs",): [5]},
+        "inputs[0] must be a list, got 5",
+    ),
+    "inputs[t][i]": (
+        "simulate", "example2", {**SIM, ("inputs",): [[5, 5, 5]]},
+        "inputs[0][0] must be a list, got 5",
+    ),
+    "inputs[t][i][l]": (
+        "simulate", "example2", {**SIM, ("inputs", 0, 2, 0): [5]},
+        "inputs[0][2][0]: coefficient 5 out of range [0, 2)",
+    ),
+    "connections": (
+        "feasibility", "example1", {("connections", 0): [0, "x", 0]},
+        "connections[0] must be an integer, got 'x'",
+    ),
+    "transfer.d_prime_min": (
+        "feasibility", "example1", {("transfer", "d_prime_min"): None},
+        "transfer.d_prime_min must be an integer, got None",
+    ),
+    "transfer.nu_list": (
+        "feasibility", "example1", {("transfer", "nu_list", 0): -1},
+        "transfer.nu_list must hold non-negative integers, got [-1, 3, 3, 2, 2]",
+    ),
+    "transfer.entries.shape": (
+        "feasibility", "example1", {("transfer", "mu_list"): [1, 1]},
+        "transfer.entries must be 13 rows (sum of nu_list) of 2 entries (sum of mu_list)",
+    ),
+    # fields past the order limit are refused before any field is built
+    "kernels.field.order": (
+        "transfer", "example2", {("kernels", "field"): {"p": 2, "m": 64}},
+        "kernels.field: GF(2^64) is larger than the limit of 2^24 elements",
+    ),
+    "field.order": (
+        "align", "example2", {("field",): {"p": 65521, "m": 2}},
+        "field: GF(65521^2) is larger than the limit of 2^24 elements",
+    ),
+    "transfer.field.order": (
+        "feasibility", "example1", {("transfer", "field"): {"p": 2, "m": 26}},
+        "transfer.field: GF(2^26) is larger than the limit of 2^24 elements",
+    ),
 }
 
 
@@ -151,9 +216,53 @@ def test_malformed_value_is_parse_error(tmp_path, capsys, case):
         parent[path[-1]] = value
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code, rep = jcli(capsys, sub, str(p))
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert rep == {"error": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--n", "0"), "--n must be at least 1, got 0"),
+        (("--n", "-3"), "--n must be at least 1, got -3"),
+        # 2 has order 25 mod 2^25 - 1, so the search reaches GF(2^25)
+        (
+            ("--n", str(2**25 - 1), "--max-ext-degree", "1000000"),
+            "--max-ext-degree: GF(2^25) is larger than the limit of 2^24 elements",
+        ),
+    ],
+)
+def test_transform_flag_out_of_range_is_parse_error(capsys, flags, message):
+    start = time.perf_counter()
+    code, rep = jcli(capsys, "transform", "example1", *flags)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert rep == {"error": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ((("kernels", "alpha", 0, 0), 3), "alpha kernel on unknown input (3, 0)"),
+        ((("kernels", "alpha", 0, 1), -1), "alpha kernel on unknown input (0, -1)"),
+        ((("kernels", "eps", 0, 1), 5), "eps kernel on unknown output (5, 0)"),
+    ],
+)
+def test_kernel_on_unknown_terminal_is_input_error(tmp_path, capsys, edit, message):
+    doc = load_fixture("example2")
+    (*parents, key), value = edit
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    p = tmp_path / "kernel.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "transfer", str(p))
+    assert code == 2
+    assert rep == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("coeff", [1.0, True])

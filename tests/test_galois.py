@@ -12,6 +12,7 @@ from netcode.galois import (
     FqMatrix,
     NoSuchElement,
     NotPrime,
+    ParseError,
     Poly,
     PolyMatrix,
     ReducibleModulus,
@@ -26,7 +27,9 @@ from netcode.galois import (
     poly_eval_matrix,
     spec_from_dict,
     spec_to_dict,
+    _check_field_order,
     _is_prime,
+    _MAX_FIELD_ORDER,
 )
 
 GF2 = build_field(2, 1)
@@ -434,3 +437,26 @@ def test_inverse_above_table_cap(p, m):
         inv = spec._inv_code(a)
         assert inv == spec._pow_code_slow(a, spec.q - 2)
         assert spec._schoolbook_mul(a, inv) == 1
+
+
+@pytest.mark.parametrize(
+    "p, m, ok",
+    [
+        (2, 24, True),
+        (2, 25, False),
+        (4093, 2, True),  # 16,752,649
+        (4099, 2, False),
+        (16777213, 1, True),
+        (16777259, 1, False),
+        (2**127 - 1, 10**9, False),  # refused without computing p**m
+        (1, 10**9, True),  # not a field: left to build_field
+        (2, 0, True),
+    ],
+)
+def test_field_order_limit(p, m, ok):
+    assert _MAX_FIELD_ORDER == 1 << 24
+    if ok:
+        _check_field_order(p, m, "field")
+    else:
+        with pytest.raises(ParseError, match=r"^field: GF\("):
+            _check_field_order(p, m, "field")
