@@ -591,8 +591,6 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
-    zero = spec.zero()
-    one = spec.one()
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for c in range(N):
@@ -602,15 +600,15 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
                 labels.add(g - N)  # cyclic prefix copy
             series = []
             for step in range(horizon):
-                vecs = [[zero], [zero], [zero]]
+                vecs = [[0], [0], [0]]
                 if step - d_max in labels:
-                    vecs[i] = [one]
+                    vecs[i] = [1]
                 series.append(vecs)
-            outs = simulate(net, leks, series, t_start=-d_max)
+            outs = simulate(net, leks, series, t_start=-d_max, codes=True)
             for j in range(3):
                 for r in range(N):
                     t = N - 1 - r
-                    M[i][j].rows[r][c] = outs[d_prime_min + t + d_max][j][0].code
+                    M[i][j].rows[r][c] = outs[d_prime_min + t + d_max][j][0]
     return TvInstance(
         n=n,
         N=N,

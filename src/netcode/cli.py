@@ -285,26 +285,21 @@ def _cmd_simulate(args) -> int:
     doc = _load_doc(args.input, "simulation")
     net, leks = _net_and_leks(doc)
     spec = leks.field
-    inputs = []
-    for t, gen in enumerate(doc["inputs"]):
-        try:
-            inputs.append([[spec.element(c) for c in proc] for proc in gen])
-        except (ParseError, TypeError):
-            # walk the step again to name the bad value; building a path per
-            # symbol up front costs ~5% of a simulate job
+    try:
+        inputs = [[spec.codes_from_json(proc) for proc in gen] for gen in doc["inputs"]]
+    except (ParseError, TypeError):
+        # walk the steps again to name the bad value; building a path per
+        # symbol up front costs ~5% of a simulate job
+        for t, gen in enumerate(doc["inputs"]):
             for i, proc in enumerate(_list(gen, f"inputs[{t}]")):
-                for l, c in enumerate(_list(proc, f"inputs[{t}][{i}]")):
-                    spec.element(c, f"inputs[{t}][{i}][{l}]")
-            raise
-    outs = simulate(net, leks, inputs, t_start=_int(doc.get("t_start", 0), "t_start"))
-    _emit(
-        {
-            "outputs": [
-                [[list(e.coeffs) for e in sink] for sink in step] for step in outs
-            ]
-        },
-        args,
+                where = f"inputs[{t}][{i}]"
+                spec.codes_from_json(_list(proc, where), lambda l: f"{where}[{l}]")
+        raise
+    outs = simulate(
+        net, leks, inputs, t_start=_int(doc.get("t_start", 0), "t_start"), codes=True
     )
+    to_json = spec.codes_to_json
+    _emit({"outputs": [[to_json(sink) for sink in step] for step in outs]}, args)
     return 0
 
 
@@ -481,8 +476,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first run call rather than at import, so importing the
+# package stays cheap; parse_args keeps no state between calls
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SearchExhausted as e:

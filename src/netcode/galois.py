@@ -10,7 +10,7 @@ every artifact down to the bit.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "NetcodeError",
@@ -261,21 +261,61 @@ class FieldSpec:
 
     def element(self, coeffs: Sequence[int], path: str | None = None) -> "FieldElement":
         """The element with these coefficients; path names them in a ParseError."""
+        where = None if path is None else (lambda k: path)
+        return FieldElement(self, self.codes_from_json([coeffs], where)[0])
+
+    def codes_from_json(
+        self, items: Sequence[Sequence[int]], where: Callable[[int], str] | None = None
+    ) -> list[int]:
+        """The codes of these coefficient lists, lowest degree first.
+
+        Each item is checked as it is converted: at most m coefficients,
+        each an int (not a bool or float) in [0, p). The first bad item
+        raises a ParseError, prefixed with where(k) for its index k when
+        where is given.
+        """
+        p, m = self.p, self.m
+        out: list[int] = []
+        append = out.append
         try:
-            count = len(coeffs)
-            ints = all(type(c) is int for c in coeffs)  # not bool, not float
-        except TypeError:
-            ints = False
-        if not ints:
-            msg = f"a field element is a list of integer coefficients, got {coeffs!r}"
-        elif count > self.m:
-            msg = f"at most {self.m} coefficients expected, got {count}"
-        else:
-            bad = [c for c in coeffs if not 0 <= c < self.p]
-            if not bad:
-                return FieldElement(self, _undigits(list(coeffs), self.p))
-            msg = f"coefficient {bad[0]} out of range [0, {self.p})"
-        raise ParseError(msg if path is None else f"{path}: {msg}")
+            for coeffs in items:
+                if len(coeffs) > m:
+                    break
+                code = 0
+                # code * p + c beats shifts for p = 2: CPython 3.11
+                # specializes int multiply, add and compare, not shift or or
+                for c in reversed(coeffs):
+                    if type(c) is not int or not 0 <= c < p:
+                        break
+                    code = code * p + c
+                else:
+                    append(code)
+                    continue
+                break
+        except TypeError:  # an item with no len() or no reversed()
+            pass
+        k = len(out)
+        if k == len(items):
+            return out
+        msg = self._coeffs_problem(items[k])
+        raise ParseError(msg if where is None else f"{where(k)}: {msg}")
+
+    def _coeffs_problem(self, coeffs) -> str:
+        """Why codes_from_json refused coeffs."""
+        if not isinstance(coeffs, (list, tuple)) or any(type(c) is not int for c in coeffs):
+            return f"a field element is a list of integer coefficients, got {coeffs!r}"
+        if len(coeffs) > self.m:
+            return f"at most {self.m} coefficients expected, got {len(coeffs)}"
+        bad = next(c for c in coeffs if not 0 <= c < self.p)
+        return f"coefficient {bad} out of range [0, {self.p})"
+
+    def codes_to_json(self, codes: Sequence[int]) -> list[list[int]]:
+        """The m coefficients of each code, lowest degree first."""
+        p, m = self.p, self.m
+        if p == 2:
+            bits = range(m)
+            return [[c >> k & 1 for k in bits] for c in codes]
+        return [_digits(c, p, m) for c in codes]
 
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
@@ -467,6 +507,15 @@ class FieldSpec:
         mul = self._mul_codes
         return [(j, mul(scale, v)) for j, v in enumerate(row) if v]
 
+    def _pairs_prep(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+        """(j, v) pairs with v nonzero, in the form _row_axpy reads."""
+        if self._exp is None:
+            self._ensure_tables()
+        if self._exp2 is not None:
+            log = self._log
+            return [(j, log[v]) for j, v in pairs]
+        return list(pairs)
+
     def _row_axpy(
         self, dst: list[int], factor: int, src: list[tuple[int, int]], off: int = 0
     ) -> None:
@@ -488,6 +537,29 @@ class FieldSpec:
         mul, add = self._mul_codes, self._add_codes
         for j, v in src:
             dst[off + j] = add(dst[off + j], mul(factor, v))
+
+    def _row_matvec(
+        self, dst: list[int], vec: Sequence[int], rows: Sequence[list[tuple[int, int]]]
+    ) -> None:
+        """dst[j] += x * v for each x = vec[i] and each entry (j, v) of rows[i].
+
+        _row_axpy over every row at once, for short rows, where a call per
+        row would cost more than its entries.
+        """
+        exp2 = self._exp2
+        if exp2 is not None:
+            log = self._log
+            for x, row in zip(vec, rows):
+                if x:
+                    lx = log[x]
+                    for j, lv in row:
+                        dst[j] ^= exp2[lx + lv]
+            return
+        mul, add = self._mul_codes, self._add_codes
+        for x, row in zip(vec, rows):
+            if x:
+                for j, v in row:
+                    dst[j] = add(dst[j], mul(x, v))
 
     def _row_scaled(self, factor: int, row: Sequence[int]) -> list[int]:
         """factor * row as a new list."""
@@ -545,16 +617,19 @@ def spec_to_dict(spec: FieldSpec) -> dict:
     return {"p": spec.p, "m": spec.m, "modulus": list(spec.modulus)}
 
 
-def _int(x, path: str) -> int:
-    """A JSON integer, or a ParseError naming where it sits."""
+def _int(x, path: str, *args) -> int:
+    """A JSON integer, or a ParseError naming where it sits.
+
+    With args, the path is path.format(*args), built only on failure.
+    """
     if type(x) is not int:
-        raise ParseError(f"{path} must be an integer, got {x!r}")
+        raise ParseError(f"{path.format(*args) if args else path} must be an integer, got {x!r}")
     return x
 
 
-def _list(x, path: str) -> list:
+def _list(x, path: str, *args) -> list:
     if not isinstance(x, list):
-        raise ParseError(f"{path} must be a list, got {x!r}")
+        raise ParseError(f"{path.format(*args) if args else path} must be a list, got {x!r}")
     return x
 
 
@@ -592,7 +667,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(_digits(self.code, self.spec.p, self.spec.m))
+        return tuple(self.spec.codes_to_json([self.code])[0])
 
     def _check(self, other: "FieldElement") -> None:
         if self.spec != other.spec:

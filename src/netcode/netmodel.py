@@ -482,6 +482,11 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     pos = {e.key: k for k, e in enumerate(net.edges)}
     tail = {e.key: e.tail for e in net.edges}
     head = {e.key: e.head for e in net.edges}
+    in_off, out_off = [0], [0]  # flat index of each source's and sink's first symbol
+    for src in net.sources:
+        in_off.append(in_off[-1] + src.processes)
+    for snk in net.sinks:
+        out_off.append(out_off[-1] + snk.outputs)
     al, be, ep = triple
     a_terms = []  # (edge pos, flat input index, code)
     for (inp, ekey), v in al.items():
@@ -495,7 +500,7 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         if v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
-            a_terms.append((pos[ekey], net.input_offset(i) + l, v.code))
+            a_terms.append((pos[ekey], in_off[i] + l, v.code))
     b_terms = []  # (out edge pos, in edge pos, code)
     for (k1, k2), v in be.items():
         if k1 not in pos or k2 not in pos:
@@ -518,7 +523,7 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         if v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
-            e_terms.append((net.output_offset(j) + r, pos[ekey], v.code))
+            e_terms.append((out_off[j] + r, pos[ekey], v.code))
     return a_terms, b_terms, e_terms
 
 
@@ -586,91 +591,106 @@ def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
 # ----------------------------------------------------------------------
 
 
+def _step_rows(
+    net: NetworkSpec, triple: KernelTriple, spec: FieldSpec, mu: int
+) -> list[list[tuple[int, int]]]:
+    """One step of the recursion as rows for FieldSpec._row_matvec.
+
+    The step is [Z(t+1); Y(t)] = K [X(t); Z(t)], with X(t) the flat input
+    symbols, Z(t) the edge registers and Y(t) the flat sink outputs. Row c
+    lists (index into [Z(t+1); Y(t)], kernel) for every kernel that reads
+    entry c of [X(t); Z(t)].
+    """
+    ne = len(net.edges)
+    a_terms, b_terms, e_terms = _compiled_kernels(net, triple, spec)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(mu + ne)]
+    for epos, flat, code in a_terms:
+        rows[flat].append((epos, code))
+    for out_pos, in_pos, code in b_terms:
+        rows[mu + in_pos].append((out_pos, code))
+    for out_flat, epos, code in e_terms:
+        rows[mu + epos].append((ne + out_flat, code))
+    return [spec._pairs_prep(row) for row in rows]
+
+
+def _simulate_codes(
+    net: NetworkSpec, leks: LekAssignment, inputs: Iterable, t_start: int
+) -> list[list[list[int]]]:
+    """simulate on integer codes: inputs[t][i] and outputs[t][j] are code lists."""
+    spec = leks.field
+    ne = len(net.edges)
+    procs = [s.processes for s in net.sources]
+    mu = sum(procs)
+    # sink j reads [Z(t+1); Y(t)][a:b] for its (a, b)
+    bounds = [ne]
+    for snk in net.sinks:
+        bounds.append(bounds[-1] + snk.outputs)
+    reads = list(zip(bounds, bounds[1:]))
+    for e in net.edges:
+        _check_delay(e)
+    lines = [(k, deque([0] * (e.delay - 1))) for k, e in enumerate(net.edges) if e.delay > 1]
+    rows = None
+    if leks.mode == "invariant":
+        rows = _step_rows(net, (leks.alpha, leks.beta, leks.eps), spec, mu)
+    matvec = spec._row_matvec
+
+    state = [0] * ne
+    outputs: list[list[list[int]]] = []
+    for step, x_t in enumerate(inputs):
+        if len(x_t) != len(procs):
+            raise ValueError(
+                f"step {step} gives {len(x_t)} source vectors, the network has "
+                f"{len(procs)} sources"
+            )
+        step_rows = rows
+        if step_rows is None:
+            step_rows = _step_rows(net, leks.kernels_at(t_start + step), spec, mu)
+        if [len(vec) for vec in x_t] != procs:
+            i = next(i for i, vec in enumerate(x_t) if len(vec) != procs[i])
+            raise ValueError(f"step {step}: source {i} expects {procs[i]} symbols")
+        vec = [c for x in x_t for c in x]
+        vec += state
+        out = [0] * bounds[-1]
+        matvec(out, vec, step_rows)
+        outputs.append([out[a:b] for a, b in reads])
+        for k, line in lines:
+            line.append(out[k])
+            out[k] = line.popleft()
+        state = out[:ne]
+    return outputs
+
+
 def simulate(
     net: NetworkSpec,
     leks: LekAssignment,
     inputs: Sequence[Sequence[Sequence[FieldElement]]],
     t_start: int = 0,
+    codes: bool = False,
 ) -> list[list[list[FieldElement]]]:
     """Run the per-step recursion over the window starting at t_start.
 
     inputs[t][i] is the symbol vector source i injects at step t. Link
     registers are zero before the window. Returns outputs[t][j], sink j's
-    reading at step t, one entry per step of the input window.
+    reading at step t, one entry per step of the input window. With
+    codes=True the symbols of inputs and outputs are integer codes of
+    leks.field instead of FieldElements.
 
     A delay-d edge keeps d - 1 symbols in flight behind its register, so
     its head reads at step t + d what its tail wrote at step t. Kernels of
     step t act where a symbol enters or leaves an edge, which is what a
     chain of d unit edges with identity relays does.
     """
+    if codes:
+        return _simulate_codes(net, leks, inputs, t_start)
     spec = leks.field
-    ne = len(net.edges)
-    add = spec._add_codes
-    mul = spec._mul_codes
-    lines: dict[int, deque[int]] = {}
-    for k, e in enumerate(net.edges):
-        _check_delay(e)
-        if e.delay > 1:
-            lines[k] = deque([0] * (e.delay - 1))
 
-    invariant = leks.mode == "invariant"
-    compiled = None
-    if invariant:
-        compiled = _compiled_kernels(net, (leks.alpha, leks.beta, leks.eps), spec)
+    def step_codes(x_t):
+        if any(sym.spec != spec for vec in x_t for sym in vec):
+            raise ValueError("input symbol from a different field")
+        return [[sym.code for sym in vec] for vec in x_t]
 
-    state = [0] * ne
-    outputs: list[list[list[FieldElement]]] = []
-    for step, x_t in enumerate(inputs):
-        t = t_start + step
-        if len(x_t) != len(net.sources):
-            raise ValueError(
-                f"step {step} gives {len(x_t)} source vectors, the network has "
-                f"{len(net.sources)} sources"
-            )
-        if invariant:
-            a_terms, b_terms, e_terms = compiled
-        else:
-            a_terms, b_terms, e_terms = _compiled_kernels(
-                net, leks.kernels_at(t), spec
-            )
-        # flatten this step's input symbols
-        flat_x = [0] * net.mu
-        for i, src in enumerate(net.sources):
-            vec = x_t[i]
-            if len(vec) != src.processes:
-                raise ValueError(
-                    f"step {step}: source {i} expects {src.processes} symbols"
-                )
-            off = net.input_offset(i)
-            for l, sym in enumerate(vec):
-                if sym.spec != spec:
-                    raise ValueError("input symbol from a different field")
-                flat_x[off + l] = sym.code
-        # read outputs from the current state
-        flat_y = [0] * net.nu
-        for out_flat, epos, code in e_terms:
-            if state[epos]:
-                flat_y[out_flat] = add(flat_y[out_flat], mul(code, state[epos]))
-        step_out = []
-        for j, snk in enumerate(net.sinks):
-            off = net.output_offset(j)
-            step_out.append(
-                [FieldElement(spec, flat_y[off + r]) for r in range(snk.outputs)]
-            )
-        outputs.append(step_out)
-        # advance the state
-        new_state = [0] * ne
-        for epos, flat, code in a_terms:
-            if flat_x[flat]:
-                new_state[epos] = add(new_state[epos], mul(code, flat_x[flat]))
-        for out_pos, in_pos, code in b_terms:
-            if state[in_pos]:
-                new_state[out_pos] = add(new_state[out_pos], mul(code, state[in_pos]))
-        for k, line in lines.items():
-            line.append(new_state[k])
-            new_state[k] = line.popleft()
-        state = new_state
-    return outputs
+    outs = _simulate_codes(net, leks, map(step_codes, inputs), t_start)
+    return [[[FieldElement(spec, c) for c in sink] for sink in step] for step in outs]
 
 
 # ----------------------------------------------------------------------
@@ -772,28 +792,33 @@ def _objects(d: dict, key: str, required: set[str]) -> list[dict]:
 
 
 def network_from_dict(d: dict) -> NetworkSpec:
+    # paths are format strings filled in only when a value is refused
     edges = [
         Edge(
             str(e["tail"]),
             str(e["head"]),
-            _int(e.get("index", 0), f"network.edges[{k}].index"),
-            _int(e.get("delay", 1), f"network.edges[{k}].delay"),
+            _int(e.get("index", 0), "network.edges[{}].index", k),
+            _int(e.get("delay", 1), "network.edges[{}].delay", k),
         )
         for k, e in enumerate(_objects(d, "edges", {"tail", "head"}))
     ]
     sources = [
-        Source(str(s["node"]), _int(s.get("processes", 1), f"network.sources[{k}].processes"))
+        Source(str(s["node"]), _int(s.get("processes", 1), "network.sources[{}].processes", k))
         for k, s in enumerate(_objects(d, "sources", {"node"}))
     ]
     sinks = []
     connections = []
     for j, s in enumerate(_objects(d, "sinks", {"node"})):
-        sinks.append(Sink(str(s["node"]), _int(s.get("outputs", 1), f"network.sinks[{j}].outputs")))
-        for k, demand in enumerate(_list(s.get("demands", []), f"network.sinks[{j}].demands")):
-            path = f"network.sinks[{j}].demands[{k}]"
+        outputs = _int(s.get("outputs", 1), "network.sinks[{}].outputs", j)
+        sinks.append(Sink(str(s["node"]), outputs))
+        for k, demand in enumerate(_list(s.get("demands", []), "network.sinks[{}].demands", j)):
             if not isinstance(demand, list) or len(demand) != 2:
-                raise ParseError(f"{path} must be a [source, process] pair, got {demand!r}")
-            connections.append((_int(demand[0], path), j, _int(demand[1], path)))
+                raise ParseError(
+                    f"network.sinks[{j}].demands[{k}] must be a [source, process] pair, "
+                    f"got {demand!r}"
+                )
+            at = ("network.sinks[{}].demands[{}]", j, k)
+            connections.append((_int(demand[0], *at), j, _int(demand[1], *at)))
     nodes = [str(n) for n in d["nodes"]]
     return NetworkSpec(nodes, edges, sources, sinks, connections)
 
@@ -829,10 +854,10 @@ def leks_to_dict(leks: LekAssignment) -> dict:
     return out
 
 
-def _edge_key(x, path: str) -> EdgeKey:
+def _edge_key(x, path: str, *args) -> EdgeKey:
     if not isinstance(x, list) or len(x) != 3:
-        raise ParseError(f"{path} must be a [tail, head, index] edge, got {x!r}")
-    return (str(x[0]), str(x[1]), _int(x[2], path))
+        raise ParseError(f"{path.format(*args)} must be a [tail, head, index] edge, got {x!r}")
+    return (str(x[0]), str(x[1]), _int(x[2], path, *args))
 
 
 def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
@@ -845,17 +870,23 @@ def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
             raise ParseError(f"{path} must be an object, got {td!r}")
         triple: KernelTriple = ({}, {}, {})
         for terms, key, size in zip(triple, ("alpha", "beta", "eps"), (4, 3, 4)):
-            for k, x in enumerate(_list(td.get(key, []), f"{path}.{key}")):
-                at = f"{path}.{key}[{k}]"
+            for k, x in enumerate(_list(td.get(key, []), "{}.{}", path, key)):
+                # entry k's path, formatted only when one of its values is refused
+                at = ("{}.{}[{}]", path, key, k)
                 if not isinstance(x, list) or len(x) != size:
-                    raise ParseError(f"{at} must be a list of {size} values, got {x!r}")
+                    raise ParseError(
+                        f"{path}.{key}[{k}] must be a list of {size} values, got {x!r}"
+                    )
                 if key == "alpha":  # [source, process, edge, value]
-                    pos = ((_int(x[0], at), _int(x[1], at)), _edge_key(x[2], at))
+                    pos = ((_int(x[0], *at), _int(x[1], *at)), _edge_key(x[2], *at))
                 elif key == "beta":  # [in edge, out edge, value]
-                    pos = (_edge_key(x[0], at), _edge_key(x[1], at))
+                    pos = (_edge_key(x[0], *at), _edge_key(x[1], *at))
                 else:  # [edge, sink, output, value]
-                    pos = (_edge_key(x[0], at), (_int(x[1], at), _int(x[2], at)))
-                terms[pos] = spec.element(x[-1], at)
+                    pos = (_edge_key(x[0], *at), (_int(x[1], *at), _int(x[2], *at)))
+                try:
+                    terms[pos] = spec.element(x[-1])
+                except ParseError as e:
+                    raise ParseError(f"{path}.{key}[{k}]: {e}") from None
         return triple
 
     if d.get("mode", "invariant") == "invariant":
@@ -896,20 +927,32 @@ def transfer_from_dict(d: dict) -> TransferResult:
     rows = []
     for r, row in enumerate(_list(d["entries"], "transfer.entries")):
         entries = []
-        for c, p in enumerate(_list(row, f"transfer.entries[{r}]")):
-            path = f"transfer.entries[{r}][{c}]"
-            entries.append(Poly(spec, [spec.element(x, path).code for x in _list(p, path)]))
+        for c, p in enumerate(_list(row, "transfer.entries[{}]", r)):
+            codes = spec.codes_from_json(
+                _list(p, "transfer.entries[{}][{}]", r, c),
+                lambda _: f"transfer.entries[{r}][{c}]",
+            )
+            entries.append(Poly(spec, codes))
         rows.append(entries)
     if len(rows) != sum(nu_list) or any(len(row) != sum(mu_list) for row in rows):
         raise ParseError(
             f"transfer.entries must be {sum(nu_list)} rows (sum of nu_list) "
             f"of {sum(mu_list)} entries (sum of mu_list)"
         )
+    d_prime_min = _int(d.get("d_prime_min"), "transfer.d_prime_min")
+    d_prime_max = _int(d.get("d_prime_max"), "transfer.d_prime_max")
+    if d_prime_min > d_prime_max:
+        raise ParseError(
+            f"transfer.d_prime_min must be at most transfer.d_prime_max, "
+            f"got {d_prime_min} > {d_prime_max}"
+        )
+    for r, row in enumerate(rows):
+        for c, p in enumerate(row):
+            if p.degree() > d_prime_max - d_prime_min:
+                raise ParseError(
+                    f"transfer.entries[{r}][{c}] has degree {p.degree()}, above "
+                    f"d_prime_max - d_prime_min = {d_prime_max - d_prime_min}"
+                )
     return TransferResult(
-        spec,
-        PolyMatrix(spec, rows),
-        _int(d.get("d_prime_min"), "transfer.d_prime_min"),
-        _int(d.get("d_prime_max"), "transfer.d_prime_max"),
-        mu_list,
-        nu_list,
+        spec, PolyMatrix(spec, rows), d_prime_min, d_prime_max, mu_list, nu_list
     )

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
 
-from netcode.cli import UnknownFixture, load_fixture, run
+from netcode import cli as cli_module
+from netcode.cli import UnknownFixture, _build_parser, load_fixture, run
 from netcode.feasibility import analyze
 from netcode.galois import ParseError, build_field
 from netcode.netmodel import (
@@ -180,6 +182,14 @@ MALFORMED = {
     "transfer.d_prime_min": (
         "feasibility", "example1", {("transfer", "d_prime_min"): None},
         "transfer.d_prime_min must be an integer, got None",
+    ),
+    "transfer.d_prime_min.order": (
+        "feasibility", "example1", {("transfer", "d_prime_min"): 9},
+        "transfer.d_prime_min must be at most transfer.d_prime_max, got 9 > 5",
+    ),
+    "transfer.entries.degree": (
+        "feasibility", "example1", {("transfer", "d_prime_max"): 4},
+        "transfer.entries[9][2] has degree 5, above d_prime_max - d_prime_min = 4",
     ),
     "transfer.nu_list": (
         "feasibility", "example1", {("transfer", "nu_list", 0): -1},
@@ -525,6 +535,45 @@ def test_pretty_is_equivalent_json(capsys):
     assert json.loads(compact) == json.loads(pretty)
 
 
+def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # one parser serves every run call of a process; each call of this
+    # sequence must give what a freshly built parser gives
+    dest = tmp_path / "rep.json"
+    sequence = [
+        ["validate", "example2", "--pretty"],
+        ["validate", "example2"],
+        ["mincut", "example2", "-o", str(dest)],
+        ["mincut", "example2"],
+        ["feasibility", "example1", "--find-plan", "--n-min", "5"],
+        ["feasibility", "example1"],
+        ["feasibility", "example1", "--n-min", "x"],  # argparse usage error
+        ["transform", "example1", "--n", "7"],
+    ]
+
+    def outcome(argv):
+        dest.unlink(missing_ok=True)
+        try:
+            code = run(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err, dest.read_text() if dest.exists() else None
+
+    run(["validate", "example2"])
+    capsys.readouterr()
+    parser = cli_module._PARSER
+    reused = [outcome(argv) for argv in sequence]
+    assert cli_module._PARSER is parser
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli_module, "_PARSER", _build_parser())
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert reused[2][1] == "" and reused[2][3] == reused[3][1]
+    assert "invalid int value: 'x'" in reused[6][2]
+
+
 def test_byte_determinism(capsys):
     for argv in (
         ["feasibility", "example1", "--find-plan"],
@@ -580,3 +629,76 @@ GOLDEN = {
 def test_report_bytes_match_recorded_digest(capsys, argv):
     code, out = cli(capsys, *argv.split())
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == GOLDEN[argv]
+
+
+# simulate reports on seeded inputs: example2's network and kernels over
+# GF(2^6), a GF(3) network with delay lines and time-indexed kernels
+# starting at t = 5, and a GF(2^20) network (above the table cap)
+def _delay_net(mu: int, nu: int) -> NetworkSpec:
+    return NetworkSpec(
+        ["S", "A", "B", "T"],
+        [
+            Edge("S", "A", 0, 2), Edge("S", "B", 0, 1), Edge("S", "B", 1, 3),
+            Edge("A", "B", 0, 1), Edge("A", "T", 0, 3), Edge("B", "T", 0, 1),
+        ],
+        [Source("S", mu)],
+        [Sink("T", nu)],
+    )
+
+
+def _simulation_doc(name: str) -> dict:
+    if name == "example2":
+        doc = load_fixture("example2")
+        del doc["align"]
+        field, steps, t_start = build_field(2, 6), 12, 0
+    else:
+        net = _delay_net(2, 2)
+        if name == "gf3":
+            field, steps, t_start = build_field(3, 1), 10, 5
+            leks = random_leks(net, field, name, mode="time", window=(5, 14))
+        else:
+            field, steps, t_start = build_field(2, 20), 8, 0
+            leks = random_leks(net, field, name)
+        doc = {"network": network_to_dict(net), "kernels": leks_to_dict(leks)}
+    rng = random.Random(f"sim:{name}")
+    mu = [s.get("processes", 1) for s in doc["network"]["sources"]]
+    # symbols of every length up to m: shorter lists leave the top digits zero
+    doc["inputs"] = [
+        [
+            [[rng.randrange(field.p) for _ in range(rng.randrange(field.m + 1))]
+             for _ in range(k)]
+            for k in mu
+        ]
+        for _ in range(steps)
+    ]
+    doc.update(kind="simulation", t_start=t_start)
+    return doc
+
+
+SIM_GOLDEN = {
+    "simulate example2":
+        "4bb320cef23a39be6d639dcd81868d8c2999f6800dfd40a6bddd42b30ecf90e1",
+    "simulate example2 --pretty":
+        "552ece2836355b4a51731ce6f740819b30f3069e9867b79cd6be40095fc34cd2",
+    "simulate gf3":
+        "6262b607993d0135374882268cda341e5cc1a096686dc733c5d46e7b8687cece",
+    "simulate gf2_20":
+        "8e23e79588b4ab918bdb9bea234a556b355e4be12ad62e23f84b92cde44e9813",
+    "simulate gf2_20 -o":
+        "8e23e79588b4ab918bdb9bea234a556b355e4be12ad62e23f84b92cde44e9813",
+}
+
+
+@pytest.mark.parametrize("argv", SIM_GOLDEN)
+def test_simulate_report_bytes_match_recorded_digest(tmp_path, capsys, argv):
+    sub, name, *flags = argv.split()
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(_simulation_doc(name)))
+    dest = tmp_path / "out.json"
+    if flags == ["-o"]:
+        flags = ["-o", str(dest)]
+    code, out = cli(capsys, sub, str(p), *flags)
+    if dest.exists():
+        assert out == ""
+        out = dest.read_text()
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == SIM_GOLDEN[argv]
