@@ -13,6 +13,7 @@ pairs and the detector picks the first relabeling that matches.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ from typing import Sequence
 from .galois import (
     FieldElement,
     FieldSpec,
+    FqFactors,
     FqMatrix,
     NetcodeError,
     _dft,
@@ -175,6 +177,8 @@ class AlignmentInstance:
     position indexing. V1 is N x (n+1); V2 and V3 are N x n except V3 in
     category cat4, which is the N x N identity. A and B are the mixing
     matrices behind structured precoders, where the category has them.
+    decode_factors holds each sink's factored decode system once
+    check_alignment has run; a copy made by dataclasses.replace has none.
     """
 
     n: int
@@ -196,6 +200,9 @@ class AlignmentInstance:
     transfer: TransferResult
     net: NetworkSpec
     leks: LekAssignment
+    decode_factors: tuple[FqFactors, ...] | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def field(self) -> FieldSpec:
@@ -368,6 +375,15 @@ def _decode_system(apply, j: int, sessions: Sequence[int], V) -> FqMatrix:
     return FqMatrix.hstack([apply(i, j, V[i]) for i in sessions])
 
 
+def _decode_factors(inst: AlignmentInstance) -> tuple[FqFactors, ...]:
+    """Each sink's decode system, factored, in _DECODE_SYSTEMS order."""
+    V = (inst.V1, inst.V2, inst.V3)
+    return tuple(
+        _decode_system(partial(_dv, inst), j, sessions, V).factor()
+        for _, j, sessions in _DECODE_SYSTEMS[inst.category]
+    )
+
+
 def check_alignment(inst: AlignmentInstance) -> dict:
     """Verify the construction identities and the category's rank conditions.
 
@@ -393,11 +409,12 @@ def check_alignment(inst: AlignmentInstance) -> dict:
     if inst.category in ("cat1", "cat2"):
         ids["sink3_absorption"] = _dv(inst, 1, 2, V2) == _dv(inst, 0, 2, V1) * inst.A
 
-    for name, j, sessions in _DECODE_SYSTEMS[inst.category]:
-        system = _decode_system(partial(_dv, inst), j, sessions, (V1, V2, V3))
-        r = system.rank()
+    # kept for encode_decode, which then only substitutes
+    factors = _decode_factors(inst)
+    object.__setattr__(inst, "decode_factors", factors)
+    for (name, _, _), f in zip(_DECODE_SYSTEMS[inst.category], factors):
         report["conditions"].append(
-            {"name": name, "rank": r, "target": system.ncols, "ok": r == system.ncols}
+            {"name": name, "rank": f.rank, "target": f.ncols, "ok": f.rank == f.ncols}
         )
 
     report["identities_ok"] = all(ids.values())
@@ -472,7 +489,8 @@ def encode_decode(
     lengths (n+1, n, n), or (n+1, n, N) in category cat4. Returns the
     recovered symbol lists in the same order plus the throughput
     accounting; recovery is exact whenever the instance passed
-    check_alignment.
+    check_alignment. The sinks decode from the factors check_alignment
+    kept, or from freshly factored systems if it never ran.
     """
     spec = inst.field
     N = inst.N
@@ -497,8 +515,8 @@ def encode_decode(
     ]
 
     recovered: list = [None, None, None]
-    for name, j, sessions in _DECODE_SYSTEMS[inst.category]:
-        system = _decode_system(partial(_dv, inst), j, sessions, V)
+    factors = inst.decode_factors or _decode_factors(inst)
+    for (name, j, _), system in zip(_DECODE_SYSTEMS[inst.category], factors):
         try:
             sol = system.solve(y[j])
         except ValueError as exc:

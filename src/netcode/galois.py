@@ -29,6 +29,7 @@ __all__ = [
     "dft_matrix",
     "inverse_dft_matrix",
     "FqMatrix",
+    "FqFactors",
     "Poly",
     "PolyMatrix",
     "poly_eval_matrix",
@@ -46,6 +47,10 @@ _TABLE_CAP = 1 << 16
 # the default-modulus search and the primality test of p take seconds to
 # hours; every bundled and benchmarked field is at most 2^20.
 _MAX_FIELD_ORDER = 1 << 24
+
+# Matrix rows at least this wide run in byte lanes in GF(2^m), m <= 8
+# (FieldSpec._lanes_for); narrower ones stay in the log domain.
+_LANE_MIN_WIDTH = 8
 
 
 class NetcodeError(Exception):
@@ -221,7 +226,9 @@ class FieldSpec:
     when (p, m, modulus) agree. Construct through :func:`build_field`.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_tail", "_exp", "_log", "_exp2", "_gen_code")
+    __slots__ = (
+        "p", "m", "q", "modulus", "_tail", "_exp", "_log", "_exp2", "_lanes", "_gen_code"
+    )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         self.p = p
@@ -233,6 +240,7 @@ class FieldSpec:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._exp2: list[int] | None = None
+        self._lanes: list[bytes] | None = None
         self._gen_code: int | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -327,6 +335,8 @@ class FieldSpec:
         if self.p == 2:
             return a ^ b
         p = self.p
+        if self.m == 1:
+            return (a + b) % p
         out = 0
         mul = 1
         while a or b:
@@ -340,6 +350,8 @@ class FieldSpec:
         if self.p == 2:
             return a
         p = self.p
+        if self.m == 1:
+            return -a % p
         out = 0
         mul = 1
         while a:
@@ -563,9 +575,44 @@ class FieldSpec:
 
     def _row_scaled(self, factor: int, row: Sequence[int]) -> list[int]:
         """factor * row as a new list."""
+        lanes = self._lanes_for(len(row))
+        if lanes is not None:
+            return list(bytes(row).translate(lanes[factor]))
         out = [0] * len(row)
         self._row_axpy(out, factor, self._row_prep(row))
         return out
+
+    # -- byte lanes ----------------------------------------------------
+    #
+    # In GF(2^m) with m <= 8 every code fits a byte, so a row of codes is
+    # one bytes object, or one int with a byte lane per entry. The sum of
+    # two rows is one XOR of their ints and c * row is
+    # row.translate(lanes[c]), both in C. Packing a row costs a few calls,
+    # so short rows stay on the log-domain path above.
+
+    def _lanes_for(self, width: int) -> list[bytes] | None:
+        """The lane multiply table if rows this wide run in byte lanes, else None."""
+        if width < _LANE_MIN_WIDTH or self.p != 2 or self.m > 8:
+            return None
+        lanes = self._lanes
+        if lanes is None:
+            lanes = self._build_lanes()
+        return lanes
+
+    def _build_lanes(self) -> list[bytes]:
+        """lanes[c][x] = c * x for codes c, x (256 entries per c, for translate)."""
+        if self._exp is None:
+            self._ensure_tables()
+        exp, log, q = self._exp, self._log, self.q
+        # lanes[c] is exp rotated by log c and read through log; log of 0
+        # reads index 255, one past every log, which holds a zero
+        rotations = bytes(exp + exp)
+        pad = bytes(257 - q)
+        by_log = bytes([255] + log[1:] + [255] * (256 - q))
+        lanes = [bytes(256)] + [by_log.translate(rotations[k : k + q - 1] + pad) for k in log[1:]]
+        # specs are shared: publish the finished table in one store
+        self._lanes = lanes
+        return lanes
 
 
 # One spec per field, so its tables and generator are computed once per
@@ -907,16 +954,24 @@ class FqMatrix:
 
     # -- elimination-based queries -------------------------------------
 
-    def _eliminate(self, rows: list[list[int]]) -> tuple[list[int], int]:
-        """Forward-eliminate in place; return (pivot columns, swap count)."""
+    def _eliminate(self, record: list | None = None) -> tuple[list, list[int], int]:
+        """Forward-eliminate a copy of the rows: (echelon rows, pivot columns, swaps).
+
+        With record a list, each pivot step k appends (p, mults): row p was
+        swapped into place k, then row k + 1 + i gained m times row k for
+        each prepared entry (i, m) of mults. The replay is FqFactors.solve.
+        """
         spec = self.spec
-        axpy = spec._row_axpy
+        lanes = spec._lanes_for(self.ncols)
+        if lanes is not None:
+            return self._eliminate_lanes(lanes, record)
+        prep, axpy = spec._row_prep, spec._row_axpy
+        rows = [row[:] for row in self.rows]
         nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
         pivots: list[int] = []
         swaps = 0
         r = 0
-        for c in range(ncols):
+        for c in range(self.ncols):
             if r == nrows:
                 break
             pivot_row = None
@@ -934,23 +989,68 @@ class FqMatrix:
             if below:
                 # row_r is zero left of column c, and adding row_i[c] * src
                 # to row_i clears row_i[c]
-                src = spec._row_prep(row_r, spec._neg_code(spec._inv_code(row_r[c])))
+                scale = spec._neg_code(spec._inv_code(row_r[c]))
+                if record is not None:
+                    record.append((pivot_row, prep([row_i[c] for row_i in rows[r + 1 :]], scale)))
+                src = prep(row_r, scale)
                 for row_i in below:
                     axpy(row_i, row_i[c], src)
+            elif record is not None:
+                record.append((pivot_row, []))
             pivots.append(c)
             r += 1
-        return pivots, swaps
+        return rows, pivots, swaps
+
+    def _eliminate_lanes(
+        self, lanes: list[bytes], record: list | None
+    ) -> tuple[list[bytes], list[int], int]:
+        """_eliminate on rows packed into byte lanes; rows and mults come back as bytes."""
+        inv, unpack, ncols = self.spec._inv_code, int.from_bytes, self.ncols
+        rows = [unpack(bytes(row), "little") for row in self.rows]
+        nrows = len(rows)
+        pivots: list[int] = []
+        swaps = 0
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            shift = 8 * c
+            col = [row >> shift & 255 for row in rows[r:]]
+            for k, x in enumerate(col):
+                if x:
+                    break
+            else:
+                continue
+            if k:
+                rows[r], rows[r + k] = rows[r + k], rows[r]
+                col[0], col[k] = col[k], col[0]
+                swaps += 1
+            # characteristic 2: src = row_r / pivot, and adding f * src to a
+            # row with f in lane c clears that lane
+            scale = lanes[inv(col[0])]
+            if record is not None:
+                record.append((r + k, bytes(col[1:]).translate(scale)))
+            src = rows[r].to_bytes(ncols, "little").translate(scale)
+            for i, f in enumerate(col[1:], r + 1):
+                if f:
+                    rows[i] ^= unpack(src.translate(lanes[f]), "little")
+            pivots.append(c)
+            r += 1
+        return [row.to_bytes(ncols, "little") for row in rows], pivots, swaps
+
+    def factor(self) -> "FqFactors":
+        """The forward elimination of self, recorded so right-hand sides can replay it."""
+        steps: list = []
+        rows, pivots, _ = self._eliminate(steps)
+        return FqFactors(self.spec, self.nrows, self.ncols, pivots, steps, rows[: len(pivots)])
 
     def rank(self) -> int:
-        work = [row[:] for row in self.rows]
-        pivots, _ = self._eliminate(work)
-        return len(pivots)
+        return len(self._eliminate()[1])
 
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        work = [row[:] for row in self.rows]
-        pivots, swaps = self._eliminate(work)
+        work, pivots, swaps = self._eliminate()
         spec = self.spec
         if len(pivots) < self.nrows:
             return spec.zero()
@@ -967,40 +1067,100 @@ class FqMatrix:
         return self.solve(FqMatrix.identity(self.spec, self.nrows))
 
     def solve(self, rhs: "FqMatrix") -> "FqMatrix":
-        """Solve self @ X = rhs exactly.
+        """Solve self @ X = rhs exactly: self.factor().solve(rhs)."""
+        return self.factor().solve(rhs)
 
-        Requires full column rank and a consistent system; the solution is
-        then unique even when the system is overdetermined.
+
+class FqFactors:
+    """The recorded forward elimination of an nrows x ncols matrix A.
+
+    steps holds each pivot step's swap and multipliers (see
+    FqMatrix._eliminate) and upper the rank nonzero echelon rows; both
+    are bytes when A's rows ran in byte lanes.
+    """
+
+    __slots__ = ("spec", "nrows", "ncols", "pivots", "steps", "upper")
+
+    def __init__(
+        self, spec: FieldSpec, nrows: int, ncols: int, pivots: list[int], steps: list, upper: list
+    ):
+        self.spec = spec
+        self.nrows = nrows
+        self.ncols = ncols
+        self.pivots = pivots
+        self.steps = steps
+        self.upper = upper
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve(self, rhs: FqMatrix) -> FqMatrix:
+        """Solve A @ X = rhs exactly.
+
+        Each column of rhs replays the steps and is back-substituted, in
+        O(nrows * ncols). Requires full column rank and a consistent
+        system; the solution is then unique even when A is tall. An
+        inconsistent rhs raises "system is rank deficient", as a
+        rank-deficient A does: appended to A, it would raise the rank.
         """
-        self._check(rhs)
+        if rhs.spec != self.spec:
+            raise ValueError("mixed fields")
         if rhs.nrows != self.nrows:
             raise ValueError("right-hand side has wrong number of rows")
-        spec = self.spec
-        prep, axpy = spec._row_prep, spec._row_axpy
-        n_unknown = self.ncols
-        n_rhs = rhs.ncols
-        work = [self.rows[i][:] + rhs.rows[i][:] for i in range(self.nrows)]
-        pivots, _ = self._eliminate(work)
-        if len(pivots) < n_unknown or (pivots and pivots[-1] >= n_unknown):
+        n = self.ncols
+        if len(self.pivots) < n:
             raise ValueError("system is rank deficient")
-        # rows below the pivot rows must be entirely zero for consistency
-        for i in range(len(pivots), self.nrows):
-            if any(work[i]):
-                raise ValueError("system is inconsistent")
-        # back substitution; pivot r sits in column r, and minus[r] is the
-        # prepared row -X[r]
+        cols = [list(col) for col in zip(*rhs.rows)]
+        lanes = self.spec._lanes_for(n)
+        xs = self._substitute(cols) if lanes is None else self._substitute_lanes(lanes, cols)
+        return FqMatrix(self.spec, [list(row) for row in zip(*xs)] if xs else [[]] * n)
+
+    def _substitute(self, cols: list[list[int]]) -> list[list[int]]:
+        spec = self.spec
+        axpy, mul, n = spec._row_axpy, spec._mul_codes, self.ncols
         minus_one = spec._neg_code(1)
-        out: list[list[int]] = [[]] * n_unknown
-        minus: list[list[tuple[int, int]]] = [[]] * n_unknown
-        for r in range(n_unknown - 1, -1, -1):
-            row_r = work[r]
-            acc = row_r[n_unknown:]
-            for c in range(r + 1, n_unknown):
-                if row_r[c]:
-                    axpy(acc, row_r[c], minus[c])
-            out[r] = spec._row_scaled(spec._inv_code(row_r[r]), acc)
-            minus[r] = prep(out[r], minus_one)
-        return FqMatrix(spec, out)
+        # -U[:r, r] for each column r of the square upper triangle U
+        above = [spec._row_prep(col[:r], minus_one) for r, col in enumerate(zip(*self.upper))]
+        inv_diag = [spec._inv_code(row[r]) for r, row in enumerate(self.upper)]
+        for b in cols:
+            for k, (p, mults) in enumerate(self.steps):
+                if p != k:
+                    b[k], b[p] = b[p], b[k]
+                axpy(b, b[k], mults, k + 1)
+            if any(b[n:]):
+                raise ValueError("system is rank deficient")
+            for r in range(n - 1, -1, -1):
+                x = b[r] = mul(b[r], inv_diag[r])
+                axpy(b, x, above[r])
+            del b[n:]
+        return cols
+
+    def _substitute_lanes(self, lanes: list[bytes], cols: list[list[int]]) -> list[list[int]]:
+        """_substitute with each column one int of byte lanes."""
+        inv, unpack, n = self.spec._inv_code, int.from_bytes, self.ncols
+        flat = b"".join(self.upper)
+        above = [flat[r : r * n : n] for r in range(n)]  # U[:r, r]
+        inv_diag = [lanes[inv(row[r])] for r, row in enumerate(self.upper)]
+        out = []
+        for col in cols:
+            b = unpack(bytes(col), "little")
+            for k, (p, mults) in enumerate(self.steps):
+                if p != k:
+                    d = ((b >> 8 * k) ^ (b >> 8 * p)) & 255
+                    b ^= d << 8 * k | d << 8 * p
+                x = b >> 8 * k & 255
+                if x:
+                    b ^= unpack(mults.translate(lanes[x]), "little") << 8 * (k + 1)
+            if b >> 8 * n:
+                raise ValueError("system is rank deficient")
+            x_col = [0] * n
+            for r in range(n - 1, -1, -1):
+                x = x_col[r] = inv_diag[r][b >> 8 * r & 255]
+                if x:
+                    b ^= unpack(above[r].translate(lanes[x]), "little")
+            out.append(x_col)
+        return out
 
 
 # ----------------------------------------------------------------------

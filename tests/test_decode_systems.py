@@ -211,7 +211,10 @@ def _killed(leks, key):
 
 def _instances():
     net, leks = _example2()
+    # N = 7 keeps the decode systems in the log domain, N = 9 puts them in
+    # byte lanes (galois._LANE_MIN_WIDTH)
     out = {"full-example2": build_instance(net, leks, 3)}
+    out["full-example2-N9"] = build_instance(net, leks, 4)
     for k, key in enumerate(SIDE_CHAINS):
         out[f"full-killed{k + 1}"] = build_instance(net, _killed(leks, key), 3)
     flat = cat_net({(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)})
@@ -221,6 +224,9 @@ def _instances():
         for k in range(8):
             leks_k = random_leks(cnet, GF8, f"d{k}", nonzero=True)
             out[f"{name}-d{k}"] = build_instance(cnet, leks_k, 3, seed=f"d{k}")
+        for k in range(2):
+            leks_k = random_leks(cnet, GF64, f"w{k}", nonzero=True)
+            out[f"{name}-N9-w{k}"] = build_instance(cnet, leks_k, 4, seed=f"w{k}")
     return out
 
 
@@ -258,6 +264,39 @@ def test_recovered_symbols_match_ladder(key):
     assert (got.recovered, got.throughputs) == want
     if check_alignment(inst)["ok"]:
         assert got.recovered == tuple(xs)
+
+
+def _decode(inst, key):
+    rng = random.Random(f"again:{key}")
+    q = inst.field.q
+    widths = [v.ncols for v in (inst.V1, inst.V2, inst.V3)]
+    xs = [[FieldElement(inst.field, rng.randrange(q)) for _ in range(w)] for w in widths]
+    try:
+        return encode_decode(inst, *xs)
+    except SingularDecodeSystem as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("key", INSTANCES)
+def test_decode_from_kept_factors_matches_unchecked_instance(key):
+    checked = INSTANCES[key]
+    check_alignment(checked)
+    assert len(checked.decode_factors) == 3
+    fresh = dataclasses.replace(checked)
+    assert fresh.decode_factors is None and fresh == checked
+    assert _decode(checked, key) == _decode(fresh, key)
+
+
+@pytest.mark.parametrize("key", ["full-example2", "full-example2-N9", "cat3-N9-w0"])
+def test_replaced_instance_drops_kept_factors(key):
+    inst = INSTANCES[key]
+    assert check_alignment(inst)["ok"]
+    rank_one = FqMatrix(inst.field, [[row[0]] * inst.V1.ncols for row in inst.V1.rows])
+    bad = dataclasses.replace(inst, V1=rank_one)
+    assert bad.decode_factors is None
+    # the kept factors would decode this instance without complaint
+    assert _decode(bad, key).startswith("sink")
+    assert not check_alignment(bad)["ok"]
 
 
 # ----------------------------------------------------------------------

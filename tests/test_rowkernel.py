@@ -2,8 +2,11 @@
 
 FieldSpec._row_prep/_row_axpy serve elimination (rank, det, solve,
 inverse), back substitution, matrix products, polynomial products and the
-DFT. The oracles here call only the scalar _mul_codes and _add_codes, one
-element at a time, and sympy's DomainMatrix rank over prime fields.
+DFT. In GF(2^m) with m <= 8, rows at least _LANE_MIN_WIDTH wide are
+eliminated, substituted and scaled in byte lanes instead, so the shapes
+here sit on both sides of that width. The oracles call only the scalar
+_mul_codes and _add_codes, one element at a time, and sympy's
+DomainMatrix rank over prime fields.
 """
 
 import random
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from netcode.galois import (
+    _LANE_MIN_WIDTH,
     FieldElement,
     FqMatrix,
     _mul_into,
@@ -25,8 +29,10 @@ from netcode.galois import (
 )
 from netcode.transform import _dft_apply, make_plan
 
-FIELDS = [(2, 1), (2, 4), (2, 6), (2, 8), (2, 16), (3, 2), (7, 1)]
-SHAPES = [(6, 6), (4, 7), (8, 5), (1, 1), (1, 5), (5, 1)]
+# byte lanes in the first four, the log domain or _mul_codes in the rest
+FIELDS = [(2, 1), (2, 4), (2, 6), (2, 8), (2, 9), (2, 16), (3, 2), (7, 1)]
+W = _LANE_MIN_WIDTH
+SHAPES = [(6, 6), (4, 7), (8, 5), (1, 1), (1, 5), (5, 1), (W + 3, W + 3), (W + 6, W), (4, W + 5)]
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +154,23 @@ def _swapping(spec, rng, n):
 def _cases(spec, seed):
     rng = random.Random(f"rowkernel:{spec.p}:{spec.m}:{seed}")
     cases = [_rand(spec, rng, r, c) for r, c in SHAPES]
-    cases += [_singular(spec, rng, 5), _swapping(spec, rng, 5)]
-    cases.append([[0] + row for row in _swapping(spec, rng, 4)])  # zero leading column
-    cases.append([[0] * 4 for _ in range(3)])
+    for n in (5, W + 2):
+        cases += [_singular(spec, rng, n), _swapping(spec, rng, n)]
+        cases.append([[0] + row for row in _swapping(spec, rng, n - 1)])  # zero leading column
+        cases.append([[0] * n for _ in range(3)])
     return cases
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_lanes_serve_wide_rows_of_gf2m_up_to_m8(p, m):
+    spec = build_field(p, m)
+    assert spec._lanes_for(W - 1) is None
+    lanes = spec._lanes_for(W)
+    assert (lanes is not None) == (p == 2 and m <= 8)
+    if lanes is not None:
+        assert len(lanes) == spec.q and all(len(t) == 256 for t in lanes)
+        for c in range(spec.q):
+            assert list(lanes[c][: spec.q]) == [spec._mul_codes(c, x) for x in range(spec.q)]
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
@@ -173,9 +192,9 @@ def test_mul_and_scale_match_textbook(p, m):
         a = _rand(spec, rng, r, k)
         b = _rand(spec, rng, k, rng.randrange(1, 6))
         assert (FqMatrix(spec, a) * FqMatrix(spec, b)).rows == _matmul(spec, a, b)
-    s = rng.randrange(1, spec.q)
-    scaled = [[spec._mul_codes(s, x) for x in row] for row in a]
-    assert FqMatrix(spec, a).scale(FieldElement(spec, s)).rows == scaled
+        for s in (0, 1, rng.randrange(1, spec.q)):
+            scaled = [[spec._mul_codes(s, x) for x in row] for row in a]
+            assert FqMatrix(spec, a).scale(FieldElement(spec, s)).rows == scaled
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
@@ -183,7 +202,7 @@ def test_solve_inverse_match_back_substitution(p, m):
     spec = build_field(p, m)
     rng = random.Random(f"solve:{p}:{m}")
     done = 0
-    for n, extra in [(1, 0), (4, 0), (6, 0), (5, 3), (3, 1)] * 4:
+    for n, extra in [(1, 0), (4, 0), (6, 0), (5, 3), (3, 1), (W + 2, 0), (W, 4)] * 4:
         a = _rand(spec, rng, n + extra, n)
         if _rank(spec, a) < n:
             with pytest.raises(ValueError, match="rank deficient"):
@@ -198,10 +217,82 @@ def test_solve_inverse_match_back_substitution(p, m):
             assert FqMatrix(spec, a).inverse().rows == _solve(spec, a, eye)
         done += 1
     assert done >= 5
-    swapped = _swapping(spec, rng, 5)
-    if _rank(spec, swapped) == 5:
-        b = _rand(spec, rng, 5, 2)
-        assert FqMatrix(spec, swapped).solve(FqMatrix(spec, b)).rows == _solve(spec, swapped, b)
+    for n in (5, W + 2):
+        swapped = _swapping(spec, rng, n)
+        if _rank(spec, swapped) == n:
+            b = _rand(spec, rng, n, 2)
+            got = FqMatrix(spec, swapped).solve(FqMatrix(spec, b)).rows
+            assert got == _solve(spec, swapped, b)
+
+
+def _full_column_rank(spec, rng, draw):
+    for _ in range(50):
+        a = draw()
+        if _rank(spec, a) == len(a[0]):
+            return a
+    raise AssertionError("no full-rank draw")  # pragma: no cover
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_factor_solves_match_textbook(p, m):
+    """One factor() replays on many right-hand sides: square, tall, singular
+    and swap-forcing matrices, with one and three columns."""
+    spec = build_field(p, m)
+    rng = random.Random(f"factor:{p}:{m}")
+    for n in (5, W + 3):
+        cases = {
+            "square": _full_column_rank(spec, rng, lambda: _rand(spec, rng, n, n)),
+            "tall": _full_column_rank(spec, rng, lambda: _rand(spec, rng, n + 4, n)),
+            "swapping": _full_column_rank(spec, rng, lambda: _swapping(spec, rng, n)),
+            "swapping-tall": _full_column_rank(
+                spec, rng, lambda: _swapping(spec, rng, n) + _rand(spec, rng, 3, n)
+            ),
+            "singular": _singular(spec, rng, n),
+        }
+        for name, a in cases.items():
+            f = FqMatrix(spec, a).factor()
+            _, pivots, _ = _echelon(spec, a)
+            assert (f.rank, f.pivots) == (len(pivots), pivots), name
+            for k in (1, 3, 1):
+                if f.rank < n:
+                    with pytest.raises(ValueError, match="rank deficient"):
+                        f.solve(FqMatrix(spec, _rand(spec, rng, len(a), k)))
+                    continue
+                x = _rand(spec, rng, n, k)
+                b = _matmul(spec, a, x)
+                assert f.solve(FqMatrix(spec, b)).rows == x == _solve(spec, a, b), name
+
+
+@pytest.mark.parametrize("p, m", [(2, 8), (7, 1)])
+@pytest.mark.parametrize("n", [4, W + 2])
+def test_solve_error_messages(p, m, n):
+    """SingularDecodeSystem and SingularAtGeneration carry these messages.
+
+    An inconsistent tall system reads "rank deficient": eliminated beside
+    the matrix, its right-hand side takes a pivot."""
+    spec = build_field(p, m)
+    rng = random.Random(f"errors:{p}:{m}:{n}")
+    tall = _full_column_rank(spec, rng, lambda: _rand(spec, rng, n + 3, n))
+    b = _matmul(spec, tall, _rand(spec, rng, n, 1))
+    b[-1][0] = spec._add_codes(b[-1][0], 1)
+    while _rank(spec, [ra + rb for ra, rb in zip(tall, b)]) == n:  # pragma: no cover
+        b[-1][0] = spec._add_codes(b[-1][0], 1)
+    deficient_tall = [row[:-1] + row[:1] for row in tall]  # last column repeats the first
+    cases = [
+        (_singular(spec, rng, n), _rand(spec, rng, n, 1), "system is rank deficient"),
+        (deficient_tall, _rand(spec, rng, n + 3, 2), "system is rank deficient"),
+        (tall, b, "system is rank deficient"),
+        (tall, _rand(spec, rng, n, 1), "right-hand side has wrong number of rows"),
+    ]
+    for a, rhs, message in cases:
+        A = FqMatrix(spec, a)
+        for solve in (A.solve, A.factor().solve):
+            with pytest.raises(ValueError) as exc:
+                solve(FqMatrix(spec, rhs))
+            assert str(exc.value) == message
+    other = build_field(2, 8) if p == 7 else build_field(7, 1)
+    with pytest.raises(ValueError, match="mixed fields"):
+        FqMatrix(spec, tall).solve(FqMatrix(other, [[1]] * (n + 3)))
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (7, 1)])
@@ -226,8 +317,8 @@ def test_rank_matches_sympy(p):
 
 @given(
     st.sampled_from(FIELDS),
-    st.integers(1, 6),
-    st.integers(1, 6),
+    st.integers(1, W + 4),
+    st.integers(1, W + 4),
     st.randoms(use_true_random=False),
 )
 def test_property_elimination_and_product(field, nrows, ncols, rng):
