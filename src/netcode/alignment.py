@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import Sequence
 
 from .galois import (
@@ -34,9 +35,10 @@ from .netmodel import (
     NetworkSpec,
     TransferResult,
     WindowUnderspecified,
+    _kernel_rows,
+    _simulate_codes,
     min_cut,
     random_leks,
-    simulate,
     transfer_matrix,
     validate,
 )
@@ -557,7 +559,7 @@ class TvInstance:
 
 
 def _path_extremes(net: NetworkSpec) -> tuple[int, int]:
-    """Topological shortest and longest source-to-sink path lengths."""
+    """Topological shortest and longest source-to-sink path delays."""
     order = validate(net)
     src_nodes = {s.node for s in net.sources}
     sink_nodes = {s.node for s in net.sinks}
@@ -567,8 +569,8 @@ def _path_extremes(net: NetworkSpec) -> tuple[int, int]:
     for v in order:
         for e in net.out_edges(v):
             w = e.head
-            shortest[w] = min(shortest[w], shortest[v] + 1)
-            longest[w] = max(longest[w], longest[v] + 1)
+            shortest[w] = min(shortest[w], shortest[v] + e.delay)
+            longest[w] = max(longest[w], longest[v] + e.delay)
     mins = [shortest[v] for v in sink_nodes if shortest[v] != INF]
     maxs = [longest[v] for v in sink_nodes if longest[v] != -INF]
     if not mins:
@@ -583,13 +585,12 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     zero) and each sink stream is read at labels d_prime_min + t for
     t = 0..2n, so time-indexed kernels must cover the label window
     [-d_max, 2n + d_prime_min]. One simulation per (source, generation)
-    pair fills one stacked column of three stacks at once. Constant
-    kernels reproduce the realized block circulant of the transfer
-    matrix exactly.
+    pair fills one stacked column of three stacks at once, all on one
+    compilation of the window's kernels. Path lengths sum link delays.
+    Constant kernels reproduce the realized block circulant of the
+    transfer matrix exactly.
     """
     _check_three_unicast(net)
-    if not net.is_unit_delay():
-        raise ValueError("normalize delays before the time-varying build")
     if n < 1:
         raise ValueError("n must be at least 1")
     N = 2 * n + 1
@@ -609,6 +610,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
+    window = list(islice(_kernel_rows(net, leks, -d_max), horizon))
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
     for i in range(3):
         for c in range(N):
@@ -622,7 +624,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
                 if step - d_max in labels:
                     vecs[i] = [1]
                 series.append(vecs)
-            outs = simulate(net, leks, series, t_start=-d_max, codes=True)
+            outs = _simulate_codes(net, spec, series, window)
             for j in range(3):
                 for r in range(N):
                     t = N - 1 - r

@@ -35,8 +35,6 @@ from .netmodel import (
     leks_to_dict,
     min_cut,
     network_from_dict,
-    network_to_dict,
-    normalize_delays,
     simulate,
     transfer_from_dict,
     transfer_matrix,
@@ -193,7 +191,7 @@ def _emit(obj, args, lines: bool = False) -> None:
 
 
 def _poly_json(p: Poly) -> list[list[int]]:
-    return [list(c.coeffs) for c in p.coeffs_elements()]
+    return p.spec.codes_to_json(p.codes)
 
 
 def _report_feasibility(rep: FeasibilityReport) -> dict:
@@ -260,20 +258,6 @@ def _cmd_transfer(args) -> int:
     doc = _load_doc(args.input, "network")
     net, leks = _net_and_leks(doc)
     tr = transfer_matrix(net, leks)
-    if args.dump_normalized:
-        nn, nl = normalize_delays(net, leks)
-        with open(args.dump_normalized, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "kind": "network",
-                    "network": network_to_dict(nn),
-                    "kernels": leks_to_dict(nl),
-                },
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
     rep = transfer_to_dict(tr)
     rep["d_max"] = tr.d_max
     rep["entry_strs"] = [[p.format_str() for p in row] for row in tr.M.rows]
@@ -471,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "align":
             p.add_argument("--budget", type=int, default=100)
             p.add_argument("--verify-only", action="store_true")
-        if name == "transfer":
-            p.add_argument("--dump-normalized", default=None, metavar="PATH")
     return ap
 
 

@@ -906,14 +906,12 @@ class FqMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         spec = self.spec
-        axpy = spec._row_axpy
+        matvec = spec._row_matvec
         srcs = [spec._row_prep(row) for row in other.rows]
         out = []
         for arow in self.rows:
             crow = [0] * other.ncols
-            for a, src in zip(arow, srcs):
-                if a:
-                    axpy(crow, a, src)
+            matvec(crow, arow, srcs)
             out.append(crow)
         return FqMatrix(spec, out)
 
@@ -1310,9 +1308,6 @@ class Poly:
     def coeff(self, d: int) -> FieldElement:
         code = self.codes[d] if 0 <= d < len(self.codes) else 0
         return FieldElement(self.spec, code)
-
-    def coeffs_elements(self) -> list[FieldElement]:
-        return [FieldElement(self.spec, c) for c in self.codes]
 
     def __bool__(self) -> bool:
         return bool(self.codes)

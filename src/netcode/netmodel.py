@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Sequence
+from itertools import count, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .galois import (
     FieldElement,
@@ -326,6 +327,8 @@ def normalize_delays(net: NetworkSpec, leks: LekAssignment | None = None):
     Intermediate dummy nodes relay with identity beta kernels. With a
     kernel assignment supplied, returns (network, translated kernels);
     otherwise returns just the network. The transfer matrix is unchanged.
+    Every computation handles delays natively; this expansion is the
+    reference the tests check them against.
     """
     if net.is_unit_delay():
         return net if leks is None else (net, leks)
@@ -613,25 +616,35 @@ def _step_rows(
     return [spec._pairs_prep(row) for row in rows]
 
 
+def _kernel_rows(net: NetworkSpec, leks: LekAssignment, t_start: int) -> Iterator:
+    """_step_rows for steps t_start, t_start + 1, ... without end.
+
+    Invariant kernels are compiled once, here; time-indexed kernels are
+    compiled as each step is drawn.
+    """
+    spec, mu = leks.field, net.mu
+    if leks.mode == "invariant":
+        return repeat(_step_rows(net, leks.kernels_at(t_start), spec, mu))
+    return (_step_rows(net, leks.kernels_at(t), spec, mu) for t in count(t_start))
+
+
 def _simulate_codes(
-    net: NetworkSpec, leks: LekAssignment, inputs: Iterable, t_start: int
+    net: NetworkSpec, spec: FieldSpec, inputs: Iterable, rows: Iterable
 ) -> list[list[list[int]]]:
-    """simulate on integer codes: inputs[t][i] and outputs[t][j] are code lists."""
-    spec = leks.field
+    """simulate on integer codes: inputs[t][i] and outputs[t][j] are code lists.
+
+    rows yields the compiled step rows (_step_rows) of each input step.
+    Every edge delay must be at least 1.
+    """
     ne = len(net.edges)
     procs = [s.processes for s in net.sources]
-    mu = sum(procs)
     # sink j reads [Z(t+1); Y(t)][a:b] for its (a, b)
     bounds = [ne]
     for snk in net.sinks:
         bounds.append(bounds[-1] + snk.outputs)
     reads = list(zip(bounds, bounds[1:]))
-    for e in net.edges:
-        _check_delay(e)
     lines = [(k, deque([0] * (e.delay - 1))) for k, e in enumerate(net.edges) if e.delay > 1]
-    rows = None
-    if leks.mode == "invariant":
-        rows = _step_rows(net, (leks.alpha, leks.beta, leks.eps), spec, mu)
+    rows = iter(rows)
     matvec = spec._row_matvec
 
     state = [0] * ne
@@ -642,9 +655,7 @@ def _simulate_codes(
                 f"step {step} gives {len(x_t)} source vectors, the network has "
                 f"{len(procs)} sources"
             )
-        step_rows = rows
-        if step_rows is None:
-            step_rows = _step_rows(net, leks.kernels_at(t_start + step), spec, mu)
+        step_rows = next(rows)
         if [len(vec) for vec in x_t] != procs:
             i = next(i for i, vec in enumerate(x_t) if len(vec) != procs[i])
             raise ValueError(f"step {step}: source {i} expects {procs[i]} symbols")
@@ -680,16 +691,19 @@ def simulate(
     step t act where a symbol enters or leaves an edge, which is what a
     chain of d unit edges with identity relays does.
     """
-    if codes:
-        return _simulate_codes(net, leks, inputs, t_start)
+    for e in net.edges:
+        _check_delay(e)
     spec = leks.field
+    rows = _kernel_rows(net, leks, t_start)
+    if codes:
+        return _simulate_codes(net, spec, inputs, rows)
 
     def step_codes(x_t):
         if any(sym.spec != spec for vec in x_t for sym in vec):
             raise ValueError("input symbol from a different field")
         return [[sym.code for sym in vec] for vec in x_t]
 
-    outs = _simulate_codes(net, leks, map(step_codes, inputs), t_start)
+    outs = _simulate_codes(net, spec, map(step_codes, inputs), rows)
     return [[[FieldElement(spec, c) for c in sink] for sink in step] for step in outs]
 
 
@@ -900,9 +914,8 @@ def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
 
 
 def transfer_to_dict(tr: TransferResult) -> dict:
-    entries = []
-    for row in tr.M.rows:
-        entries.append([[list(c.coeffs) for c in p.coeffs_elements()] for p in row])
+    to_json = tr.field.codes_to_json
+    entries = [[to_json(p.codes) for p in row] for row in tr.M.rows]
     return {
         "field": spec_to_dict(tr.field),
         "d_prime_min": tr.d_prime_min,

@@ -1,11 +1,14 @@
 """Three-session interference alignment: categories, precoders, decoding."""
 
 import dataclasses
+import hashlib
+import json
 import random
 import re
 
 import pytest
 
+from netcode import netmodel
 from netcode.alignment import (
     CharacteristicDividesBlock,
     MinCutViolation,
@@ -29,6 +32,7 @@ from netcode.netmodel import (
     Sink,
     Source,
     WindowUnderspecified,
+    normalize_delays,
     random_leks,
     transfer_matrix,
 )
@@ -309,3 +313,82 @@ def test_tv_single_step_mutation_breaks_alignment(ex2, gf64):
     rep = check_tv(tv_mut, theta, A, B, C)
     assert not rep["g_zero"]
     assert not rep["ok"]
+
+
+# ----------------------------------------------------------------------
+# time-varying layer on delayed links
+# ----------------------------------------------------------------------
+
+
+def delayed_ex2(net, k):
+    """example2 with every link delay drawn from 1..4 under seed k."""
+    rng = random.Random(f"delays:{k}")
+    edges = [dataclasses.replace(e, delay=rng.randint(1, 4)) for e in net.edges]
+    return dataclasses.replace(net, edges=edges)
+
+
+@pytest.mark.parametrize("mode", ["invariant", "time"])
+def test_tv_native_delays_match_chain_expansion(ex2, gf64, mode):
+    # n = 6 (N = 13) exceeds the channel memory of every variant drawn
+    # here, and the window covers every label any of them reads
+    window = (-15, 45) if mode == "time" else None
+    for k in range(12):
+        net = delayed_ex2(ex2[0], k)
+        assert not net.is_unit_delay()
+        leks = random_leks(net, gf64, f"tv{k}", mode=mode, window=window, nonzero=True)
+        native = build_tv(net, leks, 6)
+        chained = build_tv(*normalize_delays(net, leks), 6)
+        assert native.M == chained.M
+        assert (native.d_max, native.d_prime_min) == (chained.d_max, chained.d_prime_min)
+
+
+def test_check_tv_on_solved_delayed_networks(ex2, gf64):
+    solved = 0
+    for k in range(12):
+        net = delayed_ex2(ex2[0], k)
+        try:
+            res = align_search(net, 10, gf64, seed="tv", budget=20)
+        except NotFound:
+            continue
+        solved += 1
+        tv = build_tv(net, res.leks, 10)
+        assert check_tv(tv, *tv_assignment_from_alignment(tv, res.instance))["ok"]
+    assert solved >= 6
+
+
+@pytest.mark.parametrize("mode", ["invariant", "time"])
+def test_tv_compiles_kernels_once(ex2, gf64, monkeypatch, mode):
+    net, leks = ex2
+    if mode == "time":
+        leks = random_leks(net, gf64, "once", mode="time", window=(-4, 12), nonzero=True)
+    compiled = []
+    step_rows = netmodel._step_rows
+
+    def counting(net, triple, spec, mu):
+        compiled.append(triple)
+        return step_rows(net, triple, spec, mu)
+
+    monkeypatch.setattr(netmodel, "_step_rows", counting)
+    tv = build_tv(net, leks, 3)
+    if mode == "invariant":
+        assert len(compiled) == 1
+    else:  # one compile per label -d_max .. 2n + d_prime_min, in order
+        labels = range(-tv.d_max, 2 * tv.n + tv.d_prime_min + 1)
+        assert [id(t) for t in compiled] == [id(leks.kernels_at(t)) for t in labels]
+
+
+def tv_digest(tv):
+    doc = [tv.N, tv.d_max, tv.d_prime_min, [[m.rows for m in row] for row in tv.M]]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_tv_stack_digests(ex2):
+    # sha256 of the stacks; any change to their bytes fails here
+    net, leks = ex2
+    timed = random_leks(net, leks.field, "golden", mode="time", window=(-2, 9), nonzero=True)
+    assert [tv_digest(build_tv(net, leks, 3)), tv_digest(build_tv(net, leks, 4)),
+            tv_digest(build_tv(net, timed, 3))] == [
+        "520a4e7a78542e6291f9dbb5034a0f6c2b4807598f58edc975963c5dce8dfc0a",
+        "06fa4ea4ad62e46ef1d72c092865d180367779c43804cd8f2861cf83d3ccd782",
+        "58b8593b523ecd56617890ee6a249f71226dbf42032b76c422961d5ffdce31af",
+    ]

@@ -325,19 +325,17 @@ def test_mincut_report(capsys):
 
 
 def test_transfer_report_and_dump(tmp_path, capsys):
-    dump = tmp_path / "norm.json"
-    code, rep = jcli(
-        capsys, "transfer", "example2", "--dump-normalized", str(dump)
-    )
+    code, rep = jcli(capsys, "transfer", "example2")
     assert code == 0
     assert rep["d_prime_min"] == 3 and rep["d_max"] == 2
-    dumped = json.loads(dump.read_text())
-    assert dumped["kind"] == "network"
-    # the dump is itself a valid input and keeps the same transfer
-    code2, rep2 = jcli(capsys, "transfer", str(dump))
-    assert code2 == 0
-    assert rep2["entries"] == rep["entries"]
-    assert rep2["d_prime_min"] == rep["d_prime_min"]
+    assert len(rep["entries"]) == 3 and len(rep["entry_strs"]) == 3
+    # the chain-expansion dump is no CLI option: a usage error, no file
+    dump = tmp_path / "norm.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["transfer", "example2", "--dump-normalized", str(dump)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dump-normalized" in capsys.readouterr().err
+    assert not dump.exists()
 
 
 def test_simulate_report(tmp_path, capsys):
