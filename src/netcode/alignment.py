@@ -210,12 +210,6 @@ class AlignmentInstance:
     def field(self) -> FieldSpec:
         return self.plan.field
 
-    def distinct_ratios(self) -> int:
-        """Distinct T entries; n+1 or more makes V1 full column rank."""
-        if self.T is None:
-            raise ValueError("no T vector in this category")
-        return len(set(self.T))
-
 
 def _diag_mul(spec: FieldSpec, diag: Sequence[int], M: FqMatrix) -> FqMatrix:
     return FqMatrix(spec, [spec._row_scaled(d, row) for d, row in zip(diag, M.rows)])
@@ -255,6 +249,18 @@ def build_instance(
     outside the category's zero pattern must have all-nonzero
     eigenvalues; a zero raises SingularBlock so searches can retry.
     """
+    return _build_instance(net, leks, n, seed, *detect_category(net))
+
+
+def _build_instance(
+    net: NetworkSpec,
+    leks: LekAssignment,
+    n: int,
+    seed,
+    category: str,
+    perm: tuple[int, int, int],
+) -> AlignmentInstance:
+    """build_instance for a network whose detect_category result is known."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if leks.mode != "invariant":
@@ -263,7 +269,6 @@ def build_instance(
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    category, perm = detect_category(net)
     tr = transfer_matrix(net, leks)
     alpha = element_of_order(spec, N)
     plan = make_plan(N, spec, alpha, tr.d_max)
@@ -451,14 +456,15 @@ def align_search(
     a hit is replayable from the reported seed alone. NotFound after the
     budget is spent says nothing about infeasibility.
     """
-    detect_category(net)  # surface structural errors before spending budget
+    # once per search, and before spending budget on a structural error
+    category, perm = detect_category(net)
     attempts = 0
     for k in range(budget):
         attempts += 1
         attempt_seed = f"{seed}:{k}"
         leks = random_leks(net, field, attempt_seed, nonzero=True)
         try:
-            inst = build_instance(net, leks, n, seed=attempt_seed)
+            inst = _build_instance(net, leks, n, attempt_seed, category, perm)
         except SingularBlock:
             continue
         report = check_alignment(inst)

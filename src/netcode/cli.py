@@ -458,6 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_counts(args) -> None:
+    """ParseError for a count flag below 1, before any input is read."""
+    for flag in ("max_ext_degree", "budget"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ParseError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
+
+
 # built on the first run call rather than at import, so importing the
 # package stays cheap; parse_args keeps no state between calls
 _PARSER: argparse.ArgumentParser | None = None
@@ -469,6 +477,7 @@ def run(argv=None) -> int:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except SearchExhausted as e:
         # a verdict on well-formed input, like an infeasible report

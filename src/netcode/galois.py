@@ -10,6 +10,7 @@ every artifact down to the bit.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, Sequence
 
 __all__ = [
@@ -39,8 +40,8 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# Fields at least this small get exp/log tables; larger ones fall back to
-# schoolbook reduction per product.
+# Fields at least this small get exp/log tables, built with their spec;
+# larger ones fall back to schoolbook reduction per product.
 _TABLE_CAP = 1 << 16
 
 # The largest field order accepted from an input document or flag. Past it
@@ -222,8 +223,10 @@ def _undigits(vec: Sequence[int], p: int) -> int:
 class FieldSpec:
     """GF(p^m) with a fixed monic irreducible modulus of degree m.
 
-    Instances are immutable and hashable; two specs compare equal exactly
-    when (p, m, modulus) agree. Construct through :func:`build_field`.
+    A spec is complete once constructed: it holds its generator, exp/log
+    tables when q <= _TABLE_CAP and, in GF(2^m) with m <= 8, the byte-lane
+    table. Instances are immutable and hashable; two specs compare equal
+    exactly when (p, m, modulus) agree. Construct through :func:`build_field`.
     """
 
     __slots__ = (
@@ -237,11 +240,11 @@ class FieldSpec:
         self.modulus = tuple(int(c) for c in modulus)
         # x^m = sum of t * x^i over these (i, t): the modulus's negated tail
         self._tail = tuple((i, -c % p) for i, c in enumerate(self.modulus[:m]) if c)
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._exp2: list[int] | None = None
-        self._lanes: list[bytes] | None = None
-        self._gen_code: int | None = None
+        self._gen_code = self._find_generator()
+        self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
+        # the row kernel adds two logs in [0, q - 2] and reads the sum here
+        self._exp2 = self._exp + self._exp if p == 2 and self._exp else None
+        self._lanes = self._build_lanes() if p == 2 and m <= 8 else None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -397,6 +400,12 @@ class FieldSpec:
     def _order_of_code(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no multiplicative order")
+        if self._log is not None:
+            # a = g^k has order (q - 1) / gcd(k, q - 1)
+            return (self.q - 1) // gcd(self._log[a], self.q - 1)
+        return self._order_slow(a)
+
+    def _order_slow(self, a: int) -> int:
         order = self.q - 1
         for r in _factorint(self.q - 1):
             while order % r == 0 and self._pow_code_slow(a, order // r) == 1:
@@ -404,28 +413,20 @@ class FieldSpec:
         return order
 
     def _find_generator(self) -> int:
-        if self._gen_code is None:
-            if self.q == 2:
-                self._gen_code = 1
-            else:
-                for cand in range(2, self.q):
-                    if self._order_of_code(cand) == self.q - 1:
-                        self._gen_code = cand
-                        break
-                else:  # pragma: no cover - every finite field is cyclic
-                    raise NetcodeError("no generator found")
-        return self._gen_code
+        """The primitive element with the smallest code, found without tables."""
+        if self.q == 2:
+            return 1
+        # codes below p are the prime subfield, of orders dividing p - 1
+        for cand in range(2 if self.m == 1 else self.p, self.q):
+            if self._order_slow(cand) == self.q - 1:
+                return cand
+        # every finite field is cyclic
+        raise NetcodeError("no generator found")  # pragma: no cover
 
-    def _ensure_tables(self) -> None:
-        # callers test _exp first and come here only while it is None; the
-        # build is a separate method because its comprehensions would make
-        # this body allocate closure cells on each call
-        if self._exp is None and self.q <= _TABLE_CAP:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple[list[int], list[int]]:
+        """exp and log: exp[i] = g^i for the generator g, log[exp[i]] = i."""
         p, m, q = self.p, self.m, self.q
-        g = self._find_generator()
+        g = self._gen_code
         # acc = lo + x^h * hi, so acc * g = lo * g + hi * (x^h * g): two
         # lookups in tables of p^h and p^(m-h) products replace a schoolbook
         # multiply per step. The products are stored spread, one w-bit field
@@ -450,23 +451,14 @@ class FieldSpec:
             acc = lo + split * hi
             exp[i] = acc
             log[acc] = i
-        # specs are shared, so another thread may read these while they are
-        # set: _exp is what readers test, so it goes last
-        self._log = log
-        if p == 2:
-            # the row kernel adds two logs in [0, q - 2] and reads the sum here
-            self._exp2 = exp + exp
-        self._exp = exp
+        return exp, log
 
     def _mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         exp = self._exp
         if exp is None:
-            self._ensure_tables()
-            exp = self._exp
-            if exp is None:
-                return self._schoolbook_mul(a, b)
+            return self._schoolbook_mul(a, b)
         log = self._log
         return exp[(log[a] + log[b]) % (self.q - 1)]
 
@@ -474,9 +466,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         exp = self._exp
-        if exp is None:
-            self._ensure_tables()
-            exp = self._exp
         if exp is not None:
             return exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         p = self.p
@@ -488,9 +477,6 @@ class FieldSpec:
         if a == 0:
             return 1 if e == 0 else 0
         exp = self._exp
-        if exp is None:
-            self._ensure_tables()
-            exp = self._exp
         if exp is not None:
             return exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_code_slow(a, e)
@@ -508,8 +494,6 @@ class FieldSpec:
         """The nonzero entries of scale * row, in the form _row_axpy reads."""
         if not scale:
             return []
-        if self._exp is None:
-            self._ensure_tables()
         if self._exp2 is not None:
             log, qm1 = self._log, self.q - 1
             ls = log[scale]
@@ -521,8 +505,6 @@ class FieldSpec:
 
     def _pairs_prep(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
         """(j, v) pairs with v nonzero, in the form _row_axpy reads."""
-        if self._exp is None:
-            self._ensure_tables()
         if self._exp2 is not None:
             log = self._log
             return [(j, log[v]) for j, v in pairs]
@@ -592,27 +574,17 @@ class FieldSpec:
 
     def _lanes_for(self, width: int) -> list[bytes] | None:
         """The lane multiply table if rows this wide run in byte lanes, else None."""
-        if width < _LANE_MIN_WIDTH or self.p != 2 or self.m > 8:
-            return None
-        lanes = self._lanes
-        if lanes is None:
-            lanes = self._build_lanes()
-        return lanes
+        return self._lanes if width >= _LANE_MIN_WIDTH else None
 
     def _build_lanes(self) -> list[bytes]:
         """lanes[c][x] = c * x for codes c, x (256 entries per c, for translate)."""
-        if self._exp is None:
-            self._ensure_tables()
         exp, log, q = self._exp, self._log, self.q
         # lanes[c] is exp rotated by log c and read through log; log of 0
         # reads index 255, one past every log, which holds a zero
         rotations = bytes(exp + exp)
         pad = bytes(257 - q)
         by_log = bytes([255] + log[1:] + [255] * (256 - q))
-        lanes = [bytes(256)] + [by_log.translate(rotations[k : k + q - 1] + pad) for k in log[1:]]
-        # specs are shared: publish the finished table in one store
-        self._lanes = lanes
-        return lanes
+        return [bytes(256)] + [by_log.translate(rotations[k : k + q - 1] + pad) for k in log[1:]]
 
 
 # One spec per field, so its tables and generator are computed once per
@@ -655,8 +627,8 @@ def build_field(p: int, m: int, modulus: Sequence[int] | None = None) -> FieldSp
         if not _pf_is_irreducible(mod, p):
             raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
         cand = mod
-    spec = _FIELDS.setdefault((p, m, cand), FieldSpec(p, m, cand))
-    _FIELDS[(p, m, mod)] = spec
+    spec = _FIELDS.get((p, m, cand)) or FieldSpec(p, m, cand)
+    _FIELDS[(p, m, cand)] = _FIELDS[(p, m, mod)] = spec
     return spec
 
 
@@ -781,7 +753,7 @@ def _coeff_str(coeffs: Sequence[int]) -> str:
 
 def generator(spec: FieldSpec) -> FieldElement:
     """The fixed generator: the primitive element with the smallest encoding."""
-    return FieldElement(spec, spec._find_generator())
+    return FieldElement(spec, spec._gen_code)
 
 
 def multiplicative_order(elem: FieldElement) -> int:
@@ -798,8 +770,7 @@ def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
         raise ValueError("order must be positive")
     if (spec.q - 1) % n != 0:
         raise NoSuchElement(f"no element of order {n} in {spec!r}")
-    g = spec._find_generator()
-    return FieldElement(spec, spec._pow_code(g, (spec.q - 1) // n))
+    return FieldElement(spec, spec._pow_code(spec._gen_code, (spec.q - 1) // n))
 
 
 # ----------------------------------------------------------------------
@@ -917,18 +888,6 @@ class FqMatrix:
 
     __matmul__ = __mul__
 
-    def transpose(self) -> "FqMatrix":
-        return FqMatrix(self.spec, [list(col) for col in zip(*self.rows)])
-
-    def kron(self, other: "FqMatrix") -> "FqMatrix":
-        self._check(other)
-        mul = self.spec._mul_codes
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                out.append([mul(a, b) for a in arow for b in brow])
-        return FqMatrix(self.spec, out)
-
     @classmethod
     def hstack(cls, blocks: Sequence["FqMatrix"]) -> "FqMatrix":
         spec = blocks[0].spec
@@ -937,17 +896,6 @@ class FqMatrix:
             if b.spec != spec or b.nrows != nrows:
                 raise ValueError("incompatible blocks")
         rows = [sum((b.rows[i] for b in blocks), []) for i in range(nrows)]
-        return cls(spec, rows)
-
-    @classmethod
-    def vstack(cls, blocks: Sequence["FqMatrix"]) -> "FqMatrix":
-        spec = blocks[0].spec
-        ncols = blocks[0].ncols
-        rows: list[list[int]] = []
-        for b in blocks:
-            if b.spec != spec or b.ncols != ncols:
-                raise ValueError("incompatible blocks")
-            rows.extend(row[:] for row in b.rows)
         return cls(spec, rows)
 
     # -- elimination-based queries -------------------------------------
@@ -1557,7 +1505,7 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     if not _horner(sup, sub.modulus, 0):
         root = 0
     else:
-        h = sup._pow_code(sup._find_generator(), (sup.q - 1) // (sub.q - 1))
+        h = sup._pow_code(sup._gen_code, (sup.q - 1) // (sub.q - 1))
         cand = 1
         for _ in range(sub.q - 1):
             if not _horner(sup, sub.modulus, cand):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from netcode.cli import load_fixture
-from netcode.galois import build_field
+from netcode.galois import FqMatrix, build_field
 from netcode.netmodel import (
     Edge,
     NetworkSpec,
@@ -50,6 +50,14 @@ def ex2():
 @pytest.fixture(scope="session")
 def gf64():
     return build_field(2, 6)
+
+
+def kron(A: FqMatrix, B: FqMatrix) -> FqMatrix:
+    """The Kronecker product A (x) B, the oracle for Q = F (x) I."""
+    mul = A.spec._mul_codes
+    return FqMatrix(
+        A.spec, [[mul(a, b) for a in arow for b in brow] for arow in A.rows for brow in B.rows]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from netcode.transform import (
     make_plan,
     run_pipeline,
 )
-from tests.conftest import CATEGORY_LENGTHS, cat_net, random_dag_net
+from tests.conftest import CATEGORY_LENGTHS, cat_net, kron, random_dag_net
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
@@ -114,8 +114,8 @@ def test_criterion_03_circulant_reassembly_identities():
         plan = make_plan(n, spec, element_of_order(spec, n), deg)
         C = build_circulant(pm, n)
         blocks = diagonalize(C, plan)
-        Qnu = dft_matrix(plan.alpha, n).kron(FqMatrix.identity(spec, nu))
-        Qmu_inv = inverse_dft_matrix(plan.alpha, n).kron(FqMatrix.identity(spec, mu))
+        Qnu = kron(dft_matrix(plan.alpha, n), FqMatrix.identity(spec, nu))
+        Qmu_inv = kron(inverse_dft_matrix(plan.alpha, n), FqMatrix.identity(spec, mu))
         big = FqMatrix.zeros(spec, n * nu, n * mu)
         for r in range(n):
             blk = blocks[n - 1 - r]  # stacked position r carries generation n-1-r

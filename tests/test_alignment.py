@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from netcode import netmodel
+from netcode import alignment, netmodel
 from netcode.alignment import (
     CharacteristicDividesBlock,
     MinCutViolation,
@@ -145,7 +145,7 @@ def test_witness_instance_structure(ex2, gf64):
     assert inst.field == gf64
     assert inst.T is not None and inst.R is not None and inst.S is not None
     # enough distinct ratios to span the precoder columns
-    assert inst.distinct_ratios() >= 4
+    assert len(set(inst.T)) >= 4
     assert inst.V1.shape == (7, 4)
     assert inst.V1.rank() == 4
     rep = check_alignment(inst)
@@ -191,6 +191,24 @@ def test_align_search_replayable(gf64):
     assert check_alignment(inst)["ok"]
 
 
+def test_align_search_detects_the_category_once(monkeypatch, ex2, gf64):
+    calls = 0
+    plain = alignment.min_cut
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return plain(*args)
+
+    monkeypatch.setattr(alignment, "min_cut", counted)
+    monkeypatch.setattr(netmodel, "min_cut", counted)
+    assert align_search(ex2[0], 4, gf64).attempts == 1
+    assert calls == 9
+    calls = 0
+    assert align_search(ex2[0], 4, gf64, seed="11").attempts == 3
+    assert calls == 9
+
+
 def test_align_search_surfaces_structural_errors(gf64):
     lengths = full_lengths()
     del lengths[(2, 1)]
@@ -205,7 +223,7 @@ def test_degenerate_delay_free_network_never_aligns(gf64):
     net = cat_net(full_lengths())
     leks = random_leks(net, gf64, "flat", nonzero=True)
     inst = build_instance(net, leks, 3)
-    assert inst.distinct_ratios() == 1
+    assert len(set(inst.T)) == 1
     assert inst.V1.rank() == 1
     assert not check_alignment(inst)["ok"]
     with pytest.raises(NotFound):

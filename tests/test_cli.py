@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from netcode import cli as cli_module
+from netcode import cli as cli_module, galois
 from netcode.cli import UnknownFixture, _build_parser, load_fixture, run
 from netcode.feasibility import analyze
-from netcode.galois import ParseError, build_field
+from netcode.galois import FieldSpec, ParseError, build_field
 from netcode.netmodel import (
     Edge,
     NetworkSpec,
@@ -249,6 +249,25 @@ def test_transform_flag_out_of_range_is_parse_error(capsys, flags, message):
     start = time.perf_counter()
     code, rep = jcli(capsys, "transform", "example1", *flags)
     assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert rep == {"error": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("feasibility example1 --find-plan --max-ext-degree -1",
+         "--max-ext-degree must be at least 1, got -1"),
+        ("feasibility example1 --find-plan --max-ext-degree 0",
+         "--max-ext-degree must be at least 1, got 0"),
+        ("transform example1 --n 7 --max-ext-degree 0",
+         "--max-ext-degree must be at least 1, got 0"),
+        ("align example2 --n 4 --budget -2", "--budget must be at least 1, got -2"),
+        ("align example2 --n 4 --budget 0", "--budget must be at least 1, got 0"),
+    ],
+)
+def test_search_flag_below_one_is_parse_error(capsys, argv, message):
+    code, rep = jcli(capsys, *argv.split())
     assert code == 2
     assert rep == {"error": "ParseError", "message": message}
 
@@ -685,6 +704,30 @@ SIM_GOLDEN = {
     "simulate gf2_20 -o":
         "8e23e79588b4ab918bdb9bea234a556b355e4be12ad62e23f84b92cde44e9813",
 }
+
+
+def test_field_specs_are_never_rebound_after_construction(monkeypatch, tmp_path, capsys):
+    # empty caches, so every field these runs use is built, and seen, here
+    monkeypatch.setattr(galois, "_FIELDS", {})
+    monkeypatch.setattr(galois, "_EMBED_CACHE", {})
+    built = []
+    init = FieldSpec.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append((self, {name: getattr(self, name) for name in FieldSpec.__slots__}))
+
+    monkeypatch.setattr(FieldSpec, "__init__", recording)
+    assert run(["align", "example2", "--n", "4"]) == 0
+    for name in ("example2", "gf3"):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(_simulation_doc(name)))
+        assert run(["simulate", str(p)]) == 0
+    capsys.readouterr()
+    assert {(spec.p, spec.m) for spec, _ in built} == {(2, 6), (3, 1)}
+    for spec, slots in built:
+        for name, value in slots.items():
+            assert getattr(spec, name) is value, (spec, name)
 
 
 @pytest.mark.parametrize("argv", SIM_GOLDEN)

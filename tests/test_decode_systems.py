@@ -237,7 +237,7 @@ def test_instances_cover_passing_and_failing_in_every_category():
     seen = {(inst.category, check_alignment(inst)["ok"]) for inst in INSTANCES.values()}
     categories = ("full", "cat1", "cat2", "cat3", "cat4")
     assert seen == {(c, ok) for c in categories for ok in (True, False)}
-    assert INSTANCES["full-flat"].distinct_ratios() == 1
+    assert len(set(INSTANCES["full-flat"].T)) == 1
 
 
 @pytest.mark.parametrize("key", INSTANCES)

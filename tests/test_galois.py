@@ -1,10 +1,15 @@
 """Field, matrix and polynomial layer."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from netcode import galois
 from netcode.galois import (
     CharacteristicDividesN,
     FieldElement,
@@ -28,9 +33,12 @@ from netcode.galois import (
     spec_from_dict,
     spec_to_dict,
     _check_field_order,
+    _factorint,
     _is_prime,
     _MAX_FIELD_ORDER,
 )
+from netcode.transform import make_plan
+from tests.conftest import kron
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
@@ -230,10 +238,10 @@ def test_rank_drops_on_dependent_rows():
 def test_kron_and_stack_shapes():
     A = FqMatrix.identity(GF8, 2)
     B = FqMatrix.zeros(GF8, 3, 3)
-    K = A.kron(B)
+    K = kron(A, B)
     assert K.shape == (6, 6)
     assert FqMatrix.hstack([A, A]).shape == (2, 4)
-    assert FqMatrix.vstack([A, A]).shape == (4, 2)
+    assert FqMatrix(GF8, A.rows + A.rows).shape == (4, 2)
 
 
 def test_kron_mixed_product():
@@ -242,7 +250,7 @@ def test_kron_mixed_product():
     B = _rand_matrix(GF8, rng, 3, 3)
     C = _rand_matrix(GF8, rng, 2, 2)
     D = _rand_matrix(GF8, rng, 3, 3)
-    assert A.kron(B) * C.kron(D) == (A * C).kron(B * D)
+    assert kron(A, B) * kron(C, D) == kron(A * C, B * D)
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +410,6 @@ def test_tables_match_schoolbook_steps():
         m = 1
         while p**m <= 1 << 12:
             spec = build_field(p, m)
-            spec._ensure_tables()
             exp, log = _stepped_tables(spec)
             assert spec._exp == exp and spec._log[1:] == log[1:], (p, m)
             m += 1
@@ -410,8 +417,7 @@ def test_tables_match_schoolbook_steps():
 
 @pytest.mark.parametrize("p, m", [(2, 16), (3, 10)])
 def test_table_build_uses_few_schoolbook_products(monkeypatch, p, m):
-    spec = FieldSpec(p, m, build_field(p, m).modulus)  # fresh, no tables yet
-    spec._find_generator()
+    spec = build_field(p, m)  # its generator is known
     calls = 0
     plain = FieldSpec._schoolbook_mul
 
@@ -421,11 +427,68 @@ def test_table_build_uses_few_schoolbook_products(monkeypatch, p, m):
         return plain(self, a, b)
 
     monkeypatch.setattr(FieldSpec, "_schoolbook_mul", counted)
-    spec._ensure_tables()
+    exp, log = spec._build_tables()
     assert calls <= 2 * p ** ((m + 1) // 2) + 1
+    assert exp == spec._exp and log == spec._log
     g = spec._gen_code
     for i in (1, 2, 12345, spec.q - 2):
-        assert spec._exp[i] == plain(spec, spec._exp[i - 1], g)
+        assert exp[i] == plain(spec, exp[i - 1], g)
+
+
+def _schoolbook_order(spec, a):
+    """a's order by schoolbook powers: strip each prime r of q - 1 while a^(order/r) = 1."""
+    order = spec.q - 1
+    for r in _factorint(spec.q - 1):
+        while order % r == 0 and spec._pow_code_slow(a, order // r) == 1:
+            order //= r
+    return order
+
+
+@pytest.mark.parametrize(
+    "p, m", [(2, m) for m in range(1, 9)] + [(3, k) for k in range(1, 6)] + [(7, 1), (13, 2)]
+)
+def test_table_order_matches_schoolbook_on_every_element(p, m):
+    spec = build_field(p, m)
+    assert spec._log is not None
+    for a in range(1, spec.q):
+        assert spec._order_of_code(a) == _schoolbook_order(spec, a), a
+
+
+@pytest.mark.parametrize("p, m", [(2, 16), (3, 10)])
+def test_table_order_matches_schoolbook_on_seeded_elements(p, m):
+    spec = build_field(p, m)
+    assert spec._log is not None
+    rng = random.Random(f"order:{p}:{m}")
+    for a in [rng.randrange(1, spec.q) for _ in range(500)]:
+        assert spec._order_of_code(a) == _schoolbook_order(spec, a), a
+
+
+def test_table_fields_make_no_schoolbook_products(monkeypatch):
+    fields = [(build_field(2, 8), 17), (build_field(3, 5), 11)]
+
+    def refuse(*args):
+        raise AssertionError("table field took the schoolbook path")
+
+    monkeypatch.setattr(FieldSpec, "_schoolbook_mul", refuse)
+    monkeypatch.setattr(FieldSpec, "_pow_code_slow", refuse)
+    monkeypatch.setattr(galois, "_pf_inverse", refuse)
+    for spec, n in fields:
+        alpha = element_of_order(spec, n)
+        assert multiplicative_order(alpha) == n
+        assert make_plan(n, spec, alpha, 2).n == n
+        F = dft_matrix(alpha, n)
+        assert F.rank() == n
+        eye = FqMatrix.identity(spec, n)
+        assert F * F.solve(eye) == eye
+
+
+def test_import_builds_no_field():
+    code = "import netcode.cli, netcode.galois as g; print(len(g._FIELDS))"
+    src = str(Path(galois.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n"
 
 
 @pytest.mark.parametrize("p, m", [(2, 17), (2, 20), (3, 11), (5, 7)])

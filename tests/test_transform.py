@@ -37,7 +37,7 @@ from netcode.transform import (
     run_pipeline,
 )
 from netcode.netmodel import CycleDetected
-from tests.conftest import random_dag_net
+from tests.conftest import kron, random_dag_net
 
 GF8 = build_field(2, 3)
 GF16 = build_field(2, 4)
@@ -118,8 +118,8 @@ def test_circulant_commutes_with_block_shift():
     n = 5
     C = build_circulant(pm, n).realized
     P = FqMatrix(GF8, [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
-    left = P.kron(FqMatrix.identity(GF8, 2)) * C
-    right = C * P.kron(FqMatrix.identity(GF8, 2))
+    left = kron(P, FqMatrix.identity(GF8, 2)) * C
+    right = C * kron(P, FqMatrix.identity(GF8, 2))
     assert left == right
 
 
@@ -153,8 +153,8 @@ def test_reassembly_identity():
         n = plan.n
         F = dft_matrix(plan.alpha, n)
         Finv = inverse_dft_matrix(plan.alpha, n)
-        Qnu = F.kron(FqMatrix.identity(GF8, nu))
-        Qmu_inv = Finv.kron(FqMatrix.identity(GF8, mu))
+        Qnu = kron(F, FqMatrix.identity(GF8, nu))
+        Qmu_inv = kron(Finv, FqMatrix.identity(GF8, mu))
         big = FqMatrix.zeros(GF8, n * nu, n * mu)
         for r in range(n):
             blk = blocks[n - 1 - r]  # stacked position r holds generation n-1-r
