@@ -175,9 +175,9 @@ class AlignmentInstance:
     """Eigen-domain data for one kernel assignment.
 
     mhat[i][j] holds the N codes M_ij(alpha^r) for internal sessions
-    i, j. T, R, S and the a/b products are entrywise vectors in the same
-    position indexing. V1 is N x (n+1); V2 and V3 are N x n except V3 in
-    category cat4, which is the N x N identity. A and B are the mixing
+    i, j. T, R and S are entrywise vectors in the same position
+    indexing. V1 is N x (n+1); V2 and V3 are N x n except V3 in category
+    cat4, which is the N x N identity. A and B are the mixing
     matrices behind structured precoders, where the category has them.
     decode_factors holds each sink's factored decode system once
     check_alignment has run; a copy made by dataclasses.replace has none.
@@ -189,8 +189,6 @@ class AlignmentInstance:
     category: str
     perm: tuple[int, int, int]
     mhat: tuple[tuple[tuple[int, ...], ...], ...]
-    a_vec: tuple[int, ...] | None
-    b_vec: tuple[int, ...] | None
     T: tuple[int, ...] | None
     R: tuple[int, ...] | None
     S: tuple[int, ...] | None
@@ -292,7 +290,7 @@ def _build_instance(
 
     mul = spec._mul_codes
     rng = random.Random(f"align:{seed}")
-    a_vec = b_vec = t_vec = r_vec = s_vec = None
+    t_vec = r_vec = s_vec = None
     A = B = None
     if category == "full":
         a_vec = tuple(
@@ -351,8 +349,6 @@ def _build_instance(
         category=category,
         perm=perm,
         mhat=tuple(mhat),
-        a_vec=a_vec,
-        b_vec=b_vec,
         T=t_vec,
         R=r_vec,
         S=s_vec,

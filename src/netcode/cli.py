@@ -41,8 +41,8 @@ from .netmodel import (
     transfer_to_dict,
     validate,
 )
-from .transform import eigen_blocks, make_plan
-from .feasibility import FeasibilityReport, SearchExhausted, _demanded_columns, analyze
+from .transform import make_plan
+from .feasibility import FeasibilityReport, SearchExhausted, analyze, generation_dets
 from .alignment import (
     NotFound,
     align_search,
@@ -306,47 +306,28 @@ def _cmd_transform(args) -> int:
         raise ParseError("--n is required for the transform report")
     if args.n < 1:
         raise ParseError(f"--n must be at least 1, got {args.n}")
+    if not conns:
+        raise ParseError("the demand set is empty: no sink demands a process")
     # evaluation happens in the smallest extension holding an order-n root
-    spec = None
     base = tr.field
     for a in range(1, args.max_ext_degree + 1):
         _check_field_order(base.p, base.m * a, "--max-ext-degree")
         if (base.p ** (base.m * a) - 1) % args.n == 0:
-            spec = base if a == 1 else build_field(base.p, base.m * a)
             break
-    if spec is None:
+    else:
         raise ParseError(
             f"no extension of degree <= {args.max_ext_degree} has an "
             f"order-{args.n} element"
         )
-    alpha = element_of_order(spec, args.n)
-    plan = make_plan(args.n, spec, alpha, tr.d_max)
-    blocks = eigen_blocks(tr.M, plan)
-
-    # demanded square submatrix per demanding sink, as in the invertibility test
-    demanded = {}
-    for j in sorted({j for (_, j, _) in conns}):
-        r0 = sum(tr.nu_list[:j])
-        demanded[j] = (range(r0, r0 + tr.nu_list[j]), _demanded_columns(tr, conns, j))
-
-    lines = []
-    all_ok = True
-    for t in range(plan.n):
-        for j, (rows, cols) in demanded.items():
-            sub = blocks[t].submatrix(rows, cols)
-            det = sub.det() if sub.nrows == sub.ncols else None
-            solvable = bool(det) if det is not None else False
-            all_ok = all_ok and solvable
-            lines.append(
-                {
-                    "t": t,
-                    "sink": j,
-                    "det": list(det.coeffs) if det is not None else None,
-                    "solvable": solvable,
-                }
-            )
+    spec = base if a == 1 else build_field(base.p, base.m * a)
+    plan = make_plan(args.n, spec, element_of_order(spec, args.n), tr.d_max)
+    lines = [
+        {"t": t, "sink": j, "solvable": bool(det),
+         "det": None if det is None else list(det.coeffs)}
+        for t, j, det in generation_dets(tr, conns, plan)
+    ]
     _emit(lines, args, lines=True)
-    return 0 if all_ok else 1
+    return 0 if all(line["solvable"] for line in lines) else 1
 
 
 def _cmd_align(args) -> int:

@@ -7,7 +7,8 @@ M'_j(D) whose determinant is a nonzero polynomial. The product
 f(D) = prod_j det M'_j(D) then decides transform feasibility: a block
 length n with an order-n element alpha works exactly when f(alpha^t) != 0
 for every 0 <= t < n, and such a plan exists in some extension exactly
-when D - 1 does not divide f.
+when D - 1 does not divide f. Under a plan, sink j decodes generation t
+exactly when its own factor det M'_j(D) is nonzero at alpha^(n-1-t).
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ __all__ = [
     "invertibility",
     "compute_f",
     "check_plan",
+    "generation_dets",
     "find_plan",
     "nontransform_equivalence",
     "analyze",
 ]
 
-Connections = frozenset | set | list | tuple
+# largest extension field find_plan searches
+_MAX_FIELD = 1 << 20
 
 
 class NonSquare(NetcodeError):
@@ -73,23 +76,27 @@ def zero_interference(tr: TransferResult, connections) -> list[tuple[int, int, i
     An empty list means no sink ever hears a process it did not ask for.
     """
     wanted = {(i, j, l) for (i, j, l) in connections}
-    violations = []
-    for j in range(len(tr.nu_list)):
-        for i in range(len(tr.mu_list)):
-            blk = tr.block(i, j)
-            for l in range(tr.mu_list[i]):
-                if (i, j, l) in wanted:
-                    continue
-                if any(blk.entry(r, l) for r in range(tr.nu_list[j])):
-                    violations.append((i, j, l))
-    return sorted(violations)
+    sink_of_row = [j for j, nu in enumerate(tr.nu_list) for _ in range(nu)]
+    procs = [(i, l) for i, mu in enumerate(tr.mu_list) for l in range(mu)]
+    heard = {(i, j, l) for j, row in zip(sink_of_row, tr.M.rows)
+             for (i, l), p in zip(procs, row) if p}
+    return sorted(heard - wanted)
 
 
-def _demanded_columns(tr: TransferResult, connections, j: int) -> list[int]:
+def _sink_systems(tr: TransferResult, connections) -> list[tuple[range, list[int]]]:
+    """Per sink: its rows of M and its demanded columns, ascending.
+
+    A repeated demand repeats its column.
+    """
     for c in connections:
         _check_demand(c, tr.mu_list, len(tr.nu_list))
     offsets = [sum(tr.mu_list[:i]) for i in range(len(tr.mu_list))]
-    return sorted(offsets[i] + l for (i, j2, l) in connections if j2 == j)
+    out, r0 = [], 0
+    for j, nu_j in enumerate(tr.nu_list):
+        cols = sorted(offsets[i] + l for (i, j2, l) in connections if j2 == j)
+        out.append((range(r0, r0 + nu_j), cols))
+        r0 += nu_j
+    return out
 
 
 def invertibility(tr: TransferResult, connections) -> list[tuple[list[int], Poly]]:
@@ -100,15 +107,12 @@ def invertibility(tr: TransferResult, connections) -> list[tuple[list[int], Poly
     polynomial, not raised.
     """
     out = []
-    for j, nu_j in enumerate(tr.nu_list):
-        cols = _demanded_columns(tr, connections, j)
-        if len(cols) != nu_j:
+    for j, (rows, cols) in enumerate(_sink_systems(tr, connections)):
+        if len(cols) != len(rows):
             raise NonSquare(
-                f"sink {j} reads {nu_j} outputs but demands {len(cols)} processes"
+                f"sink {j} reads {len(rows)} outputs but demands {len(cols)} processes"
             )
-        r0 = sum(tr.nu_list[:j])
-        sub = tr.M.submatrix(range(r0, r0 + nu_j), cols)
-        out.append((cols, sub.det()))
+        out.append((cols, tr.M.submatrix(rows, cols).det()))
     return out
 
 
@@ -143,12 +147,37 @@ class PlanCheck:
         return self.ok
 
 
+def _at_powers(polys: list[Poly], plan: TransformPlan) -> list[list[int]]:
+    """Codes of each polynomial at alpha^k, k < n, in the plan's field."""
+    lanes = [_lift(p.spec, plan.field, p.codes) for p in polys]
+    return _dft(plan.field, lanes, plan.alpha.code, plan.n)
+
+
 def check_plan(f: Poly, plan: TransformPlan) -> PlanCheck:
     """Evaluate f at every power of alpha; feasible iff all nonzero."""
-    lane = _lift(f.spec, plan.field, f.codes)
-    vals = _dft(plan.field, [lane], plan.alpha.code, plan.n)[0]
-    failing = tuple(t for t, v in enumerate(vals) if not v)
+    failing = tuple(t for t, v in enumerate(_at_powers([f], plan)[0]) if not v)
     return PlanCheck(not failing, failing)
+
+
+def generation_dets(
+    tr: TransferResult, connections, plan: TransformPlan
+) -> list[tuple[int, int, FieldElement | None]]:
+    """(t, j, det M'_j(alpha^(n-1-t))) by generation t, then demanding sink j.
+
+    That is the determinant of sink j's demanded block of generation t's
+    eigenblock, so sink j decodes generation t exactly when it is nonzero.
+    It is None where the block is not square.
+    """
+    systems = _sink_systems(tr, connections)
+    demanding = [j for j, (_, cols) in enumerate(systems) if cols]
+    square = [j for j in demanding if len(systems[j][1]) == len(systems[j][0])]
+    dets = [tr.M.submatrix(*systems[j]).det() for j in square]
+    vals = dict(zip(square, _at_powers(dets, plan)))
+    n = plan.n
+    return [
+        (t, j, FieldElement(plan.field, vals[j][n - 1 - t]) if j in vals else None)
+        for t in range(n) for j in demanding
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +199,6 @@ def find_plan(
     d_max: int | None = None,
     max_ext_degree: int = 12,
     max_n: int = 4096,
-    max_field: int = 1 << 20,
 ) -> TransformPlan:
     """Smallest verified transform plan for the product polynomial f.
 
@@ -188,7 +216,7 @@ def find_plan(
         d_max = max(n_min - 1, 0)
     for a in range(1, max_ext_degree + 1):
         q_a = spec.p ** (spec.m * a)
-        if q_a > max_field:
+        if q_a > _MAX_FIELD:
             break
         ext = spec if a == 1 else build_field(spec.p, spec.m * a)
         for n in _divisors_ascending(q_a - 1):
@@ -200,7 +228,7 @@ def find_plan(
                 return plan
     raise SearchExhausted(
         f"no block length up to {max_n} in extensions of degree up to "
-        f"{max_ext_degree} (field size capped at {max_field}) verified"
+        f"{max_ext_degree} (field size capped at {_MAX_FIELD}) verified"
     )
 
 
@@ -229,8 +257,8 @@ def analyze(
     max_ext_degree: int = 12,
 ) -> FeasibilityReport:
     """Full pass: interference, invertibility, f, optionally a plan."""
+    inv = invertibility(tr, connections)  # checks every demand first
     viol = zero_interference(tr, connections)
-    inv = invertibility(tr, connections)
     cols = tuple(tuple(c) for c, _ in inv)
     dets = tuple(d for _, d in inv)
     f = f1 = None
@@ -265,37 +293,29 @@ def nontransform_equivalence(
     when it is zero at every delay lag (the two codes silence the same
     interference).
     """
-    report: dict = {}
-    viol = zero_interference(tr, connections)
-    inv = invertibility(tr, connections)
-    dets = [d for _, d in inv]
-    nontransform_ok = not viol and all(bool(d) for d in dets)
-    report["nontransform_feasible"] = nontransform_ok
-    if not nontransform_ok:
+    rep = analyze(tr, connections, find=plan is None, n_min=n_min)
+    report: dict = {"nontransform_feasible": rep.feasible}
+    if not rep.feasible:
         report["forward"] = {"ok": False, "reason": "no feasible delay-domain code"}
         return report
-    f, divides = compute_f(dets)
-    report["f_divisible_by_D_minus_1"] = divides
-    if divides:
+    report["f_divisible_by_D_minus_1"] = rep.d_minus_one_divides
+    if rep.d_minus_one_divides:
         report["forward"] = {"ok": False, "reason": "f(1) = 0"}
         return report
-    if plan is None:
-        plan = find_plan(f, n_min=max(n_min, tr.d_max + 1), d_max=tr.d_max)
+    plan = plan or rep.plan
     report["forward"] = {
-        "ok": check_plan(f, plan).ok,
+        "ok": check_plan(rep.f, plan).ok,
         "n": plan.n,
         "ext_degree": plan.field.m // tr.field.m,
     }
 
     # backward: evaluate the eigenblocks and compare structural zeros
     evals = eigen_blocks(tr.M, plan)
-    det_at_one_ok = []
-    for j, nu_j in enumerate(tr.nu_list):
-        cols = _demanded_columns(tr, connections, j)
-        r0 = sum(tr.nu_list[:j])
-        # alpha^(n-1-t) = 1 at t = n-1: that generation is M'_j(1)
-        sub = evals[-1].submatrix(range(r0, r0 + nu_j), cols)
-        det_at_one_ok.append(bool(sub.det()))
+    # alpha^(n-1-t) = 1 at t = n-1: that generation is M'_j(1)
+    det_at_one_ok = [
+        bool(evals[-1].submatrix(rows, cols).det())
+        for rows, cols in _sink_systems(tr, connections)
+    ]
     cells = [(r, c) for r in range(tr.nu) for c in range(tr.mu)]
     zero_delay = {(r, c) for r, c in cells if not tr.M.rows[r][c]}
     zero_eigen = {(r, c) for r, c in cells if not any(ev.rows[r][c] for ev in evals)}

@@ -416,15 +416,32 @@ def test_simulate_step_with_missing_source_is_input_error(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("argv", [("feasibility",), ("transform", "--n", "7")])
-def test_connection_to_missing_source_is_input_error(tmp_path, capsys, argv):
+def _run_with_connection(tmp_path, capsys, argv, conn):
     doc = load_fixture("example1")
-    doc["connections"] = [[9, 0, 0]]
+    doc["connections"] = [conn]
     p = tmp_path / "dangling.json"
     p.write_text(json.dumps(doc))
-    code, rep = jcli(capsys, argv[0], str(p), *argv[1:])
+    return jcli(capsys, argv[0], str(p), *argv[1:])
+
+
+@pytest.mark.parametrize("argv", [("feasibility",), ("transform", "--n", "7")])
+def test_connection_to_missing_source_is_input_error(tmp_path, capsys, argv):
+    code, rep = _run_with_connection(tmp_path, capsys, argv, [9, 0, 0])
     assert code == 2
     assert rep == {"error": "DanglingDemand", "message": "demand (9, 0, 0): no source 9"}
+
+
+@pytest.mark.parametrize("argv", [("feasibility",), ("transform", "--n", "7")])
+@pytest.mark.parametrize(
+    "conn, message",
+    [([0, 9, 0], "demand (0, 9, 0): no sink 9"), ([0, 0], "malformed demand (0, 0)")],
+)
+def test_connection_to_missing_sink_or_malformed_is_input_error(
+    tmp_path, capsys, argv, conn, message
+):
+    code, rep = _run_with_connection(tmp_path, capsys, argv, conn)
+    assert code == 2
+    assert rep == {"error": "DanglingDemand", "message": message}
 
 
 def test_exhausted_plan_search_is_a_verdict(capsys):
@@ -486,6 +503,28 @@ def test_transform_requires_n(capsys):
     code, rep = jcli(capsys, "transform", "example1")
     assert code == 2
     assert "--n" in rep["message"]
+
+
+def _without_demands(name: str) -> dict:
+    doc = load_fixture(name)
+    if doc["kind"] == "transfer":
+        doc["connections"] = []
+    for sink in doc.get("network", {}).get("sinks", []):
+        sink["demands"] = []
+    return doc
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+def test_transform_without_demands_is_input_error(tmp_path, capsys, name, pretty):
+    p = tmp_path / "no-demands.json"
+    p.write_text(json.dumps(_without_demands(name)))
+    code, rep = jcli(capsys, "transform", str(p), "--n", "7", *pretty)
+    assert code == 2
+    assert rep == {
+        "error": "ParseError",
+        "message": "the demand set is empty: no sink demands a process",
+    }
 
 
 # ----------------------------------------------------------------------

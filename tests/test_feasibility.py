@@ -1,5 +1,7 @@
 """Demand solvability, the product polynomial f, and plan search."""
 
+import random
+
 import pytest
 
 from netcode.feasibility import (
@@ -11,13 +13,21 @@ from netcode.feasibility import (
     check_plan,
     compute_f,
     find_plan,
+    generation_dets,
     invertibility,
     nontransform_equivalence,
     zero_interference,
 )
-from netcode.galois import Poly, PolyMatrix, build_field, element_of_order, generator
-from netcode.netmodel import TransferResult
-from netcode.transform import make_plan
+from netcode.galois import (
+    Poly,
+    PolyMatrix,
+    build_field,
+    element_of_order,
+    generator,
+    spec_to_dict,
+)
+from netcode.netmodel import TransferResult, transfer_from_dict
+from netcode.transform import eigen_blocks, make_plan
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
@@ -162,3 +172,137 @@ def test_find_plan_is_deterministic():
     a = find_plan(f, n_min=3)
     b = find_plan(f, n_min=3)
     assert (a.n, a.field, a.alpha, a.d_max) == (b.n, b.field, b.alpha, b.d_max)
+
+
+# ----------------------------------------------------------------------
+# per-generation determinants against the eigenblocks
+# ----------------------------------------------------------------------
+
+
+def eigenblock_dets(tr, conns, plan):
+    """Oracle for generation_dets: evaluate M at every eigenvalue first.
+
+    Takes eigen_blocks(tr.M, plan) and, per generation and demanding
+    sink, the field determinant of the demanded block (None when it is
+    not square).
+    """
+    blocks = eigen_blocks(tr.M, plan)
+    offsets = [sum(tr.mu_list[:i]) for i in range(len(tr.mu_list))]
+    demanded = {}
+    for j in sorted({j for (_, j, _) in conns}):
+        r0 = sum(tr.nu_list[:j])
+        cols = sorted(offsets[i] + l for (i, j2, l) in conns if j2 == j)
+        demanded[j] = (range(r0, r0 + tr.nu_list[j]), cols)
+    out = []
+    for t in range(plan.n):
+        for j, (rows, cols) in demanded.items():
+            sub = blocks[t].submatrix(rows, cols)
+            out.append((t, j, sub.det() if sub.nrows == sub.ncols else None))
+    return out
+
+
+def smallest_plan(spec, n, d_max):
+    """The plan in the smallest extension of spec with an order-n element."""
+    a = 1
+    while (spec.p ** (spec.m * a) - 1) % n:
+        a += 1
+    ext = spec if a == 1 else build_field(spec.p, spec.m * a)
+    return make_plan(n, ext, element_of_order(ext, n), d_max)
+
+
+def random_transfer_doc(rng, spec, n):
+    """A transfer document with entry degrees below n and mixed demands.
+
+    Each sink demands a square set, nothing, a set one short or one over
+    (not square), or a square set with a repeated demand.
+    """
+    mu_list = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+    nu_list = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+    d_max = rng.randrange(min(n, 4))
+    entries = [
+        [
+            spec.codes_to_json(
+                [rng.randrange(spec.q) for _ in range(rng.randint(1, d_max + 1))]
+            )
+            for _ in range(sum(mu_list))
+        ]
+        for _ in range(sum(nu_list))
+    ]
+    procs = [(i, l) for i, mu in enumerate(mu_list) for l in range(mu)]
+    conns = []
+    for j, nu in enumerate(nu_list):
+        kind = rng.choice(("square", "square", "none", "short", "over", "repeat"))
+        if kind == "none":
+            continue
+        if kind == "repeat":
+            picks = [rng.choice(procs)] * nu
+        else:
+            k = nu + {"square": 0, "short": -1, "over": 1}[kind]
+            picks = rng.sample(procs, min(max(k, 1), len(procs)))
+        conns += [(i, j, l) for i, l in picks]
+    if not conns:
+        conns = [(0, 0, 0)]
+    doc = {
+        "field": spec_to_dict(spec),
+        "d_prime_min": 0,
+        "d_prime_max": d_max,
+        "mu_list": mu_list,
+        "nu_list": nu_list,
+        "entries": entries,
+    }
+    return doc, conns
+
+
+# (p, m, n): n | q - 1 evaluates in the base field, otherwise in the
+# smallest extension holding an order-n element; GF(3^11), reached at
+# n = 23, is above the log/exp table cap
+GENERATION_CASES = [
+    (2, 3, 7), (3, 1, 2), (5, 1, 4), (7, 1, 6), (2, 4, 5),
+    (2, 1, 3), (2, 1, 7), (2, 3, 9), (3, 1, 4), (5, 1, 3), (3, 1, 23),
+]
+
+
+@pytest.mark.parametrize("p, m, n", GENERATION_CASES)
+def test_generation_dets_match_eigenblock_dets(p, m, n):
+    spec = build_field(p, m)
+    rng = random.Random(f"gen-dets:{p}:{m}:{n}")
+    for _ in range(3 if n == 23 else 8):
+        doc, conns = random_transfer_doc(rng, spec, n)
+        tr = transfer_from_dict(doc)
+        plan = smallest_plan(spec, n, tr.d_max)
+        got = generation_dets(tr, conns, plan)
+        assert got == eigenblock_dets(tr, conns, plan)
+        demanding = sorted({j for (_, j, _) in conns})
+        assert [(t, j) for t, j, _ in got] == [
+            (t, j) for t in range(n) for j in demanding
+        ]
+
+
+def test_generation_dets_read_the_reversed_power():
+    # det M'_0(D) = D + alpha^2 vanishes only at alpha^2, which generation
+    # t = n - 1 - 2 = 4 sees
+    alpha = element_of_order(GF8, 7)
+    pm = PolyMatrix(GF8, [[Poly(GF8, [(alpha**2).code, 1])]])
+    tr = TransferResult(GF8, pm, 0, 1, (1,), (1,))
+    plan = make_plan(7, GF8, alpha, 1)
+    got = generation_dets(tr, [(0, 0, 0)], plan)
+    assert [t for t, _, det in got if not det] == [4]
+    assert got == eigenblock_dets(tr, [(0, 0, 0)], plan)
+
+
+def test_generation_dets_edge_demands():
+    gf4 = build_field(2, 2)
+    plan = make_plan(3, gf4, element_of_order(gf4, 3), 1)
+    # sink 0 reads two equal rows (zero det), sink 1 demands one process
+    # twice, sink 2 reads two outputs but demands one, sink 3 demands nothing
+    rows = [[1, 0], [1, 0], [1, 2], [1, 3], [0, 1], [1, 1], [2, 3]]
+    pm = PolyMatrix(gf4, [[Poly(gf4, [c, c]) for c in row] for row in rows])
+    tr = TransferResult(gf4, pm, 0, 1, (1, 1), (2, 2, 2, 1))
+    conns = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (1, 2, 0)]
+    got = generation_dets(tr, conns, plan)
+    assert got == eigenblock_dets(tr, conns, plan)
+    assert [j for t, j, _ in got if t == 0] == [0, 1, 2]
+    by_sink = {j: [det for _, j2, det in got if j2 == j] for j in (0, 1, 2)}
+    assert all(det == gf4.zero() for det in by_sink[0] + by_sink[1])
+    assert by_sink[2] == [None] * 3
+    assert generation_dets(tr, [], plan) == []
