@@ -223,9 +223,24 @@ def _diag_inv(spec: FieldSpec, diag: Sequence[int], where: str) -> list[int]:
 
 
 def _rand_matrix(spec: FieldSpec, rng: random.Random, rows: int, cols: int) -> FqMatrix:
-    return FqMatrix(
-        spec, [[rng.randrange(spec.q) for _ in range(cols)] for _ in range(rows)]
-    )
+    """rows x cols codes, each rng.randrange(spec.q).
+
+    randrange(q) draws getrandbits(q.bit_length()) until the value is below
+    q; running that loop here skips its Python layers and leaves the same
+    draws and the same generator state.
+    """
+    q, draw = spec.q, rng.getrandbits
+    k = q.bit_length()
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            x = draw(k)
+            while x >= q:
+                x = draw(k)
+            row.append(x)
+        out.append(row)
+    return FqMatrix(spec, out)
 
 
 # ----------------------------------------------------------------------

@@ -877,6 +877,32 @@ class FqMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         spec = self.spec
+        unpack = int.from_bytes
+        lanes = spec._lanes_for(other.ncols)
+        if lanes is not None:
+            # row i of the product is the sum over j of a_ij * B[j, :]
+            packed = [bytes(row) for row in other.rows]
+            out = []
+            for arow in self.rows:
+                acc = 0
+                for x, row in zip(arow, packed):
+                    if x:
+                        acc ^= unpack(row.translate(lanes[x]), "little")
+                out.append(list(acc.to_bytes(other.ncols, "little")))
+            return FqMatrix(spec, out)
+        lanes = spec._lanes_for(self.nrows)
+        if lanes is not None:
+            # column k of the product is the sum over j of b_jk * A[:, j]
+            packed = [bytes(col) for col in zip(*self.rows)]
+            cols = []
+            for bcol in zip(*other.rows):
+                acc = 0
+                for x, col in zip(bcol, packed):
+                    if x:
+                        acc ^= unpack(col.translate(lanes[x]), "little")
+                cols.append(acc.to_bytes(self.nrows, "little"))
+            rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in self.rows]
+            return FqMatrix(spec, rows)
         matvec = spec._row_matvec
         srcs = [spec._row_prep(row) for row in other.rows]
         out = []
@@ -1115,9 +1141,9 @@ class FqFactors:
 
 
 def _dft(
-    spec: FieldSpec, lanes: Sequence[Sequence[int]], a: int, n: int, scale: int = 1
+    spec: FieldSpec, polys: Sequence[Sequence[int]], a: int, n: int, scale: int = 1
 ) -> list[list[int]]:
-    """scale * f(a^k) for k < n, for each code list f in lanes.
+    """scale * f(a^k) for k < n, for each code list f in polys.
 
     a and scale are nonzero codes of spec and a^n = 1, so degree d reads
     power (d mod n) k mod n. Every n-point evaluation in the package is a
@@ -1127,14 +1153,31 @@ def _dft(
     powers = [scale]
     for _ in range(n - 1):
         powers.append(mul(powers[-1], a))
+    lanes = spec._lanes_for(n)
+    if lanes is not None:
+        # the column of exponent e > 0, scale * a^(ek) for k < n, is every
+        # e-th byte of the powers repeated n times
+        unpack = int.from_bytes
+        pw = bytes(powers)
+        ring = pw * n
+        accs = [0] * len(polys)
+        for d in range(max(map(len, polys), default=0)):
+            col = None
+            for i, f in enumerate(polys):
+                if d < len(f) and f[d]:
+                    if col is None:
+                        e = d % n
+                        col = ring[: e * n : e] if e else pw[:1] * n
+                    accs[i] ^= unpack(col.translate(lanes[f[d]]), "little")
+        return [list(acc.to_bytes(n, "little")) for acc in accs]
     # no power is zero, so the prepared row holds all n of them in order;
     # the column of degree d is its entries moved to new positions, built
-    # once for all lanes and dropped before the next degree
+    # once for all polys and dropped before the next degree
     prepared = [x for _, x in spec._row_prep(powers)]
-    out = [[0] * n for _ in lanes]
-    for d in range(max(map(len, lanes), default=0)):
+    out = [[0] * n for _ in polys]
+    for d in range(max(map(len, polys), default=0)):
         col = None
-        for f, acc in zip(lanes, out):
+        for f, acc in zip(polys, out):
             if d < len(f) and f[d]:
                 if col is None:
                     e = d % n

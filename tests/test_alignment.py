@@ -173,6 +173,20 @@ def test_witness_decoding(ex2):
         encode_decode(inst, x1[:3], x2, x3)
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 4), (2, 6), (2, 8), (2, 16), (3, 10), (2, 20)])
+def test_rand_matrix_is_the_randrange_stream(p, m):
+    # the precoders are drawn as randrange(q) would draw them, leaving the
+    # generator in the same state, so every seeded instance keeps its bytes
+    spec = build_field(p, m)
+    for seed in ("a", "b", 7):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for rows, cols in [(1, 1), (9, 5), (85, 43)]:
+            got = alignment._rand_matrix(spec, rng, rows, cols)
+            want = [[ref.randrange(spec.q) for _ in range(cols)] for _ in range(rows)]
+            assert got.rows == want
+            assert rng.getstate() == ref.getstate()
+
+
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
@@ -245,6 +259,40 @@ def test_all_four_categories_align_and_decode(gf64):
         assert out.recovered == (x1, x2, x3)
         if name == "cat4":
             assert out.throughputs[2] == 1
+
+
+def instance_digest(inst):
+    doc = [None if M is None else M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of the precoders and free matrices of the first passing attempt:
+# N = 17 and 9 run in byte lanes, N = 5 in the log domain
+INSTANCE_DIGESTS = {
+    ("cat1", 8, 8): "0e68b9e7eec3e521e36cf4109d6c60eebc019799dd5529c4d899dcfa863a9c5f",
+    ("cat1", 8, 2): "0ed621e819c8fb3942f6607dc6d4499200295af4fd1dacbed0a8204fbc7dda11",
+    ("cat1", 6, 4): "60386ed63d49b7611ec72eb1ad84f1a175621df06dfcf237557ef92b16e3d336",
+    ("cat2", 8, 8): "55bd3c314f7efe4294ab98f2038057b1e2e18527cea8ca266544cad52a1c10cc",
+    ("cat2", 8, 2): "32ed533dc63c3d5a9f0f08b9c33382d36ec5a0bf4e89d6f5d9f7c7feda57b291",
+    ("cat2", 6, 4): "150f0cc0098dd66d3f255d68a03cbd22b30d7e1ce8b99b13e81c5818cd43ed17",
+    ("cat3", 8, 8): "d59852236e44e273a6b1b37da0b2a586e2ed8308d6e036ffdc423c1de03f871d",
+    ("cat3", 8, 2): "155080fad1ebead9a8cb6021026bb2105c9815e5f352407072aa2be54f9ecfb8",
+    ("cat3", 6, 4): "d864712ee5b76a293562d9f2ab4ba84615a81f9580bf96eb7a955dea24686d29",
+    ("cat4", 8, 8): "122896655532d863259889add3a2783ecd0c295c5057e00614add0cde26789fd",
+    ("cat4", 8, 2): "2e6e52a33339e7b503de2b9f2054031100d1bd51a8c2e17f369563806cd3fd84",
+    ("cat4", 6, 4): "9929d3e1205db37ccd076e3fad5efc99cde675810b1e4884195190e4ee2b2054",
+}
+
+
+@pytest.mark.parametrize("name, m, n", INSTANCE_DIGESTS)
+def test_category_instance_digests(name, m, n):
+    spec = build_field(2, m)
+    res = align_search(cat_net(CATEGORY_LENGTHS[name]), n, spec)
+    assert (res.attempts, res.instance.category) == (1, name)
+    assert instance_digest(res.instance) == INSTANCE_DIGESTS[name, m, n]
+    rng = random.Random(f"digest:{name}")
+    xs = [rand_syms(spec, rng, V.ncols) for V in (res.instance.V1, res.instance.V2, res.instance.V3)]
+    assert encode_decode(res.instance, *xs).recovered == tuple(xs)
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,37 @@ def test_dft_matches_pointwise_evaluation(sub, sup, n):
     assert got[4] == [scale.code] * n
 
 
+def _horner(spec, codes, x):
+    mul, add = spec._mul_codes, spec._add_codes
+    acc = 0
+    for c in reversed(codes):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p, m, n", [(2, 6, 7), (2, 6, 9), (2, 8, 5), (2, 8, 15), (2, 8, 17), (2, 8, 51),
+                (2, 8, 85), (2, 8, 255)],
+)
+def test_dft_matches_horner_across_the_lane_crossover(p, m, n):
+    """In GF(2^m <= 8) transforms of length at least _LANE_MIN_WIDTH run in
+    byte lanes; shorter ones stay in the log domain."""
+    spec = build_field(p, m)
+    alpha = element_of_order(spec, n)
+    rng = random.Random(f"crossover:{p}:{m}:{n}")
+    # polynomials of unequal length: degrees past n, degree exactly n and 2n
+    # (read at power 0), one short one, an empty one and an all-zero one
+    polys = [[rng.randrange(spec.q) for _ in range(k)] for k in (2 * n + 3, n + 1, 2 * n + 1, 2)]
+    polys[1][-1] = polys[2][-1] = rng.randrange(1, spec.q)
+    polys += [[], [0] * (n + 2)]
+    inverse = (spec._inv_code(alpha.code), spec._inv_code(n % p))
+    for a, s in [(alpha.code, 1), (alpha.code, rng.randrange(2, spec.q)), inverse]:
+        points = [spec._pow_code(a, k) for k in range(n)]
+        want = [[spec._mul_codes(s, _horner(spec, f, x)) for x in points] for f in polys]
+        assert _dft(spec, polys, a, n, s) == want
+    assert want[-1] == want[-2] == [0] * n
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (2, 8), (3, 2), (2, 20)])
 def test_dft_edge_shapes(p, m):
     spec = build_field(p, m)

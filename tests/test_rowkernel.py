@@ -3,7 +3,8 @@
 FieldSpec._row_prep/_row_axpy serve elimination (rank, det, solve,
 inverse), back substitution, matrix products, polynomial products and the
 DFT. In GF(2^m) with m <= 8, rows at least _LANE_MIN_WIDTH wide are
-eliminated, substituted and scaled in byte lanes instead, so the shapes
+eliminated, substituted and scaled in byte lanes instead, and products
+with a wide right side or a tall left side run there too, so the shapes
 here sit on both sides of that width. The oracles call only the scalar
 _mul_codes and _add_codes, one element at a time, and sympy's
 DomainMatrix rank over prime fields.
@@ -96,7 +97,7 @@ def _matmul(spec, a, b):
     out = []
     for arow in a:
         row = []
-        for j in range(len(b[0])):
+        for j in range(len(b[0]) if b else 0):
             acc = 0
             for k, x in enumerate(arow):
                 acc = add(acc, mul(x, b[k][j]))
@@ -195,6 +196,50 @@ def test_mul_and_scale_match_textbook(p, m):
         for s in (0, 1, rng.randrange(1, spec.q)):
             scaled = [[spec._mul_codes(s, x) for x in row] for row in a]
             assert FqMatrix(spec, a).scale(FieldElement(spec, s)).rows == scaled
+
+
+# (rows of A, cols of A = rows of B, cols of B): B wide, B narrow under a
+# tall A, both small, and empty inner or outer dimensions
+PRODUCT_SHAPES = [
+    (3, 5, W), (1, 4, W + 2), (W + 5, W + 1, W + 3), (17, 9, 8),
+    (W, 5, 1), (17, 9, 1), (85, 43, 1), (W + 9, 4, 3), (17, 9, 3),
+    (3, 4, 2), (W - 1, W - 1, W - 1), (1, 1, 1),
+    (W + 2, 3, 0), (3, 3, 0), (W + 1, 0, 0), (2, 0, 0), (0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("p, m", FIELDS[:4] + [(2, 9), (3, 2), (7, 1)])
+def test_products_in_both_lane_orientations(p, m, monkeypatch):
+    """A * B in byte lanes by B's rows when B is wide and by A's columns when
+    A is tall; otherwise, and in every field without lanes, by _row_matvec."""
+    spec = build_field(p, m)
+    lanes = spec._lanes_for(W)
+    rng = random.Random(f"orient:{p}:{m}")
+    calls = 0
+    matvec = type(spec)._row_matvec
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return matvec(self, *args)
+
+    monkeypatch.setattr(type(spec), "_row_matvec", counted)
+    for r, k, c in PRODUCT_SHAPES:
+        a, b = _rand(spec, rng, r, k), _rand(spec, rng, k, c)
+        zero_a = [[0] * k for _ in range(r)]
+        zero_b = [[0] * c for _ in range(k)]
+        # a zero row and a zero column in each factor
+        holed_a = [[0 if i == r // 2 or j == k // 2 else x for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        holed_b = [[0 if i == k // 2 or j == c // 2 else x for j, x in enumerate(row)]
+                   for i, row in enumerate(b)]
+        for x, y in [(a, b), (holed_a, holed_b), (zero_a, b), (a, zero_b), (zero_a, zero_b)]:
+            calls = 0
+            got = FqMatrix(spec, x) * FqMatrix(spec, y)
+            assert got.rows == _matmul(spec, x, y), (r, k, c)
+            assert got.shape == (r, c if r else 0)
+            on_matvec = lanes is None or (c < W and r < W)
+            assert bool(calls) == (on_matvec and r > 0), (r, k, c)
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
