@@ -10,8 +10,9 @@ every artifact down to the bit.
 
 from __future__ import annotations
 
+from itertools import cycle, islice, zip_longest
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "NetcodeError",
@@ -50,7 +51,7 @@ _TABLE_CAP = 1 << 16
 _MAX_FIELD_ORDER = 1 << 24
 
 # Matrix rows at least this wide run in byte lanes in GF(2^m), m <= 8
-# (FieldSpec._lanes_for); narrower ones stay in the log domain.
+# (FieldSpec._kernel); narrower ones run in code lists.
 _LANE_MIN_WIDTH = 8
 
 
@@ -224,13 +225,13 @@ class FieldSpec:
     """GF(p^m) with a fixed monic irreducible modulus of degree m.
 
     A spec is complete once constructed: it holds its generator, exp/log
-    tables when q <= _TABLE_CAP and, in GF(2^m) with m <= 8, the byte-lane
-    table. Instances are immutable and hashable; two specs compare equal
-    exactly when (p, m, modulus) agree. Construct through :func:`build_field`.
+    tables when q <= _TABLE_CAP and its row kernels. Instances are immutable
+    and hashable; two specs compare equal exactly when (p, m, modulus)
+    agree. Construct through :func:`build_field`.
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_tail", "_exp", "_log", "_exp2", "_lanes", "_gen_code"
+        "p", "m", "q", "modulus", "_tail", "_exp", "_log", "_exp2", "_lists", "_lanes", "_gen_code"
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -244,7 +245,8 @@ class FieldSpec:
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
         # the row kernel adds two logs in [0, q - 2] and reads the sum here
         self._exp2 = self._exp + self._exp if p == 2 and self._exp else None
-        self._lanes = self._build_lanes() if p == 2 and m <= 8 else None
+        self._lists = _ListKernel(self)
+        self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -481,7 +483,7 @@ class FieldSpec:
             return exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_code_slow(a, e)
 
-    # -- row kernel ----------------------------------------------------
+    # -- code-list rows ------------------------------------------------
     #
     # Matrix and polynomial loops are runs of dst += f * src in which one
     # src row meets many factors, so src is prepared once. In GF(2^m) with
@@ -512,10 +514,10 @@ class FieldSpec:
 
     def _row_axpy(
         self, dst: list[int], factor: int, src: list[tuple[int, int]], off: int = 0
-    ) -> None:
-        """dst[off + j] += factor * v for every entry (j, v) of a prepared row."""
+    ) -> list[int]:
+        """dst[off + j] += factor * v for every entry (j, v) of a prepared row; returns dst."""
         if not factor:
-            return
+            return dst
         exp2 = self._exp2
         if exp2 is not None:
             lf = self._log[factor]
@@ -527,19 +529,21 @@ class FieldSpec:
                 # per entry on 85-entry GF(256) rows
                 for j, lv in src:
                     dst[j] ^= exp2[lf + lv]
-            return
+            return dst
         mul, add = self._mul_codes, self._add_codes
         for j, v in src:
             dst[off + j] = add(dst[off + j], mul(factor, v))
+        return dst
 
     def _row_matvec(
-        self, dst: list[int], vec: Sequence[int], rows: Sequence[list[tuple[int, int]]]
-    ) -> None:
-        """dst[j] += x * v for each x = vec[i] and each entry (j, v) of rows[i].
+        self, vec: Sequence[int], rows: Sequence[list[tuple[int, int]]], width: int
+    ) -> list[int]:
+        """The sum of x * rows[i] over x = vec[i], a row of width codes.
 
         _row_axpy over every row at once, for short rows, where a call per
         row would cost more than its entries.
         """
+        dst = [0] * width
         exp2 = self._exp2
         if exp2 is not None:
             log = self._log
@@ -548,43 +552,142 @@ class FieldSpec:
                     lx = log[x]
                     for j, lv in row:
                         dst[j] ^= exp2[lx + lv]
-            return
+            return dst
         mul, add = self._mul_codes, self._add_codes
         for x, row in zip(vec, rows):
             if x:
                 for j, v in row:
                     dst[j] = add(dst[j], mul(x, v))
+        return dst
+
+    # -- row kernels ---------------------------------------------------
+
+    def _kernel(self, width: int) -> "_ListKernel | _LaneKernel":
+        """The row kernel for rows this wide; the only place that picks one."""
+        if width >= _LANE_MIN_WIDTH and self._lanes is not None:
+            return self._lanes
+        return self._lists
 
     def _row_scaled(self, factor: int, row: Sequence[int]) -> list[int]:
         """factor * row as a new list."""
-        lanes = self._lanes_for(len(row))
-        if lanes is not None:
-            return list(bytes(row).translate(lanes[factor]))
-        out = [0] * len(row)
-        self._row_axpy(out, factor, self._row_prep(row))
-        return out
+        return self._kernel(len(row)).scaled(factor, row)
 
-    # -- byte lanes ----------------------------------------------------
-    #
-    # In GF(2^m) with m <= 8 every code fits a byte, so a row of codes is
-    # one bytes object, or one int with a byte lane per entry. The sum of
-    # two rows is one XOR of their ints and c * row is
-    # row.translate(lanes[c]), both in C. Packing a row costs a few calls,
-    # so short rows stay on the log-domain path above.
 
-    def _lanes_for(self, width: int) -> list[bytes] | None:
-        """The lane multiply table if rows this wide run in byte lanes, else None."""
-        return self._lanes if width >= _LANE_MIN_WIDTH else None
+# Both row kernels offer the same calls, each on a whole row or a set of
+# rows, so the loops over entries stay inside them:
+#   pack(codes) -> row; unpack(row, width) -> its codes, bytes or a list;
+#   join(unpacked rows) -> their codes end to end
+#   column(rows, start, c) -> entry c of each row from rows[start] on
+#   prep(codes, scale=1) -> scale * codes, prepared as a src for axpy,
+#     which returns row + f * src (src from entry off on), and for
+#     matvec, which returns the sum of factors[i] * srcs[i]
+#   axpys(rows, start, columns, srcs, scale=1): for each factors column
+#     (one factor per row) and src (codes as unpack gives them),
+#     rows[start + i] += factors[i] * scale * src
+#   scaled(f, codes) -> f * codes
+# matvec and scaled return code lists; axpy and axpys also change a
+# code-list row in place.
 
-    def _build_lanes(self) -> list[bytes]:
-        """lanes[c][x] = c * x for codes c, x (256 entries per c, for translate)."""
-        exp, log, q = self._exp, self._log, self.q
-        # lanes[c] is exp rotated by log c and read through log; log of 0
-        # reads index 255, one past every log, which holds a zero
+
+class _ListKernel:
+    """Rows as code lists, through FieldSpec's _row_prep, _row_axpy and _row_matvec."""
+
+    __slots__ = ("prep", "axpy", "matvec")
+
+    pack = list
+
+    def __init__(self, spec: FieldSpec):
+        self.prep, self.axpy, self.matvec = spec._row_prep, spec._row_axpy, spec._row_matvec
+
+    @staticmethod
+    def unpack(row: list[int], width: int) -> list[int]:
+        return row
+
+    @staticmethod
+    def join(rows: Sequence[list[int]]) -> list[int]:
+        return [x for row in rows for x in row]
+
+    @staticmethod
+    def column(rows: list[list[int]], start: int, c: int) -> list[int]:
+        return [row[c] for row in rows[start:]]
+
+    def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
+        axpy, prep = self.axpy, self.prep
+        for factors, codes in zip(columns, srcs):
+            if any(factors):
+                src = prep(codes, scale)
+                for i, f in enumerate(factors, start):
+                    if f:
+                        axpy(rows[i], f, src)
+
+    def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
+        return self.axpy([0] * len(codes), factor, self.prep(codes))
+
+
+class _LaneKernel:
+    """Rows of GF(2^m), m <= 8, as ints with one byte lane per entry.
+
+    The sum of two rows is one XOR of their ints and c * row is
+    row.translate(tables[c]) on its bytes, both in C; prepared rows are
+    bytes. Packing costs a few calls, so short rows stay in code lists.
+    """
+
+    __slots__ = ("tables",)
+
+    def __init__(self, spec: FieldSpec):
+        # tables[c][x] = c * x: exp rotated by log c and read through log;
+        # log of 0 reads index 255, one past every log, which holds a zero
+        exp, log, q = spec._exp, spec._log, spec.q
         rotations = bytes(exp + exp)
         pad = bytes(257 - q)
         by_log = bytes([255] + log[1:] + [255] * (256 - q))
-        return [bytes(256)] + [by_log.translate(rotations[k : k + q - 1] + pad) for k in log[1:]]
+        self.tables = [bytes(256)] + [
+            by_log.translate(rotations[k : k + q - 1] + pad) for k in log[1:]
+        ]
+
+    @staticmethod
+    def pack(codes: Sequence[int]) -> int:
+        return int.from_bytes(bytes(codes), "little")
+
+    @staticmethod
+    def unpack(row: int, width: int) -> bytes:
+        return row.to_bytes(width, "little")
+
+    join = staticmethod(b"".join)
+
+    @staticmethod
+    def column(rows: list[int], start: int, c: int) -> list[int]:
+        shift = 8 * c
+        return [row >> shift & 255 for row in rows[start:]]
+
+    def prep(self, codes: Sequence[int], scale: int = 1) -> bytes:
+        row = bytes(codes)
+        return row if scale == 1 else row.translate(self.tables[scale])
+
+    def axpy(self, row: int, factor: int, src: bytes, off: int = 0) -> int:
+        if not factor:
+            return row
+        return row ^ int.from_bytes(src.translate(self.tables[factor]), "little") << 8 * off
+
+    def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
+        tables, unpack = self.tables, int.from_bytes
+        for factors, codes in zip(columns, srcs):
+            if any(factors):
+                src = codes if scale == 1 else codes.translate(tables[scale])
+                for i, f in enumerate(factors, start):
+                    if f:
+                        rows[i] ^= unpack(src.translate(tables[f]), "little")
+
+    def matvec(self, factors: Sequence[int], srcs: Sequence[bytes], width: int) -> list[int]:
+        tables, unpack = self.tables, int.from_bytes
+        acc = 0
+        for x, src in zip(factors, srcs):
+            if x:
+                acc ^= unpack(src.translate(tables[x]), "little")
+        return list(acc.to_bytes(width, "little"))
+
+    def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
+        return list(bytes(codes).translate(self.tables[factor]))
 
 
 # One spec per field, so its tables and generator are computed once per
@@ -877,39 +980,19 @@ class FqMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         spec = self.spec
-        unpack = int.from_bytes
-        lanes = spec._lanes_for(other.ncols)
-        if lanes is not None:
-            # row i of the product is the sum over j of a_ij * B[j, :]
-            packed = [bytes(row) for row in other.rows]
-            out = []
-            for arow in self.rows:
-                acc = 0
-                for x, row in zip(arow, packed):
-                    if x:
-                        acc ^= unpack(row.translate(lanes[x]), "little")
-                out.append(list(acc.to_bytes(other.ncols, "little")))
-            return FqMatrix(spec, out)
-        lanes = spec._lanes_for(self.nrows)
-        if lanes is not None:
-            # column k of the product is the sum over j of b_jk * A[:, j]
-            packed = [bytes(col) for col in zip(*self.rows)]
-            cols = []
-            for bcol in zip(*other.rows):
-                acc = 0
-                for x, col in zip(bcol, packed):
-                    if x:
-                        acc ^= unpack(col.translate(lanes[x]), "little")
-                cols.append(acc.to_bytes(self.nrows, "little"))
-            rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in self.rows]
-            return FqMatrix(spec, rows)
-        matvec = spec._row_matvec
-        srcs = [spec._row_prep(row) for row in other.rows]
-        out = []
-        for arow in self.rows:
-            crow = [0] * other.ncols
-            matvec(crow, arow, srcs)
-            out.append(crow)
+        # row i of the product is the sum over j of a_ij * B[j, :]; when only
+        # A's larger height reaches another kernel, the loop runs on the
+        # transposed operands: column k is the sum over j of b_jk * A[:, j]
+        a, b, width = self.rows, other.rows, other.ncols
+        kern = spec._kernel(width)
+        flip = self.nrows > width and spec._kernel(self.nrows) is not kern
+        if flip:
+            a, b, width = list(zip(*b)), list(zip(*a)), self.nrows
+            kern = spec._kernel(width)
+        srcs = [kern.prep(row) for row in b]
+        out = [kern.matvec(arow, srcs, width) for arow in a]
+        if flip:
+            out = [list(row) for row in zip(*out)] if out else [[] for _ in self.rows]
         return FqMatrix(spec, out)
 
     __matmul__ = __mul__
@@ -929,56 +1012,17 @@ class FqMatrix:
     def _eliminate(self, record: list | None = None) -> tuple[list, list[int], int]:
         """Forward-eliminate a copy of the rows: (echelon rows, pivot columns, swaps).
 
+        The rows run in the row kernel of their width and come back unpacked.
         With record a list, each pivot step k appends (p, mults): row p was
         swapped into place k, then row k + 1 + i gained m times row k for
-        each prepared entry (i, m) of mults. The replay is FqFactors.solve.
+        each entry m at position i of the prepared row mults. The replay is
+        FqFactors.solve.
         """
-        spec = self.spec
-        lanes = spec._lanes_for(self.ncols)
-        if lanes is not None:
-            return self._eliminate_lanes(lanes, record)
-        prep, axpy = spec._row_prep, spec._row_axpy
-        rows = [row[:] for row in self.rows]
-        nrows = len(rows)
-        pivots: list[int] = []
-        swaps = 0
-        r = 0
-        for c in range(self.ncols):
-            if r == nrows:
-                break
-            pivot_row = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-                swaps += 1
-            row_r = rows[r]
-            below = [row_i for row_i in rows[r + 1 :] if row_i[c]]
-            if below:
-                # row_r is zero left of column c, and adding row_i[c] * src
-                # to row_i clears row_i[c]
-                scale = spec._neg_code(spec._inv_code(row_r[c]))
-                if record is not None:
-                    record.append((pivot_row, prep([row_i[c] for row_i in rows[r + 1 :]], scale)))
-                src = prep(row_r, scale)
-                for row_i in below:
-                    axpy(row_i, row_i[c], src)
-            elif record is not None:
-                record.append((pivot_row, []))
-            pivots.append(c)
-            r += 1
-        return rows, pivots, swaps
-
-    def _eliminate_lanes(
-        self, lanes: list[bytes], record: list | None
-    ) -> tuple[list[bytes], list[int], int]:
-        """_eliminate on rows packed into byte lanes; rows and mults come back as bytes."""
-        inv, unpack, ncols = self.spec._inv_code, int.from_bytes, self.ncols
-        rows = [unpack(bytes(row), "little") for row in self.rows]
+        spec, ncols = self.spec, self.ncols
+        kern = spec._kernel(ncols)
+        column, unpack, prep, axpys = kern.column, kern.unpack, kern.prep, kern.axpys
+        neg, inv = spec._neg_code, spec._inv_code
+        rows = [kern.pack(row) for row in self.rows]
         nrows = len(rows)
         pivots: list[int] = []
         swaps = 0
@@ -986,8 +1030,7 @@ class FqMatrix:
         for c in range(ncols):
             if r == nrows:
                 break
-            shift = 8 * c
-            col = [row >> shift & 255 for row in rows[r:]]
+            col = column(rows, r, c)
             for k, x in enumerate(col):
                 if x:
                     break
@@ -997,18 +1040,16 @@ class FqMatrix:
                 rows[r], rows[r + k] = rows[r + k], rows[r]
                 col[0], col[k] = col[k], col[0]
                 swaps += 1
-            # characteristic 2: src = row_r / pivot, and adding f * src to a
-            # row with f in lane c clears that lane
-            scale = lanes[inv(col[0])]
+            # row r is zero left of column c, and adding f * scale * row r
+            # to a row whose entry c is f clears that entry
+            scale = neg(inv(col[0]))
+            below = col[1:]
             if record is not None:
-                record.append((r + k, bytes(col[1:]).translate(scale)))
-            src = rows[r].to_bytes(ncols, "little").translate(scale)
-            for i, f in enumerate(col[1:], r + 1):
-                if f:
-                    rows[i] ^= unpack(src.translate(lanes[f]), "little")
+                record.append((r + k, prep(below, scale)))
+            axpys(rows, r + 1, (below,), (unpack(rows[r], ncols),), scale)
             pivots.append(c)
             r += 1
-        return [row.to_bytes(ncols, "little") for row in rows], pivots, swaps
+        return [unpack(row, ncols) for row in rows], pivots, swaps
 
     def factor(self) -> "FqFactors":
         """The forward elimination of self, recorded so right-hand sides can replay it."""
@@ -1047,8 +1088,9 @@ class FqFactors:
     """The recorded forward elimination of an nrows x ncols matrix A.
 
     steps holds each pivot step's swap and multipliers (see
-    FqMatrix._eliminate) and upper the rank nonzero echelon rows; both
-    are bytes when A's rows ran in byte lanes.
+    FqMatrix._eliminate) and upper the rank nonzero echelon rows, both in
+    the forms of the row kernel that A's width selects; solve replays them
+    in that kernel, one right-hand-side column at a time.
     """
 
     __slots__ = ("spec", "nrows", "ncols", "pivots", "steps", "upper")
@@ -1080,59 +1122,34 @@ class FqFactors:
             raise ValueError("mixed fields")
         if rhs.nrows != self.nrows:
             raise ValueError("right-hand side has wrong number of rows")
-        n = self.ncols
+        m, n = self.nrows, self.ncols
         if len(self.pivots) < n:
             raise ValueError("system is rank deficient")
-        cols = [list(col) for col in zip(*rhs.rows)]
-        lanes = self.spec._lanes_for(n)
-        xs = self._substitute(cols) if lanes is None else self._substitute_lanes(lanes, cols)
-        return FqMatrix(self.spec, [list(row) for row in zip(*xs)] if xs else [[]] * n)
-
-    def _substitute(self, cols: list[list[int]]) -> list[list[int]]:
         spec = self.spec
-        axpy, mul, n = spec._row_axpy, spec._mul_codes, self.ncols
-        minus_one = spec._neg_code(1)
+        kern = spec._kernel(n)
+        pack, unpack, axpy = kern.pack, kern.unpack, kern.axpy
         # -U[:r, r] for each column r of the square upper triangle U
-        above = [spec._row_prep(col[:r], minus_one) for r, col in enumerate(zip(*self.upper))]
-        inv_diag = [spec._inv_code(row[r]) for r, row in enumerate(self.upper)]
-        for b in cols:
+        flat, minus_one = kern.join(self.upper), spec._neg_code(1)
+        above = [kern.prep(flat[r : r * n : n], minus_one) for r in range(n)]
+        inv_diag = [spec._inv_code(u) for u in flat[:: n + 1]]
+        mul = spec._mul_codes
+        xs = []
+        for col in zip(*rhs.rows):
+            b = pack(col)
             for k, (p, mults) in enumerate(self.steps):
-                if p != k:
-                    b[k], b[p] = b[p], b[k]
-                axpy(b, b[k], mults, k + 1)
-            if any(b[n:]):
+                if p != k:  # rare enough to go through a code list
+                    codes = list(unpack(b, m))
+                    codes[k], codes[p] = codes[p], codes[k]
+                    b = pack(codes)
+                b = axpy(b, unpack(b, m)[k], mults, k + 1)
+            if any(unpack(b, m)[n:]):
                 raise ValueError("system is rank deficient")
+            x = [0] * n
             for r in range(n - 1, -1, -1):
-                x = b[r] = mul(b[r], inv_diag[r])
-                axpy(b, x, above[r])
-            del b[n:]
-        return cols
-
-    def _substitute_lanes(self, lanes: list[bytes], cols: list[list[int]]) -> list[list[int]]:
-        """_substitute with each column one int of byte lanes."""
-        inv, unpack, n = self.spec._inv_code, int.from_bytes, self.ncols
-        flat = b"".join(self.upper)
-        above = [flat[r : r * n : n] for r in range(n)]  # U[:r, r]
-        inv_diag = [lanes[inv(row[r])] for r, row in enumerate(self.upper)]
-        out = []
-        for col in cols:
-            b = unpack(bytes(col), "little")
-            for k, (p, mults) in enumerate(self.steps):
-                if p != k:
-                    d = ((b >> 8 * k) ^ (b >> 8 * p)) & 255
-                    b ^= d << 8 * k | d << 8 * p
-                x = b >> 8 * k & 255
-                if x:
-                    b ^= unpack(mults.translate(lanes[x]), "little") << 8 * (k + 1)
-            if b >> 8 * n:
-                raise ValueError("system is rank deficient")
-            x_col = [0] * n
-            for r in range(n - 1, -1, -1):
-                x = x_col[r] = inv_diag[r][b >> 8 * r & 255]
-                if x:
-                    b ^= unpack(above[r].translate(lanes[x]), "little")
-            out.append(x_col)
-        return out
+                x[r] = mul(unpack(b, n)[r], inv_diag[r])
+                b = axpy(b, x[r], above[r])
+            xs.append(x)
+        return FqMatrix(spec, [list(row) for row in zip(*xs)] if xs else [[] for _ in range(n)])
 
 
 # ----------------------------------------------------------------------
@@ -1149,41 +1166,20 @@ def _dft(
     power (d mod n) k mod n. Every n-point evaluation in the package is a
     call here.
     """
-    mul, axpy = spec._mul_codes, spec._row_axpy
+    mul = spec._mul_codes
     powers = [scale]
     for _ in range(n - 1):
         powers.append(mul(powers[-1], a))
-    lanes = spec._lanes_for(n)
-    if lanes is not None:
-        # the column of exponent e > 0, scale * a^(ek) for k < n, is every
-        # e-th byte of the powers repeated n times
-        unpack = int.from_bytes
-        pw = bytes(powers)
-        ring = pw * n
-        accs = [0] * len(polys)
-        for d in range(max(map(len, polys), default=0)):
-            col = None
-            for i, f in enumerate(polys):
-                if d < len(f) and f[d]:
-                    if col is None:
-                        e = d % n
-                        col = ring[: e * n : e] if e else pw[:1] * n
-                    accs[i] ^= unpack(col.translate(lanes[f[d]]), "little")
-        return [list(acc.to_bytes(n, "little")) for acc in accs]
-    # no power is zero, so the prepared row holds all n of them in order;
-    # the column of degree d is its entries moved to new positions, built
-    # once for all polys and dropped before the next degree
-    prepared = [x for _, x in spec._row_prep(powers)]
-    out = [[0] * n for _ in polys]
-    for d in range(max(map(len, polys), default=0)):
-        col = None
-        for f, acc in zip(polys, out):
-            if d < len(f) and f[d]:
-                if col is None:
-                    e = d % n
-                    col = [(k, prepared[e * k % n]) for k in range(n)]
-                axpy(acc, f[d], col)
-    return out
+    kern = spec._kernel(n)
+    # the column of exponent e > 0, scale * a^(ek) for k < n, is every e-th
+    # entry of the powers repeated, in the kernel's code sequence; each is
+    # built once for all polys and dropped before the next degree
+    degrees = max(map(len, polys), default=0)
+    ring = kern.unpack(kern.pack(powers), n) * min(n, degrees)
+    cols = (ring[: e * n : e] if e else ring[:1] * n for e in islice(cycle(range(n)), degrees))
+    accs = [kern.pack(bytes(n)) for _ in polys]  # n zero codes each
+    kern.axpys(accs, 0, zip_longest(*polys, fillvalue=0), cols)
+    return [list(kern.unpack(acc, n)) for acc in accs]
 
 
 def _check_dft_args(alpha: FieldElement, n: int) -> None:

@@ -661,8 +661,7 @@ def _simulate_codes(
             raise ValueError(f"step {step}: source {i} expects {procs[i]} symbols")
         vec = [c for x in x_t for c in x]
         vec += state
-        out = [0] * bounds[-1]
-        matvec(out, vec, step_rows)
+        out = matvec(vec, step_rows, bounds[-1])
         outputs.append([out[a:b] for a, b in reads])
         for k, line in lines:
             line.append(out[k])
@@ -903,9 +902,12 @@ def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
                     raise ParseError(f"{path}.{key}[{k}]: {e}") from None
         return triple
 
-    if d.get("mode", "invariant") == "invariant":
+    mode = d.get("mode", "invariant")
+    if mode == "invariant":
         al, be, ep = triple_from_json(d, "kernels")
         return LekAssignment(spec, "invariant", al, be, ep)
+    if mode != "time":
+        raise ParseError(f'kernels.mode must be "invariant" or "time", got {mode!r}')
     steps = tuple(
         triple_from_json(td, f"kernels.steps[{k}]")
         for k, td in enumerate(_list(d.get("steps"), "kernels.steps"))

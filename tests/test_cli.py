@@ -143,6 +143,14 @@ MALFORMED = {
         "transfer", "example2", {("kernels", "mode"): "time"},
         "kernels.steps must be a list, got None",
     ),
+    "kernels.mode.case": (
+        "transfer", "example2", {("kernels", "mode"): "Invariant"},
+        'kernels.mode must be "invariant" or "time", got \'Invariant\'',
+    ),
+    "kernels.mode.type": (
+        "transfer", "example2", {("kernels", "mode"): 5},
+        'kernels.mode must be "invariant" or "time", got 5',
+    ),
     "kernels.alpha.coefficient": (
         "transfer", "example2", {("kernels", "alpha", 0, 3): [5]},
         "kernels.alpha[0]: coefficient 5 out of range [0, 2)",

@@ -1,13 +1,15 @@
-"""The row kernel against textbook loops over scalar field arithmetic.
+"""The row kernels against textbook loops over scalar field arithmetic.
 
-FieldSpec._row_prep/_row_axpy serve elimination (rank, det, solve,
-inverse), back substitution, matrix products, polynomial products and the
-DFT. In GF(2^m) with m <= 8, rows at least _LANE_MIN_WIDTH wide are
-eliminated, substituted and scaled in byte lanes instead, and products
-with a wide right side or a tall left side run there too, so the shapes
-here sit on both sides of that width. The oracles call only the scalar
-_mul_codes and _add_codes, one element at a time, and sympy's
-DomainMatrix rank over prime fields.
+Elimination (rank, det, solve, inverse), back substitution, matrix
+products, row scaling and the DFT each have one loop, which runs in the
+row kernel that FieldSpec._kernel picks by row width: byte lanes in
+GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH wide, code lists
+through _row_prep/_row_axpy everywhere else. A product runs on its
+transposed operands when only the left side's height reaches the lanes.
+The shapes here sit on both sides of that width. Polynomial products use
+_row_prep/_row_axpy directly. The oracles call only the scalar _mul_codes
+and _add_codes, one element at a time, and sympy's DomainMatrix rank over
+prime fields.
 """
 
 import random
@@ -21,6 +23,7 @@ from sympy.polys.matrices import DomainMatrix
 from netcode.galois import (
     _LANE_MIN_WIDTH,
     FieldElement,
+    FieldSpec,
     FqMatrix,
     _mul_into,
     build_field,
@@ -162,16 +165,25 @@ def _cases(spec, seed):
     return cases
 
 
+def _lanes(spec):
+    """The byte-lane kernel of spec, or None when every width gets code lists."""
+    kern = spec._kernel(W)
+    return None if kern is spec._kernel(0) else kern
+
+
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_lanes_serve_wide_rows_of_gf2m_up_to_m8(p, m):
     spec = build_field(p, m)
-    assert spec._lanes_for(W - 1) is None
-    lanes = spec._lanes_for(W)
+    narrow = spec._kernel(0)
+    assert all(spec._kernel(w) is narrow for w in range(W))
+    lanes = _lanes(spec)
     assert (lanes is not None) == (p == 2 and m <= 8)
+    assert all(spec._kernel(w) is (lanes or narrow) for w in (W, W + 1, 85, 255))
     if lanes is not None:
-        assert len(lanes) == spec.q and all(len(t) == 256 for t in lanes)
+        tables = lanes.tables
+        assert len(tables) == spec.q and all(len(t) == 256 for t in tables)
         for c in range(spec.q):
-            assert list(lanes[c][: spec.q]) == [spec._mul_codes(c, x) for x in range(spec.q)]
+            assert list(tables[c][: spec.q]) == [spec._mul_codes(c, x) for x in range(spec.q)]
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
@@ -208,22 +220,32 @@ PRODUCT_SHAPES = [
 ]
 
 
+class _Spy:
+    """A row kernel that logs (kernel, width) for each matvec it serves."""
+
+    def __init__(self, kern, log):
+        self.kern, self.log = kern, log
+
+    def __getattr__(self, name):
+        return getattr(self.kern, name)
+
+    def matvec(self, vec, srcs, width):
+        self.log.append((self.kern, width))
+        return self.kern.matvec(vec, srcs, width)
+
+
 @pytest.mark.parametrize("p, m", FIELDS[:4] + [(2, 9), (3, 2), (7, 1)])
 def test_products_in_both_lane_orientations(p, m, monkeypatch):
     """A * B in byte lanes by B's rows when B is wide and by A's columns when
-    A is tall; otherwise, and in every field without lanes, by _row_matvec."""
+    A is tall; otherwise, and in every field without lanes, in code lists by
+    B's rows. Each output row is one matvec of the selected kernel."""
     spec = build_field(p, m)
-    lanes = spec._lanes_for(W)
+    lanes, lists = _lanes(spec), spec._kernel(0)
     rng = random.Random(f"orient:{p}:{m}")
-    calls = 0
-    matvec = type(spec)._row_matvec
-
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return matvec(self, *args)
-
-    monkeypatch.setattr(type(spec), "_row_matvec", counted)
+    served: list = []
+    spies = {id(k): _Spy(k, served) for k in (lanes, lists) if k is not None}
+    select = FieldSpec._kernel
+    monkeypatch.setattr(FieldSpec, "_kernel", lambda self, w: spies[id(select(self, w))])
     for r, k, c in PRODUCT_SHAPES:
         a, b = _rand(spec, rng, r, k), _rand(spec, rng, k, c)
         zero_a = [[0] * k for _ in range(r)]
@@ -233,13 +255,18 @@ def test_products_in_both_lane_orientations(p, m, monkeypatch):
                    for i, row in enumerate(a)]
         holed_b = [[0 if i == k // 2 or j == c // 2 else x for j, x in enumerate(row)]
                    for i, row in enumerate(b)]
+        if lanes is not None and c >= W:
+            want = [(lanes, c)] * r  # B's rows
+        elif lanes is not None and r >= W:
+            want = [(lanes, r)] * c  # A's columns
+        else:
+            want = [(lists, c)] * r
         for x, y in [(a, b), (holed_a, holed_b), (zero_a, b), (a, zero_b), (zero_a, zero_b)]:
-            calls = 0
+            served.clear()
             got = FqMatrix(spec, x) * FqMatrix(spec, y)
             assert got.rows == _matmul(spec, x, y), (r, k, c)
             assert got.shape == (r, c if r else 0)
-            on_matvec = lanes is None or (c < W and r < W)
-            assert bool(calls) == (on_matvec and r > 0), (r, k, c)
+            assert served == want, (r, k, c)
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
@@ -306,6 +333,20 @@ def test_factor_solves_match_textbook(p, m):
                 x = _rand(spec, rng, n, k)
                 b = _matmul(spec, a, x)
                 assert f.solve(FqMatrix(spec, b)).rows == x == _solve(spec, a, b), name
+
+
+@pytest.mark.parametrize("p, m", [(2, 8), (7, 1)])
+@pytest.mark.parametrize("n", [3, W + 2])
+def test_solve_with_no_columns_gives_distinct_rows(p, m, n):
+    spec = build_field(p, m)
+    rng = random.Random(f"empty:{p}:{m}:{n}")
+    a = _full_column_rank(spec, rng, lambda: _rand(spec, rng, n, n))
+    empty = FqMatrix(spec, [[] for _ in range(n)])
+    for A in (FqMatrix.identity(spec, n), FqMatrix(spec, a)):
+        got = A.solve(empty)
+        assert got.rows == [[] for _ in range(n)]
+        got.rows[0].append(1)
+        assert got.rows[1:] == [[] for _ in range(n - 1)]
 
 
 @pytest.mark.parametrize("p, m", [(2, 8), (7, 1)])
