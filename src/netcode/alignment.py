@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from typing import Sequence
 
 from .galois import (
@@ -35,8 +34,7 @@ from .netmodel import (
     NetworkSpec,
     TransferResult,
     WindowUnderspecified,
-    _kernel_rows,
-    _simulate_codes,
+    _window,
     min_cut,
     random_leks,
     transfer_matrix,
@@ -210,7 +208,8 @@ class AlignmentInstance:
 
 
 def _diag_mul(spec: FieldSpec, diag: Sequence[int], M: FqMatrix) -> FqMatrix:
-    return FqMatrix(spec, [spec._row_scaled(d, row) for d, row in zip(diag, M.rows)])
+    scaled = spec._kernel(M.ncols).scaled
+    return FqMatrix(spec, [scaled(d, row) for d, row in zip(diag, M.rows)])
 
 
 def _diag_inv(spec: FieldSpec, diag: Sequence[int], where: str) -> list[int]:
@@ -627,25 +626,24 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
-    window = list(islice(_kernel_rows(net, leks, -d_max), horizon))
+    window = _window(net, leks, validate(net), -d_max, horizon)
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
+    silent = [0] * horizon
     for i in range(3):
         for c in range(N):
             g = N - 1 - c  # input generation carried by stacked column c
-            labels = {g}
+            impulse = silent[:]
+            impulse[g + d_max] = 1
             if g >= N - d_max:
-                labels.add(g - N)  # cyclic prefix copy
-            series = []
-            for step in range(horizon):
-                vecs = [[0], [0], [0]]
-                if step - d_max in labels:
-                    vecs[i] = [1]
-                series.append(vecs)
-            outs = _simulate_codes(net, spec, series, window)
+                impulse[g - N + d_max] = 1  # cyclic prefix copy
+            series = [silent] * 3
+            series[i] = impulse
+            outs = window(series)
             for j in range(3):
-                for r in range(N):
-                    t = N - 1 - r
-                    M[i][j].rows[r][c] = outs[d_prime_min + t + d_max][j][0]
+                # stacked row r reads label d_prime_min + N - 1 - r: the
+                # last N steps of the window, newest first
+                for r, y in enumerate(reversed(outs[j][horizon - N :])):
+                    M[i][j].rows[r][c] = y
     return TvInstance(
         n=n,
         N=N,

@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from importlib import resources
+from itertools import chain
 
 from .galois import (
     FieldElement,
@@ -31,11 +32,12 @@ from .galois import (
     spec_to_dict,
 )
 from .netmodel import (
+    _by_step,
+    _simulate_rows,
     leks_from_dict,
     leks_to_dict,
     min_cut,
     network_from_dict,
-    simulate,
     transfer_from_dict,
     transfer_matrix,
     transfer_to_dict,
@@ -269,21 +271,21 @@ def _cmd_simulate(args) -> int:
     doc = _load_doc(args.input, "simulation")
     net, leks = _net_and_leks(doc)
     spec = leks.field
+    inputs = doc["inputs"]
     try:
-        inputs = [[spec.codes_from_json(proc) for proc in gen] for gen in doc["inputs"]]
+        codes = spec.codes_from_json(list(chain.from_iterable(chain.from_iterable(inputs))))
     except (ParseError, TypeError):
         # walk the steps again to name the bad value; building a path per
         # symbol up front costs ~5% of a simulate job
-        for t, gen in enumerate(doc["inputs"]):
+        for t, gen in enumerate(inputs):
             for i, proc in enumerate(_list(gen, f"inputs[{t}]")):
                 where = f"inputs[{t}][{i}]"
                 spec.codes_from_json(_list(proc, where), lambda l: f"{where}[{l}]")
         raise
-    outs = simulate(
-        net, leks, inputs, t_start=_int(doc.get("t_start", 0), "t_start"), codes=True
-    )
-    to_json = spec.codes_to_json
-    _emit({"outputs": [[to_json(sink) for sink in step] for step in outs]}, args)
+    t_start = _int(doc.get("t_start", 0), "t_start")
+    rows = _simulate_rows(net, leks, inputs, t_start, False, codes)
+    outputs = _by_step(net, list(map(spec.codes_to_json, rows)), len(inputs))
+    _emit({"outputs": outputs}, args)
     return 0
 
 

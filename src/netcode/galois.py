@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import cycle, islice, zip_longest
 from math import gcd
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -231,7 +232,8 @@ class FieldSpec:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_tail", "_exp", "_log", "_exp2", "_lists", "_lanes", "_gen_code"
+        "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_exp2", "_lists",
+        "_lanes", "_gen_code",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -241,6 +243,8 @@ class FieldSpec:
         self.modulus = tuple(int(c) for c in modulus)
         # x^m = sum of t * x^i over these (i, t): the modulus's negated tail
         self._tail = tuple((i, -c % p) for i, c in enumerate(self.modulus[:m]) if c)
+        # in GF(2^m), the modulus as an int with bit i for x^i
+        self._mod_bits = _undigits(self.modulus, 2) if p == 2 else None
         self._gen_code = self._find_generator()
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
         # the row kernel adds two logs in [0, q - 2] and reads the sum here
@@ -369,6 +373,18 @@ class FieldSpec:
         if a == 0 or b == 0:
             return 0
         p, m = self.p, self.m
+        if p == 2:
+            # carry-less: XOR in a * x^k for each set bit k of b, reducing
+            # a by the modulus each time it reaches degree m
+            mod, top, out = self._mod_bits, 1 << m, 0
+            while b:
+                if b & 1:
+                    out ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mod
+            return out
         bv = _pf_trim(_digits(b, p, m))
         prod = [0] * (2 * m - 1)
         shift = 0
@@ -505,13 +521,6 @@ class FieldSpec:
         mul = self._mul_codes
         return [(j, mul(scale, v)) for j, v in enumerate(row) if v]
 
-    def _pairs_prep(self, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """(j, v) pairs with v nonzero, in the form _row_axpy reads."""
-        if self._exp2 is not None:
-            log = self._log
-            return [(j, log[v]) for j, v in pairs]
-        return list(pairs)
-
     def _row_axpy(
         self, dst: list[int], factor: int, src: list[tuple[int, int]], off: int = 0
     ) -> list[int]:
@@ -533,6 +542,23 @@ class FieldSpec:
         mul, add = self._mul_codes, self._add_codes
         for j, v in src:
             dst[off + j] = add(dst[off + j], mul(factor, v))
+        return dst
+
+    def _row_axpy_each(
+        self, dst: list[int], factors: Sequence[int], src: list[tuple[int, int]], off: int = 0
+    ) -> list[int]:
+        """dst[off + j] += factors[off + j] * v for every entry (j, v) of a prepared row."""
+        exp2 = self._exp2
+        if exp2 is not None:
+            log = self._log
+            for j, lv in src:
+                f = factors[off + j]
+                if f:
+                    dst[off + j] ^= exp2[log[f] + lv]
+            return dst
+        mul, add = self._mul_codes, self._add_codes
+        for j, v in src:
+            dst[off + j] = add(dst[off + j], mul(factors[off + j], v))
         return dst
 
     def _row_matvec(
@@ -568,10 +594,6 @@ class FieldSpec:
             return self._lanes
         return self._lists
 
-    def _row_scaled(self, factor: int, row: Sequence[int]) -> list[int]:
-        """factor * row as a new list."""
-        return self._kernel(len(row)).scaled(factor, row)
-
 
 # Both row kernels offer the same calls, each on a whole row or a set of
 # rows, so the loops over entries stay inside them:
@@ -585,19 +607,23 @@ class FieldSpec:
 #     (one factor per row) and src (codes as unpack gives them),
 #     rows[start + i] += factors[i] * scale * src
 #   scaled(f, codes) -> f * codes
-# matvec and scaled return code lists; axpy and axpys also change a
-# code-list row in place.
+#   prep_each(codes) -> per-entry factors for axpy_each, which returns
+#     row + factors * src entry by entry (src from entry off on, each
+#     entry j meeting factor off + j)
+# matvec and scaled return code lists; axpy, axpy_each and axpys also
+# change a code-list row in place.
 
 
 class _ListKernel:
     """Rows as code lists, through FieldSpec's _row_prep, _row_axpy and _row_matvec."""
 
-    __slots__ = ("prep", "axpy", "matvec")
+    __slots__ = ("prep", "axpy", "axpy_each", "matvec")
 
-    pack = list
+    pack = prep_each = list
 
     def __init__(self, spec: FieldSpec):
         self.prep, self.axpy, self.matvec = spec._row_prep, spec._row_axpy, spec._row_matvec
+        self.axpy_each = spec._row_axpy_each
 
     @staticmethod
     def unpack(row: list[int], width: int) -> list[int]:
@@ -668,6 +694,13 @@ class _LaneKernel:
         if not factor:
             return row
         return row ^ int.from_bytes(src.translate(self.tables[factor]), "little") << 8 * off
+
+    def prep_each(self, codes: Sequence[int]) -> list[bytes]:
+        return [self.tables[c] for c in codes]
+
+    @staticmethod
+    def axpy_each(row: int, factors: list[bytes], src: bytes, off: int = 0) -> int:
+        return row ^ int.from_bytes(bytes(map(getitem, factors[off:], src)), "little") << 8 * off
 
     def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
         tables, unpack = self.tables, int.from_bytes
@@ -969,7 +1002,8 @@ class FqMatrix:
     def scale(self, s: FieldElement) -> "FqMatrix":
         if s.spec != self.spec:
             raise ValueError("mixed fields")
-        return FqMatrix(self.spec, [self.spec._row_scaled(s.code, row) for row in self.rows])
+        scaled = self.spec._kernel(self.ncols).scaled
+        return FqMatrix(self.spec, [scaled(s.code, row) for row in self.rows])
 
     def __mul__(self, other: "FqMatrix | FieldElement") -> "FqMatrix":
         if isinstance(other, FieldElement):
@@ -1335,7 +1369,8 @@ class Poly:
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
                 raise ValueError("mixed fields")
-            return Poly(self.spec, self.spec._row_scaled(other.code, self.codes))
+            scaled = self.spec._kernel(len(self.codes)).scaled
+            return Poly(self.spec, scaled(other.code, self.codes))
         self._check(other)
         if not self.codes or not other.codes:
             return Poly.zero(self.spec)

@@ -12,16 +12,19 @@ output). With unit delays the per-step recursion is
 so a path of L unit edges delivers an impulse L steps after injection and
 the simulator agrees with the transfer matrix degree for degree. A
 delay-d edge behaves like a chain of d unit edges with identity relays:
-D^d in the transfer matrix, a d-step delay line in the simulator.
+D^d in the transfer matrix, a d-step shift of the edge's series in the
+simulator. Both evaluate one edge at a time in topological order, the
+simulator over a whole window of steps, so networks must be acyclic.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
-from itertools import count, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .galois import (
     FieldElement,
@@ -480,6 +483,12 @@ class TransferResult:
         return self.M.coeff_matrix(d)
 
 
+def _edges_in_order(net: NetworkSpec, order: Sequence[str]) -> list[int]:
+    """Edge positions by the rank of their tails in validate's node order."""
+    rank = {v: k for k, v in enumerate(order)}
+    return sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail])
+
+
 def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     """Index kernel dicts against the sorted edge list; validate adjacency."""
     pos = {e.key: k for k, e in enumerate(net.edges)}
@@ -563,10 +572,9 @@ def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
             spec._row_axpy(dst, code, src, delay)
 
     # F[k][c] is F_e[c] / D^delay(e), prepared once for every sum it enters
-    rank = {v: k for k, v in enumerate(order)}
     delay = [e.delay for e in net.edges]
     F: list[list[list[tuple[int, int]]]] = [[] for _ in net.edges]
-    for k in sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail]):
+    for k in _edges_in_order(net, order):
         acc: list[list[int]] = [[] for _ in range(mu)]
         for flat, code in alpha_in[k]:
             acc[flat] = [code]  # alpha keys are unique per (input, edge)
@@ -594,80 +602,140 @@ def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
 # ----------------------------------------------------------------------
 
 
-def _step_rows(
-    net: NetworkSpec, triple: KernelTriple, spec: FieldSpec, mu: int
-) -> list[list[tuple[int, int]]]:
-    """One step of the recursion as rows for FieldSpec._row_matvec.
+def _window(
+    net: NetworkSpec, leks: LekAssignment, order: Sequence[str], t_start: int, steps: int
+) -> Callable[[Sequence[Sequence[int]]], list]:
+    """Compile the kernels of steps t_start .. t_start + steps - 1.
 
-    The step is [Z(t+1); Y(t)] = K [X(t); Z(t)], with X(t) the flat input
-    symbols, Z(t) the edge registers and Y(t) the flat sink outputs. Row c
-    lists (index into [Z(t+1); Y(t)], kernel) for every kernel that reads
-    entry c of [X(t); Z(t)].
+    order is validate(net)'s node order. Time-indexed kernels are read
+    step by step, so the first step outside the stored window raises.
+    Returns run(inputs): inputs[c] holds flat input c's code at each step,
+    and row r of the result flat output r's codes, as the row kernel
+    unpacks them.
     """
-    ne = len(net.edges)
-    a_terms, b_terms, e_terms = _compiled_kernels(net, triple, spec)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(mu + ne)]
-    for epos, flat, code in a_terms:
-        rows[flat].append((epos, code))
-    for out_pos, in_pos, code in b_terms:
-        rows[mu + in_pos].append((out_pos, code))
-    for out_flat, epos, code in e_terms:
-        rows[mu + epos].append((ne + out_flat, code))
-    return [spec._pairs_prep(row) for row in rows]
+    spec = leks.field
+    kern = spec._kernel(steps)
+    timed = leks.mode != "invariant"
+    if not timed:
+        terms = _compiled_kernels(net, leks.kernels_at(t_start), spec)
+    else:
+        # each term's codes over the window, zero where a step lacks it
+        series = [defaultdict(lambda: [0] * steps) for _ in range(3)]
+        for s in range(steps):
+            compiled = _compiled_kernels(net, leks.kernels_at(t_start + s), spec)
+            for found, part in zip(series, compiled):
+                for a, b, code in part:
+                    found[a, b][s] = code
+        prep = kern.prep_each
+        terms = [[(a, b, prep(codes)) for (a, b), codes in found.items()] for found in series]
+    # every term is (what it writes, what it reads, factor); group them by
+    # the edge (alpha, beta) or flat output (eps) they write
+    grouped = [[[] for _ in range(size)] for size in (len(net.edges), len(net.edges), net.nu)]
+    for groups, part in zip(grouped, terms):
+        for dst, src, f in part:
+            groups[dst].append((src, f))
+    alpha_in, beta_in, eps_in = grouped
+    edges = _edges_in_order(net, order)
+    delay = [e.delay for e in net.edges]
+    prep, unpack, pack = kern.prep, kern.unpack, kern.pack
+    axpy = kern.axpy_each if timed else kern.axpy
+    zero = bytes(steps)
+
+    def run(inputs: Sequence[Sequence[int]]) -> list:
+        # The series written to edge e sums alpha * x_c and beta * (the
+        # series of each in-edge e', delayed by delay(e')); output r sums
+        # eps * (the series of e, delayed by delay(e)). Only the first
+        # steps - delay(e) symbols written to e arrive inside the window,
+        # and a series with no nonzero symbol is None, its terms skipped.
+        xs = [prep(x) if any(x) else None for x in inputs]
+        arrived: list = [None] * len(delay)
+        for k in edges:
+            if delay[k] >= steps:
+                continue
+            row = pack(zero)
+            for c, f in alpha_in[k]:
+                if xs[c] is not None:
+                    row = axpy(row, f, xs[c])
+            for k2, f in beta_in[k]:
+                if arrived[k2] is not None:
+                    row = axpy(row, f, arrived[k2], delay[k2])
+            head = unpack(row, steps)[: steps - delay[k]]
+            arrived[k] = prep(head) if any(head) else None
+        outs = []
+        for terms in eps_in:
+            row = pack(zero)
+            for k, f in terms:
+                if arrived[k] is not None:
+                    row = axpy(row, f, arrived[k], delay[k])
+            outs.append(unpack(row, steps))
+        return outs
+
+    return run
 
 
-def _kernel_rows(net: NetworkSpec, leks: LekAssignment, t_start: int) -> Iterator:
-    """_step_rows for steps t_start, t_start + 1, ... without end.
+def _check_steps(
+    net: NetworkSpec, leks: LekAssignment, inputs: Sequence, t_start: int, elements: bool
+) -> None:
+    """Raise the first step's error, if inputs do not fit the network.
 
-    Invariant kernels are compiled once, here; time-indexed kernels are
-    compiled as each step is drawn.
+    The shapes are checked in bulk; only if that fails are the steps
+    walked in order. A step's checks run in this order: symbol fields
+    (elements only), source count, stored kernels, vector lengths.
     """
-    spec, mu = leks.field, net.mu
-    if leks.mode == "invariant":
-        return repeat(_step_rows(net, leks.kernels_at(t_start), spec, mu))
-    return (_step_rows(net, leks.kernels_at(t), spec, mu) for t in count(t_start))
-
-
-def _simulate_codes(
-    net: NetworkSpec, spec: FieldSpec, inputs: Iterable, rows: Iterable
-) -> list[list[list[int]]]:
-    """simulate on integer codes: inputs[t][i] and outputs[t][j] are code lists.
-
-    rows yields the compiled step rows (_step_rows) of each input step.
-    Every edge delay must be at least 1.
-    """
-    ne = len(net.edges)
+    spec = leks.field
     procs = [s.processes for s in net.sources]
-    # sink j reads [Z(t+1); Y(t)][a:b] for its (a, b)
-    bounds = [ne]
-    for snk in net.sinks:
-        bounds.append(bounds[-1] + snk.outputs)
-    reads = list(zip(bounds, bounds[1:]))
-    lines = [(k, deque([0] * (e.delay - 1))) for k, e in enumerate(net.edges) if e.delay > 1]
-    rows = iter(rows)
-    matvec = spec._row_matvec
-
-    state = [0] * ne
-    outputs: list[list[list[int]]] = []
+    vecs = list(chain.from_iterable(inputs))
+    fits = set(map(len, inputs)) <= {len(procs)} and list(map(len, vecs)) == procs * len(inputs)
+    if fits and (not elements or set(map(attrgetter("spec"), chain.from_iterable(vecs))) <= {spec}):
+        return
     for step, x_t in enumerate(inputs):
+        if elements and any(sym.spec != spec for vec in x_t for sym in vec):
+            raise ValueError("input symbol from a different field")
         if len(x_t) != len(procs):
             raise ValueError(
                 f"step {step} gives {len(x_t)} source vectors, the network has "
                 f"{len(procs)} sources"
             )
-        step_rows = next(rows)
+        if leks.mode != "invariant":
+            _compiled_kernels(net, leks.kernels_at(t_start + step), spec)
         if [len(vec) for vec in x_t] != procs:
             i = next(i for i, vec in enumerate(x_t) if len(vec) != procs[i])
             raise ValueError(f"step {step}: source {i} expects {procs[i]} symbols")
-        vec = [c for x in x_t for c in x]
-        vec += state
-        out = matvec(vec, step_rows, bounds[-1])
-        outputs.append([out[a:b] for a, b in reads])
-        for k, line in lines:
-            line.append(out[k])
-            out[k] = line.popleft()
-        state = out[:ne]
-    return outputs
+
+
+def _simulate_rows(
+    net: NetworkSpec,
+    leks: LekAssignment,
+    inputs: Sequence,
+    t_start: int,
+    elements: bool,
+    codes: Sequence[int] | None = None,
+) -> list:
+    """simulate's outputs as rows: row r holds flat output r at each step.
+
+    inputs is shaped as simulate's. codes, when given, holds the codes of
+    its symbols in step order; otherwise they are read from inputs.
+    """
+    order = validate(net)
+    timed = leks.mode != "invariant"
+    if not timed:  # kernel errors come before input errors
+        run = _window(net, leks, order, t_start, len(inputs))
+    _check_steps(net, leks, inputs, t_start, elements)
+    if timed:
+        run = _window(net, leks, order, t_start, len(inputs))
+    if codes is None:
+        codes = list(chain.from_iterable(chain.from_iterable(inputs)))
+        if elements:
+            codes = list(map(attrgetter("code"), codes))
+    mu = net.mu
+    return run([codes[c::mu] for c in range(mu)])
+
+
+def _by_step(net: NetworkSpec, rows: Sequence[Sequence], steps: int) -> list[list[list]]:
+    """outputs[t][j], sink j's symbols at step t, from rows of flat outputs."""
+    rows = iter(rows)
+    sinks = [map(list, zip(*islice(rows, snk.outputs))) for snk in net.sinks]
+    return list(map(list, zip(*sinks))) if sinks else [[] for _ in range(steps)]
 
 
 def simulate(
@@ -677,33 +745,26 @@ def simulate(
     t_start: int = 0,
     codes: bool = False,
 ) -> list[list[list[FieldElement]]]:
-    """Run the per-step recursion over the window starting at t_start.
+    """Run the network over the window of steps starting at t_start.
 
-    inputs[t][i] is the symbol vector source i injects at step t. Link
-    registers are zero before the window. Returns outputs[t][j], sink j's
-    reading at step t, one entry per step of the input window. With
-    codes=True the symbols of inputs and outputs are integer codes of
-    leks.field instead of FieldElements.
+    inputs[t][i] is the symbol vector source i injects at step t. Edges
+    are empty before the window. Returns outputs[t][j], sink j's reading
+    at step t, one entry per step of the input window. With codes=True
+    the symbols of inputs and outputs are integer codes of leks.field
+    instead of FieldElements.
 
-    A delay-d edge keeps d - 1 symbols in flight behind its register, so
-    its head reads at step t + d what its tail wrote at step t. Kernels of
-    step t act where a symbol enters or leaves an edge, which is what a
-    chain of d unit edges with identity relays does.
+    Edge e carries at step t what its tail wrote at step t - delay(e),
+    and kernels of step t act where a symbol enters or leaves an edge,
+    which is what a chain of delay(e) unit edges with identity relays
+    does. The network must pass validate: the window is evaluated one
+    edge at a time, in topological order.
     """
-    for e in net.edges:
-        _check_delay(e)
-    spec = leks.field
-    rows = _kernel_rows(net, leks, t_start)
-    if codes:
-        return _simulate_codes(net, spec, inputs, rows)
-
-    def step_codes(x_t):
-        if any(sym.spec != spec for vec in x_t for sym in vec):
-            raise ValueError("input symbol from a different field")
-        return [[sym.code for sym in vec] for vec in x_t]
-
-    outs = _simulate_codes(net, spec, map(step_codes, inputs), rows)
-    return [[[FieldElement(spec, c) for c in sink] for sink in step] for step in outs]
+    inputs = list(inputs)
+    rows = _simulate_rows(net, leks, inputs, t_start, not codes)
+    if not codes:
+        spec = leks.field
+        rows = [[FieldElement(spec, c) for c in row] for row in rows]
+    return _by_step(net, rows, len(inputs))
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .galois import (
@@ -26,7 +27,14 @@ from .galois import (
     _lift,
     multiplicative_order,
 )
-from .netmodel import LekAssignment, NetworkSpec, TransferResult, simulate, transfer_matrix
+from .netmodel import (
+    LekAssignment,
+    NetworkSpec,
+    TransferResult,
+    _window,
+    transfer_matrix,
+    validate,
+)
 
 __all__ = [
     "BlockTooLong",
@@ -162,25 +170,36 @@ def diagonalize(C: BlockCirculant, plan: TransformPlan) -> list[FqMatrix]:
 # ----------------------------------------------------------------------
 
 
-def _dft_apply(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]], invert: bool) -> list[list[FieldElement]]:
-    """Apply Q_m (or its inverse) to n generations of m-vectors.
+def _dft_apply(
+    plan: TransformPlan, lanes: Sequence[Sequence[int]], invert: bool
+) -> list[list[int]]:
+    """Apply Q_m (or its inverse) to n generations of m-vectors held as lanes.
 
-    gens is in natural order; the kron structure means output generation t
+    lanes[w][t] is the code of symbol w of generation t, in natural order,
+    and so is the result: the kron structure means output generation t
     mixes input generations componentwise, never across vector positions.
     """
-    n = plan.n
-    if len(gens) != n:
-        raise WindowMismatch(f"expected {n} generations, got {len(gens)}")
-    spec = plan.field
+    n, spec = plan.n, plan.field
     a, scale = plan.alpha.code, 1
     if invert:
         a, scale = spec._inv_code(a), spec._inv_code(n % spec.p)
-    # the stacked position of generation t is n-1-t, so vector position w
-    # is the lane whose coefficient c is symbol w of generation n-1-c, and
-    # output generation t is its transform at power n-1-t
-    lanes = [[g[w].code for g in reversed(gens)] for w in range(len(gens[0]))]
-    vals = _dft(spec, lanes, a, n, scale)
-    return [[FieldElement(spec, v[k]) for v in vals] for k in reversed(range(n))]
+    # the stacked position of generation t is n-1-t, so a lane's
+    # coefficient c is generation n-1-c, and output generation t is its
+    # transform at power n-1-t
+    vals = _dft(spec, [lane[::-1] for lane in lanes], a, n, scale)
+    return [v[::-1] for v in vals]
+
+
+def _lanes(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> list[list[int]]:
+    """n generations of symbol vectors as lanes: lane w holds symbol w of each."""
+    if len(gens) != plan.n:
+        raise WindowMismatch(f"expected {plan.n} generations, got {len(gens)}")
+    return [[g[w].code for g in gens] for w in range(len(gens[0]))]
+
+
+def _gens(spec: FieldSpec, lanes: Sequence[Sequence[int]], count: int) -> list[list[FieldElement]]:
+    """The first count generations of lanes as symbol vectors."""
+    return [[FieldElement(spec, lane[t]) for lane in lanes] for t in range(count)]
 
 
 def cp_encode(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
@@ -190,8 +209,9 @@ def cp_encode(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> li
     vectors. The transmission has n + d_max slots: the last d_max
     DFT-domain generations first, then all n in order.
     """
-    primed = _dft_apply(plan, gens, invert=False)
-    return primed[plan.n - plan.d_max :] + primed
+    n, d_max = plan.n, plan.d_max
+    primed = _dft_apply(plan, _lanes(plan, gens), invert=False)
+    return _gens(plan.field, [lane[n - d_max :] + lane for lane in primed], n + d_max)
 
 
 def cp_decode(plan: TransformPlan, slots: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
@@ -206,8 +226,8 @@ def cp_decode(plan: TransformPlan, slots: Sequence[Sequence[FieldElement]]) -> l
         raise WindowMismatch(
             f"expected {plan.n + plan.d_max} slots, got {len(slots)}"
         )
-    kept = list(slots[plan.d_max :])
-    return _dft_apply(plan, kept, invert=True)
+    kept = _lanes(plan, slots[plan.d_max :])
+    return _gens(plan.field, _dft_apply(plan, kept, invert=True), plan.n)
 
 
 def instantaneous_solve(
@@ -251,7 +271,9 @@ def run_pipeline(
 
     inputs[i] holds source i's n generations. Returns decoded[j], sink
     j's n generations of nu_j-vectors, each equal to
-    sum_i Mhat_ij(t) X_i(t) when the plan matches the channel.
+    sum_i Mhat_ij(t) X_i(t) when the plan matches the channel. The chain
+    runs on codes: one DFT over every source's lanes, one simulation of
+    the transmission window and one inverse DFT over every sink's lanes.
     """
     tr = transfer if transfer is not None else transfer_matrix(net, leks)
     if plan.d_max < tr.d_max:
@@ -262,22 +284,20 @@ def run_pipeline(
     spec = plan.field
     if len(inputs) != len(net.sources):
         raise ValueError("one generation list per source expected")
-    tx = [cp_encode(plan, gens) for gens in inputs]
+    lanes = [lane for gens in inputs for lane in _lanes(plan, gens)]
+    if spec != leks.field:
+        raise ValueError("input symbol from a different field")
+    for i, (gens, src) in enumerate(zip(inputs, net.sources)):
+        if any(len(g) != src.processes for g in gens):
+            raise ValueError(f"step 0: source {i} expects {src.processes} symbols")
+    primed = _dft_apply(plan, lanes, invert=False)
+    # transmission slot k goes out at step k, and its response reaches the
+    # sinks d_prime_min steps later; the window ends with the last one
     horizon = tr.d_prime_min + n + d_max
-    zero_vec = [
-        [spec.zero()] * src.processes for src in net.sources
-    ]
-    series = []
-    for slot in range(horizon):
-        if slot < n + d_max:
-            series.append([tx[i][slot] for i in range(len(net.sources))])
-        else:
-            series.append([vec[:] for vec in zero_vec])
-    outs = simulate(net, leks, series)
-    decoded = []
-    for j in range(len(net.sinks)):
-        sliced = [
-            outs[tr.d_prime_min + k][j] for k in range(n + d_max)
-        ]
-        decoded.append(cp_decode(plan, sliced))
-    return decoded
+    pad = [0] * tr.d_prime_min
+    series = [lane[n - d_max :] + lane + pad for lane in primed]
+    outs = _window(net, leks, validate(net), 0, horizon)(series)
+    # the responses to the cyclic prefix are dropped with the steps before them
+    decoded = _dft_apply(plan, [row[horizon - n :] for row in outs], invert=True)
+    rows = iter(decoded)
+    return [_gens(spec, list(islice(rows, snk.outputs)), n) for snk in net.sinks]

@@ -428,13 +428,13 @@ def test_tv_compiles_kernels_once(ex2, gf64, monkeypatch, mode):
     if mode == "time":
         leks = random_leks(net, gf64, "once", mode="time", window=(-4, 12), nonzero=True)
     compiled = []
-    step_rows = netmodel._step_rows
+    compile_triple = netmodel._compiled_kernels
 
-    def counting(net, triple, spec, mu):
+    def counting(net, triple, spec):
         compiled.append(triple)
-        return step_rows(net, triple, spec, mu)
+        return compile_triple(net, triple, spec)
 
-    monkeypatch.setattr(netmodel, "_step_rows", counting)
+    monkeypatch.setattr(netmodel, "_compiled_kernels", counting)
     tv = build_tv(net, leks, 3)
     if mode == "invariant":
         assert len(compiled) == 1

@@ -419,6 +419,48 @@ def test_simulate_step_with_missing_source_is_input_error(tmp_path, capsys):
     assert rep["message"] == "step 0 gives 1 source vectors, the network has 3 sources"
 
 
+def _simulation_of(net: NetworkSpec, steps: int) -> dict:
+    leks = random_leks(net, GF2, "ones", nonzero=True)
+    return {
+        "kind": "simulation",
+        "network": network_to_dict(net),
+        "kernels": leks_to_dict(leks),
+        "inputs": [[[[1]]]] * steps,
+    }
+
+
+def test_cyclic_simulation_is_input_error(tmp_path, capsys):
+    # the window is evaluated edge by edge in topological order, so a
+    # network without one is refused like every other command refuses it
+    net = NetworkSpec(
+        ["S", "A", "B", "T"],
+        [Edge("S", "A"), Edge("A", "B"), Edge("B", "A"), Edge("B", "T")],
+        [Source("S", 1)],
+        [Sink("T", 1)],
+        [(0, 0, 0)],
+    )
+    p = tmp_path / "cycle.json"
+    p.write_text(json.dumps(_simulation_of(net, 9)))
+    code, rep = jcli(capsys, "simulate", str(p))
+    assert code == 2
+    assert rep == {"error": "CycleDetected", "message": "cycle through nodes ['A', 'B', 'T']"}
+
+
+def test_simulation_with_dangling_demand_is_input_error(tmp_path, capsys):
+    net = NetworkSpec(
+        ["S", "A", "T"], [Edge("S", "A"), Edge("A", "T")], [Source("S", 1)], [Sink("T", 1)]
+    )
+    doc = _simulation_of(net, 9)
+    doc["network"]["sinks"][0]["demands"] = [[0, 1]]  # source 0 has one process
+    p = tmp_path / "dangling.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "simulate", str(p))
+    assert code == 2
+    assert rep == {
+        "error": "DanglingDemand", "message": "demand (0, 0, 1): source 0 has no process 1"
+    }
+
+
 # ----------------------------------------------------------------------
 # feasibility
 # ----------------------------------------------------------------------

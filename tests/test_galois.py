@@ -405,6 +405,19 @@ def test_schoolbook_mul_matches_textbook_product(p, m, modulus):
         assert spec._schoolbook_mul(a, b) == _textbook_mul(spec, a, b), (a, b)
 
 
+@pytest.mark.parametrize("m", [17, 20, 24])
+def test_carry_less_mul_above_the_table_cap(m):
+    # GF(2^m) above _TABLE_CAP multiplies by shifts and XORs on ints
+    spec = build_field(2, m)
+    assert spec._exp is None
+    rng = random.Random(f"clmul:{m}")
+    pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(500)]
+    edges = (0, 1, 2, 1 << (m - 1), spec.q - 1)
+    pairs += [(a, b) for a in edges for b in edges]
+    for a, b in pairs:
+        assert spec._schoolbook_mul(a, b) == _textbook_mul(spec, a, b), (a, b)
+
+
 def test_tables_match_schoolbook_steps():
     for p in (2, 3, 5, 7, 11, 13, 61):
         m = 1

@@ -457,8 +457,8 @@ def test_dft_apply_matches_dense_transform(p, m, n, width):
     # stacked row r is generation n-1-r; one generation is all zero
     G = _rand(spec, rng, n, width)
     G[rng.randrange(n)] = [0] * width
-    gens = [[FieldElement(spec, c) for c in G[n - 1 - t]] for t in range(n)]
+    lanes = [[G[n - 1 - t][w] for t in range(n)] for w in range(width)]
     for invert, F in ((False, dft_matrix(alpha, n)), (True, inverse_dft_matrix(alpha, n))):
         want = _matmul(spec, F.rows, G)
-        got = _dft_apply(plan, gens, invert)
-        assert [[e.code for e in got[n - 1 - r]] for r in range(n)] == want
+        got = _dft_apply(plan, lanes, invert)
+        assert [[lane[n - 1 - r] for lane in got] for r in range(n)] == want
