@@ -175,25 +175,22 @@ def _net_and_leks(doc: dict, need_kernels: bool = True):
 
 
 def _emit(obj, args, lines: bool = False) -> None:
+    # reports are freshly built trees, so the cycle check finds nothing;
+    # coefficient arrays may be tuples, which json writes as lists
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False, **layout).encode
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
-        if lines and not args.pretty:
-            for item in obj:
-                out.write(json.dumps(item, sort_keys=True, separators=(",", ":")))
-                out.write("\n")
-        elif args.pretty:
-            out.write(json.dumps(obj, indent=2, sort_keys=True))
-            out.write("\n")
-        else:
-            out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        for item in obj if lines and not args.pretty else [obj]:
+            out.write(encode(item))
             out.write("\n")
     finally:
         if out is not sys.stdout:
             out.close()
 
 
-def _poly_json(p: Poly) -> list[list[int]]:
-    return p.spec.codes_to_json(p.codes)
+def _poly_json(p: Poly) -> list:
+    return p.spec._json_coeffs(p.codes)
 
 
 def _report_feasibility(rep: FeasibilityReport) -> dict:
@@ -207,13 +204,13 @@ def _report_feasibility(rep: FeasibilityReport) -> dict:
     if rep.f is not None:
         out["f"] = rep.f.format_str()
         out["f_coeffs"] = _poly_json(rep.f)
-        out["f_at_one"] = list(rep.f_at_one.coeffs)
+        out["f_at_one"] = rep.f_at_one.coeffs
         out["d_minus_one_divides_f"] = rep.d_minus_one_divides
     if rep.plan is not None:
         out["plan"] = {
             "n": rep.plan.n,
             "field": spec_to_dict(rep.plan.field),
-            "alpha": list(rep.plan.alpha.coeffs),
+            "alpha": rep.plan.alpha.coeffs,
             "d_max": rep.plan.d_max,
         }
     return out
@@ -284,7 +281,7 @@ def _cmd_simulate(args) -> int:
         raise
     t_start = _int(doc.get("t_start", 0), "t_start")
     rows = _simulate_rows(net, leks, inputs, t_start, False, codes)
-    outputs = _by_step(net, list(map(spec.codes_to_json, rows)), len(inputs))
+    outputs = _by_step(net, list(map(spec._json_coeffs, rows)), len(inputs))
     _emit({"outputs": outputs}, args)
     return 0
 
@@ -325,7 +322,7 @@ def _cmd_transform(args) -> int:
     plan = make_plan(args.n, spec, element_of_order(spec, args.n), tr.d_max)
     lines = [
         {"t": t, "sink": j, "solvable": bool(det),
-         "det": None if det is None else list(det.coeffs)}
+         "det": None if det is None else det.coeffs}
         for t, j, det in generation_dets(tr, conns, plan)
     ]
     _emit(lines, args, lines=True)
@@ -385,7 +382,7 @@ def _cmd_align(args) -> int:
         "n": n,
         "N": inst.N,
         "field": spec_to_dict(inst.field),
-        "alpha": list(inst.plan.alpha.coeffs),
+        "alpha": inst.plan.alpha.coeffs,
         "d_max": inst.plan.d_max,
         "identities": report["identities"],
         "ranks": [c["rank"] for c in report["conditions"]],

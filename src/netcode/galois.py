@@ -10,7 +10,7 @@ every artifact down to the bit.
 
 from __future__ import annotations
 
-from itertools import cycle, islice, zip_longest
+from itertools import chain, cycle, islice, zip_longest
 from math import gcd
 from operator import getitem
 from typing import Callable, Iterable, Sequence
@@ -45,6 +45,11 @@ __all__ = [
 # Fields at least this small get exp/log tables, built with their spec;
 # larger ones fall back to schoolbook reduction per product.
 _TABLE_CAP = 1 << 16
+
+# Fields at least this small get codec tables (FieldSpec._codec_tables),
+# built with their spec, so JSON coefficient lists convert by lookup; a
+# GF(2^12) spec's tables take ~4 ms and ~1.6 MB (2-vCPU Xeon VM).
+_CODEC_CAP = 1 << 12
 
 # The largest field order accepted from an input document or flag. Past it
 # the default-modulus search and the primality test of p take seconds to
@@ -226,14 +231,15 @@ class FieldSpec:
     """GF(p^m) with a fixed monic irreducible modulus of degree m.
 
     A spec is complete once constructed: it holds its generator, exp/log
-    tables when q <= _TABLE_CAP and its row kernels. Instances are immutable
-    and hashable; two specs compare equal exactly when (p, m, modulus)
-    agree. Construct through :func:`build_field`.
+    tables when q <= _TABLE_CAP, codec tables when q <= _CODEC_CAP and its
+    row kernels. Instances are immutable and hashable; two specs compare
+    equal exactly when (p, m, modulus) agree. Construct through
+    :func:`build_field`.
     """
 
     __slots__ = (
         "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_exp2", "_lists",
-        "_lanes", "_gen_code",
+        "_lanes", "_gen_code", "_coeffs", "_code_of",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -249,6 +255,9 @@ class FieldSpec:
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
         # the row kernel adds two logs in [0, q - 2] and reads the sum here
         self._exp2 = self._exp + self._exp if p == 2 and self._exp else None
+        self._coeffs, self._code_of = (
+            self._codec_tables() if self.q <= _CODEC_CAP else (None, None)
+        )
         self._lists = _ListKernel(self)
         self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
 
@@ -286,11 +295,24 @@ class FieldSpec:
     ) -> list[int]:
         """The codes of these coefficient lists, lowest degree first.
 
-        Each item is checked as it is converted: at most m coefficients,
-        each an int (not a bool or float) in [0, p). The first bad item
-        raises a ParseError, prefixed with where(k) for its index k when
-        where is given.
+        An item holds at most m coefficients, each an int (not a bool or
+        float) in [0, p). With codec tables, lists and tuples of ints are
+        looked up all at once; a batch that misses, and every batch in a
+        field without tables, is converted item by item, and its first bad
+        item raises a ParseError, prefixed with where(k) for its index k
+        when where is given.
         """
+        code_of = self._code_of
+        # True and 1.0 hash like 1, so the types are checked before lookup
+        if (
+            code_of is not None
+            and set(map(type, items)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(items))) <= {int}
+        ):
+            try:
+                return list(map(code_of.__getitem__, map(tuple, items)))
+            except KeyError:  # too many coefficients, or one out of range
+                pass
         p, m = self.p, self.m
         out: list[int] = []
         append = out.append
@@ -327,12 +349,23 @@ class FieldSpec:
         return f"coefficient {bad} out of range [0, {self.p})"
 
     def codes_to_json(self, codes: Sequence[int]) -> list[list[int]]:
-        """The m coefficients of each code, lowest degree first."""
+        """The m coefficients of each code, lowest degree first, in new lists."""
+        coeffs = self._coeffs
+        if coeffs is not None:
+            return list(map(list, map(coeffs.__getitem__, codes)))
         p, m = self.p, self.m
         if p == 2:
             bits = range(m)
             return [[c >> k & 1 for k in bits] for c in codes]
         return [_digits(c, p, m) for c in codes]
+
+    def _json_coeffs(self, codes: Sequence[int]) -> list[Sequence[int]]:
+        """codes_to_json's coefficients for a report: the codec table's own
+        tuples where there is one, which json encodes as it does lists."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            return self.codes_to_json(codes)
+        return list(map(coeffs.__getitem__, codes))
 
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
@@ -471,6 +504,20 @@ class FieldSpec:
             log[acc] = i
         return exp, log
 
+    def _codec_tables(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+        """Each code's m coefficients, and the code of every coefficient
+        tuple of length 0 to m, so short items such as (1,) are found too.
+
+        The tuples of length k + 1 in code order are those of length k
+        followed by digit 0, then by digit 1, and so on.
+        """
+        level: list[tuple[int, ...]] = [()]
+        code_of = {(): 0}
+        for _ in range(self.m):
+            level = [t + (d,) for d in range(self.p) for t in level]
+            code_of.update(zip(level, range(len(level))))
+        return level, code_of
+
     def _mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -505,8 +552,9 @@ class FieldSpec:
     # src row meets many factors, so src is prepared once. In GF(2^m) with
     # tables a prepared row holds (j, log v) for its nonzero entries v, and
     # each update is one lookup and one XOR per entry; in every other field
-    # it holds (j, v) and each update calls _mul_codes and _add_codes. In
-    # both forms an entry's position j can be changed freely.
+    # it holds (j, v), and each update is (d + f * v) % p in GF(p) and calls
+    # _mul_codes and _add_codes in GF(p^m), m > 1. In both forms an entry's
+    # position j can be changed freely.
 
     def _row_prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
         """The nonzero entries of scale * row, in the form _row_axpy reads."""
@@ -518,6 +566,9 @@ class FieldSpec:
             return [(j, (log[v] + ls) % qm1) for j, v in enumerate(row) if v]
         if scale == 1:
             return [(j, v) for j, v in enumerate(row) if v]
+        if self.m == 1:
+            p = self.p
+            return [(j, scale * v % p) for j, v in enumerate(row) if v]
         mul = self._mul_codes
         return [(j, mul(scale, v)) for j, v in enumerate(row) if v]
 
@@ -539,6 +590,11 @@ class FieldSpec:
                 for j, lv in src:
                     dst[j] ^= exp2[lf + lv]
             return dst
+        if self.m == 1:
+            p = self.p
+            for j, v in src:
+                dst[off + j] = (dst[off + j] + factor * v) % p
+            return dst
         mul, add = self._mul_codes, self._add_codes
         for j, v in src:
             dst[off + j] = add(dst[off + j], mul(factor, v))
@@ -555,6 +611,11 @@ class FieldSpec:
                 f = factors[off + j]
                 if f:
                     dst[off + j] ^= exp2[log[f] + lv]
+            return dst
+        if self.m == 1:
+            p = self.p
+            for j, v in src:
+                dst[off + j] = (dst[off + j] + factors[off + j] * v) % p
             return dst
         mul, add = self._mul_codes, self._add_codes
         for j, v in src:
@@ -578,6 +639,13 @@ class FieldSpec:
                     lx = log[x]
                     for j, lv in row:
                         dst[j] ^= exp2[lx + lv]
+            return dst
+        if self.m == 1:
+            p = self.p
+            for x, row in zip(vec, rows):
+                if x:
+                    for j, v in row:
+                        dst[j] = (dst[j] + x * v) % p
             return dst
         mul, add = self._mul_codes, self._add_codes
         for x, row in zip(vec, rows):
@@ -822,7 +890,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.spec.codes_to_json([self.code])[0])
+        return tuple(self.spec._json_coeffs((self.code,))[0])
 
     def _check(self, other: "FieldElement") -> None:
         if self.spec != other.spec:

@@ -462,3 +462,39 @@ def test_dft_apply_matches_dense_transform(p, m, n, width):
         want = _matmul(spec, F.rows, G)
         got = _dft_apply(plan, lanes, invert)
         assert [[lane[n - 1 - r] for lane in got] for r in range(n)] == want
+
+
+# ----------------------------------------------------------------------
+# prime-field rows: updates made inline, not by scalar calls
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537])  # 65537 is above the table cap
+def test_prime_field_rows_match_scalar_calls(p):
+    spec = build_field(p, 1)
+    mul, add = spec._mul_codes, spec._add_codes
+    rng = random.Random(f"gfp-rows:{p}")
+    for width in (1, 5, W + 3):
+        row = _rand(spec, rng, 1, width)[0]
+        dst = _rand(spec, rng, 1, width + 4)[0]
+        factors = _rand(spec, rng, 1, width + 4)[0]
+        for scale in (0, 1, rng.randrange(2, p)):
+            src = spec._row_prep(row, scale)
+            assert src == [(j, mul(scale, v)) for j, v in enumerate(row) if mul(scale, v)]
+            for off in (0, 4):
+                for f in (0, 1, p - 1, rng.randrange(p)):
+                    want = dst[:]
+                    for j, v in src:
+                        want[off + j] = add(want[off + j], mul(f, v))
+                    assert spec._row_axpy(dst[:], f, src, off) == want
+                want = dst[:]
+                for j, v in src:
+                    want[off + j] = add(want[off + j], mul(factors[off + j], v))
+                assert spec._row_axpy_each(dst[:], factors, src, off) == want
+        vec = _rand(spec, rng, 1, 4)[0]
+        rows = [spec._row_prep(r) for r in _rand(spec, rng, 4, width)]
+        want = [0] * width
+        for x, r in zip(vec, rows):
+            for j, v in r:
+                want[j] = add(want[j], mul(x, v))
+        assert spec._row_matvec(vec, rows, width) == want
