@@ -176,7 +176,7 @@ def _net_and_leks(doc: dict, need_kernels: bool = True):
 
 def _emit(obj, args, lines: bool = False) -> None:
     # reports are freshly built trees, so the cycle check finds nothing;
-    # coefficient arrays may be tuples, which json writes as lists
+    # coefficient tuples are written as lists
     layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
     encode = json.JSONEncoder(sort_keys=True, check_circular=False, **layout).encode
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
@@ -189,8 +189,8 @@ def _emit(obj, args, lines: bool = False) -> None:
             out.close()
 
 
-def _poly_json(p: Poly) -> list:
-    return p.spec._json_coeffs(p.codes)
+def _poly_json(p: Poly) -> list[list[int]]:
+    return p.spec.codes_to_json(p.codes)
 
 
 def _report_feasibility(rep: FeasibilityReport) -> dict:
@@ -281,7 +281,8 @@ def _cmd_simulate(args) -> int:
         raise
     t_start = _int(doc.get("t_start", 0), "t_start")
     rows = _simulate_rows(net, leks, inputs, t_start, False, codes)
-    outputs = _by_step(net, list(map(spec._json_coeffs, rows)), len(inputs))
+    # one coefficient array per output symbol: the table's tuples, not new lists
+    outputs = _by_step(net, list(map(spec._shared_coeffs, rows)), len(inputs))
     _emit({"outputs": outputs}, args)
     return 0
 

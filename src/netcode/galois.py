@@ -359,9 +359,10 @@ class FieldSpec:
             return [[c >> k & 1 for k in bits] for c in codes]
         return [_digits(c, p, m) for c in codes]
 
-    def _json_coeffs(self, codes: Sequence[int]) -> list[Sequence[int]]:
-        """codes_to_json's coefficients for a report: the codec table's own
-        tuples where there is one, which json encodes as it does lists."""
+    def _shared_coeffs(self, codes: Sequence[int]) -> list[Sequence[int]]:
+        """codes_to_json's coefficients as the codec table's own tuples, for
+        a report that is encoded at once and never edited: json writes a
+        tuple as it writes a list, and no list is built per code."""
         coeffs = self._coeffs
         if coeffs is None:
             return self.codes_to_json(codes)
@@ -890,7 +891,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.spec._json_coeffs((self.code,))[0])
+        return tuple(self.spec.codes_to_json([self.code])[0])
 
     def _check(self, other: "FieldElement") -> None:
         if self.spec != other.spec:

@@ -924,69 +924,15 @@ def _edge_key(x, path: str, *args) -> EdgeKey:
     return (str(x[0]), str(x[1]), _int(x[2], path, *args))
 
 
-def _edge_keys(xs: Sequence) -> list[EdgeKey] | None:
-    """The keys of these [tail, head, index] edges, or None if one is malformed."""
-    if not set(map(type, xs)) <= {list} or not set(map(len, xs)) <= {3}:
-        return None
-    tails, heads, idxs = zip(*xs) if xs else ((), (), ())
-    if not set(map(type, idxs)) <= {int}:
-        return None
-    return list(zip(map(str, tails), map(str, heads), idxs))
-
-
-# Per kernel kind: its key, its entries' fields before the value ("i" an
-# integer, "e" an edge key) and how those fields' columns make positions
-_KERNEL_KINDS = (
-    ("alpha", "iie", lambda i, l, e: zip(zip(i, l), e)),
-    ("beta", "ee", zip),
-    ("eps", "eii", lambda e, j, r: zip(e, zip(j, r))),
-)
-
-
-def _triples_in_bulk(tds: Sequence, spec: FieldSpec) -> list[KernelTriple] | None:
-    """The kernel triples of these objects, or None if any of them is malformed.
-
-    The entries are checked column by column, and every value of every
-    triple is converted in one codes_from_json call; the triples equal
-    those leks_from_dict's entry-by-entry walk would build.
-    """
-    positions: list = []
-    values: list = []
-    for td in tds:
-        if type(td) is not dict:
-            return None
-        for key, fields, make in _KERNEL_KINDS:
-            xs = td.get(key, [])
-            if (
-                type(xs) is not list
-                or not set(map(type, xs)) <= {list}
-                or not set(map(len, xs)) <= {len(fields) + 1}
-            ):
-                return None
-            cols = list(zip(*xs)) or [()] * (len(fields) + 1)
-            values += cols.pop()
-            for k, kind in enumerate(fields):
-                if kind == "e":
-                    cols[k] = _edge_keys(cols[k])
-                    if cols[k] is None:
-                        return None
-                elif not set(map(type, cols[k])) <= {int}:
-                    return None
-            positions.append(make(*cols))
-    try:
-        codes = spec.codes_from_json(values)
-    except ParseError:
-        return None
-    elems = iter([FieldElement(spec, c) for c in codes])
-    # zip takes from positions first, so each dict takes only its own values
-    parts = [dict(zip(pos, elems)) for pos in positions]
-    return [tuple(parts[k : k + 3]) for k in range(0, len(parts), 3)]
-
-
 def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
     if not isinstance(d, dict):
         raise ParseError(f"kernels must be an object, got {d!r}")
     spec = field if field is not None else spec_from_dict(d.get("field"), "kernels.field")
+    # every entry's terms dict, position, value and path, in document order;
+    # the values are converted in one codes_from_json call once all are read
+    slots: list[tuple[dict, tuple]] = []
+    values: list = []
+    paths: list[tuple[str, str, int]] = []
 
     def triple_from_json(td: dict, path: str) -> KernelTriple:
         if not isinstance(td, dict):
@@ -1006,26 +952,31 @@ def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
                     pos = (_edge_key(x[0], *at), _edge_key(x[1], *at))
                 else:  # [edge, sink, output, value]
                     pos = (_edge_key(x[0], *at), (_int(x[1], *at), _int(x[2], *at)))
-                try:
-                    terms[pos] = spec.element(x[-1])
-                except ParseError as e:
-                    raise ParseError(f"{path}.{key}[{k}]: {e}") from None
+                slots.append((terms, pos))
+                values.append(x[-1])
+                paths.append(at[1:])
         return triple
 
-    def triples(tds: Sequence, paths: Iterable[str]) -> list[KernelTriple]:
-        # walk the entries in order only when the bulk check refuses them,
-        # so the first bad one raises with its message
-        bulk = _triples_in_bulk(tds, spec)
-        return list(map(triple_from_json, tds, paths)) if bulk is None else bulk
+    def codes() -> list[int]:
+        return spec.codes_from_json(values, lambda k: "{}.{}[{}]".format(*paths[k]))
 
     mode = d.get("mode", "invariant")
-    if mode == "invariant":
-        ((al, be, ep),) = triples([d], ["kernels"])
-        return LekAssignment(spec, "invariant", al, be, ep)
-    if mode != "time":
+    if mode not in ("invariant", "time"):
         raise ParseError(f'kernels.mode must be "invariant" or "time", got {mode!r}')
-    tds = _list(d.get("steps"), "kernels.steps")
-    steps = tuple(triples(tds, map("kernels.steps[{}]".format, range(len(tds)))))
+    try:
+        if mode == "invariant":
+            steps = (triple_from_json(d, "kernels"),)
+        else:
+            tds = _list(d.get("steps"), "kernels.steps")
+            steps = tuple(triple_from_json(td, f"kernels.steps[{k}]") for k, td in enumerate(tds))
+    except ParseError:
+        codes()  # a bad value before the malformed entry is named first
+        raise
+    # in document order, so a repeated position keeps its last value
+    for (terms, pos), code in zip(slots, codes()):
+        terms[pos] = FieldElement(spec, code)
+    if mode == "invariant":
+        return LekAssignment(spec, "invariant", *steps[0])
     return LekAssignment(spec, "time", t0=_int(d.get("t0"), "kernels.t0"), steps=steps)
 
 
@@ -1049,41 +1000,20 @@ def _counts(x, path: str) -> tuple[int, ...]:
     return out
 
 
-def _polys_in_bulk(entries, spec: FieldSpec) -> list[list[Poly]] | None:
-    """Rows of polynomials from lists of coefficient lists, or None if any is malformed.
-
-    Every coefficient list of every entry is converted in one
-    codes_from_json call.
-    """
-    if type(entries) is not list or not set(map(type, entries)) <= {list}:
-        return None
-    polys = list(chain.from_iterable(entries))
-    if not set(map(type, polys)) <= {list}:
-        return None
-    try:
-        codes = iter(spec.codes_from_json(list(chain.from_iterable(polys))))
-    except ParseError:
-        return None
-    flat = iter([Poly(spec, islice(codes, len(p))) for p in polys])
-    return [list(islice(flat, len(row))) for row in entries]
-
-
 def transfer_from_dict(d: dict) -> TransferResult:
     spec = spec_from_dict(d["field"], "transfer.field")
     mu_list = _counts(d["mu_list"], "transfer.mu_list")
     nu_list = _counts(d["nu_list"], "transfer.nu_list")
-    rows = _polys_in_bulk(d["entries"], spec)
-    if rows is None:  # walk the entries in order, so the first bad one raises
-        rows = []
-        for r, row in enumerate(_list(d["entries"], "transfer.entries")):
-            entries = []
-            for c, p in enumerate(_list(row, "transfer.entries[{}]", r)):
-                codes = spec.codes_from_json(
-                    _list(p, "transfer.entries[{}][{}]", r, c),
-                    lambda _: f"transfer.entries[{r}][{c}]",
-                )
-                entries.append(Poly(spec, codes))
-            rows.append(entries)
+    rows = []
+    for r, row in enumerate(_list(d["entries"], "transfer.entries")):
+        entries = []
+        for c, p in enumerate(_list(row, "transfer.entries[{}]", r)):
+            codes = spec.codes_from_json(
+                _list(p, "transfer.entries[{}][{}]", r, c),
+                lambda _: f"transfer.entries[{r}][{c}]",
+            )
+            entries.append(Poly(spec, codes))
+        rows.append(entries)
     if len(rows) != sum(nu_list) or any(len(row) != sum(mu_list) for row in rows):
         raise ParseError(
             f"transfer.entries must be {sum(nu_list)} rows (sum of nu_list) "

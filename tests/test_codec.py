@@ -1,12 +1,11 @@
-"""The codec tables and the bulk JSON readers against the loops they skip.
+"""The codec tables and the one-call kernel reader against the loops they skip.
 
 FieldSpec converts JSON coefficient lists by lookup in fields with codec
 tables (q <= _CODEC_CAP) and item by item everywhere else; the oracle for
 the tables is a spec of the same field with its tables taken away, which
-runs the loop. leks_from_dict and transfer_from_dict check and convert a
-whole document at once and walk it entry by entry only when that fails;
-the oracle for the bulk readers is the walk, forced by making the bulk
-check refuse everything.
+runs the loop. leks_from_dict checks a kernel document entry by entry and
+converts all its values in one codes_from_json call; its oracle is a walk
+that converts each value as it reaches it, one element() call per entry.
 """
 
 import json
@@ -14,7 +13,7 @@ import random
 
 import pytest
 
-from netcode import cli, netmodel
+from netcode import cli
 from netcode.cli import load_fixture
 from netcode.galois import (
     _CODEC_CAP,
@@ -23,9 +22,14 @@ from netcode.galois import (
     FieldSpec,
     ParseError,
     _digits,
+    _int,
+    _list,
     build_field,
+    spec_from_dict,
 )
 from netcode.netmodel import (
+    LekAssignment,
+    _edge_key,
     leks_from_dict,
     leks_to_dict,
     network_from_dict,
@@ -98,7 +102,11 @@ def test_tables_match_the_loop_on_every_code(pm):
     assert spec.codes_from_json(list(map(tuple, items))) == codes
     every = list(range(spec.q))
     assert spec.codes_to_json(every) == loop.codes_to_json(every)
-    assert spec._json_coeffs(every) == list(map(tuple, loop._json_coeffs(every)))
+    # reports take the table's own tuples; without tables, new lists
+    shared = spec._shared_coeffs(every)
+    assert shared == list(map(tuple, loop.codes_to_json(every)))
+    assert all(x is spec._coeffs[c] for c, x in enumerate(shared))
+    assert loop._shared_coeffs(every) == loop.codes_to_json(every)
     assert [FieldElement(spec, c).coeffs for c in every] == [
         FieldElement(loop, c).coeffs for c in every
     ]
@@ -191,16 +199,49 @@ def test_tables_unchanged_after_every_subcommand(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# bulk kernel and transfer documents
+# kernel and transfer documents
 # ----------------------------------------------------------------------
 
 
-def _walked(monkeypatch, fn, *args):
-    """fn(*args) with the bulk readers refusing everything, so the walk runs."""
-    with monkeypatch.context() as mp:
-        mp.setattr(netmodel, "_triples_in_bulk", lambda tds, spec: None)
-        mp.setattr(netmodel, "_polys_in_bulk", lambda entries, spec: None)
-        return fn(*args)
+def _walked_leks(d):
+    """leks_from_dict's result, converting each value as the walk reaches it."""
+    if not isinstance(d, dict):
+        raise ParseError(f"kernels must be an object, got {d!r}")
+    spec = spec_from_dict(d.get("field"), "kernels.field")
+
+    def triple_from_json(td, path):
+        if not isinstance(td, dict):
+            raise ParseError(f"{path} must be an object, got {td!r}")
+        triple = ({}, {}, {})
+        for terms, key, size in zip(triple, ("alpha", "beta", "eps"), (4, 3, 4)):
+            for k, x in enumerate(_list(td.get(key, []), "{}.{}", path, key)):
+                at = ("{}.{}[{}]", path, key, k)
+                if not isinstance(x, list) or len(x) != size:
+                    raise ParseError(
+                        f"{path}.{key}[{k}] must be a list of {size} values, got {x!r}"
+                    )
+                if key == "alpha":
+                    pos = ((_int(x[0], *at), _int(x[1], *at)), _edge_key(x[2], *at))
+                elif key == "beta":
+                    pos = (_edge_key(x[0], *at), _edge_key(x[1], *at))
+                else:
+                    pos = (_edge_key(x[0], *at), (_int(x[1], *at), _int(x[2], *at)))
+                try:
+                    terms[pos] = spec.element(x[-1])
+                except ParseError as e:
+                    raise ParseError(f"{path}.{key}[{k}]: {e}") from None
+        return triple
+
+    mode = d.get("mode", "invariant")
+    if mode == "invariant":
+        return LekAssignment(spec, "invariant", *triple_from_json(d, "kernels"))
+    if mode != "time":
+        raise ParseError(f'kernels.mode must be "invariant" or "time", got {mode!r}')
+    steps = tuple(
+        triple_from_json(td, f"kernels.steps[{k}]")
+        for k, td in enumerate(_list(d.get("steps"), "kernels.steps"))
+    )
+    return LekAssignment(spec, "time", t0=_int(d.get("t0"), "kernels.t0"), steps=steps)
 
 
 def _same_leks(a, b):
@@ -223,21 +264,33 @@ def _kernel_docs():
     return docs
 
 
-def test_bulk_kernels_match_the_walk(monkeypatch):
+def test_kernels_match_the_walk(monkeypatch):
+    calls = []
+    codes_from_json = FieldSpec.codes_from_json
+
+    def spy(self, items, where=None):
+        calls.append(len(items))
+        return codes_from_json(self, items, where)
+
     def element(*args, **kwargs):
-        raise AssertionError("the bulk reader calls no per-entry element()")
+        raise AssertionError("leks_from_dict calls no per-entry element()")
 
     for doc in _kernel_docs():
-        walked = _walked(monkeypatch, leks_from_dict, doc)
+        walked = _walked_leks(doc)
+        calls.clear()
         with monkeypatch.context() as mp:
+            mp.setattr(FieldSpec, "codes_from_json", spy)
             mp.setattr(FieldSpec, "element", element)
-            bulk = leks_from_dict(doc)
-        _same_leks(bulk, walked)
-        assert leks_to_dict(bulk) == doc
+            leks = leks_from_dict(doc)
+        _same_leks(leks, walked)
+        assert leks_to_dict(leks) == doc
+        # one conversion for every value of the document
+        triples = doc["steps"] if doc["mode"] == "time" else [doc]
+        assert calls == [sum(len(td[key]) for td in triples for key in ("alpha", "beta", "eps"))]
 
 
 @pytest.mark.parametrize("mode", ["invariant", "time"])
-def test_bulk_kernels_keep_the_last_duplicate(monkeypatch, mode):
+def test_kernels_keep_the_last_duplicate(mode):
     net = network_from_dict(load_fixture("example2")["network"])
     doc = leks_to_dict(random_leks(net, build_field(3, 1), "dup", mode, (0, 2), nonzero=True))
     triples = doc["steps"] if mode == "time" else [doc]
@@ -245,9 +298,9 @@ def test_bulk_kernels_keep_the_last_duplicate(monkeypatch, mode):
         for key in ("alpha", "beta", "eps"):
             first = td[key][0]
             td[key] = [first, first[:-1] + [[0]], first[:-1] + [[2]]] + td[key][1:]
-    bulk, walked = leks_from_dict(doc), _walked(monkeypatch, leks_from_dict, doc)
-    _same_leks(bulk, walked)
-    for td, triple in zip(triples, bulk.steps or [(bulk.alpha, bulk.beta, bulk.eps)]):
+    leks = leks_from_dict(doc)
+    _same_leks(leks, _walked_leks(doc))
+    for td, triple in zip(triples, leks.steps or [(leks.alpha, leks.beta, leks.eps)]):
         for key, part in zip(("alpha", "beta", "eps"), triple):
             assert next(iter(part.values())).code == 2
             assert len(part) == len(td[key]) - 2
@@ -291,13 +344,13 @@ def _error(fn, *args):
     return None
 
 
-def test_bulk_kernels_refuse_as_the_walk(monkeypatch):
+def test_kernels_refuse_as_the_walk():
     rng = random.Random("kernel-refusals")
     refused = 0
     for doc in _kernel_docs():
         for bad in _mutations(doc, rng):
             message = _error(leks_from_dict, bad)
-            assert message == _error(lambda d: _walked(monkeypatch, leks_from_dict, d), bad)
+            assert message == _error(_walked_leks, bad)
             refused += message is not None
     assert refused > 50
     # the first bad entry is named, as the walk names it
@@ -308,24 +361,39 @@ def test_bulk_kernels_refuse_as_the_walk(monkeypatch):
     assert _error(leks_from_dict, doc) == (
         "kernels.alpha[3]: a field element is a list of integer coefficients, got [True, 0]"
     )
+    # a value refused before a malformed entry is named first, and after
+    # one is not reached
+    doc["eps"][0] = doc["eps"][0][:-1]
+    assert _error(leks_from_dict, doc) == _error(_walked_leks, doc) == (
+        "kernels.alpha[3]: a field element is a list of integer coefficients, got [True, 0]"
+    )
+    doc["alpha"][3][-1] = [0]
+    doc["alpha"][5][2] = ["A", "B"]
+    doc["beta"][0][-1] = [2]
+    assert _error(leks_from_dict, doc) == _error(_walked_leks, doc) == (
+        "kernels.alpha[5] must be a [tail, head, index] edge, got ['A', 'B']"
+    )
+    bad = {"mode": "time", "field": doc["field"], "t0": True, "steps": [doc, doc]}
+    assert _error(leks_from_dict, bad) == _error(_walked_leks, bad)
+    doc["alpha"][5][2] = doc["beta"][0][0]
+    assert _error(leks_from_dict, bad) == _error(_walked_leks, bad) == (
+        "kernels.steps[0].beta[0]: coefficient 2 out of range [0, 2)"
+    )
 
 
-def test_bulk_transfer_matches_the_walk(monkeypatch):
+def test_transfer_refusals_name_the_entry():
     rng = random.Random("transfer-docs")
     for k, pm in enumerate([(2, 4), (3, 1), (2, 16)]):
         net = random_dag_net(rng)
         tr = transfer_matrix(net, random_leks(net, build_field(*pm), k))
         d = transfer_to_dict(tr)
-        bulk, walked = transfer_from_dict(d), _walked(monkeypatch, transfer_from_dict, d)
-        assert bulk.M.rows == walked.M.rows and transfer_to_dict(bulk) == d
+        assert transfer_from_dict(d).M.rows == tr.M.rows and transfer_to_dict(tr) == d
         for bad in ([True], [1.5], [tr.field.p], 7, None, [[0]]):
             broken = json.loads(json.dumps(d))
             r = rng.randrange(len(broken["entries"]))
             c = rng.randrange(len(broken["entries"][r]))
             broken["entries"][r][c] = broken["entries"][r][c] + [bad]
-            message = _error(transfer_from_dict, broken)
-            assert message == _error(lambda x: _walked(monkeypatch, transfer_from_dict, x), broken)
-            assert message.startswith(f"transfer.entries[{r}][{c}]")
+            assert _error(transfer_from_dict, broken).startswith(f"transfer.entries[{r}][{c}]: ")
         # an entry or a row that is not a list is named as the walk names it
         for bad in (5, None, "ab", {"a": 1}):
             broken = json.loads(json.dumps(d))
