@@ -34,8 +34,9 @@ from .netmodel import (
     NetworkSpec,
     TransferResult,
     WindowUnderspecified,
+    _cutter,
+    _path_extremes,
     _window,
-    min_cut,
     random_leks,
     transfer_matrix,
     validate,
@@ -125,14 +126,16 @@ _PERMUTATIONS = (
 # ----------------------------------------------------------------------
 
 
-def _check_three_unicast(net: NetworkSpec) -> None:
-    validate(net)
+def _check_three_unicast(net: NetworkSpec) -> list[str]:
+    """validate(net)'s node order, for a network of three unicast sessions."""
+    order = validate(net)
     if len(net.sources) != 3 or len(net.sinks) != 3:
         raise ValueError("alignment needs exactly 3 sources and 3 sinks")
     if any(s.processes != 1 for s in net.sources) or any(
         s.outputs != 1 for s in net.sinks
     ):
         raise ValueError("alignment needs single-process sources and sinks")
+    return order
 
 
 def detect_category(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
@@ -143,7 +146,14 @@ def detect_category(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
     matching no category under any relabeling are rejected.
     """
     _check_three_unicast(net)
-    cuts = [[min_cut(net, i, j) for j in range(3)] for i in range(3)]
+    return _detect(net)
+
+
+def _detect(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
+    """detect_category for a network _check_three_unicast has passed."""
+    # a cross pair only needs to know whether any path joins it
+    cut = _cutter(net)
+    cuts = [[cut(i, j, None if i == j else 1) for j in range(3)] for i in range(3)]
     for i in range(3):
         if cuts[i][i] != 1:
             raise MinCutViolation(
@@ -179,6 +189,7 @@ class AlignmentInstance:
     matrices behind structured precoders, where the category has them.
     decode_factors holds each sink's factored decode system once
     check_alignment has run; a copy made by dataclasses.replace has none.
+    order is validate(net)'s node order.
     """
 
     n: int
@@ -198,6 +209,7 @@ class AlignmentInstance:
     transfer: TransferResult
     net: NetworkSpec
     leks: LekAssignment
+    order: tuple[str, ...] = dataclasses.field(compare=False, repr=False)
     decode_factors: tuple[FqFactors, ...] | None = dataclasses.field(
         default=None, init=False, compare=False, repr=False
     )
@@ -261,7 +273,8 @@ def build_instance(
     outside the category's zero pattern must have all-nonzero
     eigenvalues; a zero raises SingularBlock so searches can retry.
     """
-    return _build_instance(net, leks, n, seed, *detect_category(net))
+    order = _check_three_unicast(net)
+    return _build_instance(net, leks, n, seed, *_detect(net), order)
 
 
 def _build_instance(
@@ -271,8 +284,10 @@ def _build_instance(
     seed,
     category: str,
     perm: tuple[int, int, int],
+    order: Sequence[str],
 ) -> AlignmentInstance:
-    """build_instance for a network whose detect_category result is known."""
+    """build_instance for a network whose detect_category result and
+    validate node order are known."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if leks.mode != "invariant":
@@ -281,7 +296,7 @@ def _build_instance(
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    tr = transfer_matrix(net, leks)
+    tr = transfer_matrix(net, leks, order)
     alpha = element_of_order(spec, N)
     plan = make_plan(N, spec, alpha, tr.d_max)
 
@@ -374,6 +389,7 @@ def _build_instance(
         transfer=tr,
         net=net,
         leks=leks,
+        order=tuple(order),
     )
 
 
@@ -467,14 +483,15 @@ def align_search(
     budget is spent says nothing about infeasibility.
     """
     # once per search, and before spending budget on a structural error
-    category, perm = detect_category(net)
+    order = _check_three_unicast(net)
+    category, perm = _detect(net)
     attempts = 0
     for k in range(budget):
         attempts += 1
         attempt_seed = f"{seed}:{k}"
         leks = random_leks(net, field, attempt_seed, nonzero=True)
         try:
-            inst = _build_instance(net, leks, n, attempt_seed, category, perm)
+            inst = _build_instance(net, leks, n, attempt_seed, category, perm, order)
         except SingularBlock:
             continue
         report = check_alignment(inst)
@@ -525,7 +542,7 @@ def encode_decode(
         gens = [[FieldElement(spec, stacked[k].rows[N - 1 - t][0])] for t in range(N)]
         inputs_by_net_source[inst.perm[k]] = gens
     decoded = run_pipeline(
-        inst.net, inst.leks, inst.plan, inputs_by_net_source, transfer=inst.transfer
+        inst.net, inst.leks, inst.plan, inputs_by_net_source, inst.transfer, inst.order
     )
     y = [
         FqMatrix(spec, [[decoded[inst.perm[k]][N - 1 - r][0].code] for r in range(N)])
@@ -574,26 +591,6 @@ class TvInstance:
     leks: LekAssignment
 
 
-def _path_extremes(net: NetworkSpec) -> tuple[int, int]:
-    """Topological shortest and longest source-to-sink path delays."""
-    order = validate(net)
-    src_nodes = {s.node for s in net.sources}
-    sink_nodes = {s.node for s in net.sinks}
-    INF = float("inf")
-    shortest = {v: (0 if v in src_nodes else INF) for v in net.nodes}
-    longest = {v: (0 if v in src_nodes else -INF) for v in net.nodes}
-    for v in order:
-        for e in net.out_edges(v):
-            w = e.head
-            shortest[w] = min(shortest[w], shortest[v] + e.delay)
-            longest[w] = max(longest[w], longest[v] + e.delay)
-    mins = [shortest[v] for v in sink_nodes if shortest[v] != INF]
-    maxs = [longest[v] for v in sink_nodes if longest[v] != -INF]
-    if not mins:
-        raise ValueError("no source-to-sink path")
-    return int(min(mins)), int(max(maxs))
-
-
 def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     """Assemble the nine stacks by simulating per-generation impulses.
 
@@ -606,14 +603,17 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     Constant kernels reproduce the realized block circulant of the
     transfer matrix exactly.
     """
-    _check_three_unicast(net)
+    order = _check_three_unicast(net)
     if n < 1:
         raise ValueError("n must be at least 1")
     N = 2 * n + 1
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    d_prime_min, d_prime_max = _path_extremes(net)
+    extremes = _path_extremes(net, order)
+    if extremes is None:
+        raise ValueError("no source-to-sink path")
+    d_prime_min, d_prime_max = extremes
     d_max = d_prime_max - d_prime_min
     if d_max >= N:
         raise ValueError(f"channel memory {d_max} too long for block length {N}")
@@ -626,7 +626,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
-    window = _window(net, leks, validate(net), -d_max, horizon)
+    window = _window(net, leks, order, -d_max, horizon)
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
     silent = [0] * horizon
     for i in range(3):

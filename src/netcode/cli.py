@@ -33,10 +33,10 @@ from .galois import (
 )
 from .netmodel import (
     _by_step,
+    _cutter,
     _simulate_rows,
     leks_from_dict,
     leks_to_dict,
-    min_cut,
     network_from_dict,
     transfer_from_dict,
     transfer_matrix,
@@ -242,10 +242,8 @@ def _cmd_mincut(args) -> int:
     doc = _load_doc(args.input, "network")
     net, _ = _net_and_leks(doc, need_kernels=False)
     validate(net)
-    cuts = [
-        [min_cut(net, i, j) for j in range(len(net.sinks))]
-        for i in range(len(net.sources))
-    ]
+    cut = _cutter(net)  # one capacity map for every pair
+    cuts = [[cut(i, j) for j in range(len(net.sinks))] for i in range(len(net.sources))]
     rep: dict = {"cuts": cuts}
     if len(net.sources) == len(net.sinks):
         rep["sessions"] = [cuts[i][i] for i in range(len(net.sources))]

@@ -10,11 +10,12 @@ output). With unit delays the per-step recursion is
     Y(t)[r]   = sum_e' eps[e',r] Z(t)[e']
 
 so a path of L unit edges delivers an impulse L steps after injection and
-the simulator agrees with the transfer matrix degree for degree. A
-delay-d edge behaves like a chain of d unit edges with identity relays:
-D^d in the transfer matrix, a d-step shift of the edge's series in the
-simulator. Both evaluate one edge at a time in topological order, the
-simulator over a whole window of steps, so networks must be acyclic.
+the transfer matrix is the simulator's impulse response, degree for
+degree. A delay-d edge behaves like a chain of d unit edges with
+identity relays: D^d in the transfer matrix, a d-step shift of the
+edge's series in the simulator. The simulator evaluates a whole window
+of steps one edge at a time in topological order, so networks must be
+acyclic, and the transfer matrix is one such window run on impulses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -171,12 +172,6 @@ class NetworkSpec:
     def demands_of_sink(self, j: int) -> list[tuple[int, int]]:
         """Sorted (source index, process index) pairs demanded by sink j."""
         return sorted((i, l) for (i, j2, l) in self.connections if j2 == j)
-
-    def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.tail == node]
-
-    def in_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.head == node]
 
     def is_unit_delay(self) -> bool:
         return all(e.delay == 1 for e in self.edges)
@@ -397,42 +392,48 @@ def normalize_delays(net: NetworkSpec, leks: LekAssignment | None = None):
 # ----------------------------------------------------------------------
 
 
+def _cutter(net: NetworkSpec) -> Callable[..., int]:
+    """cut(i, j, limit=None): min_cut(net, i, j), or limit if that is
+    smaller, each call on the one capacity map built here."""
+    cap: dict[str, dict[str, int]] = {}  # parallel edges merged
+    for e in net.edges:
+        out = cap.setdefault(e.tail, {})
+        out[e.head] = out.get(e.head, 0) + 1
+        cap.setdefault(e.head, {}).setdefault(e.tail, 0)  # for the residual
+
+    def cut(i: int, j: int, limit: int | None = None) -> int:
+        s, t = net.sources[i].node, net.sinks[j].node
+        if s == t:
+            raise ValueError("source and sink share a node; min-cut undefined")
+        res = {v: dict(out) for v, out in cap.items()}
+        flow = 0
+        while flow != limit:
+            # BFS for an augmenting path
+            parent: dict[str, str] = {s: s}
+            queue = [s]
+            for v in queue:  # grows as the search goes
+                for w, c in res.get(v, {}).items():
+                    if c and w not in parent:
+                        parent[w] = v
+                        queue.append(w)
+            if t not in parent:
+                break
+            # unit capacities: every augmenting path carries 1
+            v = t
+            while v != s:
+                u = parent[v]
+                res[u][v] -= 1
+                res[v][u] += 1
+                v = u
+            flow += 1
+        return flow
+
+    return cut
+
+
 def min_cut(net: NetworkSpec, i: int, j: int) -> int:
     """Edge-disjoint path count from source i's node to sink j's node."""
-    s = net.sources[i].node
-    t = net.sinks[j].node
-    if s == t:
-        raise ValueError("source and sink share a node; min-cut undefined")
-    # capacities merge parallel edges
-    cap: dict[str, dict[str, int]] = {}
-    for e in net.edges:
-        cap.setdefault(e.tail, {})
-        cap.setdefault(e.head, {})
-        cap[e.tail][e.head] = cap[e.tail].get(e.head, 0) + 1
-        cap[e.head].setdefault(e.tail, 0)
-    if s not in cap or t not in cap:
-        return 0
-    flow = 0
-    while True:
-        # BFS for an augmenting path
-        parent: dict[str, str] = {s: s}
-        queue = [s]
-        while queue and t not in parent:
-            v = queue.pop(0)
-            for w in sorted(cap.get(v, {})):
-                if w not in parent and cap[v][w] > 0:
-                    parent[w] = v
-                    queue.append(w)
-        if t not in parent:
-            return flow
-        # unit capacities: every augmenting path carries 1
-        v = t
-        while v != s:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
-        flow += 1
+    return _cutter(net)(i, j)
 
 
 # ----------------------------------------------------------------------
@@ -489,16 +490,33 @@ def _edges_in_order(net: NetworkSpec, order: Sequence[str]) -> list[int]:
     return sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail])
 
 
+def _path_extremes(net: NetworkSpec, order: Sequence[str]) -> tuple[int, int] | None:
+    """Shortest and longest source-to-sink path delays, None without a path.
+
+    order is validate(net)'s node order; every edge is visited once, after
+    every edge into its tail.
+    """
+    reach = dict.fromkeys((s.node for s in net.sources), (0, 0))  # (shortest, longest)
+    edges = net.edges
+    for k in _edges_in_order(net, order):
+        e = edges[k]
+        got = reach.get(e.tail)
+        if got is not None:
+            lo, hi = got[0] + e.delay, got[1] + e.delay
+            was = reach.get(e.head)
+            reach[e.head] = (lo, hi) if was is None else (min(was[0], lo), max(was[1], hi))
+    ends = [reach[s.node] for s in net.sinks if s.node in reach]
+    if not ends:
+        return None
+    return min(lo for lo, _ in ends), max(hi for _, hi in ends)
+
+
 def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     """Index kernel dicts against the sorted edge list; validate adjacency."""
+    # a known edge key (tail, head, index) names the edge's ends itself
     pos = {e.key: k for k, e in enumerate(net.edges)}
-    tail = {e.key: e.tail for e in net.edges}
-    head = {e.key: e.head for e in net.edges}
-    in_off, out_off = [0], [0]  # flat index of each source's and sink's first symbol
-    for src in net.sources:
-        in_off.append(in_off[-1] + src.processes)
-    for snk in net.sinks:
-        out_off.append(out_off[-1] + snk.outputs)
+    # flat index of each source's and sink's first symbol
+    in_off, out_off = [0, *accumulate(net.mu_list)], [0, *accumulate(net.nu_list)]
     al, be, ep = triple
     a_terms = []  # (edge pos, flat input index, code)
     for (inp, ekey), v in al.items():
@@ -507,9 +525,9 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         i, l = inp
         if not (0 <= i < len(net.sources) and 0 <= l < net.sources[i].processes):
             raise ValueError(f"alpha kernel on unknown input {inp}")
-        if net.sources[i].node != tail[ekey]:
+        if net.sources[i].node != ekey[0]:
             raise ValueError(f"alpha kernel {inp}->{ekey} not at the source node")
-        if v.spec != spec:
+        if v.spec is not spec and v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
             a_terms.append((pos[ekey], in_off[i] + l, v.code))
@@ -517,9 +535,9 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     for (k1, k2), v in be.items():
         if k1 not in pos or k2 not in pos:
             raise ValueError(f"beta kernel on unknown edges {(k1, k2)}")
-        if head[k1] != tail[k2]:
+        if k1[1] != k2[0]:
             raise ValueError(f"beta kernel {(k1, k2)} not adjacent")
-        if v.spec != spec:
+        if v.spec is not spec and v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
             b_terms.append((pos[k2], pos[k1], v.code))
@@ -530,71 +548,44 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         j, r = out
         if not (0 <= j < len(net.sinks) and 0 <= r < net.sinks[j].outputs):
             raise ValueError(f"eps kernel on unknown output {out}")
-        if net.sinks[j].node != head[ekey]:
+        if net.sinks[j].node != ekey[1]:
             raise ValueError(f"eps kernel {ekey}->{out} not at the sink node")
-        if v.spec != spec:
+        if v.spec is not spec and v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
             e_terms.append((out_off[j] + r, pos[ekey], v.code))
     return a_terms, b_terms, e_terms
 
 
-def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
+def transfer_matrix(
+    net: NetworkSpec, leks: LekAssignment, order: Sequence[str] | None = None
+) -> TransferResult:
     """Exact transfer matrix of a time-invariant kernel assignment.
 
-    This is M(D) = B (I - K(D))^-1 A with the link delays inside K(D),
-    computed in one pass over the edges in topological order of their
-    tails: per input c, edge e carries the raw code list
-    F_e[c] = D^delay(e) (alpha_ce + sum_e' beta_e'e F_e'[c]), and sink row
-    r sums eps_er F_e[c]. The common delay D^d_prime_min is divided out.
+    This is M(D) = B (I - K(D))^-1 A with the link delays inside K(D), and
+    entry (r, c) is the response of sink output r to a unit impulse on
+    input c: the coefficient of D^d is what arrives d steps after the
+    impulse. So one simulation window computes all of M. With L - 1 the
+    longest source-to-sink path delay, input c gets its impulse at step
+    c * L, and row r's steps c * L .. c * L + L - 1 hold entry (r, c) from
+    D^0 up. The common delay D^d_prime_min is divided out. order is
+    validate(net)'s node order, computed here if not given.
     """
     if leks.mode != "invariant":
         raise ValueError("transfer_matrix needs time-invariant kernels")
-    order = validate(net)
-    spec = leks.field
-    mu, nu = net.mu, net.nu
-    a_terms, b_terms, e_terms = _compiled_kernels(
-        net, (leks.alpha, leks.beta, leks.eps), spec
-    )
-    alpha_in: list[list[tuple[int, int]]] = [[] for _ in net.edges]
-    for epos, flat, code in a_terms:
-        alpha_in[epos].append((flat, code))
-    beta_in: list[list[tuple[int, int]]] = [[] for _ in net.edges]
-    for out_pos, in_pos, code in b_terms:
-        beta_in[out_pos].append((in_pos, code))
-
-    def add_into(dst: list[int], code: int, src: list[tuple[int, int]], delay: int) -> None:
-        # dst += code * D^delay * src, growing dst to the last entry of src
-        if src:
-            short = delay + src[-1][0] + 1 - len(dst)
-            if short > 0:
-                dst.extend([0] * short)
-            spec._row_axpy(dst, code, src, delay)
-
-    # F[k][c] is F_e[c] / D^delay(e), prepared once for every sum it enters
-    delay = [e.delay for e in net.edges]
-    F: list[list[list[tuple[int, int]]]] = [[] for _ in net.edges]
-    for k in _edges_in_order(net, order):
-        acc: list[list[int]] = [[] for _ in range(mu)]
-        for flat, code in alpha_in[k]:
-            acc[flat] = [code]  # alpha keys are unique per (input, edge)
-        for in_pos, code in beta_in[k]:
-            for a, src in zip(acc, F[in_pos]):
-                add_into(a, code, src, delay[in_pos])
-        F[k] = [spec._row_prep(a) for a in acc]
-
-    raw: list[list[list[int]]] = [[[] for _ in range(mu)] for _ in range(nu)]
-    for flat, epos, code in e_terms:
-        for a, src in zip(raw[flat], F[epos]):
-            add_into(a, code, src, delay[epos])
-    lags = [d for row in raw for a in row for d, x in enumerate(a) if x]
-    if not lags:
-        return TransferResult(
-            spec, PolyMatrix.zeros(spec, nu, mu), 0, 0, net.mu_list, net.nu_list
-        )
-    dmin, dmax = min(lags), max(lags)
-    M = PolyMatrix(spec, [[Poly(spec, a[dmin:]) for a in row] for row in raw])
-    return TransferResult(spec, M, dmin, dmax, net.mu_list, net.nu_list)
+    if order is None:
+        order = validate(net)
+    extremes = _path_extremes(net, order)
+    span = 1 if extremes is None else extremes[1] + 1
+    steps = net.mu * span
+    impulses = [[0] * (c * span) + [1] + [0] * (steps - c * span - 1) for c in range(net.mu)]
+    rows = _window(net, leks, order, 0, steps)(impulses)
+    # a zero M, with no nonzero lag, reads d_prime_min = d_prime_max = 0
+    lags = {t % span for row in rows for t in compress(range(steps), row)}
+    dmin, dmax = min(lags, default=0), max(lags, default=0)
+    spec, width = leks.field, dmax - dmin + 1
+    M = [[Poly(spec, row[t : t + width]) for t in range(dmin, steps, span)] for row in rows]
+    return TransferResult(spec, PolyMatrix(spec, M), dmin, dmax, net.mu_list, net.nu_list)
 
 
 # ----------------------------------------------------------------------
@@ -774,21 +765,24 @@ def simulate(
 
 def _admissible_positions(net: NetworkSpec):
     """Kernel positions in canonical order (edges already sorted)."""
-    alpha_keys = []
-    for i, src in enumerate(net.sources):
-        for l in range(src.processes):
-            for e in net.out_edges(src.node):
-                alpha_keys.append(((i, l), e.key))
-    beta_keys = []
-    for e_in in net.edges:
-        for e_out in net.edges:
-            if e_in.head == e_out.tail:
-                beta_keys.append((e_in.key, e_out.key))
-    eps_keys = []
-    for j, snk in enumerate(net.sinks):
-        for e in net.in_edges(snk.node):
-            for r in range(snk.outputs):
-                eps_keys.append((e.key, (j, r)))
+    keys = [e.key for e in net.edges]
+    leaving, entering = defaultdict(list), defaultdict(list)  # edge keys by tail, by head
+    for k in keys:
+        leaving[k[0]].append(k)
+        entering[k[1]].append(k)
+    alpha_keys = [
+        ((i, l), k)
+        for i, src in enumerate(net.sources)
+        for l in range(src.processes)
+        for k in leaving[src.node]
+    ]
+    beta_keys = [(k1, k2) for k1 in keys for k2 in leaving[k1[1]]]
+    eps_keys = [
+        (k, (j, r))
+        for j, snk in enumerate(net.sinks)
+        for k in entering[snk.node]
+        for r in range(snk.outputs)
+    ]
     return alpha_keys, beta_keys, eps_keys
 
 

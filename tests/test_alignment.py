@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from netcode import alignment, netmodel
+from netcode import alignment, cli, netmodel, transform
 from netcode.alignment import (
     CharacteristicDividesBlock,
     MinCutViolation,
@@ -94,6 +94,18 @@ def test_detect_category_min_cut_gate():
     )
     with pytest.raises(MinCutViolation):
         detect_category(doubled)
+
+
+def test_detect_category_refuses_a_shared_source_sink_node():
+    # sink 2 sits on source 1's node: cross pairs are only tested for a
+    # path, yet the pair is refused as min_cut refuses it
+    base = cat_net(full_lengths())
+    sinks = (base.sinks[0], Sink("S1", 1), base.sinks[2])
+    net = NetworkSpec(base.nodes, base.edges, base.sources, sinks, base.connections)
+    with pytest.raises(ValueError, match="source and sink share a node"):
+        detect_category(net)
+    with pytest.raises(ValueError, match="source and sink share a node"):
+        align_search(net, 3, GF8)
 
 
 def test_three_unicast_shape_enforced():
@@ -206,21 +218,60 @@ def test_align_search_replayable(gf64):
 
 
 def test_align_search_detects_the_category_once(monkeypatch, ex2, gf64):
+    # one detection per search, however many attempts it makes
     calls = 0
-    plain = alignment.min_cut
+    plain = alignment._detect
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return plain(*args)
 
-    monkeypatch.setattr(alignment, "min_cut", counted)
-    monkeypatch.setattr(netmodel, "min_cut", counted)
+    monkeypatch.setattr(alignment, "_detect", counted)
     assert align_search(ex2[0], 4, gf64).attempts == 1
-    assert calls == 9
+    assert calls == 1
     calls = 0
     assert align_search(ex2[0], 4, gf64, seed="11").attempts == 3
-    assert calls == 9
+    assert calls == 1
+
+
+def _count_validate(monkeypatch) -> list:
+    """Count validate calls, wherever a netcode module holds the name."""
+    calls = []
+    plain = netmodel.validate
+
+    def counted(net):
+        calls.append(net)
+        return plain(net)
+
+    for mod in (netmodel, alignment, transform, cli):
+        for key, val in list(vars(mod).items()):
+            if val is plain:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "4"], ["--n", "4", "--seed", "11"], ["--verify-only"]],
+    ids=["search", "three-attempts", "verify-only"],
+)
+def test_align_job_validates_once(monkeypatch, capsys, argv):
+    calls = _count_validate(monkeypatch)
+    assert cli.run(["align", "example2", *argv]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["decode_exact"] and rep.get("attempts", 1) == (3 if "11" in argv else 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["invariant", "time"])
+def test_build_tv_validates_once(monkeypatch, ex2, mode):
+    net, leks = ex2
+    if mode == "time":
+        leks = random_leks(net, leks.field, "tv", mode="time", window=(-4, 12), nonzero=True)
+    calls = _count_validate(monkeypatch)
+    build_tv(net, leks, 3)
+    assert len(calls) == 1
 
 
 def test_align_search_surfaces_structural_errors(gf64):

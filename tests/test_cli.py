@@ -365,6 +365,28 @@ def test_transfer_report_and_dump(tmp_path, capsys):
     assert not dump.exists()
 
 
+def test_transfer_of_an_unreached_sink_is_zero(tmp_path, capsys):
+    # the only path into T starts at A, which no source feeds
+    net = NetworkSpec(
+        ["S", "A", "B", "T"],
+        [Edge("S", "B", 0, 2), Edge("A", "T", 0, 3)],
+        [Source("S", 2)],
+        [Sink("T", 1)],
+        [(0, 0, 1)],
+    )
+    doc = {
+        "kind": "network",
+        "network": network_to_dict(net),
+        "kernels": leks_to_dict(random_leks(net, GF2, "ones", nonzero=True)),
+    }
+    p = tmp_path / "unreached.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, "transfer", str(p))
+    assert code == 0
+    assert rep["entries"] == [[[], []]] and rep["entry_strs"] == [["0", "0"]]
+    assert rep["d_prime_min"] == rep["d_prime_max"] == rep["d_max"] == 0
+
+
 def test_simulate_report(tmp_path, capsys):
     net = NetworkSpec(
         ["S", "m1", "T"],
