@@ -35,6 +35,7 @@ from .netmodel import (
     TransferResult,
     WindowUnderspecified,
     _cutter,
+    _edges_in_order,
     _path_extremes,
     _window,
     random_leks,
@@ -610,7 +611,8 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    extremes = _path_extremes(net, order)
+    edges = _edges_in_order(net, order)
+    extremes = _path_extremes(net, edges)
     if extremes is None:
         raise ValueError("no source-to-sink path")
     d_prime_min, d_prime_max = extremes
@@ -626,7 +628,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
-    window = _window(net, leks, order, -d_max, horizon)
+    window = _window(net, leks, edges, -d_max, horizon)
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
     silent = [0] * horizon
     for i in range(3):

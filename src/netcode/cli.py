@@ -20,6 +20,7 @@ from itertools import chain
 
 from .galois import (
     FieldElement,
+    FieldSpec,
     NetcodeError,
     ParseError,
     Poly,
@@ -32,7 +33,7 @@ from .galois import (
     spec_to_dict,
 )
 from .netmodel import (
-    _by_step,
+    NetworkSpec,
     _cutter,
     _simulate_rows,
     leks_from_dict,
@@ -87,6 +88,8 @@ def _read_input(path: str) -> dict:
             raise ParseError(
                 f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
+        except OSError as e:  # a directory, or no read permission
+            raise ParseError(f"{path}: cannot read: {e.strerror}") from None
     stem = os.path.splitext(os.path.basename(path))[0]
     if stem in _FIXTURES:
         return load_fixture(stem)
@@ -174,19 +177,59 @@ def _net_and_leks(doc: dict, need_kernels: bool = True):
 # ----------------------------------------------------------------------
 
 
-def _emit(obj, args, lines: bool = False) -> None:
-    # reports are freshly built trees, so the cycle check finds nothing;
-    # coefficient tuples are written as lists
-    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+def _render(obj, pretty: bool, lines: bool = False) -> str:
+    """The report text: obj as one JSON document, or with lines (unless
+    pretty) each item of obj on a line of its own."""
+    # reports are freshly built trees, so the cycle check finds nothing
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     encode = json.JSONEncoder(sort_keys=True, check_circular=False, **layout).encode
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+    return "".join(encode(item) + "\n" for item in (obj if lines and not pretty else [obj]))
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write a report to stdout, or to the file out."""
+    if out is None:
+        sys.stdout.write(text)
+        return
     try:
-        for item in obj if lines and not args.pretty else [obj]:
-            out.write(encode(item))
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:  # a directory, or a missing parent
+        raise ParseError(f"{out}: cannot write the report: {e.strerror}") from None
+
+
+def _emit(obj, args, lines: bool = False) -> None:
+    _write(_render(obj, args.pretty, lines), args.out)
+
+
+def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int, pretty: bool) -> str:
+    """simulate's report {"outputs": outputs[t][j][r]} as JSON text.
+
+    The text is what _render writes for those nested coefficient lists,
+    in either layout. rows[r] holds flat output r's codes at each step,
+    and each symbol is written as its code's text: the field's stored
+    compact text, or one made per distinct code of the report.
+    """
+    ind = (lambda d: "\n" + "  " * d) if pretty else (lambda d: "")
+
+    def array(items: list[str], d: int) -> str:  # item texts in an array at depth d
+        if not items:
+            return "[]"
+        return "[" + ind(d + 1) + ("," + ind(d + 1)).join(items) + ind(d) + "]"
+
+    texts = spec._texts
+    if texts is None or pretty:
+        codes = list(set(chain.from_iterable(rows)))
+        leaves = (array(list(map(str, c)), 4) for c in spec.codes_to_json(codes))
+        texts = dict(zip(codes, leaves))
+    # one format string per step, a {} for each symbol; no text holds a brace
+    step = array([array(["{}"] * snk.outputs, 3) for snk in net.sinks], 2)
+    if rows:
+        each = list(map(step.format, *(map(texts.__getitem__, row) for row in rows)))
+    else:
+        each = [step] * steps
+    key = '"outputs": ' if pretty else '"outputs":'
+    return "{" + ind(1) + key + array(each, 1) + ind(0) + "}\n"
 
 
 def _poly_json(p: Poly) -> list[list[int]]:
@@ -279,9 +322,7 @@ def _cmd_simulate(args) -> int:
         raise
     t_start = _int(doc.get("t_start", 0), "t_start")
     rows = _simulate_rows(net, leks, inputs, t_start, False, codes)
-    # one coefficient array per output symbol: the table's tuples, not new lists
-    outputs = _by_step(net, list(map(spec._shared_coeffs, rows)), len(inputs))
-    _emit({"outputs": outputs}, args)
+    _write(_outputs_text(net, spec, rows, len(inputs), args.pretty), args.out)
     return 0
 
 
@@ -460,14 +501,22 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SearchExhausted as e:
         # a verdict on well-formed input, like an infeasible report
-        _emit({"error": type(e).__name__, "message": str(e)}, args)
-        return 1
+        return _fail(args, type(e).__name__, e, 1)
     except NetcodeError as e:  # ParseError, UnknownFixture and the library's errors
-        _emit({"error": type(e).__name__, "message": str(e)}, args)
-        return 2
+        return _fail(args, type(e).__name__, e, 2)
     except ValueError as e:
-        _emit({"error": "ValueError", "message": str(e)}, args)
-        return 2
+        return _fail(args, "ValueError", e, 2)
+
+
+def _fail(args, error: str, e: Exception, code: int) -> int:
+    """Report the error where the report would have gone, or on stdout if
+    the -o file cannot be written; return the exit code."""
+    text = _render({"error": error, "message": str(e)}, args.pretty)
+    try:
+        _write(text, args.out)
+    except ParseError:
+        _write(text, None)
+    return code
 
 
 def main() -> None:

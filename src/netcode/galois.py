@@ -47,8 +47,9 @@ __all__ = [
 _TABLE_CAP = 1 << 16
 
 # Fields at least this small get codec tables (FieldSpec._codec_tables),
-# built with their spec, so JSON coefficient lists convert by lookup; a
-# GF(2^12) spec's tables take ~4 ms and ~1.6 MB (2-vCPU Xeon VM).
+# built with their spec, so JSON coefficient lists convert by lookup and a
+# simulate report writes each code's stored text; a GF(2^12) spec's tables
+# take ~6 ms and ~1.9 MB (2-vCPU Xeon VM).
 _CODEC_CAP = 1 << 12
 
 # The largest field order accepted from an input document or flag. Past it
@@ -239,7 +240,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_exp2", "_lists",
-        "_lanes", "_gen_code", "_coeffs", "_code_of",
+        "_lanes", "_gen_code", "_coeffs", "_code_of", "_texts",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -255,8 +256,8 @@ class FieldSpec:
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
         # the row kernel adds two logs in [0, q - 2] and reads the sum here
         self._exp2 = self._exp + self._exp if p == 2 and self._exp else None
-        self._coeffs, self._code_of = (
-            self._codec_tables() if self.q <= _CODEC_CAP else (None, None)
+        self._coeffs, self._code_of, self._texts = (
+            self._codec_tables() if self.q <= _CODEC_CAP else (None, None, None)
         )
         self._lists = _ListKernel(self)
         self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
@@ -358,15 +359,6 @@ class FieldSpec:
             bits = range(m)
             return [[c >> k & 1 for k in bits] for c in codes]
         return [_digits(c, p, m) for c in codes]
-
-    def _shared_coeffs(self, codes: Sequence[int]) -> list[Sequence[int]]:
-        """codes_to_json's coefficients as the codec table's own tuples, for
-        a report that is encoded at once and never edited: json writes a
-        tuple as it writes a list, and no list is built per code."""
-        coeffs = self._coeffs
-        if coeffs is None:
-            return self.codes_to_json(codes)
-        return list(map(coeffs.__getitem__, codes))
 
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
@@ -505,19 +497,26 @@ class FieldSpec:
             log[acc] = i
         return exp, log
 
-    def _codec_tables(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-        """Each code's m coefficients, and the code of every coefficient
-        tuple of length 0 to m, so short items such as (1,) are found too.
+    def _codec_tables(
+        self,
+    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list[str]]:
+        """Each code's m coefficients, the code of every coefficient tuple
+        of length 0 to m, so short items such as (1,) are found too, and
+        each code's coefficients as compact JSON text, such as "[1,0,1]".
 
         The tuples of length k + 1 in code order are those of length k
-        followed by digit 0, then by digit 1, and so on.
+        followed by digit 0, then by digit 1, and so on; so are the texts.
         """
         level: list[tuple[int, ...]] = [()]
         code_of = {(): 0}
+        texts, sep = [""], ""
+        digits = list(map(str, range(self.p)))
         for _ in range(self.m):
             level = [t + (d,) for d in range(self.p) for t in level]
             code_of.update(zip(level, range(len(level))))
-        return level, code_of
+            texts = [s + sep + d for d in digits for s in texts]
+            sep = ","
+        return level, code_of, list(map("[{}]".format, texts))
 
     def _mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

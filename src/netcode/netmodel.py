@@ -490,16 +490,15 @@ def _edges_in_order(net: NetworkSpec, order: Sequence[str]) -> list[int]:
     return sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail])
 
 
-def _path_extremes(net: NetworkSpec, order: Sequence[str]) -> tuple[int, int] | None:
+def _path_extremes(net: NetworkSpec, edges: Sequence[int]) -> tuple[int, int] | None:
     """Shortest and longest source-to-sink path delays, None without a path.
 
-    order is validate(net)'s node order; every edge is visited once, after
-    every edge into its tail.
+    edges is _edges_in_order's edge order; every edge is visited once,
+    after every edge into its tail.
     """
     reach = dict.fromkeys((s.node for s in net.sources), (0, 0))  # (shortest, longest)
-    edges = net.edges
-    for k in _edges_in_order(net, order):
-        e = edges[k]
+    for k in edges:
+        e = net.edges[k]
         got = reach.get(e.tail)
         if got is not None:
             lo, hi = got[0] + e.delay, got[1] + e.delay
@@ -575,11 +574,12 @@ def transfer_matrix(
         raise ValueError("transfer_matrix needs time-invariant kernels")
     if order is None:
         order = validate(net)
-    extremes = _path_extremes(net, order)
+    edges = _edges_in_order(net, order)
+    extremes = _path_extremes(net, edges)
     span = 1 if extremes is None else extremes[1] + 1
     steps = net.mu * span
     impulses = [[0] * (c * span) + [1] + [0] * (steps - c * span - 1) for c in range(net.mu)]
-    rows = _window(net, leks, order, 0, steps)(impulses)
+    rows = _window(net, leks, edges, 0, steps)(impulses)
     # a zero M, with no nonzero lag, reads d_prime_min = d_prime_max = 0
     lags = {t % span for row in rows for t in compress(range(steps), row)}
     dmin, dmax = min(lags, default=0), max(lags, default=0)
@@ -594,11 +594,11 @@ def transfer_matrix(
 
 
 def _window(
-    net: NetworkSpec, leks: LekAssignment, order: Sequence[str], t_start: int, steps: int
+    net: NetworkSpec, leks: LekAssignment, edges: Sequence[int], t_start: int, steps: int
 ) -> Callable[[Sequence[Sequence[int]]], list]:
     """Compile the kernels of steps t_start .. t_start + steps - 1.
 
-    order is validate(net)'s node order. Time-indexed kernels are read
+    edges is _edges_in_order's edge order. Time-indexed kernels are read
     step by step, so the first step outside the stored window raises.
     Returns run(inputs): inputs[c] holds flat input c's code at each step,
     and row r of the result flat output r's codes, as the row kernel
@@ -626,7 +626,6 @@ def _window(
         for dst, src, f in part:
             groups[dst].append((src, f))
     alpha_in, beta_in, eps_in = grouped
-    edges = _edges_in_order(net, order)
     delay = [e.delay for e in net.edges]
     prep, unpack, pack = kern.prep, kern.unpack, kern.pack
     axpy = kern.axpy_each if timed else kern.axpy
@@ -707,13 +706,13 @@ def _simulate_rows(
     inputs is shaped as simulate's. codes, when given, holds the codes of
     its symbols in step order; otherwise they are read from inputs.
     """
-    order = validate(net)
+    edges = _edges_in_order(net, validate(net))
     timed = leks.mode != "invariant"
     if not timed:  # kernel errors come before input errors
-        run = _window(net, leks, order, t_start, len(inputs))
+        run = _window(net, leks, edges, t_start, len(inputs))
     _check_steps(net, leks, inputs, t_start, elements)
     if timed:
-        run = _window(net, leks, order, t_start, len(inputs))
+        run = _window(net, leks, edges, t_start, len(inputs))
     if codes is None:
         codes = list(chain.from_iterable(chain.from_iterable(inputs)))
         if elements:

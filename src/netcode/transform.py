@@ -31,6 +31,7 @@ from .netmodel import (
     LekAssignment,
     NetworkSpec,
     TransferResult,
+    _edges_in_order,
     _window,
     transfer_matrix,
     validate,
@@ -300,7 +301,7 @@ def run_pipeline(
     horizon = tr.d_prime_min + n + d_max
     pad = [0] * tr.d_prime_min
     series = [lane[n - d_max :] + lane + pad for lane in primed]
-    outs = _window(net, leks, order, 0, horizon)(series)
+    outs = _window(net, leks, _edges_in_order(net, order), 0, horizon)(series)
     # the responses to the cyclic prefix are dropped with the steps before them
     decoded = _dft_apply(plan, [row[horizon - n :] for row in outs], invert=True)
     rows = iter(decoded)

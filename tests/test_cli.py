@@ -656,6 +656,29 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert dest.read_text() == out
 
 
+def test_directory_as_input_is_input_error(tmp_path, capsys):
+    code, out = cli(capsys, "validate", str(tmp_path))
+    rep = json.loads(out)
+    assert code == 2 and rep["error"] == "ParseError"
+    assert rep["message"].startswith(f"{tmp_path}: cannot read")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, where):
+    dest = tmp_path if where == "directory" else tmp_path / "none" / "rep.json"
+    sim = tmp_path / "gf3.json"
+    sim.write_text(json.dumps(_simulation_doc("gf3")))
+    for argv in (["mincut", "example2"], ["simulate", str(sim)], ["simulate", str(sim), "--pretty"]):
+        code, out = cli(capsys, *argv, "-o", str(dest))
+        rep = json.loads(out)
+        assert code == 2 and rep["error"] == "ParseError", argv
+        assert rep["message"].startswith(f"{dest}: cannot write the report"), argv
+    # an input error that cannot go to -o goes to stdout
+    code, out = cli(capsys, "validate", str(tmp_path / "absent.json"), "-o", str(dest))
+    assert code == 2 and json.loads(out)["message"].endswith("absent.json: no such file")
+    assert not (tmp_path / "none").exists()
+
+
 def test_pretty_is_equivalent_json(capsys):
     _, compact = cli(capsys, "validate", "example2")
     _, pretty = cli(capsys, "validate", "example2", "--pretty")

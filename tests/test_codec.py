@@ -46,7 +46,7 @@ TABLED = [(2, 1), (2, 4), (2, 8), (3, 5), (2, 10)]
 def _loop_spec(spec):
     """A spec of the same field without codec tables, which converts item by item."""
     bare = FieldSpec(spec.p, spec.m, spec.modulus)
-    bare._coeffs = bare._code_of = None
+    bare._coeffs = bare._code_of = bare._texts = None
     return bare
 
 
@@ -102,11 +102,10 @@ def test_tables_match_the_loop_on_every_code(pm):
     assert spec.codes_from_json(list(map(tuple, items))) == codes
     every = list(range(spec.q))
     assert spec.codes_to_json(every) == loop.codes_to_json(every)
-    # reports take the table's own tuples; without tables, new lists
-    shared = spec._shared_coeffs(every)
-    assert shared == list(map(tuple, loop.codes_to_json(every)))
-    assert all(x is spec._coeffs[c] for c, x in enumerate(shared))
-    assert loop._shared_coeffs(every) == loop.codes_to_json(every)
+    # each code's coefficients as json writes them in a compact report
+    assert spec._texts == [
+        json.dumps(c, separators=(",", ":")) for c in loop.codes_to_json(every)
+    ]
     assert [FieldElement(spec, c).coeffs for c in every] == [
         FieldElement(loop, c).coeffs for c in every
     ]
@@ -130,7 +129,7 @@ def test_refusals_match_the_loop(pm):
 
 def test_field_above_the_cap_takes_the_loop():
     spec = build_field(2, 16)
-    assert spec.q > _CODEC_CAP and spec._coeffs is None and spec._code_of is None
+    assert spec.q > _CODEC_CAP and spec._coeffs is spec._code_of is spec._texts is None
     rng = random.Random("cap")
     codes = [rng.randrange(spec.q) for _ in range(200)] + [0, 1, spec.q - 1]
     lists = spec.codes_to_json(codes)
@@ -193,7 +192,9 @@ def test_tables_unchanged_after_every_subcommand(tmp_path, capsys):
     tabled = 0
     for spec in set(_FIELDS.values()):
         fresh = FieldSpec(spec.p, spec.m, spec.modulus)
-        assert spec._coeffs == fresh._coeffs and spec._code_of == fresh._code_of, spec
+        assert (spec._coeffs, spec._code_of, spec._texts) == (
+            fresh._coeffs, fresh._code_of, fresh._texts
+        ), spec
         tabled += spec._coeffs is not None
     assert tabled >= 3
 

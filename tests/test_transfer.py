@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from netcode import alignment, netmodel
 from netcode.galois import _LANE_MIN_WIDTH, FieldElement, Poly, PolyMatrix, build_field
 from netcode.netmodel import (
     Edge,
@@ -116,7 +117,7 @@ def test_impulse_response_matches_edge_pass(p, m):
             net = _with_unreached_sink(net)
         leks = _zero_leks(net, spec) if k % 8 == 7 else random_leks(net, spec, f"imp{k}")
         tr = _same(net, leks)
-        extremes = _path_extremes(net, validate(net))
+        extremes = _path_extremes(net, _edges_in_order(net, validate(net)))
         window = net.mu * (1 if extremes is None else extremes[1] + 1)
         seen.add("short" if window < _LANE_MIN_WIDTH else "long")
         keys = [e.key[:2] for e in net.edges]
@@ -143,7 +144,7 @@ def test_no_source_to_sink_path_is_a_zero_matrix(p, m):
         [Source("S", 2)],
         [Sink("T", 2), Sink("B", 1)],
     )
-    assert _path_extremes(net, validate(net)) is None
+    assert _path_extremes(net, _edges_in_order(net, validate(net))) is None
     tr = _same(net, random_leks(net, spec, "nopath", nonzero=True))
     assert (tr.d_prime_min, tr.d_prime_max) == (0, 0)
     assert tr.M.nrows == 3 and tr.M.ncols == 2
@@ -182,3 +183,20 @@ def test_refusals_match_edge_pass():
     ]
     for case in cases:
         assert _refusal(transfer_matrix, *case) == _refusal(edge_pass_transfer, *case)
+
+
+def test_edges_are_sorted_once_per_call(monkeypatch, ex2):
+    calls = []
+    plain = netmodel._edges_in_order
+
+    def counted(net, order):
+        calls.append(net)
+        return plain(net, order)
+
+    for mod in (netmodel, alignment):
+        monkeypatch.setattr(mod, "_edges_in_order", counted)
+    net, leks = ex2
+    transfer_matrix(net, leks)
+    assert len(calls) == 1
+    alignment.build_tv(net, leks, 3)
+    assert len(calls) == 2
