@@ -35,12 +35,10 @@ from .netmodel import (
     TransferResult,
     WindowUnderspecified,
     _cutter,
-    _edges_in_order,
     _path_extremes,
     _window,
     random_leks,
     transfer_matrix,
-    validate,
 )
 from .transform import TransformPlan, make_plan, run_pipeline
 
@@ -127,16 +125,15 @@ _PERMUTATIONS = (
 # ----------------------------------------------------------------------
 
 
-def _check_three_unicast(net: NetworkSpec) -> list[str]:
-    """validate(net)'s node order, for a network of three unicast sessions."""
-    order = validate(net)
+def _check_three_unicast(net: NetworkSpec) -> None:
+    """Validate net, then require three unicast sessions."""
+    net._edge_order  # validates the network first
     if len(net.sources) != 3 or len(net.sinks) != 3:
         raise ValueError("alignment needs exactly 3 sources and 3 sinks")
     if any(s.processes != 1 for s in net.sources) or any(
         s.outputs != 1 for s in net.sinks
     ):
         raise ValueError("alignment needs single-process sources and sinks")
-    return order
 
 
 def detect_category(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
@@ -147,11 +144,6 @@ def detect_category(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
     matching no category under any relabeling are rejected.
     """
     _check_three_unicast(net)
-    return _detect(net)
-
-
-def _detect(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
-    """detect_category for a network _check_three_unicast has passed."""
     # a cross pair only needs to know whether any path joins it
     cut = _cutter(net)
     cuts = [[cut(i, j, None if i == j else 1) for j in range(3)] for i in range(3)]
@@ -190,7 +182,6 @@ class AlignmentInstance:
     matrices behind structured precoders, where the category has them.
     decode_factors holds each sink's factored decode system once
     check_alignment has run; a copy made by dataclasses.replace has none.
-    order is validate(net)'s node order.
     """
 
     n: int
@@ -210,7 +201,6 @@ class AlignmentInstance:
     transfer: TransferResult
     net: NetworkSpec
     leks: LekAssignment
-    order: tuple[str, ...] = dataclasses.field(compare=False, repr=False)
     decode_factors: tuple[FqFactors, ...] | None = dataclasses.field(
         default=None, init=False, compare=False, repr=False
     )
@@ -274,8 +264,7 @@ def build_instance(
     outside the category's zero pattern must have all-nonzero
     eigenvalues; a zero raises SingularBlock so searches can retry.
     """
-    order = _check_three_unicast(net)
-    return _build_instance(net, leks, n, seed, *_detect(net), order)
+    return _build_instance(net, leks, n, seed, *detect_category(net))
 
 
 def _build_instance(
@@ -285,10 +274,8 @@ def _build_instance(
     seed,
     category: str,
     perm: tuple[int, int, int],
-    order: Sequence[str],
 ) -> AlignmentInstance:
-    """build_instance for a network whose detect_category result and
-    validate node order are known."""
+    """build_instance for a network whose detect_category result is known."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if leks.mode != "invariant":
@@ -297,7 +284,7 @@ def _build_instance(
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    tr = transfer_matrix(net, leks, order)
+    tr = transfer_matrix(net, leks)
     alpha = element_of_order(spec, N)
     plan = make_plan(N, spec, alpha, tr.d_max)
 
@@ -390,7 +377,6 @@ def _build_instance(
         transfer=tr,
         net=net,
         leks=leks,
-        order=tuple(order),
     )
 
 
@@ -484,15 +470,14 @@ def align_search(
     budget is spent says nothing about infeasibility.
     """
     # once per search, and before spending budget on a structural error
-    order = _check_three_unicast(net)
-    category, perm = _detect(net)
+    category, perm = detect_category(net)
     attempts = 0
     for k in range(budget):
         attempts += 1
         attempt_seed = f"{seed}:{k}"
         leks = random_leks(net, field, attempt_seed, nonzero=True)
         try:
-            inst = _build_instance(net, leks, n, attempt_seed, category, perm, order)
+            inst = _build_instance(net, leks, n, attempt_seed, category, perm)
         except SingularBlock:
             continue
         report = check_alignment(inst)
@@ -542,9 +527,7 @@ def encode_decode(
     for k in range(3):
         gens = [[FieldElement(spec, stacked[k].rows[N - 1 - t][0])] for t in range(N)]
         inputs_by_net_source[inst.perm[k]] = gens
-    decoded = run_pipeline(
-        inst.net, inst.leks, inst.plan, inputs_by_net_source, inst.transfer, inst.order
-    )
+    decoded = run_pipeline(inst.net, inst.leks, inst.plan, inputs_by_net_source, inst.transfer)
     y = [
         FqMatrix(spec, [[decoded[inst.perm[k]][N - 1 - r][0].code] for r in range(N)])
         for k in range(3)
@@ -604,15 +587,14 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     Constant kernels reproduce the realized block circulant of the
     transfer matrix exactly.
     """
-    order = _check_three_unicast(net)
+    _check_three_unicast(net)
     if n < 1:
         raise ValueError("n must be at least 1")
     N = 2 * n + 1
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    edges = _edges_in_order(net, order)
-    extremes = _path_extremes(net, edges)
+    extremes = _path_extremes(net)
     if extremes is None:
         raise ValueError("no source-to-sink path")
     d_prime_min, d_prime_max = extremes
@@ -628,7 +610,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
-    window = _window(net, leks, edges, -d_max, horizon)
+    window = _window(net, leks, -d_max, horizon)
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
     silent = [0] * horizon
     for i in range(3):

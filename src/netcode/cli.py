@@ -77,7 +77,7 @@ def load_fixture(name: str) -> dict:
 
 
 def _read_input(path: str) -> dict:
-    """A real file wins; otherwise fall back to a bundled fixture stem."""
+    """A real file wins; otherwise path must be a bundled fixture's bare name."""
     import os
 
     if os.path.exists(path):
@@ -90,12 +90,9 @@ def _read_input(path: str) -> dict:
             ) from None
         except OSError as e:  # a directory, or no read permission
             raise ParseError(f"{path}: cannot read: {e.strerror}") from None
-    stem = os.path.splitext(os.path.basename(path))[0]
-    if stem in _FIXTURES:
-        return load_fixture(stem)
     if os.sep in path or path.endswith(".json"):
         raise ParseError(f"{path}: no such file")
-    raise UnknownFixture(f"no bundled fixture named {path!r}")
+    return load_fixture(path)
 
 
 def _check_schema(doc: dict, need: str) -> list[str]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -118,7 +119,8 @@ class NetworkSpec:
     network, so independent runs agree entry for entry.
 
     connections holds demand triples (source index, sink index, process
-    index): sink j wants process l of source i.
+    index): sink j wants process l of source i. The edge order of the
+    simulator is computed on first use and kept with the object.
     """
 
     nodes: tuple[str, ...]
@@ -175,6 +177,17 @@ class NetworkSpec:
 
     def is_unit_delay(self) -> bool:
         return all(e.delay == 1 for e in self.edges)
+
+    @cached_property
+    def _edge_order(self) -> tuple[int, ...]:
+        """Edge positions by the rank of their tails in validate's node order.
+
+        The first read validates the network; a refusal is not kept, so an
+        invalid network raises on every read. The memo lives in the
+        instance dict, outside the dataclass fields.
+        """
+        rank = {v: k for k, v in enumerate(validate(self))}
+        return tuple(sorted(range(len(self.edges)), key=lambda k: rank[self.edges[k].tail]))
 
 
 # ----------------------------------------------------------------------
@@ -484,20 +497,13 @@ class TransferResult:
         return self.M.coeff_matrix(d)
 
 
-def _edges_in_order(net: NetworkSpec, order: Sequence[str]) -> list[int]:
-    """Edge positions by the rank of their tails in validate's node order."""
-    rank = {v: k for k, v in enumerate(order)}
-    return sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail])
-
-
-def _path_extremes(net: NetworkSpec, edges: Sequence[int]) -> tuple[int, int] | None:
+def _path_extremes(net: NetworkSpec) -> tuple[int, int] | None:
     """Shortest and longest source-to-sink path delays, None without a path.
 
-    edges is _edges_in_order's edge order; every edge is visited once,
-    after every edge into its tail.
+    Every edge is visited once, after every edge into its tail.
     """
     reach = dict.fromkeys((s.node for s in net.sources), (0, 0))  # (shortest, longest)
-    for k in edges:
+    for k in net._edge_order:
         e = net.edges[k]
         got = reach.get(e.tail)
         if got is not None:
@@ -556,9 +562,7 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     return a_terms, b_terms, e_terms
 
 
-def transfer_matrix(
-    net: NetworkSpec, leks: LekAssignment, order: Sequence[str] | None = None
-) -> TransferResult:
+def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
     """Exact transfer matrix of a time-invariant kernel assignment.
 
     This is M(D) = B (I - K(D))^-1 A with the link delays inside K(D), and
@@ -567,19 +571,22 @@ def transfer_matrix(
     impulse. So one simulation window computes all of M. With L - 1 the
     longest source-to-sink path delay, input c gets its impulse at step
     c * L, and row r's steps c * L .. c * L + L - 1 hold entry (r, c) from
-    D^0 up. The common delay D^d_prime_min is divided out. order is
-    validate(net)'s node order, computed here if not given.
+    D^0 up. The common delay D^d_prime_min is divided out. A window too
+    long to allocate raises ValueError.
     """
     if leks.mode != "invariant":
         raise ValueError("transfer_matrix needs time-invariant kernels")
-    if order is None:
-        order = validate(net)
-    edges = _edges_in_order(net, order)
-    extremes = _path_extremes(net, edges)
+    extremes = _path_extremes(net)
     span = 1 if extremes is None else extremes[1] + 1
     steps = net.mu * span
-    impulses = [[0] * (c * span) + [1] + [0] * (steps - c * span - 1) for c in range(net.mu)]
-    rows = _window(net, leks, edges, 0, steps)(impulses)
+    try:
+        impulses = [[0] * (c * span) + [1] + [0] * (steps - c * span - 1) for c in range(net.mu)]
+        rows = _window(net, leks, 0, steps)(impulses)
+    except MemoryError:
+        raise ValueError(
+            f"longest path delay {span - 1} needs a window of {steps} steps, "
+            "too many to allocate"
+        ) from None
     # a zero M, with no nonzero lag, reads d_prime_min = d_prime_max = 0
     lags = {t % span for row in rows for t in compress(range(steps), row)}
     dmin, dmax = min(lags, default=0), max(lags, default=0)
@@ -594,16 +601,18 @@ def transfer_matrix(
 
 
 def _window(
-    net: NetworkSpec, leks: LekAssignment, edges: Sequence[int], t_start: int, steps: int
+    net: NetworkSpec, leks: LekAssignment, t_start: int, steps: int
 ) -> Callable[[Sequence[Sequence[int]]], list]:
     """Compile the kernels of steps t_start .. t_start + steps - 1.
 
-    edges is _edges_in_order's edge order. Time-indexed kernels are read
-    step by step, so the first step outside the stored window raises.
+    The network is validated before any kernel is read. Time-indexed
+    kernels are read step by step, so the first step outside the stored
+    window raises.
     Returns run(inputs): inputs[c] holds flat input c's code at each step,
     and row r of the result flat output r's codes, as the row kernel
     unpacks them.
     """
+    edges = net._edge_order
     spec = leks.field
     kern = spec._kernel(steps)
     timed = leks.mode != "invariant"
@@ -706,13 +715,13 @@ def _simulate_rows(
     inputs is shaped as simulate's. codes, when given, holds the codes of
     its symbols in step order; otherwise they are read from inputs.
     """
-    edges = _edges_in_order(net, validate(net))
+    net._edge_order  # validates the network before any input check
     timed = leks.mode != "invariant"
     if not timed:  # kernel errors come before input errors
-        run = _window(net, leks, edges, t_start, len(inputs))
+        run = _window(net, leks, t_start, len(inputs))
     _check_steps(net, leks, inputs, t_start, elements)
     if timed:
-        run = _window(net, leks, edges, t_start, len(inputs))
+        run = _window(net, leks, t_start, len(inputs))
     if codes is None:
         codes = list(chain.from_iterable(chain.from_iterable(inputs)))
         if elements:

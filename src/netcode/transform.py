@@ -27,15 +27,7 @@ from .galois import (
     _lift,
     multiplicative_order,
 )
-from .netmodel import (
-    LekAssignment,
-    NetworkSpec,
-    TransferResult,
-    _edges_in_order,
-    _window,
-    transfer_matrix,
-    validate,
-)
+from .netmodel import LekAssignment, NetworkSpec, TransferResult, _window, transfer_matrix
 
 __all__ = [
     "BlockTooLong",
@@ -267,7 +259,6 @@ def run_pipeline(
     plan: TransformPlan,
     inputs: Sequence[Sequence[Sequence[FieldElement]]],
     transfer: TransferResult | None = None,
-    order: Sequence[str] | None = None,
 ) -> list[list[list[FieldElement]]]:
     """Full chain: cp_encode each source, simulate, slice, cp_decode.
 
@@ -276,11 +267,11 @@ def run_pipeline(
     sum_i Mhat_ij(t) X_i(t) when the plan matches the channel. The chain
     runs on codes: one DFT over every source's lanes, one simulation of
     the transmission window and one inverse DFT over every sink's lanes.
-    transfer, when given, is transfer_matrix(net, leks), and order
-    validate(net)'s node order; either is computed here if not given.
+    transfer, when given, is transfer_matrix(net, leks); it is computed
+    here if not given.
     """
-    order = validate(net) if order is None else order
-    tr = transfer if transfer is not None else transfer_matrix(net, leks, order)
+    net._edge_order  # validates the network before any other check
+    tr = transfer if transfer is not None else transfer_matrix(net, leks)
     if plan.d_max < tr.d_max:
         raise BlockTooLong(
             f"plan.d_max = {plan.d_max} below channel memory {tr.d_max}"
@@ -301,7 +292,7 @@ def run_pipeline(
     horizon = tr.d_prime_min + n + d_max
     pad = [0] * tr.d_prime_min
     series = [lane[n - d_max :] + lane + pad for lane in primed]
-    outs = _window(net, leks, _edges_in_order(net, order), 0, horizon)(series)
+    outs = _window(net, leks, 0, horizon)(series)
     # the responses to the cyclic prefix are dropped with the steps before them
     decoded = _dft_apply(plan, [row[horizon - n :] for row in outs], invert=True)
     rows = iter(decoded)

@@ -218,21 +218,22 @@ def test_align_search_replayable(gf64):
 
 
 def test_align_search_detects_the_category_once(monkeypatch, ex2, gf64):
-    # one detection per search, however many attempts it makes
-    calls = 0
-    plain = alignment._detect
+    # one detection of the searched network per search, however many
+    # attempts it makes
+    calls = []
+    plain = alignment.detect_category
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return plain(*args)
+    def counted(net):
+        calls.append(net)
+        return plain(net)
 
-    monkeypatch.setattr(alignment, "_detect", counted)
-    assert align_search(ex2[0], 4, gf64).attempts == 1
-    assert calls == 1
-    calls = 0
-    assert align_search(ex2[0], 4, gf64, seed="11").attempts == 3
-    assert calls == 1
+    monkeypatch.setattr(alignment, "detect_category", counted)
+    net = ex2[0]
+    assert align_search(net, 4, gf64).attempts == 1
+    assert len(calls) == 1 and calls[0] is net
+    calls.clear()
+    assert align_search(net, 4, gf64, seed="11").attempts == 3
+    assert len(calls) == 1 and calls[0] is net
 
 
 def _count_validate(monkeypatch) -> list:
@@ -266,12 +267,14 @@ def test_align_job_validates_once(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("mode", ["invariant", "time"])
 def test_build_tv_validates_once(monkeypatch, ex2, mode):
-    net, leks = ex2
+    # a fresh object: the fixture's network has validated already
+    net, leks = dataclasses.replace(ex2[0]), ex2[1]
     if mode == "time":
         leks = random_leks(net, leks.field, "tv", mode="time", window=(-4, 12), nonzero=True)
     calls = _count_validate(monkeypatch)
     build_tv(net, leks, 3)
-    assert len(calls) == 1
+    build_tv(net, leks, 3)
+    assert len(calls) == 1 and calls[0] is net
 
 
 def test_align_search_surfaces_structural_errors(gf64):

@@ -61,6 +61,14 @@ def test_real_file_beats_fixture_name(tmp_path, capsys):
     assert code == 0 and rep["ok"]
 
 
+@pytest.mark.parametrize("name", ["missing/example2.json", "example2.json"])
+def test_missing_path_is_not_a_fixture(tmp_path, capsys, monkeypatch, name):
+    # only a bare fixture name falls back on the bundled file
+    monkeypatch.chdir(tmp_path)
+    code, rep = jcli(capsys, "validate", name)
+    assert code == 2 and rep == {"error": "ParseError", "message": f"{name}: no such file"}
+
+
 def test_broken_json_reports_position(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"kind": "network",\n  "network": }')
@@ -408,6 +416,23 @@ def test_simulate_report(tmp_path, capsys):
     assert code == 0
     # impulse crosses two unit hops
     assert rep["outputs"] == [[[[0]]], [[[0]]], [[[1]]]]
+
+
+@pytest.mark.parametrize(
+    "argv", [["transfer"], ["feasibility"], ["transform", "--n", "7"], ["align", "--verify-only"]]
+)
+def test_window_too_long_to_allocate_is_input_error(tmp_path, capsys, argv):
+    # a window of 3 * (10^15 + 5) steps fails to allocate on any host
+    doc = load_fixture("example2")
+    doc["network"]["edges"][0]["delay"] = 10**15
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, argv[0], str(p), *argv[1:])
+    assert code == 2 and rep["error"] == "ValueError"
+    assert rep["message"] == (
+        "longest path delay 1000000000000004 needs a window of 3000000000000015 "
+        "steps, too many to allocate"
+    )
 
 
 @pytest.mark.parametrize("sub", ["transfer", "simulate"])

@@ -5,9 +5,17 @@ import random
 
 import pytest
 
-from netcode import alignment, netmodel
-from netcode.galois import _LANE_MIN_WIDTH, FieldElement, Poly, PolyMatrix, build_field
+from netcode import alignment
+from netcode.galois import (
+    _LANE_MIN_WIDTH,
+    FieldElement,
+    Poly,
+    PolyMatrix,
+    build_field,
+    element_of_order,
+)
 from netcode.netmodel import (
+    CycleDetected,
     Edge,
     LekAssignment,
     NetworkSpec,
@@ -15,13 +23,17 @@ from netcode.netmodel import (
     Source,
     TransferResult,
     _compiled_kernels,
-    _edges_in_order,
     _path_extremes,
+    network_from_dict,
+    network_to_dict,
     random_leks,
+    simulate,
     transfer_matrix,
     validate,
 )
+from netcode.transform import make_plan, run_pipeline
 from tests.conftest import random_dag_net
+from tests.test_alignment import _count_validate
 from tests.test_netmodel import DELAYS
 
 
@@ -29,10 +41,11 @@ def edge_pass_transfer(net, leks):
     """transfer_matrix before it ran as a window: one pass over the edges
     in topological order of their tails, per input c, edge e carrying the
     raw code list F_e[c] = D^delay(e) (alpha_ce + sum_e' beta_e'e F_e'[c]),
-    and sink row r summing eps_er F_e[c]."""
+    and sink row r summing eps_er F_e[c]. The order is sorted here from
+    validate's node order, not read from the network's memo."""
     if leks.mode != "invariant":
         raise ValueError("transfer_matrix needs time-invariant kernels")
-    order = validate(net)
+    rank = {v: k for k, v in enumerate(validate(net))}
     spec = leks.field
     mu, nu = net.mu, net.nu
     a_terms, b_terms, e_terms = _compiled_kernels(net, (leks.alpha, leks.beta, leks.eps), spec)
@@ -54,7 +67,7 @@ def edge_pass_transfer(net, leks):
     # F[k][c] is F_e[c] / D^delay(e), prepared once for every sum it enters
     delay = [e.delay for e in net.edges]
     F = [[] for _ in net.edges]
-    for k in _edges_in_order(net, order):
+    for k in sorted(range(len(net.edges)), key=lambda k: rank[net.edges[k].tail]):
         acc = [[] for _ in range(mu)]
         for flat, code in alpha_in[k]:
             acc[flat] = [code]  # alpha keys are unique per (input, edge)
@@ -117,7 +130,7 @@ def test_impulse_response_matches_edge_pass(p, m):
             net = _with_unreached_sink(net)
         leks = _zero_leks(net, spec) if k % 8 == 7 else random_leks(net, spec, f"imp{k}")
         tr = _same(net, leks)
-        extremes = _path_extremes(net, _edges_in_order(net, validate(net)))
+        extremes = _path_extremes(net)
         window = net.mu * (1 if extremes is None else extremes[1] + 1)
         seen.add("short" if window < _LANE_MIN_WIDTH else "long")
         keys = [e.key[:2] for e in net.edges]
@@ -144,7 +157,7 @@ def test_no_source_to_sink_path_is_a_zero_matrix(p, m):
         [Source("S", 2)],
         [Sink("T", 2), Sink("B", 1)],
     )
-    assert _path_extremes(net, _edges_in_order(net, validate(net))) is None
+    assert _path_extremes(net) is None
     tr = _same(net, random_leks(net, spec, "nopath", nonzero=True))
     assert (tr.d_prime_min, tr.d_prime_max) == (0, 0)
     assert tr.M.nrows == 3 and tr.M.ncols == 2
@@ -185,18 +198,29 @@ def test_refusals_match_edge_pass():
         assert _refusal(transfer_matrix, *case) == _refusal(edge_pass_transfer, *case)
 
 
-def test_edges_are_sorted_once_per_call(monkeypatch, ex2):
-    calls = []
-    plain = netmodel._edges_in_order
-
-    def counted(net, order):
-        calls.append(net)
-        return plain(net, order)
-
-    for mod in (netmodel, alignment):
-        monkeypatch.setattr(mod, "_edges_in_order", counted)
-    net, leks = ex2
-    transfer_matrix(net, leks)
-    assert len(calls) == 1
+def test_a_network_validates_once_across_calls(monkeypatch, ex2, gf64):
+    # the fixture's network is shared and already holds its edge order, so
+    # the calls run on a fresh object equal to it
+    net = network_from_dict(network_to_dict(ex2[0]))
+    leks = ex2[1]
+    calls = _count_validate(monkeypatch)
+    tr = transfer_matrix(net, leks)
+    spec = leks.field
+    one = [FieldElement(spec, 1)]  # one source's symbol vector
+    simulate(net, leks, [[one] * len(net.sources)] * 12)
+    plan = make_plan(7, spec, element_of_order(spec, 7), tr.d_max)
+    run_pipeline(net, leks, plan, [[one] * 7 for _ in net.sources])
     alignment.build_tv(net, leks, 3)
-    assert len(calls) == 2
+    alignment.align_search(net, 4, gf64)
+    assert calls == [net] and calls[0] is net
+    # the memo is not a field: equality, hash and repr ignore it
+    assert net == ex2[0] and hash(net) == hash(ex2[0]) and repr(net) == repr(ex2[0])
+    # a refusal is not kept: a cyclic network raises on every call
+    back = Edge(net.sinks[0].node, net.sources[0].node)
+    cyclic = NetworkSpec(net.nodes, net.edges + (back,), net.sources, net.sinks, net.connections)
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(CycleDetected) as exc:
+            transfer_matrix(cyclic, leks)
+        refusals.append(str(exc.value))
+    assert calls[1:] == [cyclic, cyclic] and refusals[0] == refusals[1]
