@@ -610,9 +610,15 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
             )
 
     horizon = d_max + 2 * n + d_prime_min + 1  # labels -d_max .. 2n + d_prime_min
-    window = _window(net, leks, -d_max, horizon)
+    try:
+        window = _window(net, leks, -d_max, horizon)
+        silent = [0] * horizon
+    except MemoryError:
+        raise ValueError(
+            f"longest path delay {d_prime_max} needs a window of {horizon} steps, "
+            "too many to allocate"
+        ) from None
     M = [[FqMatrix.zeros(spec, N, N) for _ in range(3)] for _ in range(3)]
-    silent = [0] * horizon
     for i in range(3):
         for c in range(N):
             g = N - 1 - c  # input generation carried by stacked column c

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import chain, cycle, islice, zip_longest
 from math import gcd
-from operator import getitem
+from operator import getitem, xor
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -239,8 +239,8 @@ class FieldSpec:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_exp2", "_lists",
-        "_lanes", "_gen_code", "_coeffs", "_code_of", "_texts",
+        "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_lists", "_lanes",
+        "_gen_code", "_coeffs", "_code_of", "_texts",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -254,12 +254,15 @@ class FieldSpec:
         self._mod_bits = _undigits(self.modulus, 2) if p == 2 else None
         self._gen_code = self._find_generator()
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
-        # the row kernel adds two logs in [0, q - 2] and reads the sum here
-        self._exp2 = self._exp + self._exp if p == 2 and self._exp else None
         self._coeffs, self._code_of, self._texts = (
             self._codec_tables() if self.q <= _CODEC_CAP else (None, None, None)
         )
-        self._lists = _ListKernel(self)
+        # the code-list kernel of this field's regime, the only place one is picked
+        self._lists = (
+            _LogLists(self._exp, self._log) if p == 2 and self._exp
+            else _PrimeLists(p) if m == 1
+            else _MulLists(self._mul_codes, xor if p == 2 else self._add_codes)
+        )
         self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
 
     def __eq__(self, other: object) -> bool:
@@ -354,11 +357,7 @@ class FieldSpec:
         coeffs = self._coeffs
         if coeffs is not None:
             return list(map(list, map(coeffs.__getitem__, codes)))
-        p, m = self.p, self.m
-        if p == 2:
-            bits = range(m)
-            return [[c >> k & 1 for k in bits] for c in codes]
-        return [_digits(c, p, m) for c in codes]
+        return [_digits(c, self.p, self.m) for c in codes]
 
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
@@ -382,18 +381,9 @@ class FieldSpec:
         return out
 
     def _neg_code(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        if self.m == 1:
-            return -a % p
-        out = 0
-        mul = 1
-        while a:
-            out += (-a % p) * mul
-            a //= p
-            mul *= p
-        return out
+        # -a = (p - 1) * a, with the one-digit factor second: _schoolbook_mul
+        # loops over the bits or digits of its second argument
+        return self._mul_codes(a, self.p - 1)
 
     def _schoolbook_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -546,124 +536,16 @@ class FieldSpec:
             return exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_code_slow(a, e)
 
-    # -- code-list rows ------------------------------------------------
-    #
-    # Matrix and polynomial loops are runs of dst += f * src in which one
-    # src row meets many factors, so src is prepared once. In GF(2^m) with
-    # tables a prepared row holds (j, log v) for its nonzero entries v, and
-    # each update is one lookup and one XOR per entry; in every other field
-    # it holds (j, v), and each update is (d + f * v) % p in GF(p) and calls
-    # _mul_codes and _add_codes in GF(p^m), m > 1. In both forms an entry's
-    # position j can be changed freely.
-
-    def _row_prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
-        """The nonzero entries of scale * row, in the form _row_axpy reads."""
-        if not scale:
-            return []
-        if self._exp2 is not None:
-            log, qm1 = self._log, self.q - 1
-            ls = log[scale]
-            return [(j, (log[v] + ls) % qm1) for j, v in enumerate(row) if v]
-        if scale == 1:
-            return [(j, v) for j, v in enumerate(row) if v]
-        if self.m == 1:
-            p = self.p
-            return [(j, scale * v % p) for j, v in enumerate(row) if v]
-        mul = self._mul_codes
-        return [(j, mul(scale, v)) for j, v in enumerate(row) if v]
-
-    def _row_axpy(
-        self, dst: list[int], factor: int, src: list[tuple[int, int]], off: int = 0
-    ) -> list[int]:
-        """dst[off + j] += factor * v for every entry (j, v) of a prepared row; returns dst."""
-        if not factor:
-            return dst
-        exp2 = self._exp2
-        if exp2 is not None:
-            lf = self._log[factor]
-            if off:
-                for j, lv in src:
-                    dst[off + j] ^= exp2[lf + lv]
-            else:
-                # most callers pass no offset, and the add costs about 15%
-                # per entry on 85-entry GF(256) rows
-                for j, lv in src:
-                    dst[j] ^= exp2[lf + lv]
-            return dst
-        if self.m == 1:
-            p = self.p
-            for j, v in src:
-                dst[off + j] = (dst[off + j] + factor * v) % p
-            return dst
-        mul, add = self._mul_codes, self._add_codes
-        for j, v in src:
-            dst[off + j] = add(dst[off + j], mul(factor, v))
-        return dst
-
-    def _row_axpy_each(
-        self, dst: list[int], factors: Sequence[int], src: list[tuple[int, int]], off: int = 0
-    ) -> list[int]:
-        """dst[off + j] += factors[off + j] * v for every entry (j, v) of a prepared row."""
-        exp2 = self._exp2
-        if exp2 is not None:
-            log = self._log
-            for j, lv in src:
-                f = factors[off + j]
-                if f:
-                    dst[off + j] ^= exp2[log[f] + lv]
-            return dst
-        if self.m == 1:
-            p = self.p
-            for j, v in src:
-                dst[off + j] = (dst[off + j] + factors[off + j] * v) % p
-            return dst
-        mul, add = self._mul_codes, self._add_codes
-        for j, v in src:
-            dst[off + j] = add(dst[off + j], mul(factors[off + j], v))
-        return dst
-
-    def _row_matvec(
-        self, vec: Sequence[int], rows: Sequence[list[tuple[int, int]]], width: int
-    ) -> list[int]:
-        """The sum of x * rows[i] over x = vec[i], a row of width codes.
-
-        _row_axpy over every row at once, for short rows, where a call per
-        row would cost more than its entries.
-        """
-        dst = [0] * width
-        exp2 = self._exp2
-        if exp2 is not None:
-            log = self._log
-            for x, row in zip(vec, rows):
-                if x:
-                    lx = log[x]
-                    for j, lv in row:
-                        dst[j] ^= exp2[lx + lv]
-            return dst
-        if self.m == 1:
-            p = self.p
-            for x, row in zip(vec, rows):
-                if x:
-                    for j, v in row:
-                        dst[j] = (dst[j] + x * v) % p
-            return dst
-        mul, add = self._mul_codes, self._add_codes
-        for x, row in zip(vec, rows):
-            if x:
-                for j, v in row:
-                    dst[j] = add(dst[j], mul(x, v))
-        return dst
-
     # -- row kernels ---------------------------------------------------
 
-    def _kernel(self, width: int) -> "_ListKernel | _LaneKernel":
-        """The row kernel for rows this wide; the only place that picks one."""
+    def _kernel(self, width: int) -> "_CodeLists | _LaneKernel":
+        """The row kernel for rows this wide: byte lanes or this field's code lists."""
         if width >= _LANE_MIN_WIDTH and self._lanes is not None:
             return self._lanes
         return self._lists
 
 
-# Both row kernels offer the same calls, each on a whole row or a set of
+# Every row kernel offers the same calls, each on a whole row or a set of
 # rows, so the loops over entries stay inside them:
 #   pack(codes) -> row; unpack(row, width) -> its codes, bytes or a list;
 #   join(unpacked rows) -> their codes end to end
@@ -682,16 +564,15 @@ class FieldSpec:
 # change a code-list row in place.
 
 
-class _ListKernel:
-    """Rows as code lists, through FieldSpec's _row_prep, _row_axpy and _row_matvec."""
+class _CodeLists:
+    """Rows as code lists; a prepared src is a (j, value) pair per nonzero entry.
 
-    __slots__ = ("prep", "axpy", "axpy_each", "matvec")
+    Each subclass holds one field regime's value form and loops. matvec is
+    axpy over all rows at once, for short rows, where a call per row costs more."""
+
+    __slots__ = ()
 
     pack = prep_each = list
-
-    def __init__(self, spec: FieldSpec):
-        self.prep, self.axpy, self.matvec = spec._row_prep, spec._row_axpy, spec._row_matvec
-        self.axpy_each = spec._row_axpy_each
 
     @staticmethod
     def unpack(row: list[int], width: int) -> list[int]:
@@ -716,6 +597,133 @@ class _ListKernel:
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return self.axpy([0] * len(codes), factor, self.prep(codes))
+
+
+class _LogLists(_CodeLists):
+    """GF(2^m) with tables: entries hold (j, log v); an update is a lookup and an XOR."""
+
+    __slots__ = ("log", "qm1", "exp2")
+
+    def __init__(self, exp: list[int], log: list[int]):
+        # axpy adds two logs in [0, q - 2] and reads the sum in exp2
+        self.log, self.qm1, self.exp2 = log, len(exp), exp + exp
+
+    def prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
+        if not scale:
+            return []
+        log, qm1 = self.log, self.qm1
+        ls = log[scale]
+        return [(j, (log[v] + ls) % qm1) for j, v in enumerate(row) if v]
+
+    def axpy(self, dst: list, factor: int, src: list, off: int = 0) -> list[int]:
+        if not factor:
+            return dst
+        exp2, lf = self.exp2, self.log[factor]
+        if off:
+            for j, lv in src:
+                dst[off + j] ^= exp2[lf + lv]
+        else:
+            # most callers pass no offset, and the add costs about 10% per
+            # entry on 85- to 257-entry GF(2^10) and GF(2^16) rows (CPython 3.11)
+            for j, lv in src:
+                dst[j] ^= exp2[lf + lv]
+        return dst
+
+    def axpy_each(self, dst: list, factors: Sequence[int], src: list, off: int = 0) -> list[int]:
+        exp2, log = self.exp2, self.log
+        for j, lv in src:
+            f = factors[off + j]
+            if f:
+                dst[off + j] ^= exp2[log[f] + lv]
+        return dst
+
+    def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
+        dst = [0] * width
+        exp2, log = self.exp2, self.log
+        for x, row in zip(vec, rows):
+            if x:
+                lx = log[x]
+                for j, lv in row:
+                    dst[j] ^= exp2[lx + lv]
+        return dst
+
+
+class _PrimeLists(_CodeLists):
+    """GF(p): entries hold (j, v); an update is (d + f * v) % p, inline."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
+        if not scale:
+            return []
+        if scale == 1:
+            return [(j, v) for j, v in enumerate(row) if v]
+        p = self.p
+        return [(j, scale * v % p) for j, v in enumerate(row) if v]
+
+    def axpy(self, dst: list, factor: int, src: list, off: int = 0) -> list[int]:
+        if factor:
+            p = self.p
+            for j, v in src:
+                dst[off + j] = (dst[off + j] + factor * v) % p
+        return dst
+
+    def axpy_each(self, dst: list, factors: Sequence[int], src: list, off: int = 0) -> list[int]:
+        p = self.p
+        for j, v in src:
+            dst[off + j] = (dst[off + j] + factors[off + j] * v) % p
+        return dst
+
+    def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
+        dst = [0] * width
+        p = self.p
+        for x, row in zip(vec, rows):
+            if x:
+                for j, v in row:
+                    dst[j] = (dst[j] + x * v) % p
+        return dst
+
+
+class _MulLists(_CodeLists):
+    """Every other field: entries hold (j, v); an update calls scalar multiply and add."""
+
+    __slots__ = ("mul", "add")
+
+    def __init__(self, mul: Callable[[int, int], int], add: Callable[[int, int], int]):
+        self.mul, self.add = mul, add
+
+    def prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
+        if not scale:
+            return []
+        if scale == 1:
+            return [(j, v) for j, v in enumerate(row) if v]
+        mul = self.mul
+        return [(j, mul(scale, v)) for j, v in enumerate(row) if v]
+
+    def axpy(self, dst: list, factor: int, src: list, off: int = 0) -> list[int]:
+        if factor:
+            mul, add = self.mul, self.add
+            for j, v in src:
+                dst[off + j] = add(dst[off + j], mul(factor, v))
+        return dst
+
+    def axpy_each(self, dst: list, factors: Sequence[int], src: list, off: int = 0) -> list[int]:
+        mul, add = self.mul, self.add
+        for j, v in src:
+            dst[off + j] = add(dst[off + j], mul(factors[off + j], v))
+        return dst
+
+    def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
+        dst = [0] * width
+        mul, add = self.mul, self.add
+        for x, row in zip(vec, rows):
+            if x:
+                for j, v in row:
+                    dst[j] = add(dst[j], mul(x, v))
+        return dst
 
 
 class _LaneKernel:
@@ -901,10 +909,7 @@ class FieldElement:
         return FieldElement(self.spec, self.spec._add_codes(self.code, other.code))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(
-            self.spec, self.spec._add_codes(self.code, self.spec._neg_code(other.code))
-        )
+        return self + (-other)
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec._neg_code(self.code))
@@ -1053,19 +1058,12 @@ class FqMatrix:
         self._check(other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        add = self.spec._add_codes
-        return FqMatrix(
-            self.spec,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        lists = self.spec._lists
+        rows = [lists.axpy(list(ra), 1, lists.prep(rb)) for ra, rb in zip(self.rows, other.rows)]
+        return FqMatrix(self.spec, rows)
 
     def __sub__(self, other: "FqMatrix") -> "FqMatrix":
-        self._check(other)
-        neg = self.spec._neg_code
-        return self + FqMatrix(other.spec, [[neg(c) for c in row] for row in other.rows])
+        return self + other.scale(-other.spec.one())
 
     def scale(self, s: FieldElement) -> "FqMatrix":
         if s.spec != self.spec:
@@ -1313,11 +1311,9 @@ def inverse_dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
 # ----------------------------------------------------------------------
 
 
-def _mul_into(
-    spec: FieldSpec, out: list[int], a: Sequence[int], b: list[tuple[int, int]]
-) -> None:
+def _mul_into(spec: FieldSpec, out: list[int], a: Sequence[int], b: list) -> None:
     """out += a * b for code sequences, lowest power first; b is prepared."""
-    axpy = spec._row_axpy
+    axpy = spec._lists.axpy
     for i, x in enumerate(a):
         if x:
             axpy(out, x, b, i)
@@ -1342,13 +1338,14 @@ def _div_exact(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int
     db = len(b) - 1
     # -b / lead(b), so each step adds rem's top coefficient times it
     inv_lead = spec._inv_code(b[-1])
-    minus_b = spec._row_prep(b, spec._neg_code(inv_lead))
+    minus_b = spec._lists.prep(b, spec._neg_code(inv_lead))
+    axpy, mul = spec._lists.axpy, spec._mul_codes
     quot = [0] * max(len(rem) - db, 0)
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + db]
         if c:
-            quot[i] = spec._mul_codes(c, inv_lead)
-            spec._row_axpy(rem, c, minus_b, i)
+            quot[i] = mul(c, inv_lead)
+            axpy(rem, c, minus_b, i)
     if any(rem):
         raise ArithmeticError("polynomial division leaves a remainder")
     return tuple(quot)
@@ -1417,18 +1414,14 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        add = self.spec._add_codes
         a, b = self.codes, other.codes
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly(self.spec, out)
+        lists = self.spec._lists
+        return Poly(self.spec, lists.axpy(list(a), 1, lists.prep(b)))
 
     def __neg__(self) -> "Poly":
-        neg = self.spec._neg_code
-        return Poly(self.spec, [neg(c) for c in self.codes])
+        return self * -self.spec.one()
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -1443,7 +1436,7 @@ class Poly:
         if not self.codes or not other.codes:
             return Poly.zero(self.spec)
         out = [0] * (len(self.codes) + len(other.codes) - 1)
-        _mul_into(self.spec, out, self.codes, self.spec._row_prep(other.codes))
+        _mul_into(self.spec, out, self.codes, self.spec._lists.prep(other.codes))
         return Poly(self.spec, out)
 
     def __pow__(self, e: int) -> "Poly":
@@ -1560,7 +1553,7 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         spec, n = self.spec, self.nrows
-        prep, minus_one = spec._row_prep, spec._neg_code(1)
+        prep, minus_one = spec._lists.prep, spec._neg_code(1)
         a = [[p.codes for p in row] for row in self.rows]
         prev, negate = (1,), False
         for k in range(n):

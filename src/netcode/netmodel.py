@@ -926,10 +926,10 @@ def _edge_key(x, path: str, *args) -> EdgeKey:
     return (str(x[0]), str(x[1]), _int(x[2], path, *args))
 
 
-def leks_from_dict(d: dict, field: FieldSpec | None = None) -> LekAssignment:
+def leks_from_dict(d: dict) -> LekAssignment:
     if not isinstance(d, dict):
         raise ParseError(f"kernels must be an object, got {d!r}")
-    spec = field if field is not None else spec_from_dict(d.get("field"), "kernels.field")
+    spec = spec_from_dict(d.get("field"), "kernels.field")
     # every entry's terms dict, position, value and path, in document order;
     # the values are converted in one codes_from_json call once all are read
     slots: list[tuple[dict, tuple]] = []

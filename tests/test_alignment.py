@@ -139,6 +139,21 @@ def test_build_rejects_bad_arguments():
         build_instance(net, tv, 3)
 
 
+def test_build_tv_window_too_long_to_allocate(ex2):
+    # every path leaves a source, so d_max stays small and the channel
+    # memory check passes; the window of ~10^15 steps cannot be allocated
+    net, leks = ex2
+    sources = {s.node for s in net.sources}
+    edges = [dataclasses.replace(e, delay=10**15) if e.tail in sources else e for e in net.edges]
+    net = dataclasses.replace(net, edges=edges)
+    with pytest.raises(ValueError) as exc:
+        build_tv(net, leks, 3)
+    assert str(exc.value) == (
+        "longest path delay 1000000000000004 needs a window of 1000000000000011 "
+        "steps, too many to allocate"
+    )
+
+
 def test_singular_block_on_dead_diagonal_path():
     net = cat_net(full_lengths())
     leks = random_leks(net, GF8, "dead", nonzero=True)

@@ -3,13 +3,16 @@
 Elimination (rank, det, solve, inverse), back substitution, matrix
 products, row scaling and the DFT each have one loop, which runs in the
 row kernel that FieldSpec._kernel picks by row width: byte lanes in
-GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH wide, code lists
-through _row_prep/_row_axpy everywhere else. A product runs on its
-transposed operands when only the left side's height reaches the lanes.
-The shapes here sit on both sides of that width. Polynomial products use
-_row_prep/_row_axpy directly. The oracles call only the scalar _mul_codes
-and _add_codes, one element at a time, and sympy's DomainMatrix rank over
-prime fields.
+GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH wide, and the
+field's code-list kernel everywhere else. A spec picks that kernel once,
+by regime: log tables in GF(2^m) up to the table cap, inline arithmetic
+in GF(p), and scalar multiplies and adds in every other field. A product
+runs on its transposed operands when only the left side's height reaches
+the lanes. The shapes here sit on both sides of that width. Polynomial
+products use the code-list kernel directly. The oracles call only the
+scalar _mul_codes and _add_codes, one element at a time, and sympy's
+DomainMatrix rank over prime fields; the scalars meet digit-wise
+arithmetic.
 """
 
 import random
@@ -25,7 +28,11 @@ from netcode.galois import (
     FieldElement,
     FieldSpec,
     FqMatrix,
+    _LaneKernel,
+    _LogLists,
+    _MulLists,
     _mul_into,
+    _PrimeLists,
     build_field,
     dft_matrix,
     element_of_order,
@@ -33,8 +40,9 @@ from netcode.galois import (
 )
 from netcode.transform import _dft_apply, make_plan
 
-# byte lanes in the first four, the log domain or _mul_codes in the rest
-FIELDS = [(2, 1), (2, 4), (2, 6), (2, 8), (2, 9), (2, 16), (3, 2), (7, 1)]
+# byte lanes in the first four; log tables up to GF(2^16); above the table
+# cap, carry-less products in GF(2^17) and schoolbook digits in GF(3^11)
+FIELDS = [(2, 1), (2, 4), (2, 6), (2, 8), (2, 9), (2, 16), (3, 2), (7, 1), (2, 17), (3, 11)]
 W = _LANE_MIN_WIDTH
 SHAPES = [(6, 6), (4, 7), (8, 5), (1, 1), (1, 5), (5, 1), (W + 3, W + 3), (W + 6, W), (4, W + 5)]
 
@@ -208,6 +216,52 @@ def test_mul_and_scale_match_textbook(p, m):
         for s in (0, 1, rng.randrange(1, spec.q)):
             scaled = [[spec._mul_codes(s, x) for x in row] for row in a]
             assert FqMatrix(spec, a).scale(FieldElement(spec, s)).rows == scaled
+
+
+# the code-list kernel of each regime, and whether wide rows get byte lanes
+REGIMES = {
+    (2, 1): (_LogLists, True), (2, 8): (_LogLists, True), (2, 9): (_LogLists, False),
+    (2, 16): (_LogLists, False), (2, 17): (_MulLists, False), (2, 20): (_MulLists, False),
+    (3, 1): (_PrimeLists, False), (65537, 1): (_PrimeLists, False),
+    (3, 2): (_MulLists, False), (3, 10): (_MulLists, False), (3, 11): (_MulLists, False),
+}
+
+
+@pytest.mark.parametrize("p, m", REGIMES)
+def test_kernel_class_per_regime(p, m):
+    spec = build_field(p, m)
+    lists, lanes = REGIMES[p, m]
+    assert type(spec._kernel(1)) is lists
+    assert type(spec._kernel(W)) is (_LaneKernel if lanes else lists)
+    assert spec._kernel(W - 1) is spec._kernel(1)
+
+
+def _digitwise(spec, a, b=None):
+    """a + b, or -a when b is None, digit by digit in base p."""
+    p = spec.p
+    out = 0
+    for i in reversed(range(spec.m)):
+        x = a // p**i % p
+        out = out * p + ((-x if b is None else x + b // p**i % p) % p)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, m", [(2, 1), (2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (7, 1), (2, 17), (3, 11), (65537, 1)]
+)
+def test_add_and_neg_codes_match_digitwise(p, m):
+    """Every pair up to q = 81; seeded pairs above the table cap."""
+    spec = build_field(p, m)
+    if spec.q <= 81:
+        pairs = [(a, b) for a in range(spec.q) for b in range(spec.q)]
+    else:
+        rng = random.Random(f"scalars:{p}:{m}")
+        ends = [0, 1, p - 1, spec.q - 1]
+        pairs = [(a, b) for a in ends for b in ends]
+        pairs += [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert spec._add_codes(a, b) == _digitwise(spec, a, b), (a, b)
+        assert spec._neg_code(a) == _digitwise(spec, a), a
 
 
 # (rows of A, cols of A = rows of B, cols of B): B wide, B narrow under a
@@ -435,7 +489,7 @@ def test_mul_into_matches_convolution(p, m):
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 want[i + j] = add(want[i + j], mul(x, y))
-        _mul_into(spec, out, a, spec._row_prep(b))
+        _mul_into(spec, out, a, spec._lists.prep(b))
         assert out == want
 
 
@@ -465,36 +519,48 @@ def test_dft_apply_matches_dense_transform(p, m, n, width):
 
 
 # ----------------------------------------------------------------------
-# prime-field rows: updates made inline, not by scalar calls
+# code-list rows: prep, axpy, axpy_each and matvec against scalar calls
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [3, 7, 65537])  # 65537 is above the table cap
-def test_prime_field_rows_match_scalar_calls(p):
-    spec = build_field(p, 1)
-    mul, add = spec._mul_codes, spec._add_codes
-    rng = random.Random(f"gfp-rows:{p}")
+def _check_rows(spec, rng):
+    lists = spec._lists
+    p, mul, add = spec.p, spec._mul_codes, spec._add_codes
     for width in (1, 5, W + 3):
         row = _rand(spec, rng, 1, width)[0]
         dst = _rand(spec, rng, 1, width + 4)[0]
         factors = _rand(spec, rng, 1, width + 4)[0]
-        for scale in (0, 1, rng.randrange(2, p)):
-            src = spec._row_prep(row, scale)
-            assert src == [(j, mul(scale, v)) for j, v in enumerate(row) if mul(scale, v)]
+        for scale in (0, 1, rng.randrange(2, spec.q)):
+            src = lists.prep(row, scale)
+            want = [(j, mul(scale, v)) for j, v in enumerate(row) if mul(scale, v)]
+            if type(lists) is _LogLists:  # entries hold (j, log v)
+                want = [(j, spec._log[v]) for j, v in want]
+            assert src == want
             for off in (0, 4):
-                for f in (0, 1, p - 1, rng.randrange(p)):
+                for f in (0, 1, p - 1, rng.randrange(spec.q)):
                     want = dst[:]
-                    for j, v in src:
-                        want[off + j] = add(want[off + j], mul(f, v))
-                    assert spec._row_axpy(dst[:], f, src, off) == want
+                    for j, v in enumerate(row):
+                        want[off + j] = add(want[off + j], mul(f, mul(scale, v)))
+                    assert lists.axpy(dst[:], f, src, off) == want
                 want = dst[:]
-                for j, v in src:
-                    want[off + j] = add(want[off + j], mul(factors[off + j], v))
-                assert spec._row_axpy_each(dst[:], factors, src, off) == want
+                for j, v in enumerate(row):
+                    want[off + j] = add(want[off + j], mul(factors[off + j], mul(scale, v)))
+                assert lists.axpy_each(dst[:], factors, src, off) == want
         vec = _rand(spec, rng, 1, 4)[0]
-        rows = [spec._row_prep(r) for r in _rand(spec, rng, 4, width)]
+        rows = _rand(spec, rng, 4, width)
         want = [0] * width
         for x, r in zip(vec, rows):
-            for j, v in r:
+            for j, v in enumerate(r):
                 want[j] = add(want[j], mul(x, v))
-        assert spec._row_matvec(vec, rows, width) == want
+        assert lists.matvec(vec, [lists.prep(r) for r in rows], width) == want
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537])  # 65537 is above the table cap
+def test_prime_field_rows_match_scalar_calls(p):
+    """GF(p) rows update inline, not by scalar calls."""
+    _check_rows(build_field(p, 1), random.Random(f"gfp-rows:{p}"))
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 8), (2, 16), (3, 2), (2, 17), (3, 11)])
+def test_code_list_rows_match_scalar_calls(p, m):
+    _check_rows(build_field(p, m), random.Random(f"rows:{p}:{m}"))

@@ -44,7 +44,7 @@ assert _LANE_MIN_WIDTH in WINDOWS
 
 
 def _step_rows(net, triple, spec):
-    """One step as rows for FieldSpec._row_matvec: row c lists where entry
+    """One step as code-list rows for matvec: row c lists where entry
     c of [X(t); Z(t)] goes in [Z(t+1); Y(t)], with its kernel."""
     mu, ne = net.mu, len(net.edges)
     a_terms, b_terms, e_terms = _compiled_kernels(net, triple, spec)
@@ -55,7 +55,7 @@ def _step_rows(net, triple, spec):
         rows[mu + in_pos][out_pos] = code
     for out_flat, epos, code in e_terms:
         rows[mu + epos][ne + out_flat] = code
-    return [spec._row_prep(row) for row in rows]
+    return [spec._lists.prep(row) for row in rows]
 
 
 def step_simulate(net, leks, inputs, t_start=0, codes=True):
@@ -99,7 +99,7 @@ def step_simulate(net, leks, inputs, t_start=0, codes=True):
             i = next(i for i, vec in enumerate(x_t) if len(vec) != procs[i])
             raise ValueError(f"step {step}: source {i} expects {procs[i]} symbols")
         vec = [c for x in x_t for c in x] + state
-        out = spec._row_matvec(vec, step_rows, bounds[-1])
+        out = spec._lists.matvec(vec, step_rows, bounds[-1])
         outputs.append([out[a:b] for a, b in zip(bounds, bounds[1:])])
         for k, line in lines:
             line.append(out[k])

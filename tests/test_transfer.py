@@ -62,7 +62,7 @@ def edge_pass_transfer(net, leks):
             short = delay + src[-1][0] + 1 - len(dst)
             if short > 0:
                 dst.extend([0] * short)
-            spec._row_axpy(dst, code, src, delay)
+            spec._lists.axpy(dst, code, src, delay)
 
     # F[k][c] is F_e[c] / D^delay(e), prepared once for every sum it enters
     delay = [e.delay for e in net.edges]
@@ -74,7 +74,7 @@ def edge_pass_transfer(net, leks):
         for in_pos, code in beta_in[k]:
             for a, src in zip(acc, F[in_pos]):
                 add_into(a, code, src, delay[in_pos])
-        F[k] = [spec._row_prep(a) for a in acc]
+        F[k] = [spec._lists.prep(a) for a in acc]
 
     raw = [[[] for _ in range(mu)] for _ in range(nu)]
     for flat, epos, code in e_terms:
