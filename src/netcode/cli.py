@@ -17,6 +17,7 @@ import random
 import sys
 from importlib import resources
 from itertools import chain
+from typing import Callable, Iterable
 
 from .galois import (
     FieldElement,
@@ -34,6 +35,7 @@ from .galois import (
 )
 from .netmodel import (
     NetworkSpec,
+    TransferResult,
     _cutter,
     _simulate_rows,
     leks_from_dict,
@@ -41,7 +43,6 @@ from .netmodel import (
     network_from_dict,
     transfer_from_dict,
     transfer_matrix,
-    transfer_to_dict,
     validate,
 )
 from .transform import make_plan
@@ -174,13 +175,59 @@ def _net_and_leks(doc: dict, need_kernels: bool = True):
 # ----------------------------------------------------------------------
 
 
-def _render(obj, pretty: bool, lines: bool = False) -> str:
-    """The report text: obj as one JSON document, or with lines (unless
-    pretty) each item of obj on a line of its own."""
-    # reports are freshly built trees, so the cycle check finds nothing
-    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-    encode = json.JSONEncoder(sort_keys=True, check_circular=False, **layout).encode
-    return "".join(encode(item) + "\n" for item in (obj if lines and not pretty else [obj]))
+class _Layout:
+    """Report text as json.JSONEncoder(sort_keys=True) writes it, compact
+    or indented by two spaces, put together from the texts of its values.
+
+    A value at depth d is one whose items sit d + 1 levels deep; a report's
+    top-level value is at depth 0.
+    """
+
+    def __init__(self, pretty: bool):
+        self.pretty = pretty
+        # reports are freshly built trees, so the cycle check finds nothing
+        layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+        self.encode = json.JSONEncoder(sort_keys=True, check_circular=False, **layout).encode
+        self.colon = ": " if pretty else ":"
+
+    def ind(self, d: int) -> str:
+        return "\n" + "  " * d if self.pretty else ""
+
+    def _join(self, items: list[str], d: int, brackets: str) -> str:
+        if not items:
+            return brackets
+        sep = self.ind(d + 1)
+        return brackets[0] + sep + ("," + sep).join(items) + self.ind(d) + brackets[1]
+
+    def array(self, items: list[str], d: int) -> str:
+        """An array of these item texts at depth d."""
+        return self._join(items, d, "[]")
+
+    def obj(self, fields: dict[str, str], d: int) -> str:
+        """An object of these value texts at depth d; no key needs escaping."""
+        return self._join([f'"{k}"{self.colon}{v}' for k, v in sorted(fields.items())], d, "{}")
+
+    def value(self, v, d: int) -> str:
+        """The encoder's text for v at depth d."""
+        text = self.encode(v)
+        return text.replace("\n", self.ind(d)) if self.pretty and d else text
+
+    def leaves(self, spec: FieldSpec, codes: Iterable[int], d: int) -> Callable[[int], str]:
+        """code -> its coefficient list's text at depth d, for these codes:
+        the field's compact text, or one made once per distinct code."""
+        if not self.pretty:
+            return spec._codec().text_of
+        codes = list(set(codes))
+        texts = (self.array(list(map(str, c)), d) for c in spec.codes_to_json(codes))
+        return dict(zip(codes, texts)).__getitem__
+
+
+_LAYOUTS = (_Layout(False), _Layout(True))
+
+
+def _render(obj, pretty: bool) -> str:
+    """obj as one JSON document, the report text."""
+    return _LAYOUTS[pretty].encode(obj) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -195,8 +242,8 @@ def _write(text: str, out: str | None) -> None:
         raise ParseError(f"{out}: cannot write the report: {e.strerror}") from None
 
 
-def _emit(obj, args, lines: bool = False) -> None:
-    _write(_render(obj, args.pretty, lines), args.out)
+def _emit(obj, args) -> None:
+    _write(_render(obj, args.pretty), args.out)
 
 
 def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int, pretty: bool) -> str:
@@ -204,29 +251,66 @@ def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int, pretty: b
 
     The text is what _render writes for those nested coefficient lists,
     in either layout. rows[r] holds flat output r's codes at each step,
-    and each symbol is written as its code's text: the field's stored
-    compact text, or one made per distinct code of the report.
+    and each symbol is written as its code's text.
     """
-    ind = (lambda d: "\n" + "  " * d) if pretty else (lambda d: "")
-
-    def array(items: list[str], d: int) -> str:  # item texts in an array at depth d
-        if not items:
-            return "[]"
-        return "[" + ind(d + 1) + ("," + ind(d + 1)).join(items) + ind(d) + "]"
-
-    texts = spec._texts
-    if texts is None or pretty:
-        codes = list(set(chain.from_iterable(rows)))
-        leaves = (array(list(map(str, c)), 4) for c in spec.codes_to_json(codes))
-        texts = dict(zip(codes, leaves))
+    lay = _LAYOUTS[pretty]
+    text_of = lay.leaves(spec, chain.from_iterable(rows), 4)
     # one format string per step, a {} for each symbol; no text holds a brace
-    step = array([array(["{}"] * snk.outputs, 3) for snk in net.sinks], 2)
+    step = lay.array([lay.array(["{}"] * snk.outputs, 3) for snk in net.sinks], 2)
     if rows:
-        each = list(map(step.format, *(map(texts.__getitem__, row) for row in rows)))
+        each = list(map(step.format, *(map(text_of, row) for row in rows)))
     else:
         each = [step] * steps
-    key = '"outputs": ' if pretty else '"outputs":'
-    return "{" + ind(1) + key + array(each, 1) + ind(0) + "}\n"
+    return lay.obj({"outputs": lay.array(each, 1)}, 0) + "\n"
+
+
+def _transfer_text(tr: TransferResult, pretty: bool) -> str:
+    """transfer's report as JSON text: transfer_to_dict's fields, d_max and
+    entry_strs, each entry's display string, in either layout.
+
+    The text is what _render writes for that tree; each coefficient list
+    is written as its code's text.
+    """
+    lay = _LAYOUTS[pretty]
+    rows = tr.M.rows
+    text_of = lay.leaves(tr.field, (c for row in rows for p in row for c in p.codes), 4)
+    entries = [[lay.array(list(map(text_of, p.codes)), 3) for p in row] for row in rows]
+    # a display string holds only digits, letters, ^, +, parentheses and
+    # spaces, which json writes as they are
+    strs = [[f'"{p.format_str()}"' for p in row] for row in rows]
+    fields = {
+        "field": spec_to_dict(tr.field),
+        "d_prime_min": tr.d_prime_min,
+        "d_prime_max": tr.d_prime_max,
+        "mu_list": list(tr.mu_list),
+        "nu_list": list(tr.nu_list),
+        "d_max": tr.d_max,
+    }
+    texts = {k: lay.value(v, 1) for k, v in fields.items()}
+    for key, table in (("entries", entries), ("entry_strs", strs)):
+        texts[key] = lay.array([lay.array(row, 2) for row in table], 1)
+    return lay.obj(texts, 0) + "\n"
+
+
+def _transform_text(dets, spec: FieldSpec, pretty: bool) -> str:
+    """transform's report as JSON text: a {"det", "sink", "solvable", "t"}
+    record for each (t, j, det) of dets, one per line, or in the indented
+    layout one array of them.
+
+    The text is what _render writes for those records, det being its
+    code's coefficient list, or null for None.
+    """
+    lay = _LAYOUTS[pretty]
+    d = int(pretty)  # a record's depth
+    text_of = lay.leaves(spec, (det.code for _, _, det in dets if det is not None), d + 1)
+    record = lay.obj(dict.fromkeys(("det", "sink", "solvable", "t"), "%s"), d)
+    texts = [
+        record % ("null" if det is None else text_of(det.code), j, "true" if det else "false", t)
+        for t, j, det in dets
+    ]
+    if pretty:
+        return lay.array(texts, 0) + "\n"
+    return "".join(map("{}\n".format, texts))
 
 
 def _poly_json(p: Poly) -> list[list[int]]:
@@ -294,11 +378,7 @@ def _cmd_mincut(args) -> int:
 def _cmd_transfer(args) -> int:
     doc = _load_doc(args.input, "network")
     net, leks = _net_and_leks(doc)
-    tr = transfer_matrix(net, leks)
-    rep = transfer_to_dict(tr)
-    rep["d_max"] = tr.d_max
-    rep["entry_strs"] = [[p.format_str() for p in row] for row in tr.M.rows]
-    _emit(rep, args)
+    _write(_transfer_text(transfer_matrix(net, leks), args.pretty), args.out)
     return 0
 
 
@@ -357,13 +437,9 @@ def _cmd_transform(args) -> int:
         )
     spec = base if a == 1 else build_field(base.p, base.m * a)
     plan = make_plan(args.n, spec, element_of_order(spec, args.n), tr.d_max)
-    lines = [
-        {"t": t, "sink": j, "solvable": bool(det),
-         "det": None if det is None else det.coeffs}
-        for t, j, det in generation_dets(tr, conns, plan)
-    ]
-    _emit(lines, args, lines=True)
-    return 0 if all(line["solvable"] for line in lines) else 1
+    dets = generation_dets(tr, conns, plan)
+    _write(_transform_text(dets, plan.field, args.pretty), args.out)
+    return 0 if all(det for _, _, det in dets) else 1
 
 
 def _cmd_align(args) -> int:

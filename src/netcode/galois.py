@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, cycle, islice, zip_longest
 from math import gcd
 from operator import getitem, xor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "NetcodeError",
@@ -46,10 +46,12 @@ __all__ = [
 # larger ones fall back to schoolbook reduction per product.
 _TABLE_CAP = 1 << 16
 
-# Fields at least this small get codec tables (FieldSpec._codec_tables),
-# built with their spec, so JSON coefficient lists convert by lookup and a
-# simulate report writes each code's stored text; a GF(2^12) spec's tables
-# take ~6 ms and ~1.9 MB (2-vCPU Xeon VM).
+# Fields at least this small get whole-field codec tables
+# (FieldSpec._codec_tables), made on a spec's first use, so JSON coefficient
+# lists convert by lookup and each code's coefficient tuple, compact JSON
+# text and display string is one lookup; a GF(2^12) spec's tables take ~6 ms
+# and ~1.5 MB (2-vCPU Xeon VM). Larger fields of m >= 2 get half-width
+# tables, two lookups per code.
 _CODEC_CAP = 1 << 12
 
 # The largest field order accepted from an input document or flag. Past it
@@ -216,6 +218,32 @@ def _unspread_table(p: int, w: int, k: int) -> list[int]:
     return table
 
 
+def _digit_tables(
+    p: int, start: int, stop: int, code_of: dict | None = None
+) -> tuple[list[tuple[int, ...]], list[str], list[str]]:
+    """Every code of the digits at positions start to stop - 1, in code
+    order: its digit tuple, its digits as JSON text ("1,0,1") and its
+    nonzero digits as "+"-led display terms ("+1+x^2"). code_of, if given,
+    gains the code of every tuple of each length from 0 to stop - start.
+
+    The codes of k + 1 digits in code order are those of k digits followed
+    by digit 0, then by digit 1, and so on.
+    """
+    tuples: list[tuple[int, ...]] = [()]
+    texts, terms = [""], [""]
+    digits = list(map(str, range(p)))
+    for i in range(start, stop):
+        tuples = [t + (d,) for d in range(p) for t in tuples]
+        if code_of is not None:
+            code_of.update(zip(tuples, range(len(tuples))))
+        sep = "," if i > start else ""
+        texts = [s + sep + d for d in digits for s in texts]
+        x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+        digit_terms = [""] + ["+" + (x if d == "1" and x else d + x) for d in digits[1:]]
+        terms = [s + t for t in digit_terms for s in terms]
+    return tuples, texts, terms
+
+
 def _undigits(vec: Sequence[int], p: int) -> int:
     code = 0
     for c in reversed(vec):
@@ -228,19 +256,28 @@ def _undigits(vec: Sequence[int], p: int) -> int:
 # ----------------------------------------------------------------------
 
 
+class _Codec(NamedTuple):
+    """A field's codec tables, as FieldSpec._codec_tables makes them."""
+
+    code_of: dict[tuple[int, ...], int] | None
+    tuple_of: Callable[[int], tuple[int, ...]]
+    text_of: Callable[[int], str]
+    str_of: Callable[[int], str]
+
+
 class FieldSpec:
     """GF(p^m) with a fixed monic irreducible modulus of degree m.
 
-    A spec is complete once constructed: it holds its generator, exp/log
-    tables when q <= _TABLE_CAP, codec tables when q <= _CODEC_CAP and its
-    row kernels. Instances are immutable and hashable; two specs compare
+    A spec holds its generator, exp/log tables when q <= _TABLE_CAP and
+    its row kernels from construction, and its codec tables from their
+    first use. Instances are immutable and hashable; two specs compare
     equal exactly when (p, m, modulus) agree. Construct through
     :func:`build_field`.
     """
 
     __slots__ = (
         "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_lists", "_lanes",
-        "_gen_code", "_coeffs", "_code_of", "_texts",
+        "_gen_code", "_codec_cache",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -254,9 +291,6 @@ class FieldSpec:
         self._mod_bits = _undigits(self.modulus, 2) if p == 2 else None
         self._gen_code = self._find_generator()
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
-        self._coeffs, self._code_of, self._texts = (
-            self._codec_tables() if self.q <= _CODEC_CAP else (None, None, None)
-        )
         # the code-list kernel of this field's regime, the only place one is picked
         self._lists = (
             _LogLists(self._exp, self._log) if p == 2 and self._exp
@@ -264,6 +298,7 @@ class FieldSpec:
             else _MulLists(self._mul_codes, xor if p == 2 else self._add_codes)
         )
         self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
+        self._codec_cache: list[_Codec] = []  # filled by _codec on first use
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -306,7 +341,7 @@ class FieldSpec:
         item raises a ParseError, prefixed with where(k) for its index k
         when where is given.
         """
-        code_of = self._code_of
+        code_of = self._codec().code_of
         # True and 1.0 hash like 1, so the types are checked before lookup
         if (
             code_of is not None
@@ -354,10 +389,7 @@ class FieldSpec:
 
     def codes_to_json(self, codes: Sequence[int]) -> list[list[int]]:
         """The m coefficients of each code, lowest degree first, in new lists."""
-        coeffs = self._coeffs
-        if coeffs is not None:
-            return list(map(list, map(coeffs.__getitem__, codes)))
-        return [_digits(c, self.p, self.m) for c in codes]
+        return list(map(list, map(self._codec().tuple_of, codes)))
 
     def scalar(self, c: int) -> "FieldElement":
         """The prime-subfield constant c mod p."""
@@ -487,26 +519,49 @@ class FieldSpec:
             log[acc] = i
         return exp, log
 
-    def _codec_tables(
-        self,
-    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list[str]]:
-        """Each code's m coefficients, the code of every coefficient tuple
-        of length 0 to m, so short items such as (1,) are found too, and
-        each code's coefficients as compact JSON text, such as "[1,0,1]".
+    def _codec(self) -> _Codec:
+        """This field's codec tables, made on the first call.
 
-        The tuples of length k + 1 in code order are those of length k
-        followed by digit 0, then by digit 1, and so on; so are the texts.
+        Only reading and writing coefficients use them, so a spec built
+        for its arithmetic alone, such as a lift or a plan-search
+        candidate, never makes them, and set-up allocates none of them.
         """
-        level: list[tuple[int, ...]] = [()]
-        code_of = {(): 0}
-        texts, sep = [""], ""
-        digits = list(map(str, range(self.p)))
-        for _ in range(self.m):
-            level = [t + (d,) for d in range(self.p) for t in level]
-            code_of.update(zip(level, range(len(level))))
-            texts = [s + sep + d for d in digits for s in texts]
-            sep = ","
-        return level, code_of, list(map("[{}]".format, texts))
+        cache = self._codec_cache
+        if not cache:
+            cache.append(self._codec_tables())
+        return cache[0]
+
+    def _codec_tables(self) -> _Codec:
+        """The code of every coefficient tuple of length 0 to m, so short
+        items such as (1,) are found too, or None above _CODEC_CAP; and, as
+        calls on one code, its m coefficients, its coefficients as compact
+        JSON text, such as "[1,0,1]", and its display string, such as "1+x^2".
+
+        At or below the cap each call is one lookup in a whole-field table.
+        Above it, with m >= 2, it is two, in tables of the low m // 2 digits
+        and of the high ones; in GF(p) the code is its one digit.
+        """
+        p, m = self.p, self.m
+        if self.q <= _CODEC_CAP:
+            code_of = {(): 0}
+            tuples, texts, terms = _digit_tables(p, 0, m, code_of)
+            texts = ["[" + s + "]" for s in texts]
+            strs = [s[1:] or "0" for s in terms]
+            return _Codec(code_of, tuples.__getitem__, texts.__getitem__, strs.__getitem__)
+        if m == 1:
+            return _Codec(None, lambda c: (c,), "[{}]".format, str)
+        k = m // 2
+        b = p**k
+        lo_t, lo_x, lo_s = _digit_tables(p, 0, k)
+        hi_t, hi_x, hi_s = _digit_tables(p, k, m)
+        lo_x = ["[" + s for s in lo_x]
+        hi_x = ["," + s + "]" for s in hi_x]
+        return _Codec(
+            None,
+            lambda c: lo_t[c % b] + hi_t[c // b],
+            lambda c: lo_x[c % b] + hi_x[c // b],
+            lambda c: (lo_s[c % b] + hi_s[c // b])[1:] or "0",
+        )
 
     def _mul_codes(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -898,7 +953,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.spec.codes_to_json([self.code])[0])
+        return self.spec._codec().tuple_of(self.code)
 
     def _check(self, other: "FieldElement") -> None:
         if self.spec != other.spec:
@@ -944,20 +999,7 @@ class FieldElement:
         return hash((self.spec, self.code))
 
     def __repr__(self) -> str:
-        return f"<{_coeff_str(self.coeffs)} in {self.spec!r}>"
-
-
-def _coeff_str(coeffs: Sequence[int]) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            base = "x" if i == 1 else f"x^{i}"
-            terms.append(base if c == 1 else f"{c}{base}")
-    return "+".join(terms) if terms else "0"
+        return f"<{self.spec._codec().str_of(self.code)} in {self.spec!r}>"
 
 
 def generator(spec: FieldSpec) -> FieldElement:
@@ -1469,11 +1511,12 @@ class Poly:
     def format_str(self, var: str = "D") -> str:
         if not self.codes:
             return "0"
+        str_of = self.spec._codec().str_of
         terms = []
         for d, c in enumerate(self.codes):
             if c == 0:
                 continue
-            cs = _coeff_str(_digits(c, self.spec.p, self.spec.m))
+            cs = str_of(c)
             if d == 0:
                 terms.append(cs if "+" not in cs else f"({cs})")
                 continue

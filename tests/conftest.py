@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from netcode.cli import load_fixture
-from netcode.galois import FqMatrix, build_field
+from netcode.galois import FqMatrix, _digits, build_field
 from netcode.netmodel import (
     Edge,
     NetworkSpec,
@@ -119,3 +119,45 @@ def random_dag_net(rng: random.Random, max_nodes=8, multi_terminal=True, delays=
     if multi_terminal and rng.random() < 0.5 and n_nodes > 5:
         sinks.append(Sink(names[-2], 1))
     return NetworkSpec(names, edges, sources, sinks, [])
+
+
+# ----------------------------------------------------------------------
+# display strings, made digit by digit
+# ----------------------------------------------------------------------
+
+
+def coeff_str(coeffs) -> str:
+    """An element's display string from its coefficients, such as "1+x^2"."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            base = "x" if i == 1 else f"x^{i}"
+            terms.append(base if c == 1 else f"{c}{base}")
+    return "+".join(terms) if terms else "0"
+
+
+def format_str(poly, var: str = "D") -> str:
+    """Poly.format_str, with each coefficient's digits taken one by one."""
+    spec = poly.spec
+    if not poly.codes:
+        return "0"
+    terms = []
+    for d, c in enumerate(poly.codes):
+        if c == 0:
+            continue
+        cs = coeff_str(_digits(c, spec.p, spec.m))
+        if d == 0:
+            terms.append(cs if "+" not in cs else f"({cs})")
+            continue
+        base = var if d == 1 else f"{var}^{d}"
+        if c == 1:
+            terms.append(base)
+        elif "+" in cs:
+            terms.append(f"({cs}){base}")
+        else:
+            terms.append(f"{cs}{base}")
+    return " + ".join(terms)

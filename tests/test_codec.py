@@ -2,8 +2,9 @@
 
 FieldSpec converts JSON coefficient lists by lookup in fields with codec
 tables (q <= _CODEC_CAP) and item by item everywhere else; the oracle for
-the tables is a spec of the same field with its tables taken away, which
-runs the loop. leks_from_dict checks a kernel document entry by entry and
+the lookup is a spec of the same field with its code table taken away,
+which runs the loop, and the oracle for the per-code tuples and texts is
+_digits. leks_from_dict checks a kernel document entry by entry and
 converts all its values in one codes_from_json call; its oracle is a walk
 that converts each value as it reaches it, one element() call per entry.
 """
@@ -21,6 +22,7 @@ from netcode.galois import (
     FieldElement,
     FieldSpec,
     ParseError,
+    Poly,
     _digits,
     _int,
     _list,
@@ -38,15 +40,15 @@ from netcode.netmodel import (
     transfer_matrix,
     transfer_to_dict,
 )
-from tests.conftest import random_dag_net
+from tests.conftest import coeff_str, format_str, random_dag_net
 
 TABLED = [(2, 1), (2, 4), (2, 8), (3, 5), (2, 10)]
 
 
 def _loop_spec(spec):
-    """A spec of the same field without codec tables, which converts item by item."""
+    """A spec of the same field without its code table, which converts item by item."""
     bare = FieldSpec(spec.p, spec.m, spec.modulus)
-    bare._coeffs = bare._code_of = bare._texts = None
+    bare._codec_cache.append(spec._codec()._replace(code_of=None))
     return bare
 
 
@@ -93,7 +95,7 @@ def _message(spec, items, where=None):
 def test_tables_match_the_loop_on_every_code(pm):
     spec = build_field(*pm)
     loop = _loop_spec(spec)
-    assert spec._coeffs is not None and loop._code_of is None
+    assert spec._codec().code_of is not None and loop._codec().code_of is None
     items = _items(spec)
     codes = spec.codes_from_json(items)
     assert codes == loop.codes_from_json(items)
@@ -101,14 +103,13 @@ def test_tables_match_the_loop_on_every_code(pm):
     # tuples are items too
     assert spec.codes_from_json(list(map(tuple, items))) == codes
     every = list(range(spec.q))
-    assert spec.codes_to_json(every) == loop.codes_to_json(every)
+    digits = [_digits(c, spec.p, spec.m) for c in every]
+    assert spec.codes_to_json(every) == digits
     # each code's coefficients as json writes them in a compact report
-    assert spec._texts == [
-        json.dumps(c, separators=(",", ":")) for c in loop.codes_to_json(every)
+    assert list(map(spec._codec().text_of, every)) == [
+        json.dumps(c, separators=(",", ":")) for c in digits
     ]
-    assert [FieldElement(spec, c).coeffs for c in every] == [
-        FieldElement(loop, c).coeffs for c in every
-    ]
+    assert [FieldElement(spec, c).coeffs for c in every] == list(map(tuple, digits))
     assert all(type(FieldElement(spec, c).coeffs) is tuple for c in (0, spec.q - 1))
 
 
@@ -129,7 +130,7 @@ def test_refusals_match_the_loop(pm):
 
 def test_field_above_the_cap_takes_the_loop():
     spec = build_field(2, 16)
-    assert spec.q > _CODEC_CAP and spec._coeffs is spec._code_of is spec._texts is None
+    assert spec.q > _CODEC_CAP and spec._codec().code_of is None
     rng = random.Random("cap")
     codes = [rng.randrange(spec.q) for _ in range(200)] + [0, 1, spec.q - 1]
     lists = spec.codes_to_json(codes)
@@ -139,6 +140,49 @@ def test_field_above_the_cap_takes_the_loop():
     assert _message(spec, [[1], [True]], lambda k: f"v[{k}]") == (
         "v[1]: a field element is a list of integer coefficients, got [True]"
     )
+
+
+@pytest.mark.parametrize("pm", [(2, 12), (2, 13), (3, 8), (2, 24), (257, 2), (65537, 1)])
+def test_per_code_views_match_the_digits(pm):
+    # every code at the cap, GF(2^12), and just above it, GF(2^13) and
+    # GF(3^8), where the half tables start; sampled codes of GF(2^24), of
+    # GF(257^2), whose half tables hold tuples (p > 255), and of GF(65537),
+    # whose one digit is the code
+    spec = build_field(*pm)
+    codec = spec._codec()
+    p, m = pm
+    rng = random.Random(f"views:{pm}")
+    if spec.q <= 1 << 13:
+        codes = list(range(spec.q))
+    else:
+        codes = [0, 1, p - 1, spec.q - 1] + [rng.randrange(spec.q) for _ in range(3000)]
+    for c in codes:
+        digits = _digits(c, p, m)
+        el = FieldElement(spec, c)
+        assert codec.tuple_of(c) == el.coeffs == tuple(digits), c
+        assert type(el.coeffs) is tuple
+        assert codec.text_of(c) == json.dumps(digits, separators=(",", ":")), c
+        assert codec.str_of(c) == coeff_str(digits), c
+        assert repr(el) == f"<{coeff_str(digits)} in {spec!r}>", c
+    assert spec.codes_to_json(codes) == [_digits(c, p, m) for c in codes]
+    for _ in range(40):
+        poly = Poly(spec, [rng.choice(codes[:4] + [rng.randrange(spec.q)]) for _ in range(6)])
+        assert poly.format_str() == format_str(poly)
+    if spec.q > _CODEC_CAP and m > 1:
+        # two tables of p^(m // 2) and p^(m - m // 2) texts
+        tables = [c.cell_contents for c in codec.text_of.__closure__]
+        sizes = sorted(len(t) for t in tables if isinstance(t, list))
+        assert sizes == [p ** (m // 2), p ** (m - m // 2)]
+
+
+@pytest.mark.parametrize("pm", [(2, 8), (2, 16), (65537, 1)])
+def test_codec_tables_are_made_on_first_use(pm):
+    spec = build_field(*pm)
+    fresh = FieldSpec(spec.p, spec.m, spec.modulus)
+    assert fresh._codec_cache == []
+    assert fresh.codes_to_json([5]) == [_digits(5, spec.p, spec.m)]
+    (codec,) = fresh._codec_cache
+    assert fresh._codec() is codec and (codec.code_of is None) == (spec.q > _CODEC_CAP)
 
 
 @pytest.mark.parametrize("pm", [(2, 4), (3, 5), (2, 16)])
@@ -152,7 +196,9 @@ def test_returned_lists_are_not_the_tables(pm):
     assert spec.codes_to_json([0, 1, spec.q - 1]) == [
         _digits(c, spec.p, spec.m) for c in (0, 1, spec.q - 1)
     ]
-    assert (spec._coeffs, spec._code_of) == (fresh._coeffs, fresh._code_of)
+    assert spec._codec().code_of == fresh._codec().code_of
+    every = range(min(spec.q, _CODEC_CAP))
+    assert list(map(spec._codec().tuple_of, every)) == list(map(fresh._codec().tuple_of, every))
 
 
 def _sim_doc(spec, mode):
@@ -191,11 +237,14 @@ def test_tables_unchanged_after_every_subcommand(tmp_path, capsys):
         assert "error" not in capsys.readouterr().out.splitlines()[0], argv
     tabled = 0
     for spec in set(_FIELDS.values()):
-        fresh = FieldSpec(spec.p, spec.m, spec.modulus)
-        assert (spec._coeffs, spec._code_of, spec._texts) == (
-            fresh._coeffs, fresh._code_of, fresh._texts
-        ), spec
-        tabled += spec._coeffs is not None
+        codec, fresh = spec._codec(), FieldSpec(spec.p, spec.m, spec.modulus)._codec()
+        assert codec.code_of == fresh.code_of, spec
+        every = range(min(spec.q, _CODEC_CAP))
+        for view in ("tuple_of", "text_of", "str_of"):
+            assert list(map(getattr(codec, view), every)) == list(
+                map(getattr(fresh, view), every)
+            ), (spec, view)
+        tabled += codec.code_of is not None
     assert tabled >= 3
 
 
