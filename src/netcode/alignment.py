@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Sequence
 
 from .galois import (
@@ -176,10 +177,14 @@ class AlignmentInstance:
     """Eigen-domain data for one kernel assignment.
 
     mhat[i][j] holds the N codes M_ij(alpha^r) for internal sessions
-    i, j. T, R and S are entrywise vectors in the same position
-    indexing. V1 is N x (n+1); V2 and V3 are N x n except V3 in category
-    cat4, which is the N x N identity. A and B are the mixing
-    matrices behind structured precoders, where the category has them.
+    i, j. V1 is N x (n+1); V2 and V3 are N x n except V3 in category
+    cat4, which is the N x N identity. The precoders come from the
+    entrywise ratios R = Mhat_13 / Mhat_23 and S = Mhat_12 / Mhat_32:
+    V2 = diag(R) V1 A in cat1 and cat2, V3 = diag(S) V1 B in cat1, and
+    in full, where T = R (Mhat_21 / Mhat_31) / S and V1 = [W, TW, ...,
+    T^n W], V2 = diag(R) V1 without its last column and V3 = diag(S) V1
+    without its first. T, R and S are kept in full only, and A and B,
+    the mixing matrices, where the category has them.
     decode_factors holds each sink's factored decode system once
     check_alignment has run; a copy made by dataclasses.replace has none.
     """
@@ -213,15 +218,6 @@ class AlignmentInstance:
 def _diag_mul(spec: FieldSpec, diag: Sequence[int], M: FqMatrix) -> FqMatrix:
     scaled = spec._kernel(M.ncols).scaled
     return FqMatrix(spec, [scaled(d, row) for d, row in zip(diag, M.rows)])
-
-
-def _diag_inv(spec: FieldSpec, diag: Sequence[int], where: str) -> list[int]:
-    out = []
-    for r, d in enumerate(diag):
-        if d == 0:
-            raise SingularBlock(f"{where} has a zero eigenvalue at position {r}")
-        out.append(spec._inv_code(d))
-    return out
 
 
 def _rand_matrix(spec: FieldSpec, rng: random.Random, rows: int, cols: int) -> FqMatrix:
@@ -305,50 +301,33 @@ def _build_instance(
             row.append(vals)
         mhat.append(tuple(row))
 
-    mul = spec._mul_codes
     rng = random.Random(f"align:{seed}")
-    t_vec = r_vec = s_vec = None
-    A = B = None
+    mul, inv = spec._mul_codes, spec._inv_code
+
+    def ratio(num, den):  # entrywise num / den; the blocks read are nonzero
+        return tuple(mul(x, inv(y)) for x, y in zip(num, den))
+
+    # R = Mhat_13 / Mhat_23 and S = Mhat_12 / Mhat_32, where a precoder uses them
+    R = ratio(mhat[0][2], mhat[1][2]) if category in ("full", "cat1", "cat2") else None
+    S = ratio(mhat[0][1], mhat[2][1]) if category in ("full", "cat1") else None
+    T = A = B = None
     if category == "full":
-        a_vec = tuple(
-            mul(mul(mhat[1][0][r], mhat[2][1][r]), mhat[0][2][r]) for r in range(N)
-        )
-        b_vec = tuple(
-            mul(mul(mhat[2][0][r], mhat[1][2][r]), mhat[0][1][r]) for r in range(N)
-        )
-        b_inv = _diag_inv(spec, b_vec, "product b")
-        t_vec = tuple(mul(a_vec[r], b_inv[r]) for r in range(N))
-        r_vec = tuple(
-            mul(mhat[0][2][r], spec._inv_code(mhat[1][2][r])) for r in range(N)
-        )
-        s_vec = tuple(
-            mul(mhat[0][1][r], spec._inv_code(mhat[2][1][r])) for r in range(N)
-        )
-        # V1 = [W, TW, ..., T^n W], V2 = [RW, ..., RT^(n-1) W],
-        # V3 = [STW, ..., ST^n W]; columns are entrywise powers of T
-        tpow = [[1] * N]
-        for _ in range(n):
-            tpow.append([mul(x, t) for x, t in zip(tpow[-1], t_vec)])
-        V1 = FqMatrix(spec, [[tpow[c][r] for c in range(n + 1)] for r in range(N)])
-        V2 = FqMatrix(
-            spec, [[mul(r_vec[r], tpow[c][r]) for c in range(n)] for r in range(N)]
-        )
-        V3 = FqMatrix(
-            spec, [[mul(s_vec[r], tpow[c + 1][r]) for c in range(n)] for r in range(N)]
-        )
+        T = ratio(list(map(mul, R, ratio(mhat[1][0], mhat[2][0]))), S)
+        # column c of V1 is T^c W, entrywise powers of T on the all-ones W
+        rows = [list(accumulate([1] + [t] * n, mul)) for t in T]
+        V1 = FqMatrix(spec, rows)
+        V2 = _diag_mul(spec, R, FqMatrix(spec, [row[:n] for row in rows]))
+        V3 = _diag_mul(spec, S, FqMatrix(spec, [row[1:] for row in rows]))
     elif category == "cat1":
         V1 = _rand_matrix(spec, rng, N, n + 1)
         A = _rand_matrix(spec, rng, n + 1, n)
         B = _rand_matrix(spec, rng, n + 1, n)
-        inv23 = _diag_inv(spec, mhat[1][2], "block (2,3)")
-        inv32 = _diag_inv(spec, mhat[2][1], "block (3,2)")
-        V2 = _diag_mul(spec, inv23, _diag_mul(spec, mhat[0][2], V1 * A))
-        V3 = _diag_mul(spec, inv32, _diag_mul(spec, mhat[0][1], V1 * B))
+        V2 = _diag_mul(spec, R, V1 * A)
+        V3 = _diag_mul(spec, S, V1 * B)
     elif category == "cat2":
         V1 = _rand_matrix(spec, rng, N, n + 1)
         A = _rand_matrix(spec, rng, n + 1, n)
-        inv23 = _diag_inv(spec, mhat[1][2], "block (2,3)")
-        V2 = _diag_mul(spec, inv23, _diag_mul(spec, mhat[0][2], V1 * A))
+        V2 = _diag_mul(spec, R, V1 * A)
         V3 = _rand_matrix(spec, rng, N, n)
     elif category == "cat3":
         V1 = _rand_matrix(spec, rng, N, n + 1)
@@ -366,9 +345,9 @@ def _build_instance(
         category=category,
         perm=perm,
         mhat=tuple(mhat),
-        T=t_vec,
-        R=r_vec,
-        S=s_vec,
+        T=T,
+        R=R if category == "full" else None,
+        S=S if category == "full" else None,
         V1=V1,
         V2=V2,
         V3=V3,
@@ -518,6 +497,8 @@ def encode_decode(
     V = (inst.V1, inst.V2, inst.V3)
     xs = (list(x1), list(x2), list(x3))
     for k, vec in enumerate(xs):
+        if any(sym.spec is not spec and sym.spec != spec for sym in vec):
+            raise ValueError("input symbol from a different field")
         if len(vec) != V[k].ncols:
             raise ValueError(f"session {k + 1} expects {V[k].ncols} symbols, got {len(vec)}")
     stacked = [V[k] * FqMatrix(spec, [[sym.code] for sym in xs[k]]) for k in range(3)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import chain, cycle, islice, zip_longest
 from math import gcd
-from operator import getitem, xor
+from operator import xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -612,11 +612,10 @@ class FieldSpec:
 #     (one factor per row) and src (codes as unpack gives them),
 #     rows[start + i] += factors[i] * scale * src
 #   scaled(f, codes) -> f * codes
-#   prep_each(codes) -> per-entry factors for axpy_each, which returns
-#     row + factors * src entry by entry (src from entry off on, each
-#     entry j meeting factor off + j)
-# matvec and scaled return code lists; axpy, axpy_each and axpys also
-# change a code-list row in place.
+# matvec and scaled return code lists; axpy and axpys also change a
+# code-list row in place. No call takes a factor per entry: a time-indexed
+# term (netmodel._window) multiplies its factors and series entry by entry
+# and adds the product with axpy at factor 1.
 
 
 class _CodeLists:
@@ -627,7 +626,7 @@ class _CodeLists:
 
     __slots__ = ()
 
-    pack = prep_each = list
+    pack = list
 
     @staticmethod
     def unpack(row: list[int], width: int) -> list[int]:
@@ -684,14 +683,6 @@ class _LogLists(_CodeLists):
                 dst[j] ^= exp2[lf + lv]
         return dst
 
-    def axpy_each(self, dst: list, factors: Sequence[int], src: list, off: int = 0) -> list[int]:
-        exp2, log = self.exp2, self.log
-        for j, lv in src:
-            f = factors[off + j]
-            if f:
-                dst[off + j] ^= exp2[log[f] + lv]
-        return dst
-
     def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
         dst = [0] * width
         exp2, log = self.exp2, self.log
@@ -726,12 +717,6 @@ class _PrimeLists(_CodeLists):
                 dst[off + j] = (dst[off + j] + factor * v) % p
         return dst
 
-    def axpy_each(self, dst: list, factors: Sequence[int], src: list, off: int = 0) -> list[int]:
-        p = self.p
-        for j, v in src:
-            dst[off + j] = (dst[off + j] + factors[off + j] * v) % p
-        return dst
-
     def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
         dst = [0] * width
         p = self.p
@@ -763,12 +748,6 @@ class _MulLists(_CodeLists):
             mul, add = self.mul, self.add
             for j, v in src:
                 dst[off + j] = add(dst[off + j], mul(factor, v))
-        return dst
-
-    def axpy_each(self, dst: list, factors: Sequence[int], src: list, off: int = 0) -> list[int]:
-        mul, add = self.mul, self.add
-        for j, v in src:
-            dst[off + j] = add(dst[off + j], mul(factors[off + j], v))
         return dst
 
     def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
@@ -825,13 +804,6 @@ class _LaneKernel:
         if not factor:
             return row
         return row ^ int.from_bytes(src.translate(self.tables[factor]), "little") << 8 * off
-
-    def prep_each(self, codes: Sequence[int]) -> list[bytes]:
-        return [self.tables[c] for c in codes]
-
-    @staticmethod
-    def axpy_each(row: int, factors: list[bytes], src: bytes, off: int = 0) -> int:
-        return row ^ int.from_bytes(bytes(map(getitem, factors[off:], src)), "little") << 8 * off
 
     def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
         tables, unpack = self.tables, int.from_bytes

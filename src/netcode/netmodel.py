@@ -607,7 +607,9 @@ def _window(
 
     The network is validated before any kernel is read. Time-indexed
     kernels are read step by step, so the first step outside the stored
-    window raises.
+    window raises. A time-indexed term keeps its factor at each step and
+    the series it reads as code lists, multiplies them entry by entry and
+    adds the product with the row kernel's axpy at factor 1.
     Returns run(inputs): inputs[c] holds flat input c's code at each step,
     and row r of the result flat output r's codes, as the row kernel
     unpacks them.
@@ -615,9 +617,10 @@ def _window(
     edges = net._edge_order
     spec = leks.field
     kern = spec._kernel(steps)
-    timed = leks.mode != "invariant"
-    if not timed:
+    prep, unpack, pack, axpy = kern.prep, kern.unpack, kern.pack, kern.axpy
+    if leks.mode == "invariant":
         terms = _compiled_kernels(net, leks.kernels_at(t_start), spec)
+        keep, add = prep, axpy
     else:
         # each term's codes over the window, zero where a step lacks it
         series = [defaultdict(lambda: [0] * steps) for _ in range(3)]
@@ -626,8 +629,13 @@ def _window(
             for found, part in zip(series, compiled):
                 for a, b, code in part:
                     found[a, b][s] = code
-        prep = kern.prep_each
-        terms = [[(a, b, prep(codes)) for (a, b), codes in found.items()] for found in series]
+        terms = [[(a, b, codes) for (a, b), codes in found.items()] for found in series]
+        mul, keep = spec._mul_codes, list
+
+        def add(row, factors, codes, off=0):
+            # entry j of codes arrives at step off + j and meets its factor
+            return axpy(row, 1, prep(list(map(mul, factors[off:], codes))), off)
+
     # every term is (what it writes, what it reads, factor); group them by
     # the edge (alpha, beta) or flat output (eps) they write
     grouped = [[[] for _ in range(size)] for size in (len(net.edges), len(net.edges), net.nu)]
@@ -636,8 +644,6 @@ def _window(
             groups[dst].append((src, f))
     alpha_in, beta_in, eps_in = grouped
     delay = [e.delay for e in net.edges]
-    prep, unpack, pack = kern.prep, kern.unpack, kern.pack
-    axpy = kern.axpy_each if timed else kern.axpy
     zero = bytes(steps)
 
     def run(inputs: Sequence[Sequence[int]]) -> list:
@@ -646,7 +652,7 @@ def _window(
         # eps * (the series of e, delayed by delay(e)). Only the first
         # steps - delay(e) symbols written to e arrive inside the window,
         # and a series with no nonzero symbol is None, its terms skipped.
-        xs = [prep(x) if any(x) else None for x in inputs]
+        xs = [keep(x) if any(x) else None for x in inputs]
         arrived: list = [None] * len(delay)
         for k in edges:
             if delay[k] >= steps:
@@ -654,18 +660,18 @@ def _window(
             row = pack(zero)
             for c, f in alpha_in[k]:
                 if xs[c] is not None:
-                    row = axpy(row, f, xs[c])
+                    row = add(row, f, xs[c])
             for k2, f in beta_in[k]:
                 if arrived[k2] is not None:
-                    row = axpy(row, f, arrived[k2], delay[k2])
+                    row = add(row, f, arrived[k2], delay[k2])
             head = unpack(row, steps)[: steps - delay[k]]
-            arrived[k] = prep(head) if any(head) else None
+            arrived[k] = keep(head) if any(head) else None
         outs = []
         for terms in eps_in:
             row = pack(zero)
             for k, f in terms:
                 if arrived[k] is not None:
-                    row = axpy(row, f, arrived[k], delay[k])
+                    row = add(row, f, arrived[k], delay[k])
             outs.append(unpack(row, steps))
         return outs
 
@@ -722,11 +728,14 @@ def _simulate_rows(
     _check_steps(net, leks, inputs, t_start, elements)
     if timed:
         run = _window(net, leks, t_start, len(inputs))
+    spec, mu = leks.field, net.mu
     if codes is None:
         codes = list(chain.from_iterable(chain.from_iterable(inputs)))
         if elements:
             codes = list(map(attrgetter("code"), codes))
-    mu = net.mu
+        elif codes and (set(map(type, codes)) != {int} or min(codes) < 0 or max(codes) >= spec.q):
+            k = next(k for k, c in enumerate(codes) if type(c) is not int or not 0 <= c < spec.q)
+            raise ValueError(f"step {k // mu}: input code {codes[k]!r} is not a code of {spec}")
     return run([codes[c::mu] for c in range(mu)])
 
 
@@ -750,7 +759,8 @@ def simulate(
     are empty before the window. Returns outputs[t][j], sink j's reading
     at step t, one entry per step of the input window. With codes=True
     the symbols of inputs and outputs are integer codes of leks.field
-    instead of FieldElements.
+    instead of FieldElements, and an input that is not an int in
+    [0, q) raises ValueError naming its step.
 
     Edge e carries at step t what its tail wrote at step t - delay(e),
     and kernels of step t act where a symbol enters or leaves an edge,

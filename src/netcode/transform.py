@@ -183,11 +183,23 @@ def _dft_apply(
     return [v[::-1] for v in vals]
 
 
-def _lanes(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> list[list[int]]:
-    """n generations of symbol vectors as lanes: lane w holds symbol w of each."""
+def _lanes(plan: TransformPlan, gens: Sequence, source: int = 0, width=None) -> list[list[int]]:
+    """n generations of symbol vectors as lanes: lane w holds symbol w of each.
+
+    Every symbol must be of the plan's field, and every generation hold
+    width symbols (by default as many as the first); the refusals are
+    simulate's, generation t of source read as its step t.
+    """
     if len(gens) != plan.n:
         raise WindowMismatch(f"expected {plan.n} generations, got {len(gens)}")
-    return [[g[w].code for g in gens] for w in range(len(gens[0]))]
+    spec = plan.field
+    if any(sym.spec is not spec and sym.spec != spec for g in gens for sym in g):
+        raise ValueError("input symbol from a different field")
+    width = len(gens[0]) if width is None else width
+    for t, g in enumerate(gens):
+        if len(g) != width:
+            raise ValueError(f"step {t}: source {source} expects {width} symbols")
+    return [[g[w].code for g in gens] for w in range(width)]
 
 
 def _gens(spec: FieldSpec, lanes: Sequence[Sequence[int]], count: int) -> list[list[FieldElement]]:
@@ -199,7 +211,8 @@ def cp_encode(plan: TransformPlan, gens: Sequence[Sequence[FieldElement]]) -> li
     """DFT across n generations, then prepend the cyclic prefix.
 
     gens holds n generations (natural order) of one source's symbol
-    vectors. The transmission has n + d_max slots: the last d_max
+    vectors, as long as the first and of the plan's field (else
+    ValueError). The transmission has n + d_max slots: the last d_max
     DFT-domain generations first, then all n in order.
     """
     n, d_max = plan.n, plan.d_max
@@ -280,12 +293,11 @@ def run_pipeline(
     spec = plan.field
     if len(inputs) != len(net.sources):
         raise ValueError("one generation list per source expected")
-    lanes = [lane for gens in inputs for lane in _lanes(plan, gens)]
+    lanes = []
+    for i, (gens, src) in enumerate(zip(inputs, net.sources)):
+        lanes += _lanes(plan, gens, i, src.processes)
     if spec != leks.field:
         raise ValueError("input symbol from a different field")
-    for i, (gens, src) in enumerate(zip(inputs, net.sources)):
-        if any(len(g) != src.processes for g in gens):
-            raise ValueError(f"step 0: source {i} expects {src.processes} symbols")
     primed = _dft_apply(plan, lanes, invert=False)
     # transmission slot k goes out at step k, and its response reaches the
     # sinks d_prime_min steps later; the window ends with the last one

@@ -200,6 +200,20 @@ def test_witness_decoding(ex2):
         encode_decode(inst, x1[:3], x2, x3)
 
 
+def test_encode_decode_refuses_symbols_of_another_field(ex2):
+    # GF(2^5) symbols were read as GF(2^6) codes and "recovered" as those
+    net, leks = ex2
+    inst = build_instance(net, leks, 3)
+    rng = random.Random("foreign")
+    xs = [rand_syms(inst.field, rng, k) for k in (4, 3, 3)]
+    for k in range(3):
+        edited = [x[:] for x in xs]
+        edited[k][-1] = FieldElement(build_field(2, 5), 7)
+        with pytest.raises(ValueError, match="^input symbol from a different field$"):
+            encode_decode(inst, *edited)
+    assert encode_decode(inst, *xs).recovered == tuple(xs)
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 4), (2, 6), (2, 8), (2, 16), (3, 10), (2, 20)])
 def test_rand_matrix_is_the_randrange_stream(p, m):
     # the precoders are drawn as randrange(q) would draw them, leaving the
@@ -362,6 +376,46 @@ def test_category_instance_digests(name, m, n):
     rng = random.Random(f"digest:{name}")
     xs = [rand_syms(spec, rng, V.ncols) for V in (res.instance.V1, res.instance.V2, res.instance.V3)]
     assert encode_decode(res.instance, *xs).recovered == tuple(xs)
+
+
+def whole_instance_digest(inst):
+    doc = [inst.mhat, inst.T, inst.R, inst.S] + [
+        None if M is None else M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)
+    ]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of every field the precoders come from (mhat, T, R, S) and of the
+# precoders and free matrices, for the first passing attempt; "full" is
+# example2's network with kernels drawn in the field
+WHOLE_INSTANCE_DIGESTS = {
+    ("full", 8, 8): "b59ca9f636fcefd846e85e663c274f981d3382ebae81b57059910bb4d89aee62",
+    ("full", 8, 2): "99d90e8236f165994157769367d2bb721f5413af9ab613483e2c51413828f8ce",
+    ("full", 6, 4): "364a80879240d2d00f273140a3f6d2065bef0a0bb0cc2b677062529641828452",
+    ("cat1", 8, 8): "ee8c95d1a26caf927d39a48834e0fa398b21c038894f352dfcfc06e081919e38",
+    ("cat1", 8, 2): "8b5b83640366ad050075fdeaaf856f6a77f418c2b2c9cc81e63bc3de0e196a9e",
+    ("cat1", 6, 4): "7eb262dc4231456cafb5b89c3f1b3c43a2644a83b91c4b8fffdb2a23ca799476",
+    ("cat2", 8, 8): "176b89ea0c9bf38cf18fa3f5032c05abbd6a01414774b783347ae3f0c1813395",
+    ("cat2", 8, 2): "cb1a8222de6f4e2a6b6ba18c15777f4ff0f15583f3a19c6ec0fd4f150b17f93d",
+    ("cat2", 6, 4): "6cd3a65ae7064f448fe2dfdfea4fcf921f02bdcb37eb09a912e9dcd1043bd0ad",
+    ("cat3", 8, 8): "d304d1a3ae287a543fb9ba3b12659a8ff8be761c87923b0b7587379ea70ab7d5",
+    ("cat3", 8, 2): "e0598d0509a31468adbce049f3f745ba95d8087a6f98a9863237aff5e413eef1",
+    ("cat3", 6, 4): "5940cc975541c6498b4580d65cd81204e307ea53cb3eac13fd888242188b60c1",
+    ("cat4", 8, 8): "476768443b57b9dd1875f0e629725831378edff15a0309f0c143a39addea4cf6",
+    ("cat4", 8, 2): "8e7540a1361cfe3fd9925efc769bf91d1e93847b9f5e37550452006b479a1aa8",
+    ("cat4", 6, 4): "4842b8670a4d8fc9f45230115cdb67c9a1c822a99130377e2ad0f8c74fbebba1",
+}
+
+
+@pytest.mark.parametrize("name, m, n", WHOLE_INSTANCE_DIGESTS)
+def test_whole_instance_digests(ex2, name, m, n):
+    net = ex2[0] if name == "full" else cat_net(CATEGORY_LENGTHS[name])
+    res = align_search(net, n, build_field(2, m))
+    inst = res.instance
+    assert (res.attempts, inst.category) == (1, name)
+    assert (inst.T is None, inst.R is None, inst.S is None) == ((name != "full",) * 3)
+    assert (inst.A is None, inst.B is None) == (name not in ("cat1", "cat2"), name != "cat1")
+    assert whole_instance_digest(inst) == WHOLE_INSTANCE_DIGESTS[name, m, n]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ import pytest
 from netcode.alignment import (
     SingularBlock,
     SingularDecodeSystem,
-    _diag_inv,
     _diag_mul,
     build_instance,
     build_tv,
@@ -44,6 +43,15 @@ GF64 = build_field(2, 6)
 
 def _dv(inst, i, j, V):
     return _diag_mul(inst.field, inst.mhat[i][j], V)
+
+
+def _diag_inv(spec, diag, where):
+    out = []
+    for r, d in enumerate(diag):
+        if d == 0:
+            raise SingularBlock(f"{where} has a zero eigenvalue at position {r}")
+        out.append(spec._inv_code(d))
+    return out
 
 
 def _dinv_v(inst, i, j, M):

@@ -519,7 +519,7 @@ def test_dft_apply_matches_dense_transform(p, m, n, width):
 
 
 # ----------------------------------------------------------------------
-# code-list rows: prep, axpy, axpy_each and matvec against scalar calls
+# code-list rows: prep, axpy and matvec against scalar calls
 # ----------------------------------------------------------------------
 
 
@@ -529,7 +529,6 @@ def _check_rows(spec, rng):
     for width in (1, 5, W + 3):
         row = _rand(spec, rng, 1, width)[0]
         dst = _rand(spec, rng, 1, width + 4)[0]
-        factors = _rand(spec, rng, 1, width + 4)[0]
         for scale in (0, 1, rng.randrange(2, spec.q)):
             src = lists.prep(row, scale)
             want = [(j, mul(scale, v)) for j, v in enumerate(row) if mul(scale, v)]
@@ -542,10 +541,6 @@ def _check_rows(spec, rng):
                     for j, v in enumerate(row):
                         want[off + j] = add(want[off + j], mul(f, mul(scale, v)))
                     assert lists.axpy(dst[:], f, src, off) == want
-                want = dst[:]
-                for j, v in enumerate(row):
-                    want[off + j] = add(want[off + j], mul(factors[off + j], mul(scale, v)))
-                assert lists.axpy_each(dst[:], factors, src, off) == want
         vec = _rand(spec, rng, 1, 4)[0]
         rows = _rand(spec, rng, 4, width)
         want = [0] * width

@@ -249,7 +249,7 @@ def test_run_pipeline_matches_cp_composition(p, m, lengths):
         checked += 1
 
 
-GF8, GF64 = build_field(2, 3), build_field(2, 6)
+GF8, GF16, GF64 = build_field(2, 3), build_field(2, 4), build_field(2, 6)
 
 
 @pytest.mark.parametrize(
@@ -259,6 +259,15 @@ GF8, GF64 = build_field(2, 3), build_field(2, 6)
         (GF8, lambda g: [g, g], ValueError, "one generation list per source expected"),
         (GF8, lambda g: [g[1:]], WindowMismatch, "expected 7 generations, got 6"),
         (GF8, lambda g: [[x + x for x in g]], ValueError, "step 0: source 0 expects 1 symbols"),
+        # GF(16) codes 5 and 12, read as GF(8) codes, were a wrong result
+        # and an IndexError
+        (GF8, lambda g: [g[:3] + [[FieldElement(GF16, 5)]] + g[4:]], ValueError,
+         "input symbol from a different field"),
+        (GF8, lambda g: [g[:3] + [[FieldElement(GF16, 12)]] + g[4:]], ValueError,
+         "input symbol from a different field"),
+        # a longer generation 6 was truncated, a shorter one an IndexError
+        (GF8, lambda g: [g[:6] + [g[6] + g[6]]], ValueError, "step 6: source 0 expects 1 symbols"),
+        (GF8, lambda g: [g[:6] + [[]]], ValueError, "step 6: source 0 expects 1 symbols"),
     ],
 )
 def test_run_pipeline_refusals(field, edit, error, message):
@@ -272,3 +281,37 @@ def test_run_pipeline_refusals(field, edit, error, message):
         with pytest.raises(error) as exc:
             pipeline(net, leks, plan, inputs, transfer_matrix(net, leks))
         assert str(exc.value) == message
+
+
+def test_cp_decode_refuses_bad_slots():
+    plan = make_plan(7, GF8, element_of_order(GF8, 7), 2)
+    slots = [[GF8.one()] for _ in range(9)]
+    assert len(cp_decode(plan, slots)) == 7
+    with pytest.raises(ValueError, match="^input symbol from a different field$"):
+        cp_decode(plan, slots[:5] + [[FieldElement(GF16, 9)]] + slots[6:])
+    with pytest.raises(ValueError, match="^step 3: source 0 expects 1 symbols$"):
+        cp_decode(plan, slots[:5] + [[]] + slots[6:])
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (2, 8)])
+@pytest.mark.parametrize("steps", [3, _LANE_MIN_WIDTH + 1])
+def test_simulate_codes_are_range_checked(p, m, steps):
+    # -1 wrapped through the log table and q an IndexError; the first bad
+    # step is named, whatever its kernel
+    spec = build_field(p, m)
+    net = NetworkSpec(
+        ["S", "U", "T"],
+        [Edge("S", "U"), Edge("U", "T", delay=2)],
+        [Source("S", 2)],
+        [Sink("T", 1)],
+    )
+    leks = random_leks(net, spec, "range", nonzero=True)
+    inputs = [[[1, spec.q - 1]] for _ in range(steps)]
+    assert len(simulate(net, leks, inputs, codes=True)) == steps
+    for bad in (-1, spec.q, 99 + spec.q, True, 1.0, "1"):
+        edited = [[vec[:] for vec in x_t] for x_t in inputs]
+        edited[1][0][1] = bad
+        edited[steps - 1][0][0] = -2
+        with pytest.raises(ValueError) as exc:
+            simulate(net, leks, edited, codes=True)
+        assert str(exc.value) == f"step 1: input code {bad!r} is not a code of {spec}"
