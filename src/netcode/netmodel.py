@@ -21,11 +21,11 @@ acyclic, and the transfer matrix is one such window run on impulses.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import UserDict, defaultdict
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice
-from operator import attrgetter
+from itertools import chain, compress, count, islice
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .galois import (
@@ -189,6 +189,15 @@ class NetworkSpec:
         rank = {v: k for k, v in enumerate(validate(self))}
         return tuple(sorted(range(len(self.edges)), key=lambda k: rank[self.edges[k].tail]))
 
+    @cached_property
+    def _kernel_index(self):
+        """Where compiled kernels point: each edge key's position, and the
+        flat index of each (source, process, node) and (sink, output, node)."""
+        ins = [(i, l, s.node) for i, s in enumerate(self.sources) for l in range(s.processes)]
+        outs = [(j, r, s.node) for j, s in enumerate(self.sinks) for r in range(s.outputs)]
+        pos = {(e.tail, e.head, e.index): k for k, e in enumerate(self.edges)}
+        return pos, dict(zip(ins, count())), dict(zip(outs, count()))
+
 
 # ----------------------------------------------------------------------
 # kernel assignments
@@ -212,6 +221,9 @@ class LekAssignment:
     alpha keys: ((source index, process index), out-edge key)
     beta keys:  (in-edge key, out-edge key) with head(in) = tail(out)
     eps keys:   (in-edge key, (sink index, output index))
+
+    Each step's kernels are compiled against a network once and kept with
+    the assignment, so the mappings must not change after the first run.
     """
 
     field: FieldSpec
@@ -221,6 +233,8 @@ class LekAssignment:
     eps: Mapping = dc_field(default_factory=dict)
     t0: int = 0
     steps: tuple[KernelTriple, ...] = ()
+    # id(net) -> (net, {step, None if invariant: its compiled kernels})
+    _compiled: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernels_at(self, t: int) -> KernelTriple:
         if self.mode == "invariant":
@@ -237,6 +251,21 @@ class LekAssignment:
         if self.mode == "invariant":
             return None
         return (self.t0, self.t0 + len(self.steps) - 1)
+
+
+class _Kept(UserDict):
+    """A part (alpha, beta or eps) of a kernel document read in bulk, kept as
+    its key columns and codes, which _compiled_columns compiles; the mapping
+    is made when first read."""
+
+    def __init__(self, spec: FieldSpec, part: str, cols: list, codes: list[int]):
+        self._read = spec, part, cols, codes
+
+    @cached_property
+    def data(self) -> dict:
+        spec, part, (a, b, *c), codes = self._read
+        keys = {"alpha": zip(zip(a, b), *c), "beta": zip(a, b), "eps": zip(a, zip(b, *c))}[part]
+        return {k: FieldElement(spec, v) for k, v in zip(keys, codes)}  # last value wins
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +548,7 @@ def _path_extremes(net: NetworkSpec) -> tuple[int, int] | None:
 def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     """Index kernel dicts against the sorted edge list; validate adjacency."""
     # a known edge key (tail, head, index) names the edge's ends itself
-    pos = {e.key: k for k, e in enumerate(net.edges)}
-    # flat index of each source's and sink's first symbol
-    in_off, out_off = [0, *accumulate(net.mu_list)], [0, *accumulate(net.nu_list)]
+    pos, ins, outs = net._kernel_index
     al, be, ep = triple
     a_terms = []  # (edge pos, flat input index, code)
     for (inp, ekey), v in al.items():
@@ -535,7 +562,7 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         if v.spec is not spec and v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
-            a_terms.append((pos[ekey], in_off[i] + l, v.code))
+            a_terms.append((pos[ekey], ins[i, l, ekey[0]], v.code))
     b_terms = []  # (out edge pos, in edge pos, code)
     for (k1, k2), v in be.items():
         if k1 not in pos or k2 not in pos:
@@ -558,8 +585,47 @@ def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
         if v.spec is not spec and v.spec != spec:
             raise ValueError("kernel from a different field")
         if v.code:
-            e_terms.append((out_off[j] + r, pos[ekey], v.code))
+            e_terms.append((outs[j, r, ekey[1]], pos[ekey], v.code))
     return a_terms, b_terms, e_terms
+
+
+def _compiled_columns(net: NetworkSpec, triple: KernelTriple):
+    """_compiled_kernels of a triple read in bulk and not read as mappings
+    since, or None if it is not, or if a kernel has no place in net."""
+    if not all(type(p) is _Kept and "data" not in vars(p) for p in triple):
+        return None
+    pos, ins, outs = net._kernel_index
+    (i, l, a_edges), (b_ins, b_outs), (e_edges, j, r) = (p._read[2] for p in triple)
+    if list(map(itemgetter(1), b_ins)) != list(map(itemgetter(0), b_outs)):
+        return None  # a beta kernel between edges that do not meet
+    at = pos.__getitem__
+    # (what a kernel writes, what it reads); an alpha kernel's edge leaves its
+    # source's node and an eps kernel's edge enters its sink's
+    places = [
+        zip(map(at, a_edges), map(ins.__getitem__, zip(i, l, map(itemgetter(0), a_edges)))),
+        zip(map(at, b_outs), map(at, b_ins)),
+        zip(map(outs.__getitem__, zip(j, r, map(itemgetter(1), e_edges))), map(at, e_edges)),
+    ]
+    try:  # a repeated place keeps its last code
+        kept = [dict(zip(place, p._read[3])) for place, p in zip(places, triple)]
+    except KeyError:  # an edge, input or output that net does not have
+        return None
+    return [[(x, y, c) for (x, y), c in part.items() if c] for part in kept]
+
+
+def _terms(net: NetworkSpec, leks: LekAssignment, t: int):
+    """The compiled kernels of step t, compiled once for each network."""
+    # the entry keeps net alive, so its id stays net's; a copied assignment
+    # holds copies of its networks, which are not net
+    held, memo = leks._compiled.get(id(net), (None, None))
+    if held is not net:
+        memo = {}
+        leks._compiled[id(net)] = net, memo
+    step = None if leks.mode == "invariant" else t
+    if step not in memo:
+        triple = leks.kernels_at(t)
+        memo[step] = _compiled_columns(net, triple) or _compiled_kernels(net, triple, leks.field)
+    return memo[step]
 
 
 def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
@@ -619,14 +685,13 @@ def _window(
     kern = spec._kernel(steps)
     prep, unpack, pack, axpy = kern.prep, kern.unpack, kern.pack, kern.axpy
     if leks.mode == "invariant":
-        terms = _compiled_kernels(net, leks.kernels_at(t_start), spec)
+        terms = _terms(net, leks, t_start)
         keep, add = prep, axpy
     else:
         # each term's codes over the window, zero where a step lacks it
         series = [defaultdict(lambda: [0] * steps) for _ in range(3)]
         for s in range(steps):
-            compiled = _compiled_kernels(net, leks.kernels_at(t_start + s), spec)
-            for found, part in zip(series, compiled):
+            for found, part in zip(series, _terms(net, leks, t_start + s)):
                 for a, b, code in part:
                     found[a, b][s] = code
         terms = [[(a, b, codes) for (a, b), codes in found.items()] for found in series]
@@ -702,7 +767,7 @@ def _check_steps(
                 f"{len(procs)} sources"
             )
         if leks.mode != "invariant":
-            _compiled_kernels(net, leks.kernels_at(t_start + step), spec)
+            _terms(net, leks, t_start + step)
         if [len(vec) for vec in x_t] != procs:
             i = next(i for i, vec in enumerate(x_t) if len(vec) != procs[i])
             raise ValueError(f"step {step}: source {i} expects {procs[i]} symbols")
@@ -728,15 +793,21 @@ def _simulate_rows(
     _check_steps(net, leks, inputs, t_start, elements)
     if timed:
         run = _window(net, leks, t_start, len(inputs))
-    spec, mu = leks.field, net.mu
+    mu = net.mu
     if codes is None:
         codes = list(chain.from_iterable(chain.from_iterable(inputs)))
         if elements:
             codes = list(map(attrgetter("code"), codes))
-        elif codes and (set(map(type, codes)) != {int} or min(codes) < 0 or max(codes) >= spec.q):
-            k = next(k for k, c in enumerate(codes) if type(c) is not int or not 0 <= c < spec.q)
-            raise ValueError(f"step {k // mu}: input code {codes[k]!r} is not a code of {spec}")
+        _check_codes(codes, leks.field, mu)
     return run([codes[c::mu] for c in range(mu)])
+
+
+def _check_codes(codes: Sequence, spec: FieldSpec, width: int, step="step {}".format) -> None:
+    """ValueError naming step(t) for the first of codes, width to a step t,
+    that is not an int in [0, q)."""
+    if codes and (set(map(type, codes)) != {int} or min(codes) < 0 or max(codes) >= spec.q):
+        k = next(k for k, c in enumerate(codes) if type(c) is not int or not 0 <= c < spec.q)
+        raise ValueError(f"{step(k // width)}: input code {codes[k]!r} is not a code of {spec}")
 
 
 def _by_step(net: NetworkSpec, rows: Sequence[Sequence], steps: int) -> list[list[list]]:
@@ -759,7 +830,7 @@ def simulate(
     are empty before the window. Returns outputs[t][j], sink j's reading
     at step t, one entry per step of the input window. With codes=True
     the symbols of inputs and outputs are integer codes of leks.field
-    instead of FieldElements, and an input that is not an int in
+    instead of FieldElements. An input whose code is not an int in
     [0, q) raises ValueError naming its step.
 
     Edge e carries at step t what its tail wrote at step t - delay(e),
@@ -936,60 +1007,90 @@ def _edge_key(x, path: str, *args) -> EdgeKey:
     return (str(x[0]), str(x[1]), _int(x[2], path, *args))
 
 
+# each part's entry size, and which of an entry's fields hold integers and edges
+_ENTRIES = (("alpha", 4, (0, 1), (2,)), ("beta", 3, (), (0, 1)), ("eps", 4, (1, 2), (0,)))
+
+
+def _read_in_bulk(spec: FieldSpec, tds) -> list[KernelTriple] | None:
+    """Each triple of kernels as _Kept parts, checked column by column, or
+    None unless every entry is a list of its part's size with ints and
+    [str, str, int] lists where they belong, and every value an element
+    of spec."""
+    parts, ints, edges, values = [], [], [], []
+    # a str or an object where a list belongs leaves a str where an int is
+    # checked for, and any other non-list fails len() or tuple()
+    try:
+        for td in tds:
+            for part, size, int_cols, edge_cols in _ENTRIES:
+                rows = td.get(part, [])
+                if type(rows) is not list or not set(map(len, rows)) <= {size}:
+                    return None
+                cols = list(zip(*rows)) or [()] * size
+                ints += [cols[k] for k in int_cols]
+                for k in edge_cols:
+                    cols[k] = list(map(tuple, cols[k]))
+                    edges += cols[k]
+                parts.append((part, cols))
+                values += cols[-1]
+        if not set(map(type, chain.from_iterable(ints))) <= {int} or not set(map(len, edges)) <= {3}:
+            return None
+        if list(map(type, chain.from_iterable(edges))) != [str, str, int] * len(edges):
+            return None
+        codes = spec.codes_from_json(values)
+    except (AttributeError, TypeError, ParseError):  # AttributeError: a step not an object
+        return None
+    kept, end = [], 0
+    for part, cols in parts:
+        start, end = end, end + len(cols[-1])
+        kept.append(_Kept(spec, part, cols[:-1], codes[start:end]))
+    return [tuple(kept[k : k + 3]) for k in range(0, len(kept), 3)]
+
+
+def _walked_triple(spec: FieldSpec, td: dict, path: str) -> KernelTriple:
+    """One triple of kernels read entry by entry: each entry's shape, key
+    and value are checked in document order, and its value converted."""
+    if not isinstance(td, dict):
+        raise ParseError(f"{path} must be an object, got {td!r}")
+    triple: KernelTriple = ({}, {}, {})
+    for terms, key, size in zip(triple, ("alpha", "beta", "eps"), (4, 3, 4)):
+        for k, x in enumerate(_list(td.get(key, []), "{}.{}", path, key)):
+            # entry k's path, formatted only when one of its values is refused
+            at = ("{}.{}[{}]", path, key, k)
+            if not isinstance(x, list) or len(x) != size:
+                raise ParseError(f"{path}.{key}[{k}] must be a list of {size} values, got {x!r}")
+            if key == "alpha":  # [source, process, edge, value]
+                pos = ((_int(x[0], *at), _int(x[1], *at)), _edge_key(x[2], *at))
+            elif key == "beta":  # [in edge, out edge, value]
+                pos = (_edge_key(x[0], *at), _edge_key(x[1], *at))
+            else:  # [edge, sink, output, value]
+                pos = (_edge_key(x[0], *at), (_int(x[1], *at), _int(x[2], *at)))
+            # in document order, so a repeated position keeps its last value
+            terms[pos] = spec.element(x[-1], f"{path}.{key}[{k}]")
+    return triple
+
+
 def leks_from_dict(d: dict) -> LekAssignment:
+    """The kernel assignment of a kernel document, read in bulk (see
+    _read_in_bulk) or, if that fails, entry by entry, so that a refusal
+    names the first bad entry in document order. A kernel with no place in
+    the network is refused when a window first compiles it.
+    """
     if not isinstance(d, dict):
         raise ParseError(f"kernels must be an object, got {d!r}")
     spec = spec_from_dict(d.get("field"), "kernels.field")
-    # every entry's terms dict, position, value and path, in document order;
-    # the values are converted in one codes_from_json call once all are read
-    slots: list[tuple[dict, tuple]] = []
-    values: list = []
-    paths: list[tuple[str, str, int]] = []
-
-    def triple_from_json(td: dict, path: str) -> KernelTriple:
-        if not isinstance(td, dict):
-            raise ParseError(f"{path} must be an object, got {td!r}")
-        triple: KernelTriple = ({}, {}, {})
-        for terms, key, size in zip(triple, ("alpha", "beta", "eps"), (4, 3, 4)):
-            for k, x in enumerate(_list(td.get(key, []), "{}.{}", path, key)):
-                # entry k's path, formatted only when one of its values is refused
-                at = ("{}.{}[{}]", path, key, k)
-                if not isinstance(x, list) or len(x) != size:
-                    raise ParseError(
-                        f"{path}.{key}[{k}] must be a list of {size} values, got {x!r}"
-                    )
-                if key == "alpha":  # [source, process, edge, value]
-                    pos = ((_int(x[0], *at), _int(x[1], *at)), _edge_key(x[2], *at))
-                elif key == "beta":  # [in edge, out edge, value]
-                    pos = (_edge_key(x[0], *at), _edge_key(x[1], *at))
-                else:  # [edge, sink, output, value]
-                    pos = (_edge_key(x[0], *at), (_int(x[1], *at), _int(x[2], *at)))
-                slots.append((terms, pos))
-                values.append(x[-1])
-                paths.append(at[1:])
-        return triple
-
-    def codes() -> list[int]:
-        return spec.codes_from_json(values, lambda k: "{}.{}[{}]".format(*paths[k]))
-
     mode = d.get("mode", "invariant")
     if mode not in ("invariant", "time"):
         raise ParseError(f'kernels.mode must be "invariant" or "time", got {mode!r}')
-    try:
-        if mode == "invariant":
-            steps = (triple_from_json(d, "kernels"),)
-        else:
-            tds = _list(d.get("steps"), "kernels.steps")
-            steps = tuple(triple_from_json(td, f"kernels.steps[{k}]") for k, td in enumerate(tds))
-    except ParseError:
-        codes()  # a bad value before the malformed entry is named first
-        raise
-    # in document order, so a repeated position keeps its last value
-    for (terms, pos), code in zip(slots, codes()):
-        terms[pos] = FieldElement(spec, code)
+    tds, t0 = ([d], 0) if mode == "invariant" else (d.get("steps"), d.get("t0"))
+    triples = _read_in_bulk(spec, tds)
+    if triples is None or type(t0) is not int:
+        tds = _list(tds, "kernels.steps")
+        paths = [f"kernels.steps[{k}]" for k in range(len(tds))] if mode == "time" else ["kernels"]
+        triples = [_walked_triple(spec, td, path) for td, path in zip(tds, paths)]
+        t0 = _int(t0, "kernels.t0")
     if mode == "invariant":
-        return LekAssignment(spec, "invariant", *steps[0])
-    return LekAssignment(spec, "time", t0=_int(d.get("t0"), "kernels.t0"), steps=steps)
+        return LekAssignment(spec, "invariant", *triples[0])
+    return LekAssignment(spec, "time", t0=t0, steps=tuple(triples))
 
 
 def transfer_to_dict(tr: TransferResult) -> dict:

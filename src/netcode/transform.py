@@ -28,6 +28,7 @@ from .galois import (
     multiplicative_order,
 )
 from .netmodel import LekAssignment, NetworkSpec, TransferResult, _window, transfer_matrix
+from .netmodel import _check_codes
 
 __all__ = [
     "BlockTooLong",
@@ -183,12 +184,14 @@ def _dft_apply(
     return [v[::-1] for v in vals]
 
 
-def _lanes(plan: TransformPlan, gens: Sequence, source: int = 0, width=None) -> list[list[int]]:
+def _lanes(
+    plan: TransformPlan, gens: Sequence, owner: str = "source 0", width=None, step="step {}".format
+) -> list[list[int]]:
     """n generations of symbol vectors as lanes: lane w holds symbol w of each.
 
-    Every symbol must be of the plan's field, and every generation hold
-    width symbols (by default as many as the first); the refusals are
-    simulate's, generation t of source read as its step t.
+    Every symbol must be a code of the plan's field, and every generation
+    hold width symbols (by default as many as the first); the refusals are
+    simulate's, generation t read as step(t) and its vector as owner's.
     """
     if len(gens) != plan.n:
         raise WindowMismatch(f"expected {plan.n} generations, got {len(gens)}")
@@ -198,8 +201,10 @@ def _lanes(plan: TransformPlan, gens: Sequence, source: int = 0, width=None) -> 
     width = len(gens[0]) if width is None else width
     for t, g in enumerate(gens):
         if len(g) != width:
-            raise ValueError(f"step {t}: source {source} expects {width} symbols")
-    return [[g[w].code for g in gens] for w in range(width)]
+            raise ValueError(f"{step(t)}: {owner} expects {width} symbols")
+    codes = [sym.code for g in gens for sym in g]
+    _check_codes(codes, spec, width, step)
+    return [codes[w::width] for w in range(width)]
 
 
 def _gens(spec: FieldSpec, lanes: Sequence[Sequence[int]], count: int) -> list[list[FieldElement]]:
@@ -232,7 +237,7 @@ def cp_decode(plan: TransformPlan, slots: Sequence[Sequence[FieldElement]]) -> l
         raise WindowMismatch(
             f"expected {plan.n + plan.d_max} slots, got {len(slots)}"
         )
-    kept = _lanes(plan, slots[plan.d_max :])
+    kept = _lanes(plan, slots[plan.d_max :], "sink", step=lambda t: f"slot {t + plan.d_max}")
     return _gens(plan.field, _dft_apply(plan, kept, invert=True), plan.n)
 
 
@@ -295,7 +300,7 @@ def run_pipeline(
         raise ValueError("one generation list per source expected")
     lanes = []
     for i, (gens, src) in enumerate(zip(inputs, net.sources)):
-        lanes += _lanes(plan, gens, i, src.processes)
+        lanes += _lanes(plan, gens, f"source {i}", src.processes)
     if spec != leks.field:
         raise ValueError("input symbol from a different field")
     primed = _dft_apply(plan, lanes, invert=False)

@@ -310,6 +310,27 @@ def test_kernel_on_unknown_terminal_is_input_error(tmp_path, capsys, edit, messa
     assert rep == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "sub, exit_code",
+    [("validate", 0), ("mincut", 0), ("transfer", 2), ("simulate", 2), ("feasibility", 2),
+     ("transform", 2)],
+)
+def test_kernel_on_unknown_edge_is_refused_where_compiled(tmp_path, capsys, sub, exit_code):
+    # every subcommand reads the kernels; only those that run a window
+    # compile them against the network, after validating it
+    doc = load_fixture("example2")
+    doc["kernels"]["alpha"][0][2] = ["S1", "nowhere", 0]
+    if sub == "simulate":
+        doc.update(kind="simulation", inputs=[[[[1]], [[0]], [[1]]]])
+    p = tmp_path / "kernel.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, sub, str(p), *(["--n", "7"] if sub == "transform" else []))
+    assert code == exit_code
+    if exit_code:
+        message = "alpha kernel on unknown edge ('S1', 'nowhere', 0)"
+        assert rep == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("coeff", [1.0, True])
 def test_non_integer_coefficient_is_parse_error(tmp_path, capsys, coeff):
     doc = load_fixture("example1")

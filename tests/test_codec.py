@@ -4,11 +4,14 @@ FieldSpec converts JSON coefficient lists by lookup in fields with codec
 tables (q <= _CODEC_CAP) and item by item everywhere else; the oracle for
 the lookup is a spec of the same field with its code table taken away,
 which runs the loop, and the oracle for the per-code tuples and texts is
-_digits. leks_from_dict checks a kernel document entry by entry and
+_digits. leks_from_dict checks a kernel document column by column and
 converts all its values in one codes_from_json call; its oracle is a walk
-that converts each value as it reaches it, one element() call per entry.
+that converts each value as it reaches it, one element() call per entry,
+and the oracle for what the read kernels compile to on a network is
+_compiled_kernels of the walk's mappings.
 """
 
+import copy
 import json
 import random
 
@@ -31,7 +34,10 @@ from netcode.galois import (
 )
 from netcode.netmodel import (
     LekAssignment,
+    _Kept,
+    _compiled_kernels,
     _edge_key,
+    _terms,
     leks_from_dict,
     leks_to_dict,
     network_from_dict,
@@ -303,15 +309,20 @@ def _same_leks(a, b):
             assert list(pa.items()) == list(pb.items())  # insertion order too
 
 
-def _kernel_docs():
+def _net_docs():
+    """(network, kernel document) pairs in every field regime and both modes."""
     rng = random.Random("kernel-docs")
-    docs = []
+    pairs = []
     for k, pm in enumerate([(2, 1), (2, 8), (3, 1), (3, 5), (7, 2), (2, 16)]):
         net = random_dag_net(rng)
         spec = build_field(*pm)
-        docs.append(leks_to_dict(random_leks(net, spec, k)))
-        docs.append(leks_to_dict(random_leks(net, spec, k, mode="time", window=(-2, 3))))
-    return docs
+        pairs.append((net, leks_to_dict(random_leks(net, spec, k))))
+        pairs.append((net, leks_to_dict(random_leks(net, spec, k, mode="time", window=(-2, 3)))))
+    return pairs
+
+
+def _kernel_docs():
+    return [doc for _, doc in _net_docs()]
 
 
 def test_kernels_match_the_walk(monkeypatch):
@@ -429,6 +440,111 @@ def test_kernels_refuse_as_the_walk():
     assert _error(leks_from_dict, bad) == _error(_walked_leks, bad) == (
         "kernels.steps[0].beta[0]: coefficient 2 out of range [0, 2)"
     )
+
+
+def _misplaced(net, doc, rng, count=12):
+    """Copies of a kernel document, each with one entry moved off its place
+    in net, given a zero value or repeated with another value."""
+    edges = [list(e.key) for e in net.edges] + [["nowhere", "T", 0]]
+    out = []
+    for _ in range(count):
+        bad = json.loads(json.dumps(doc))
+        where = rng.choice(bad["steps"] if bad["mode"] == "time" else [bad])
+        key = rng.choice([k for k in ("alpha", "beta", "eps") if where[k]])
+        k = rng.randrange(len(where[key]))
+        entry = where[key][k]
+        choice = rng.randrange(5)
+        if choice == 0:  # another edge, maybe one that does not meet
+            at = {"alpha": 2, "beta": rng.randrange(2), "eps": 0}[key]
+            entry[at] = rng.choice(edges)
+        elif choice == 1 and key != "beta":  # a source or sink, process or output out of range
+            entry[rng.choice([0, 1] if key == "alpha" else [1, 2])] = rng.choice([-1, 1, 5])
+        elif choice == 2:
+            entry[-1] = [0]
+        else:  # repeated, the later value first
+            where[key][k:k] = [entry[:-1] + [rng.choice(entry[-1:] + [[0], [1]])]]
+        out.append(bad)
+    return out
+
+
+def _compiled(leks, compile_step):
+    """Each stored step's compiled kernels, or the ValueError refusing one."""
+    steps = [0] if leks.mode == "invariant" else range(leks.t0, leks.t0 + len(leks.steps))
+    try:
+        return [list(map(list, compile_step(t))) for t in steps]
+    except ValueError as e:
+        return str(e)
+
+
+def test_read_kernels_compile_as_the_walk():
+    rng = random.Random("kernel-places")
+    compiled = refused = 0
+    for net, doc in _net_docs():
+        for bad in [doc] + _mutations(doc, rng) + _misplaced(net, doc, rng):
+            if _error(_walked_leks, bad) is not None:
+                continue  # refused as it is read, as test_kernels_refuse_as_the_walk checks
+            leks, walked = leks_from_dict(bad), _walked_leks(bad)
+            spec = walked.field
+            got = _compiled(leks, lambda t: _terms(net, leks, t))
+            want = _compiled(walked, lambda t: _compiled_kernels(net, walked.kernels_at(t), spec))
+            assert got == want
+            if type(got) is list:  # compiled from the kept codes: no mapping was made
+                triples = leks.steps or [(leks.alpha, leks.beta, leks.eps)]
+                assert all(type(p) is _Kept and "data" not in vars(p) for t in triples for p in t)
+            compiled += type(got) is list
+            refused += type(got) is str
+            _same_leks(leks, walked)
+    assert compiled > 50 and refused > 20
+
+
+def test_a_mapping_changed_before_the_first_window_is_what_compiles():
+    # a part whose mapping has been read compiles from the mapping, so a
+    # change made to it before the first window counts, as in a dict
+    doc = load_fixture("example2")
+    net = network_from_dict(doc["network"])
+    leks = leks_from_dict(doc["kernels"])
+    key = next(iter(leks.alpha))
+    leks.alpha[key] = leks.field.zero()
+    plain = LekAssignment(leks.field, "invariant", dict(leks.alpha), leks.beta, leks.eps)
+    changed = transfer_matrix(net, leks).M
+    assert changed == transfer_matrix(net, plain).M
+    assert changed != transfer_matrix(net, leks_from_dict(doc["kernels"])).M
+
+
+def test_compiles_are_kept_for_the_network_itself():
+    # a deep copy keeps its compiles under the ids of the networks it was
+    # compiled on, with copies of them: another network that comes to have
+    # such an id is compiled afresh
+    doc = load_fixture("example2")
+    net, leks = network_from_dict(doc["network"]), leks_from_dict(doc["kernels"])
+    want = _terms(net, leks, 0)
+    copied = copy.deepcopy(leks)
+    assert _terms(net, copied, 0) == want
+    other = network_from_dict(doc["network"])
+    copied._compiled[id(other)] = (net, [[], [], []])
+    assert _terms(other, copied, 0) == want
+
+
+def test_number_node_names_read_as_strings():
+    # a node named by a JSON number is its str(), in the network and in a kernel's edge
+    doc = load_fixture("example2")
+    names = {v: k for k, v in enumerate(doc["network"]["nodes"])}
+    net_doc = json.loads(json.dumps(doc["network"]), object_hook=lambda o: {
+        k: names.get(v, v) if k in ("tail", "head", "node") else v for k, v in o.items()
+    })
+    net_doc["nodes"] = list(range(len(names)))
+    net = network_from_dict(net_doc)
+    kernels = json.loads(json.dumps(doc["kernels"]))
+    for key in ("alpha", "beta", "eps"):
+        for entry in kernels[key]:
+            for x in entry[:-1]:
+                if isinstance(x, list):
+                    x[:2] = [names[x[0]], names[x[1]]]
+    leks, walked = leks_from_dict(kernels), _walked_leks(kernels)
+    _same_leks(leks, walked)
+    assert ("0", "3", 0) in {ek for _, ek in leks.alpha}
+    want = _compiled_kernels(net, walked.kernels_at(0), walked.field)
+    assert list(map(list, _terms(net, leks, 0))) == list(map(list, want))
 
 
 def test_transfer_refusals_name_the_entry():

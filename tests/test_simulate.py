@@ -268,6 +268,9 @@ GF8, GF16, GF64 = build_field(2, 3), build_field(2, 4), build_field(2, 6)
         # a longer generation 6 was truncated, a shorter one an IndexError
         (GF8, lambda g: [g[:6] + [g[6] + g[6]]], ValueError, "step 6: source 0 expects 1 symbols"),
         (GF8, lambda g: [g[:6] + [[]]], ValueError, "step 6: source 0 expects 1 symbols"),
+        # a code outside GF(8) was an IndexError
+        (GF8, lambda g: [g[:2] + [[FieldElement(GF8, 99)]] + g[3:]], ValueError,
+         "step 2: input code 99 is not a code of GF(2^3)"),
     ],
 )
 def test_run_pipeline_refusals(field, edit, error, message):
@@ -289,8 +292,13 @@ def test_cp_decode_refuses_bad_slots():
     assert len(cp_decode(plan, slots)) == 7
     with pytest.raises(ValueError, match="^input symbol from a different field$"):
         cp_decode(plan, slots[:5] + [[FieldElement(GF16, 9)]] + slots[6:])
-    with pytest.raises(ValueError, match="^step 3: source 0 expects 1 symbols$"):
+    # the slot is named, not the generation it would decode to
+    with pytest.raises(ValueError, match="^slot 5: sink expects 1 symbols$"):
         cp_decode(plan, slots[:5] + [[]] + slots[6:])
+    with pytest.raises(ValueError, match="^slot 3: sink expects 2 symbols$"):
+        cp_decode(plan, slots[:2] + [slots[2] * 2] + slots[3:])
+    with pytest.raises(ValueError, match=r"^slot 5: input code 8 is not a code of GF\(2\^3\)$"):
+        cp_decode(plan, slots[:5] + [[FieldElement(GF8, 8)]] + slots[6:])
 
 
 @pytest.mark.parametrize("p, m", [(2, 3), (3, 2), (2, 8)])
@@ -314,4 +322,9 @@ def test_simulate_codes_are_range_checked(p, m, steps):
         edited[steps - 1][0][0] = -2
         with pytest.raises(ValueError) as exc:
             simulate(net, leks, edited, codes=True)
+        assert str(exc.value) == f"step 1: input code {bad!r} is not a code of {spec}"
+        # a FieldElement holding such a code was an IndexError, or a wrong output
+        symbols = [[[FieldElement(spec, c) for c in vec] for vec in x_t] for x_t in edited]
+        with pytest.raises(ValueError) as exc:
+            simulate(net, leks, symbols)
         assert str(exc.value) == f"step 1: input code {bad!r} is not a code of {spec}"
