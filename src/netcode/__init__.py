@@ -2,9 +2,9 @@
 
 Subpackages:
 
-- galois: GF(p^m) arithmetic, polynomials, matrices, DFT matrices
+- galois: GF(p^m) arithmetic, polynomials, matrices, the n-point DFT
 - netmodel: delay networks, kernels, transfer matrices, simulation
-- transform: block diagonalization and the cyclic-prefix pipeline
+- transform: eigenblocks and the cyclic-prefix pipeline
 - feasibility: solvability analysis and transform-plan search
 - alignment: three-unicast interference alignment constructions
 - cli: command line front end

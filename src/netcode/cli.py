@@ -265,8 +265,10 @@ def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int, pretty: b
 
 
 def _transfer_text(tr: TransferResult, pretty: bool) -> str:
-    """transfer's report as JSON text: transfer_to_dict's fields, d_max and
-    entry_strs, each entry's display string, in either layout.
+    """transfer's report as JSON text, in either layout: the field,
+    d_prime_min/max, mu_list, nu_list and d_max, the entries' coefficient
+    lists (the transfer document transfer_from_dict reads) and entry_strs,
+    each entry's display string.
 
     The text is what _render writes for that tree; each coefficient list
     is written as its code's text.

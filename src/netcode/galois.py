@@ -21,16 +21,12 @@ __all__ = [
     "NotPrime",
     "ReducibleModulus",
     "NoSuchElement",
-    "WrongOrder",
-    "CharacteristicDividesN",
     "FieldSpec",
     "FieldElement",
     "build_field",
     "generator",
     "element_of_order",
     "multiplicative_order",
-    "dft_matrix",
-    "inverse_dft_matrix",
     "FqMatrix",
     "FqFactors",
     "Poly",
@@ -81,14 +77,6 @@ class ReducibleModulus(NetcodeError):
 
 
 class NoSuchElement(NetcodeError):
-    pass
-
-
-class WrongOrder(NetcodeError):
-    pass
-
-
-class CharacteristicDividesN(NetcodeError):
     pass
 
 
@@ -927,35 +915,39 @@ class FieldElement:
     def coeffs(self) -> tuple[int, ...]:
         return self.spec._codec().tuple_of(self.code)
 
-    def _check(self, other: "FieldElement") -> None:
+    def _valid(self) -> int:
+        """The code, refused unless it is in [0, q): the constructor takes
+        any int, and arithmetic must not read tables past their end."""
+        if 0 <= self.code < self.spec.q:
+            return self.code
+        raise ValueError(f"code {self.code!r} is not a code of {self.spec}")
+
+    def _check(self, other: "FieldElement") -> tuple[int, int]:
         if self.spec != other.spec:
             raise ValueError(f"mixed fields: {self.spec} and {other.spec}")
+        return self._valid(), other._valid()
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec._add_codes(self.code, other.code))
+        return FieldElement(self.spec, self.spec._add_codes(*self._check(other)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec._neg_code(self.code))
+        return FieldElement(self.spec, self.spec._neg_code(self._valid()))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec, self.spec._mul_codes(self.code, other.code))
+        return FieldElement(self.spec, self.spec._mul_codes(*self._check(other)))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(
-            self.spec, self.spec._mul_codes(self.code, self.spec._inv_code(other.code))
-        )
+        a, b = self._check(other)
+        return FieldElement(self.spec, self.spec._mul_codes(a, self.spec._inv_code(b)))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec._inv_code(self.code))
+        return FieldElement(self.spec, self.spec._inv_code(self._valid()))
 
     def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec._pow_code(self.code, e))
+        return FieldElement(self.spec, self.spec._pow_code(self._valid(), e))
 
     def __bool__(self) -> bool:
         return self.code != 0
@@ -1296,30 +1288,6 @@ def _dft(
     return [list(kern.unpack(acc, n)) for acc in accs]
 
 
-def _check_dft_args(alpha: FieldElement, n: int) -> None:
-    if n < 1:
-        raise ValueError("transform length must be positive")
-    if n % alpha.spec.p == 0:
-        raise CharacteristicDividesN(f"characteristic {alpha.spec.p} divides {n}")
-    if not alpha or multiplicative_order(alpha) != n:
-        raise WrongOrder(f"alpha must have multiplicative order exactly {n}")
-
-
-def dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
-    """The n-point transform matrix [alpha^(ij)]: the transform of the identity."""
-    _check_dft_args(alpha, n)
-    eye = FqMatrix.identity(alpha.spec, n).rows
-    return FqMatrix(alpha.spec, _dft(alpha.spec, eye, alpha.code, n))
-
-
-def inverse_dft_matrix(alpha: FieldElement, n: int) -> FqMatrix:
-    """Exact inverse of dft_matrix(alpha, n): (1/n) [alpha^(-ij)]."""
-    _check_dft_args(alpha, n)
-    spec = alpha.spec
-    a_inv, n_inv = spec._inv_code(alpha.code), spec._inv_code(n % spec.p)
-    return FqMatrix(spec, _dft(spec, FqMatrix.identity(spec, n).rows, a_inv, n, n_inv))
-
-
 # ----------------------------------------------------------------------
 # univariate polynomials over the field (indeterminate written D)
 # ----------------------------------------------------------------------
@@ -1516,17 +1484,6 @@ class PolyMatrix:
     @classmethod
     def zeros(cls, spec: FieldSpec, nrows: int, ncols: int) -> "PolyMatrix":
         return cls(spec, [[Poly.zero(spec) for _ in range(ncols)] for _ in range(nrows)])
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[Poly]]) -> "PolyMatrix":
-        if not entries or not entries[0]:
-            raise ValueError("need at least one entry")
-        spec = entries[0][0].spec
-        for row in entries:
-            for e in row:
-                if e.spec != spec:
-                    raise ValueError("mixed fields")
-        return cls(spec, [list(row) for row in entries])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -62,7 +62,6 @@ __all__ = [
     "network_from_dict",
     "leks_to_dict",
     "leks_from_dict",
-    "transfer_to_dict",
     "transfer_from_dict",
 ]
 
@@ -164,12 +163,6 @@ class NetworkSpec:
     @property
     def nu(self) -> int:
         return sum(self.nu_list)
-
-    def input_offset(self, i: int) -> int:
-        return sum(self.mu_list[:i])
-
-    def output_offset(self, j: int) -> int:
-        return sum(self.nu_list[:j])
 
     def demands_of_sink(self, j: int) -> list[tuple[int, int]]:
         """Sorted (source index, process index) pairs demanded by sink j."""
@@ -1091,19 +1084,6 @@ def leks_from_dict(d: dict) -> LekAssignment:
     if mode == "invariant":
         return LekAssignment(spec, "invariant", *triples[0])
     return LekAssignment(spec, "time", t0=t0, steps=tuple(triples))
-
-
-def transfer_to_dict(tr: TransferResult) -> dict:
-    to_json = tr.field.codes_to_json
-    entries = [[to_json(p.codes) for p in row] for row in tr.M.rows]
-    return {
-        "field": spec_to_dict(tr.field),
-        "d_prime_min": tr.d_prime_min,
-        "d_prime_max": tr.d_prime_max,
-        "mu_list": list(tr.mu_list),
-        "nu_list": list(tr.nu_list),
-        "entries": entries,
-    }
 
 
 def _counts(x, path: str) -> tuple[int, ...]:

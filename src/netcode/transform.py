@@ -1,4 +1,4 @@
-"""Block-circulant transforms: DFT diagonalization and the cyclic prefix.
+"""The block-circulant transform: eigenblocks and the cyclic-prefix pipeline.
 
 Convention used throughout: stacked generation vectors are newest-first,
 [X(n-1); ...; X(0)]. Under that stacking the kept channel outputs are the
@@ -21,7 +21,6 @@ from .galois import (
     FieldSpec,
     FqMatrix,
     NetcodeError,
-    Poly,
     PolyMatrix,
     _dft,
     _lift,
@@ -33,16 +32,11 @@ from .netmodel import _check_codes
 __all__ = [
     "BlockTooLong",
     "WindowMismatch",
-    "SingularAtGeneration",
     "TransformPlan",
-    "BlockCirculant",
     "make_plan",
-    "build_circulant",
-    "diagonalize",
     "eigen_blocks",
     "cp_encode",
     "cp_decode",
-    "instantaneous_solve",
     "run_pipeline",
 ]
 
@@ -55,14 +49,8 @@ class WindowMismatch(NetcodeError):
     pass
 
 
-class SingularAtGeneration(NetcodeError):
-    def __init__(self, t: int, message: str | None = None):
-        self.t = t
-        super().__init__(message or f"decode system singular at generation {t}")
-
-
 # ----------------------------------------------------------------------
-# plan and circulant containers
+# transform plans
 # ----------------------------------------------------------------------
 
 
@@ -94,41 +82,6 @@ def make_plan(n: int, field: FieldSpec, alpha: FieldElement, d_max: int) -> Tran
     return TransformPlan(n, field, alpha, d_max)
 
 
-@dataclass(frozen=True)
-class BlockCirculant:
-    """n x n grid of nu x mu blocks, entry (r, c) = A_((c-r) mod n)."""
-
-    n: int
-    blocks: tuple[FqMatrix, ...]  # A_0 ... A_L, lags above L are zero
-    realized: FqMatrix
-    nu: int
-    mu: int
-
-
-def build_circulant(pm: PolyMatrix, n: int) -> BlockCirculant:
-    """Lay the lag matrices of a polynomial block out as a circulant.
-
-    First block row is [A_0, A_1, ..., A_L, 0, ..., 0]; every following
-    row is the circular right shift of the one above.
-    """
-    L = max(pm.max_degree(), 0)
-    if L >= n:
-        raise BlockTooLong(f"entry degree {L} needs block length > {L}, got {n}")
-    spec = pm.spec
-    nu, mu = pm.shape
-    blocks = tuple(pm.coeff_matrix(d) for d in range(L + 1))
-    zero = FqMatrix.zeros(spec, nu, mu)
-    rows: list[list[int]] = []
-    for r in range(n):
-        block_row = []
-        for c in range(n):
-            d = (c - r) % n
-            block_row.append(blocks[d] if d <= L else zero)
-        for local in range(nu):
-            rows.append(sum((b.rows[local] for b in block_row), []))
-    return BlockCirculant(n, blocks, FqMatrix(spec, rows), nu, mu)
-
-
 def eigen_blocks(pm: PolyMatrix, plan: TransformPlan) -> list[FqMatrix]:
     """Mhat(t) = M(alpha^(n-1-t)) for t = 0 .. n-1, natural order.
 
@@ -141,22 +94,6 @@ def eigen_blocks(pm: PolyMatrix, plan: TransformPlan) -> list[FqMatrix]:
         FqMatrix(spec, [[v[k] for v in vals[r * w : r * w + w]] for r in range(pm.nrows)])
         for k in reversed(range(plan.n))
     ]
-
-
-def diagonalize(C: BlockCirculant, plan: TransformPlan) -> list[FqMatrix]:
-    """Eigenblocks of a circulant: Mhat(t) = sum_d A_d alpha^((n-1-t) d).
-
-    Returned in natural generation order. Satisfies the exact identity
-    C.realized = Q_nu . blockdiag(Mhat(n-1), ..., Mhat(0)) . Q_mu^{-1}.
-    """
-    if C.n != plan.n:
-        raise ValueError(f"circulant built for n = {C.n}, plan has n = {plan.n}")
-    spec = C.realized.spec
-    lags = [
-        [Poly(spec, [A.rows[r][c] for A in C.blocks]) for c in range(C.mu)]
-        for r in range(C.nu)
-    ]
-    return eigen_blocks(PolyMatrix(spec, lags), plan)
 
 
 # ----------------------------------------------------------------------
@@ -239,36 +176,6 @@ def cp_decode(plan: TransformPlan, slots: Sequence[Sequence[FieldElement]]) -> l
         )
     kept = _lanes(plan, slots[plan.d_max :], "sink", step=lambda t: f"slot {t + plan.d_max}")
     return _gens(plan.field, _dft_apply(plan, kept, invert=True), plan.n)
-
-
-def instantaneous_solve(
-    blocks: Sequence[FqMatrix],
-    demands: Sequence[tuple[int, int]],
-    y: Sequence[FieldElement],
-    t: int = 0,
-) -> list[FieldElement]:
-    """Solve one generation's square decode system at a sink.
-
-    blocks[i] is Mhat_ij(t) for source i (nu_j x mu_i); demands lists the
-    (source, process) pairs this sink must recover, one per output. Under
-    zero interference the demanded columns form a square system; its
-    unique solution is returned in demand order.
-    """
-    if not blocks:
-        raise ValueError("need at least one source block")
-    spec = blocks[0].spec
-    nu = blocks[0].nrows
-    if len(demands) != nu:
-        raise ValueError(
-            f"square decode needs exactly {nu} demands, got {len(demands)}"
-        )
-    M = FqMatrix(spec, [[blocks[i].rows[r][l] for (i, l) in demands] for r in range(nu)])
-    rhs = FqMatrix(spec, [[sym.code] for sym in y])
-    try:
-        sol = M.solve(rhs)
-    except ValueError as exc:
-        raise SingularAtGeneration(t, f"generation {t}: {exc}") from None
-    return [sol.entry(r, 0) for r in range(nu)]
 
 
 def run_pipeline(

@@ -30,9 +30,7 @@ from netcode.galois import (
     Poly,
     PolyMatrix,
     build_field,
-    dft_matrix,
     element_of_order,
-    inverse_dft_matrix,
     multiplicative_order,
 )
 from netcode.netmodel import (
@@ -46,13 +44,12 @@ from netcode.netmodel import (
     validate,
 )
 from netcode.transform import (
-    build_circulant,
-    diagonalize,
     eigen_blocks,
     make_plan,
     run_pipeline,
 )
 from tests.conftest import CATEGORY_LENGTHS, cat_net, kron, random_dag_net
+from tests.oracles import build_circulant, dft_matrix, diagonalize, inverse_dft_matrix
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)

@@ -36,8 +36,8 @@ from netcode.netmodel import (
     random_leks,
     transfer_matrix,
 )
-from netcode.transform import build_circulant
 from tests.conftest import CATEGORY_LENGTHS, cat_net
+from tests.oracles import build_circulant
 
 GF8 = build_field(2, 3)
 

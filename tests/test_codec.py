@@ -44,9 +44,9 @@ from netcode.netmodel import (
     random_leks,
     transfer_from_dict,
     transfer_matrix,
-    transfer_to_dict,
 )
 from tests.conftest import coeff_str, format_str, random_dag_net
+from tests.oracles import transfer_to_dict
 
 TABLED = [(2, 1), (2, 4), (2, 8), (3, 5), (2, 10)]
 

@@ -21,13 +21,12 @@ from netcode.galois import (
     _dft,
     _lift,
     build_field,
-    dft_matrix,
     element_of_order,
     embed,
-    inverse_dft_matrix,
     poly_eval_matrix,
 )
 from netcode.transform import eigen_blocks, make_plan
+from tests.oracles import dft_matrix, inverse_dft_matrix
 
 # (subfield (p, m), evaluation field (p, m), n): n divides the big q - 1
 CASES = [

@@ -31,6 +31,7 @@ from netcode.netmodel import (
     simulate,
 )
 from tests.conftest import random_dag_net
+from tests.oracles import input_offset, output_offset
 
 # GF(2), GF(2^8) and GF(2^16) have tables, GF(2^20) is above the table
 # cap, GF(3^10) and GF(7) are odd-characteristic
@@ -175,7 +176,7 @@ def _old_simulate(net, leks, inputs, t_start=0):
             vec = x_t[i]
             if len(vec) != src.processes:
                 raise ValueError(f"step {step}: source {i} expects {src.processes} symbols")
-            off = net.input_offset(i)
+            off = input_offset(net, i)
             for l, sym in enumerate(vec):
                 if sym.spec != spec:
                     raise ValueError("input symbol from a different field")
@@ -186,7 +187,7 @@ def _old_simulate(net, leks, inputs, t_start=0):
                 flat_y[out_flat] = add(flat_y[out_flat], mul(code, state[epos]))
         step_out = []
         for j, snk in enumerate(net.sinks):
-            off = net.output_offset(j)
+            off = output_offset(net, j)
             step_out.append([FieldElement(spec, flat_y[off + r]) for r in range(snk.outputs)])
         outputs.append(step_out)
         new_state = [0] * ne

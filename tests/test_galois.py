@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from netcode import galois
 from netcode.galois import (
-    CharacteristicDividesN,
     FieldElement,
     FieldSpec,
     FqMatrix,
@@ -19,15 +19,11 @@ from netcode.galois import (
     NotPrime,
     ParseError,
     Poly,
-    PolyMatrix,
     ReducibleModulus,
-    WrongOrder,
     build_field,
-    dft_matrix,
     element_of_order,
     embed,
     generator,
-    inverse_dft_matrix,
     multiplicative_order,
     poly_eval_matrix,
     spec_from_dict,
@@ -39,6 +35,13 @@ from netcode.galois import (
 )
 from netcode.transform import make_plan
 from tests.conftest import kron
+from tests.oracles import (
+    CharacteristicDividesN,
+    WrongOrder,
+    dft_matrix,
+    inverse_dft_matrix,
+    poly_matrix,
+)
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
@@ -135,6 +138,35 @@ def test_gf64_inverse(x):
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GF8.one() / GF8.zero()
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (7, 1), (3, 5), (2, 20)])
+def test_arithmetic_refuses_codes_outside_the_field(p, m):
+    """The constructor takes any int; every operator refuses an operand
+    whose code is not in [0, q), before any table is read."""
+    spec = build_field(p, m)
+    ok, top = FieldElement(spec, 3), FieldElement(spec, spec.q - 1)
+    binary = [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x / y,
+    ]
+    unary = [lambda x: -x, lambda x: x.inverse(), lambda x: x**2]
+    for code in (spec.q, spec.q + 91, -1):
+        bad = FieldElement(spec, code)
+        match = rf"^code {code} is not a code of {re.escape(str(spec))}$"
+        for op in binary:
+            for x, y in ((bad, ok), (ok, bad), (bad, bad)):
+                with pytest.raises(ValueError, match=match):
+                    op(x, y)
+        for op in unary:
+            with pytest.raises(ValueError, match=match):
+                op(bad)
+    # control: the extreme codes 0 and q - 1 pass through every operator
+    assert (top + ok) - ok == top and -(-top) == top
+    assert top * top.inverse() == spec.one() == top / top
+    assert top**2 == top * top and spec.zero() * top == spec.zero()
 
 
 def test_generator_and_orders():
@@ -299,7 +331,7 @@ def test_polymatrix_det_and_eval():
     D = Poly.monomial(GF2, GF2.one(), 1)
     Z = Poly.zero(GF2)
     one = Poly.one(GF2)
-    pm = PolyMatrix.from_entries([[D, one], [Z, D]])
+    pm = poly_matrix([[D, one], [Z, D]])
     assert pm.det() == D * D
     assert pm.max_degree() == 1
     alpha = generator(GF8)

@@ -25,10 +25,10 @@ from netcode.netmodel import (
     simulate,
     transfer_from_dict,
     transfer_matrix,
-    transfer_to_dict,
     validate,
 )
 from tests.conftest import random_dag_net
+from tests.oracles import input_offset, output_offset, transfer_to_dict
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
@@ -261,11 +261,11 @@ def test_simulation_matches_polynomial_product():
         out = simulate(net, leks, x)
         for j, snk in enumerate(net.sinks):
             for r in range(snk.outputs):
-                row = net.output_offset(j) + r
+                row = output_offset(net, j) + r
                 acc = Poly.zero(GF8)
                 for i, src in enumerate(net.sources):
                     for l in range(src.processes):
-                        col = net.input_offset(i) + l
+                        col = input_offset(net, i) + l
                         xpoly = Poly.from_elements(
                             [x[t][i][l] for t in range(active)]
                         )

@@ -8,7 +8,7 @@ that netmodel._by_step and FieldSpec.codes_to_json build from those rows.
 netcode transform and netcode transfer write their reports from per-code
 texts too (cli._transform_text, cli._transfer_text). Their oracles are the
 encoder on the trees those subcommands used to build: one record per
-generation and demanding sink, and transfer_to_dict with d_max and
+generation and demanding sink, and oracles.transfer_to_dict with d_max and
 entry_strs, every coefficient list and display string made digit by digit.
 """
 
@@ -41,10 +41,10 @@ from netcode.netmodel import (
     network_to_dict,
     random_leks,
     transfer_matrix,
-    transfer_to_dict,
 )
 from netcode.transform import make_plan
 from tests.conftest import format_str, random_dag_net
+from tests.oracles import transfer_to_dict
 
 # GF(2^6) runs in code lists below 8 steps and in byte lanes from 8 on;
 # GF(2^16) is above the codec-table cap

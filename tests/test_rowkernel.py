@@ -34,11 +34,10 @@ from netcode.galois import (
     _mul_into,
     _PrimeLists,
     build_field,
-    dft_matrix,
     element_of_order,
-    inverse_dft_matrix,
 )
 from netcode.transform import _dft_apply, make_plan
+from tests.oracles import dft_matrix, inverse_dft_matrix
 
 # byte lanes in the first four; log tables up to GF(2^16); above the table
 # cap, carry-less products in GF(2^17) and schoolbook digits in GF(3^11)
@@ -406,7 +405,8 @@ def test_solve_with_no_columns_gives_distinct_rows(p, m, n):
 @pytest.mark.parametrize("p, m", [(2, 8), (7, 1)])
 @pytest.mark.parametrize("n", [4, W + 2])
 def test_solve_error_messages(p, m, n):
-    """SingularDecodeSystem and SingularAtGeneration carry these messages.
+    """The solve refusals: alignment's SingularDecodeSystem carries these
+    messages, as does tests.oracles.SingularAtGeneration.
 
     An inconsistent tall system reads "rank deficient": eliminated beside
     the matrix, its right-hand side takes a pivot."""

@@ -10,9 +10,7 @@ from netcode.galois import (
     Poly,
     PolyMatrix,
     build_field,
-    dft_matrix,
     element_of_order,
-    inverse_dft_matrix,
 )
 from netcode.netmodel import (
     Edge,
@@ -25,19 +23,24 @@ from netcode.netmodel import (
 )
 from netcode.transform import (
     BlockTooLong,
-    SingularAtGeneration,
     WindowMismatch,
-    build_circulant,
     cp_decode,
     cp_encode,
-    diagonalize,
     eigen_blocks,
-    instantaneous_solve,
     make_plan,
     run_pipeline,
 )
 from netcode.netmodel import CycleDetected
 from tests.conftest import kron, random_dag_net
+from tests.oracles import (
+    SingularAtGeneration,
+    build_circulant,
+    dft_matrix,
+    diagonalize,
+    instantaneous_solve,
+    inverse_dft_matrix,
+    poly_matrix,
+)
 
 GF8 = build_field(2, 3)
 GF16 = build_field(2, 4)
@@ -106,7 +109,7 @@ def test_circulant_layout():
 
 
 def test_circulant_rejects_long_blocks():
-    pm = PolyMatrix.from_entries([[Poly(GF8, [0, 0, 0, 1])]])  # degree 3
+    pm = poly_matrix([[Poly(GF8, [0, 0, 0, 1])]])  # degree 3
     with pytest.raises(BlockTooLong):
         build_circulant(pm, 3)
     build_circulant(pm, 4)  # boundary: degree n-1 is fine
