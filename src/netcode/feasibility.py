@@ -13,7 +13,7 @@ exactly when its own factor det M'_j(D) is nonzero at alpha^(n-1-t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .galois import (
     FieldElement,

@@ -379,10 +379,6 @@ class FieldSpec:
         """The m coefficients of each code, lowest degree first, in new lists."""
         return list(map(list, map(self._codec().tuple_of, codes)))
 
-    def scalar(self, c: int) -> "FieldElement":
-        """The prime-subfield constant c mod p."""
-        return FieldElement(self, c % self.p)
-
     # -- code-level arithmetic -----------------------------------------
 
     def _add_codes(self, a: int, b: int) -> int:
@@ -1017,19 +1013,6 @@ class FqMatrix:
             rows[i][i] = 1
         return cls(spec, rows)
 
-    @classmethod
-    def from_elements(cls, entries: Sequence[Sequence[FieldElement]]) -> "FqMatrix":
-        if not entries or not entries[0]:
-            raise ValueError("need at least one entry")
-        spec = entries[0][0].spec
-        rows = []
-        for row in entries:
-            for e in row:
-                if e.spec != spec:
-                    raise ValueError("mixed fields in matrix")
-            rows.append([e.code for e in row])
-        return cls(spec, rows)
-
     # -- accessors -----------------------------------------------------
 
     @property
@@ -1353,22 +1336,6 @@ class Poly:
     def one(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, (1,))
 
-    @classmethod
-    def monomial(cls, spec: FieldSpec, coeff: FieldElement, power: int) -> "Poly":
-        if coeff.spec != spec:
-            raise ValueError("mixed fields")
-        return cls(spec, (0,) * power + (coeff.code,))
-
-    @classmethod
-    def from_elements(cls, coeffs: Sequence[FieldElement]) -> "Poly":
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        spec = coeffs[0].spec
-        for c in coeffs:
-            if c.spec != spec:
-                raise ValueError("mixed fields")
-        return cls(spec, [c.code for c in coeffs])
-
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.codes) - 1
@@ -1448,7 +1415,7 @@ class Poly:
     def __repr__(self) -> str:
         return f"<Poly {self.format_str()} over {self.spec!r}>"
 
-    def format_str(self, var: str = "D") -> str:
+    def format_str(self) -> str:
         if not self.codes:
             return "0"
         str_of = self.spec._codec().str_of
@@ -1460,7 +1427,7 @@ class Poly:
             if d == 0:
                 terms.append(cs if "+" not in cs else f"({cs})")
                 continue
-            base = var if d == 1 else f"{var}^{d}"
+            base = "D" if d == 1 else f"D^{d}"
             if c == 1:
                 terms.append(base)
             elif "+" in cs:
@@ -1484,10 +1451,6 @@ class PolyMatrix:
     @classmethod
     def zeros(cls, spec: FieldSpec, nrows: int, ncols: int) -> "PolyMatrix":
         return cls(spec, [[Poly.zero(spec) for _ in range(ncols)] for _ in range(nrows)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]

@@ -215,8 +215,8 @@ class LekAssignment:
     beta keys:  (in-edge key, out-edge key) with head(in) = tail(out)
     eps keys:   (in-edge key, (sink index, output index))
 
-    Each step's kernels are compiled against a network once and kept with
-    the assignment, so the mappings must not change after the first run.
+    Every window compiles the kernels afresh, so it runs the mappings as
+    they are when it starts.
     """
 
     field: FieldSpec
@@ -226,8 +226,6 @@ class LekAssignment:
     eps: Mapping = dc_field(default_factory=dict)
     t0: int = 0
     steps: tuple[KernelTriple, ...] = ()
-    # id(net) -> (net, {step, None if invariant: its compiled kernels})
-    _compiled: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kernels_at(self, t: int) -> KernelTriple:
         if self.mode == "invariant":
@@ -607,18 +605,9 @@ def _compiled_columns(net: NetworkSpec, triple: KernelTriple):
 
 
 def _terms(net: NetworkSpec, leks: LekAssignment, t: int):
-    """The compiled kernels of step t, compiled once for each network."""
-    # the entry keeps net alive, so its id stays net's; a copied assignment
-    # holds copies of its networks, which are not net
-    held, memo = leks._compiled.get(id(net), (None, None))
-    if held is not net:
-        memo = {}
-        leks._compiled[id(net)] = net, memo
-    step = None if leks.mode == "invariant" else t
-    if step not in memo:
-        triple = leks.kernels_at(t)
-        memo[step] = _compiled_columns(net, triple) or _compiled_kernels(net, triple, leks.field)
-    return memo[step]
+    """The compiled kernels of step t, as the assignment's mappings are now."""
+    triple = leks.kernels_at(t)
+    return _compiled_columns(net, triple) or _compiled_kernels(net, triple, leks.field)
 
 
 def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:

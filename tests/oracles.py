@@ -105,7 +105,7 @@ def build_circulant(pm: PolyMatrix, n: int) -> BlockCirculant:
     if L >= n:
         raise BlockTooLong(f"entry degree {L} needs block length > {L}, got {n}")
     spec = pm.spec
-    nu, mu = pm.shape
+    nu, mu = pm.nrows, pm.ncols
     blocks = tuple(pm.coeff_matrix(d) for d in range(L + 1))
     zero = FqMatrix.zeros(spec, nu, mu)
     rows: list[list[int]] = []

@@ -58,7 +58,7 @@ GF64 = build_field(2, 6)
 
 
 def _mono(spec, d):
-    return Poly.monomial(spec, spec.one(), d)
+    return Poly(spec, [0] * d + [1])
 
 
 def test_criterion_01_reference_determinants_and_f():

@@ -547,10 +547,9 @@ def test_check_tv_on_solved_delayed_networks(ex2, gf64):
 
 @pytest.mark.parametrize("mode", ["invariant", "time"])
 def test_tv_compiles_kernels_once(ex2, gf64, monkeypatch, mode):
-    # compiles are kept per network: a fresh copy of the fixture's has none.
-    # Every compile starts in _compiled_columns, which compiles the
+    # every compile starts in _compiled_columns, which compiles the
     # fixture's kernels as read and hands random ones to _compiled_kernels
-    net, leks = dataclasses.replace(ex2[0]), ex2[1]
+    net, leks = ex2
     if mode == "time":
         leks = random_leks(net, gf64, "once", mode="time", window=(-4, 12), nonzero=True)
     compiled = []
@@ -567,10 +566,6 @@ def test_tv_compiles_kernels_once(ex2, gf64, monkeypatch, mode):
     else:  # one compile per label -d_max .. 2n + d_prime_min, in order
         labels = range(-tv.d_max, 2 * tv.n + tv.d_prime_min + 1)
         assert [id(t) for t in compiled] == [id(leks.kernels_at(t)) for t in labels]
-    # and none again on the same network
-    count = len(compiled)
-    assert build_tv(net, leks, 3).M == tv.M
-    assert len(compiled) == count
 
 
 def tv_digest(tv):

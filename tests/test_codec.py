@@ -11,9 +11,10 @@ and the oracle for what the read kernels compile to on a network is
 _compiled_kernels of the walk's mappings.
 """
 
-import copy
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -42,6 +43,7 @@ from netcode.netmodel import (
     leks_to_dict,
     network_from_dict,
     random_leks,
+    simulate,
     transfer_from_dict,
     transfer_matrix,
 )
@@ -497,32 +499,50 @@ def test_read_kernels_compile_as_the_walk():
     assert compiled > 50 and refused > 20
 
 
-def test_a_mapping_changed_before_the_first_window_is_what_compiles():
-    # a part whose mapping has been read compiles from the mapping, so a
-    # change made to it before the first window counts, as in a dict
+def _copied(leks):
+    """A fresh assignment of copies of leks's mappings as they are now."""
+    steps = tuple(tuple(map(dict, triple)) for triple in leks.steps)
+    return LekAssignment(
+        leks.field, leks.mode, dict(leks.alpha), dict(leks.beta), dict(leks.eps), leks.t0, steps
+    )
+
+
+def test_a_mapping_changed_after_a_window_is_what_the_next_compiles():
+    # every window compiles the mappings as they are when it starts, as a
+    # fresh assignment of copies of them does: a change made before the
+    # first window counts, and so does one made after it
     doc = load_fixture("example2")
     net = network_from_dict(doc["network"])
-    leks = leks_from_dict(doc["kernels"])
-    key = next(iter(leks.alpha))
-    leks.alpha[key] = leks.field.zero()
-    plain = LekAssignment(leks.field, "invariant", dict(leks.alpha), leks.beta, leks.eps)
-    changed = transfer_matrix(net, leks).M
-    assert changed == transfer_matrix(net, plain).M
-    assert changed != transfer_matrix(net, leks_from_dict(doc["kernels"])).M
+    read = leks_from_dict(doc["kernels"])
+    spec = read.field
+    for leks in (read, random_leks(net, spec, "changed", nonzero=True)):
+        first = transfer_matrix(net, leks).M
+        for key in list(leks.alpha)[:2]:
+            leks.alpha[key] = spec.zero()
+            changed = transfer_matrix(net, leks).M
+            assert changed == transfer_matrix(net, _copied(leks)).M
+            assert changed != first
+            first = changed
+    leks = random_leks(net, spec, "changed", mode="time", window=(0, 11), nonzero=True)
+    rng = random.Random("changed")
+    procs = [s.processes for s in net.sources]
+    x = [[[rng.randrange(1, spec.q) for _ in range(k)] for k in procs] for _ in range(12)]
+    first = simulate(net, leks, x, codes=True)
+    alpha = leks.kernels_at(2)[0]
+    alpha[next(iter(alpha))] = spec.zero()
+    changed = simulate(net, leks, x, codes=True)
+    assert changed == simulate(net, _copied(leks), x, codes=True)
+    assert changed != first
 
 
-def test_compiles_are_kept_for_the_network_itself():
-    # a deep copy keeps its compiles under the ids of the networks it was
-    # compiled on, with copies of them: another network that comes to have
-    # such an id is compiled afresh
+def test_an_assignment_keeps_no_network_alive():
     doc = load_fixture("example2")
     net, leks = network_from_dict(doc["network"]), leks_from_dict(doc["kernels"])
-    want = _terms(net, leks, 0)
-    copied = copy.deepcopy(leks)
-    assert _terms(net, copied, 0) == want
-    other = network_from_dict(doc["network"])
-    copied._compiled[id(other)] = (net, [[], [], []])
-    assert _terms(other, copied, 0) == want
+    transfer_matrix(net, leks)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
 
 
 def test_number_node_names_read_as_strings():

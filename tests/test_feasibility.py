@@ -34,7 +34,7 @@ GF8 = build_field(2, 3)
 
 
 def mono(spec, d):
-    return Poly.monomial(spec, spec.one(), d)
+    return Poly(spec, [0] * d + [1])
 
 
 # ----------------------------------------------------------------------
@@ -129,11 +129,11 @@ def test_check_plan_flags_exactly_the_root_generations():
     for roots in [(0,), (2, 5), (1, 3, 6)]:
         f = Poly.one(GF8)
         for k in roots:
-            f = f * (Poly.monomial(GF8, GF8.one(), 1) - Poly.from_elements([alpha**k]))
+            f = f * (Poly(GF8, [0, 1]) - Poly(GF8, [(alpha**k).code]))
         chk = check_plan(f, plan)
         assert not chk.ok
         assert chk.failing == roots
-    g = Poly.monomial(GF8, generator(GF8), 3)  # no roots of unity at all
+    g = Poly(GF8, [0, 0, 0, generator(GF8).code])  # no roots of unity at all
     assert check_plan(g, plan).ok
     assert bool(check_plan(g, plan)) is True
 
@@ -145,7 +145,7 @@ def test_check_plan_flags_exactly_the_root_generations():
 
 def test_find_plan_skips_lengths_hit_by_roots():
     alpha = element_of_order(GF8, 7)
-    f = Poly.monomial(GF8, GF8.one(), 1) - Poly.from_elements([alpha])
+    f = Poly(GF8, [0, 1]) - Poly(GF8, [alpha.code])
     plan = find_plan(f, n_min=2)
     # every n = 7 candidate in GF(8) hits the root; the search must move on
     assert (plan.n, plan.field) != (7, GF8)

@@ -104,8 +104,8 @@ def test_bad_modulus_raises_on_every_call():
 
 def test_prime_field_is_plain_modular():
     gf7 = build_field(7, 1)
-    a = gf7.scalar(3)
-    b = gf7.scalar(5)
+    a = FieldElement(gf7, 3)
+    b = FieldElement(gf7, 5)
     assert (a * b).coeffs == (1,)  # 15 mod 7
     assert (a + b).coeffs == (1,)
     assert a.inverse() * a == gf7.one()
@@ -216,8 +216,7 @@ def _rand_matrix(spec, rng, r, c):
 
 def test_matrix_hand_values():
     one = GF2.one()
-    z = GF2.zero()
-    M = FqMatrix.from_elements([[one, one], [z, one]])
+    M = FqMatrix(GF2, [[1, 1], [0, 1]])
     assert M.rank() == 2
     assert M.det() == one
     assert M.inverse() * M == FqMatrix.identity(GF2, 2)
@@ -260,8 +259,7 @@ def test_overdetermined_solve():
 
 
 def test_rank_drops_on_dependent_rows():
-    one = GF8.one()
-    M = FqMatrix.from_elements([[one, one], [one, one]])
+    M = FqMatrix(GF8, [[1, 1], [1, 1]])
     assert M.rank() == 1
     with pytest.raises(ValueError):
         M.inverse()
@@ -291,8 +289,8 @@ def test_kron_mixed_product():
 
 
 def test_poly_basic():
-    p = Poly.monomial(GF2, GF2.one(), 3) + Poly.one(GF2)  # 1 + D^3
-    q = Poly.monomial(GF2, GF2.one(), 1)
+    p = Poly(GF2, [0, 0, 0, 1]) + Poly.one(GF2)  # 1 + D^3
+    q = Poly(GF2, [0, 1])
     assert (p * q).degree() == 4
     assert p.eval(GF2.one()) == GF2.zero()
     assert Poly.zero(GF2).degree() == -1
@@ -328,7 +326,7 @@ def test_poly_eval_embeds_into_extension():
 
 
 def test_polymatrix_det_and_eval():
-    D = Poly.monomial(GF2, GF2.one(), 1)
+    D = Poly(GF2, [0, 1])
     Z = Poly.zero(GF2)
     one = Poly.one(GF2)
     pm = poly_matrix([[D, one], [Z, D]])

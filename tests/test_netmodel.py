@@ -266,9 +266,7 @@ def test_simulation_matches_polynomial_product():
                 for i, src in enumerate(net.sources):
                     for l in range(src.processes):
                         col = input_offset(net, i) + l
-                        xpoly = Poly.from_elements(
-                            [x[t][i][l] for t in range(active)]
-                        )
+                        xpoly = Poly(GF8, [x[t][i][l].code for t in range(active)])
                         acc = acc + tr.M.entry(row, col) * xpoly
                 acc = acc.shift(tr.d_prime_min)
                 for t in range(total):
