@@ -596,10 +596,15 @@ class FieldSpec:
 #     (one factor per row) and src (codes as unpack gives them),
 #     rows[start + i] += factors[i] * scale * src
 #   scaled(f, codes) -> f * codes
-# matvec and scaled return code lists; axpy and axpys also change a
-# code-list row in place. No call takes a factor per entry: a time-indexed
-# term (netmodel._window) multiplies its factors and series entry by entry
-# and adds the product with axpy at factor 1.
+#   zero() -> an empty row; mul_into(row, a, src) -> row + a * src, for
+#     polynomials lowest power first, lengthening a code-list row as needed
+#   div_exact(row, src) -> row / b as unpack's codes, for the monic b of
+#     src = prep(b, -1); ArithmeticError unless b divides row
+# matvec and scaled return code lists; axpy, axpys and mul_into also change
+# a code-list row in place, and div_exact consumes it. No call takes a
+# factor per entry: a time-indexed term (netmodel._window) multiplies its
+# factors and series entry by entry and adds the product with axpy at
+# factor 1. PolyMatrix.det runs in the kernel of its degree bound + 1.
 
 
 class _CodeLists:
@@ -610,7 +615,7 @@ class _CodeLists:
 
     __slots__ = ()
 
-    pack = list
+    pack = zero = list
 
     @staticmethod
     def unpack(row: list[int], width: int) -> list[int]:
@@ -635,6 +640,31 @@ class _CodeLists:
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return self.axpy([0] * len(codes), factor, self.prep(codes))
+
+    def mul_into(self, out: list[int], a: Sequence[int], src: list) -> list[int]:
+        if src and len(out) < len(a) + src[-1][0]:
+            out += [0] * (len(a) + src[-1][0] - len(out))
+        axpy = self.axpy
+        for i, x in enumerate(a):
+            if x:
+                axpy(out, x, src, i)
+        return out
+
+    def div_exact(self, rem: list[int], src: list) -> tuple[int, ...]:
+        while rem and not rem[-1]:
+            rem.pop()
+        db, axpy = src[-1][0], self.axpy  # db: the divisor's degree
+        if not db:
+            return tuple(rem)
+        quot = [0] * max(len(rem) - db, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + db]
+            if c:
+                quot[i] = c
+                axpy(rem, c, src, i)  # adds c * -b, which clears rem[i + db]
+        if any(rem):
+            raise ArithmeticError("polynomial division leaves a remainder")
+        return tuple(quot)
 
 
 class _LogLists(_CodeLists):
@@ -774,6 +804,7 @@ class _LaneKernel:
         return row.to_bytes(width, "little")
 
     join = staticmethod(b"".join)
+    zero = int
 
     @staticmethod
     def column(rows: list[int], start: int, c: int) -> list[int]:
@@ -808,6 +839,30 @@ class _LaneKernel:
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return list(bytes(codes).translate(self.tables[factor]))
+
+    def mul_into(self, row: int, a: Sequence[int], src: bytes) -> int:
+        tables, unpack, shift = self.tables, int.from_bytes, 0
+        for x in a:
+            if x:
+                row ^= unpack(src.translate(tables[x]), "little") << shift
+            shift += 8
+        return row
+
+    def div_exact(self, rem: int, src: bytes) -> bytes:
+        # src is monic: a step clears top lane c by c * src, the quotient's code
+        top = 8 * len(src) - 8
+        if not top:
+            return rem.to_bytes(rem.bit_length() + 7 >> 3, "little")
+        tables, unpack, quot = self.tables, int.from_bytes, 0
+        while rem >> top:
+            shift = rem.bit_length() - 1 & -8
+            c = rem >> shift
+            shift -= top
+            quot |= c << shift
+            rem ^= unpack(src.translate(tables[c]), "little") << shift
+        if rem:
+            raise ArithmeticError("polynomial division leaves a remainder")
+        return quot.to_bytes(quot.bit_length() + 7 >> 3, "little")
 
 
 # One spec per field, so its tables and generator are computed once per
@@ -1276,14 +1331,6 @@ def _dft(
 # ----------------------------------------------------------------------
 
 
-def _mul_into(spec: FieldSpec, out: list[int], a: Sequence[int], b: list) -> None:
-    """out += a * b for code sequences, lowest power first; b is prepared."""
-    axpy = spec._lists.axpy
-    for i, x in enumerate(a):
-        if x:
-            axpy(out, x, b, i)
-
-
 def _horner(spec: FieldSpec, codes: Sequence[int], x: int) -> int:
     """The code of sum codes[d] x^d in spec, codes lowest power first."""
     mul, add = spec._mul_codes, spec._add_codes
@@ -1291,29 +1338,6 @@ def _horner(spec: FieldSpec, codes: Sequence[int], x: int) -> int:
     for c in reversed(codes):
         acc = add(mul(acc, x), c)
     return acc
-
-
-def _div_exact(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """a / b for code sequences; raises ArithmeticError unless b divides a."""
-    rem = list(a)
-    while rem and not rem[-1]:
-        rem.pop()
-    if len(b) == 1 and b[0] == 1:
-        return tuple(rem)
-    db = len(b) - 1
-    # -b / lead(b), so each step adds rem's top coefficient times it
-    inv_lead = spec._inv_code(b[-1])
-    minus_b = spec._lists.prep(b, spec._neg_code(inv_lead))
-    axpy, mul = spec._lists.axpy, spec._mul_codes
-    quot = [0] * max(len(rem) - db, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db]
-        if c:
-            quot[i] = mul(c, inv_lead)
-            axpy(rem, c, minus_b, i)
-    if any(rem):
-        raise ArithmeticError("polynomial division leaves a remainder")
-    return tuple(quot)
 
 
 class Poly:
@@ -1357,13 +1381,20 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.spec, self.codes))
 
-    def _check(self, other: "Poly") -> None:
+    def _valid(self) -> tuple[int, ...]:
+        """The codes, refused as FieldElement refuses one outside [0, q)."""
+        codes, q = self.codes, self.spec.q
+        if codes and (min(codes) < 0 or max(codes) >= q):
+            FieldElement(self.spec, next(c for c in codes if not 0 <= c < q))._valid()
+        return codes
+
+    def _check(self, other: "Poly") -> tuple[tuple[int, ...], tuple[int, ...]]:
         if self.spec != other.spec:
             raise ValueError("mixed fields")
+        return self._valid(), other._valid()
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self.codes, other.codes
+        a, b = self._check(other)
         if len(a) < len(b):
             a, b = b, a
         lists = self.spec._lists
@@ -1380,19 +1411,17 @@ class Poly:
             if other.spec != self.spec:
                 raise ValueError("mixed fields")
             scaled = self.spec._kernel(len(self.codes)).scaled
-            return Poly(self.spec, scaled(other.code, self.codes))
-        self._check(other)
-        if not self.codes or not other.codes:
-            return Poly.zero(self.spec)
-        out = [0] * (len(self.codes) + len(other.codes) - 1)
-        _mul_into(self.spec, out, self.codes, self.spec._lists.prep(other.codes))
-        return Poly(self.spec, out)
+            return Poly(self.spec, scaled(other._valid(), self._valid()))
+        a, b = sorted(self._check(other), key=len)  # lanes translate b once per code of a
+        n = len(a) + len(b) - 1
+        kern = self.spec._kernel(n)
+        return Poly(self.spec, kern.unpack(kern.mul_into(kern.zero(), a, kern.prep(b)), n))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.one(self.spec)
-        base = self
+        self._valid()
+        out, base = Poly.one(self.spec), self
         while e:
             if e & 1:
                 out = out * base
@@ -1410,13 +1439,14 @@ class Poly:
 
     def eval(self, x: FieldElement) -> FieldElement:
         """Evaluate at x, embedding coefficients if x lives in an extension."""
-        return FieldElement(x.spec, _horner(x.spec, _lift(self.spec, x.spec, self.codes), x.code))
+        codes, at = _lift(self.spec, x.spec, self._valid()), x._valid()
+        return FieldElement(x.spec, _horner(x.spec, codes, at))
 
     def __repr__(self) -> str:
         return f"<Poly {self.format_str()} over {self.spec!r}>"
 
     def format_str(self) -> str:
-        if not self.codes:
+        if not self._valid():
             return "0"
         str_of = self.spec._codec().str_of
         terms = []
@@ -1484,34 +1514,39 @@ class PolyMatrix:
 
         Step k sets a_ij = (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) for
         i, j > k; every division is exact, so entries stay polynomials.
+        Products and divisions run in the row kernel (FieldSpec._kernel) of
+        width bound + 1, for bound the sum of the rows' largest degrees.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         spec, n = self.spec, self.nrows
-        prep, minus_one = spec._lists.prep, spec._neg_code(1)
         a = [[p.codes for p in row] for row in self.rows]
+        Poly(spec, list(chain.from_iterable(chain.from_iterable(a))))._valid()
+        kern = spec._kernel(sum(max(map(len, row)) for row in a) - n + 1)
+        zero, prep, mul_into, div_exact = kern.zero, kern.prep, kern.mul_into, kern.div_exact
         prev, negate = (1,), False
-        for k in range(n):
+        for k in range(n - 1):
             piv = next((i for i in range(k, n) if a[i][k]), None)
             if piv is None:
                 return Poly.zero(spec)
             if piv != k:
                 a[k], a[piv] = a[piv], a[k]
                 negate = not negate
+            # numerators carry s = 1 / lead(prev), so the divisor is monic
+            s = spec._inv_code(prev[-1])
+            minus_s = spec._neg_code(s)
+            monic = prep(prev, minus_s)
             row_k = a[k]
-            akk = row_k[k]
-            akk_src = prep(akk)
-            rest = [(j, row_k[j], prep(row_k[j], minus_one)) for j in range(k + 1, n)]
+            akk_src = prep(row_k[k], s)
+            rest = [(j, prep(row_k[j], minus_s)) for j in range(k + 1, n)]
             for row_i in a[k + 1 :]:
                 aik = row_i[k]
-                for j, akj, minus_akj in rest:
-                    aij = row_i[j]
-                    out = [0] * (max(len(akk) + len(aij), len(aik) + len(akj)) - 1)
-                    _mul_into(spec, out, aij, akk_src)
-                    _mul_into(spec, out, aik, minus_akj)
-                    row_i[j] = _div_exact(spec, out, prev)
-            prev = akk
-        return -Poly(spec, prev) if negate else Poly(spec, prev)
+                for j, minus_akj in rest:
+                    out = mul_into(mul_into(zero(), row_i[j], akk_src), aik, minus_akj)
+                    row_i[j] = div_exact(out, monic)
+            prev = row_k[k]
+        det = Poly(spec, a[-1][-1] if n else (1,))  # the last pivot
+        return -det if negate else det
 
     def __repr__(self) -> str:
         return f"<PolyMatrix {self.nrows}x{self.ncols} over {self.spec!r}>"

@@ -23,8 +23,8 @@ from .galois import (
     NetcodeError,
     PolyMatrix,
     _dft,
+    _factorint,
     _lift,
-    multiplicative_order,
 )
 from .netmodel import LekAssignment, NetworkSpec, TransferResult, _window, transfer_matrix
 from .netmodel import _check_codes
@@ -77,7 +77,9 @@ def make_plan(n: int, field: FieldSpec, alpha: FieldElement, d_max: int) -> Tran
         raise BlockTooLong(f"block length {n} must exceed d_max = {d_max}")
     if alpha.spec != field:
         raise ValueError("alpha not in the operating field")
-    if not alpha or multiplicative_order(alpha) != n:
+    # alpha^n = 1 and alpha^(n/r) != 1 for each prime r | n, not the full order
+    a, power = alpha._valid(), field._pow_code
+    if not a or power(a, n) != 1 or any(power(a, n // r) == 1 for r in _factorint(n)):
         raise ValueError(f"alpha must have multiplicative order exactly {n}")
     return TransformPlan(n, field, alpha, d_max)
 

@@ -19,6 +19,7 @@ from netcode.galois import (
     NotPrime,
     ParseError,
     Poly,
+    PolyMatrix,
     ReducibleModulus,
     build_field,
     element_of_order,
@@ -167,6 +168,42 @@ def test_arithmetic_refuses_codes_outside_the_field(p, m):
     assert (top + ok) - ok == top and -(-top) == top
     assert top * top.inverse() == spec.one() == top / top
     assert top**2 == top * top and spec.zero() * top == spec.zero()
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (2, 6), (7, 1), (3, 5), (2, 20)])
+def test_poly_arithmetic_refuses_codes_outside_the_field(p, m):
+    """The constructor takes any ints; + - * **, eval, format_str and
+    PolyMatrix.det refuse a coefficient whose code is not in [0, q), with
+    FieldElement's message, in code lists and in byte lanes alike."""
+    spec = build_field(p, m)
+    ok, x = Poly(spec, [3, 0, 1]), FieldElement(spec, 2)
+    one = Poly.one(spec)
+    binary = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b]
+    for code in (spec.q, spec.q + 91, -1):
+        bad = Poly(spec, [1, code, 2])
+        match = rf"^code {code} is not a code of {re.escape(str(spec))}$"
+        cases = [lambda: -bad, lambda: bad * x, lambda: ok * FieldElement(spec, code),
+                 lambda: bad**0, lambda: bad.eval(x), lambda: ok.eval(FieldElement(spec, code)),
+                 lambda: bad.format_str()]
+        cases += [lambda op=op, a=a, b=b: op(a, b) for op in binary
+                  for a, b in ((bad, ok), (ok, bad), (bad, bad))]
+        # a 2 x 2 det of degree bound 4 runs in code lists; a 4 x 4 one of
+        # degree bound 16 runs in byte lanes where the field has them
+        for k, diag in ((2, ok), (4, ok.shift(2))):
+            rows = [[diag if i == j else one for j in range(k)] for i in range(k)]
+            rows[k - 1][0] = bad
+            cases.append(lambda rows=rows: PolyMatrix(spec, rows).det())
+        for case in cases:
+            with pytest.raises(ValueError, match=match):
+                case()
+    # control: the extreme codes 0 and q - 1 pass through every operation
+    top = Poly(spec, [spec.q - 1, 0, 1])
+    assert (top + ok) - ok == top and -(-top) == top
+    assert top * one == top and top * spec.one() == top
+    assert top.eval(spec.one()) == FieldElement(spec, spec._add_codes(spec.q - 1, 1))
+    assert top.format_str()
+    big = [[top if i == j else one.shift(1) for j in range(4)] for i in range(4)]
+    assert PolyMatrix(spec, big).det()
 
 
 def test_generator_and_orders():

@@ -1,4 +1,10 @@
-"""PolyMatrix.det (fraction-free elimination) against independent oracles."""
+"""PolyMatrix.det (fraction-free elimination) against independent oracles.
+
+A det runs its products and exact divisions in the row kernel of width
+bound + 1, for bound the sum of its rows' largest degrees: byte lanes in
+GF(2^m), m <= 8, from _LANE_MIN_WIDTH on, and the field's code lists
+otherwise. The cases here sit on both sides of that width.
+"""
 
 import itertools
 import random
@@ -9,13 +15,13 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, strategies as st
 
 from netcode.galois import (
+    _LANE_MIN_WIDTH,
     FqMatrix,
     Poly,
     PolyMatrix,
     build_field,
     generator,
     poly_eval_matrix,
-    _div_exact,
 )
 
 FIELDS = [build_field(2, 4), build_field(2, 8), build_field(3, 2), build_field(7, 1)]
@@ -37,6 +43,37 @@ def cofactor_det(pm: PolyMatrix) -> Poly:
         return acc
 
     return rec(list(range(pm.nrows)), list(range(pm.ncols)))
+
+
+def kernels(spec):
+    """The code-list kernel of spec, then its byte lanes if it has them."""
+    narrow, wide = spec._kernel(0), spec._kernel(_LANE_MIN_WIDTH)
+    return [narrow] if wide is narrow else [narrow, wide]
+
+
+def det_kernel(pm):
+    """The kernel PolyMatrix.det picks: the one of width bound + 1."""
+    bound = sum(max(p.degree() for p in row) for row in pm.rows)
+    return pm.spec._kernel(bound + 1)
+
+
+def _div_exact(spec, kern, a, b):
+    """a / b for code sequences, through kern.div_exact: the dividend
+    carries 1 / lead(b), so that the divisor it prepares is monic."""
+    s = spec._inv_code(b[-1])
+    rem = kern.mul_into(kern.zero(), a, kern.prep((s,)))
+    return tuple(kern.div_exact(rem, kern.prep(b, spec._neg_code(s))))
+
+
+def pointwise_matches(pm, det, big):
+    """det(x) = det M(x) at more points of big than det's degree bound."""
+    bound = max(sum(max(p.degree() for p in row) for row in pm.rows), 0)
+    assert det.degree() <= bound
+    g = generator(big)
+    x = big.one()
+    for _ in range(bound + 1):
+        assert det.eval(x) == poly_eval_matrix(pm, x).det()
+        x = x * g
 
 
 def rand_poly(spec, rng, deg):
@@ -214,28 +251,116 @@ DIV_FIELDS = [build_field(2, 4), build_field(3, 2), build_field(7, 1)]
 
 @pytest.mark.parametrize("spec", DIV_FIELDS, ids=["p2", "p3", "p7"])
 def test_div_exact_inverts_multiplication(spec):
-    rng = random.Random(f"div:{spec}")
-    for _ in range(200):
-        a = rand_poly(spec, rng, rng.randrange(-1, 8))
-        b = rand_poly(spec, rng, rng.randrange(0, 6))
-        if not b:
-            continue
-        assert _div_exact(spec, (a * b).codes, b.codes) == a.codes
+    for kern in kernels(spec):
+        rng = random.Random(f"div:{spec}")
+        for _ in range(200):
+            a = rand_poly(spec, rng, rng.randrange(-1, 8))
+            b = rand_poly(spec, rng, rng.randrange(0, 6))
+            if not b:
+                continue
+            assert _div_exact(spec, kern, (a * b).codes, b.codes) == a.codes
 
 
 @pytest.mark.parametrize("spec", DIV_FIELDS, ids=["p2", "p3", "p7"])
 def test_div_exact_raises_on_remainder(spec):
-    rng = random.Random(f"rem:{spec}")
-    for _ in range(200):
-        b = rand_poly(spec, rng, rng.randrange(1, 6))
-        if b.degree() < 1:
-            continue
-        r = rand_poly(spec, rng, rng.randrange(0, b.degree()))
-        if not r:
-            continue
-        a = rand_poly(spec, rng, rng.randrange(-1, 6))
-        with pytest.raises(ArithmeticError):
-            _div_exact(spec, (a * b + r).codes, b.codes)
-        # a nonzero dividend of lower degree than b has no quotient either
-        with pytest.raises(ArithmeticError):
-            _div_exact(spec, r.codes, b.codes)
+    """In every kernel: GF(2^4) code lists (log tables) and byte lanes,
+    GF(3^2) scalar calls and GF(7) inline updates."""
+    for kern in kernels(spec):
+        rng = random.Random(f"rem:{spec}")
+        for _ in range(200):
+            b = rand_poly(spec, rng, rng.randrange(1, 6))
+            if b.degree() < 1:
+                continue
+            r = rand_poly(spec, rng, rng.randrange(0, b.degree()))
+            if not r:
+                continue
+            a = rand_poly(spec, rng, rng.randrange(-1, 6))
+            with pytest.raises(ArithmeticError):
+                _div_exact(spec, kern, (a * b + r).codes, b.codes)
+            # a nonzero dividend of lower degree than b has no quotient either
+            with pytest.raises(ArithmeticError):
+                _div_exact(spec, kern, r.codes, b.codes)
+
+
+# ----------------------------------------------------------------------
+# either kernel: code lists below the lane width, byte lanes from it on
+# ----------------------------------------------------------------------
+
+# each field with a larger one it embeds in, for the pointwise oracle
+LANE_FIELDS = [(build_field(2, m), build_field(2, big)) for m, big in [(1, 8), (4, 8), (6, 12), (8, 8)]]
+LANE_IDS = ["gf2", "gf2_4", "gf2_6", "gf2_8"]
+
+
+@pytest.mark.parametrize("spec, big", LANE_FIELDS, ids=LANE_IDS)
+def test_det_in_either_kernel_matches_cofactor_and_points(spec, big):
+    rng = random.Random(f"lanes:{spec}")
+    seen = set()
+    for k, deg in [(2, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 1), (6, 2), (7, 2)]:
+        for density in (1.0, 0.5):
+            pm = rand_pm(spec, rng, k, deg, density)
+            det = pm.det()
+            seen.add(det_kernel(pm) is spec._kernel(_LANE_MIN_WIDTH))
+            assert det == cofactor_det(pm)
+            pointwise_matches(pm, det, big)
+    assert seen == {False, True}
+
+
+def _power_factor_pm(spec, rng, k, deg):
+    """rand_pm with row i times D^s_i and column j times D^t_j: every
+    pivot, and so every divisor Bareiss uses, has a power of D as a factor."""
+    pm = rand_pm(spec, rng, k, deg)
+    s = [rng.randrange(2) for _ in range(k)]
+    t = [rng.randrange(3) for _ in range(k)]
+    return PolyMatrix(spec, [[p.shift(s[i] + t[j]) for j, p in enumerate(row)]
+                             for i, row in enumerate(pm.rows)])
+
+
+@pytest.mark.parametrize("spec", FIELDS + [build_field(2, 1)], ids=FIELD_IDS + ["gf2"])
+def test_pivots_with_a_power_of_d_factor(spec):
+    rng = random.Random(f"dpower:{spec}")
+    seen = set()
+    for k in range(2, 7):
+        pm = _power_factor_pm(spec, rng, k, 1 if k < 4 else 2)
+        seen.add(det_kernel(pm))
+        assert pm.det() == cofactor_det(pm)
+        # swapped rows negate it; a row that repeats another zeroes it
+        rows = pm.rows[1:] + pm.rows[:1]
+        sign = -1 if (k - 1) % 2 else 1
+        want = cofactor_det(pm)
+        assert PolyMatrix(spec, rows).det() == (-want if sign < 0 else want)
+        rows = pm.rows[:-1] + [[p.shift(1) for p in pm.rows[0]]]
+        assert not PolyMatrix(spec, rows).det()
+    assert seen == set(kernels(spec))
+
+
+@pytest.mark.parametrize("spec", [build_field(2, 4), build_field(2, 8)], ids=["gf2_4", "gf2_8"])
+def test_known_det_with_a_power_of_d_factor(spec):
+    """det = D^5 (11 + 9D + 5D^2), as design's sink blocks have it, or
+    D^2 (11 + 9D), from a triangular matrix mixed by row and column
+    additions, which keep the det, and one row swap, which in
+    characteristic 2 keeps it too. A det of degree 7 has bound + 1 >= 8,
+    so only the smaller one can run in code lists."""
+    rng = random.Random(f"known:{spec}")
+    D = Poly(spec, [0, 1])
+    seen = set()
+    for head in ([D**2, D**3, Poly(spec, [11, 9, 5])], [D, D, Poly(spec, [11, 9])]):
+        diag = head + [Poly.one(spec)] * 3
+        want = head[0] * head[1] * head[2]
+        for k in (3, 4, 6):
+            rows = [[diag[i] if i == j else rand_poly(spec, rng, 1) if j > i else Poly.zero(spec)
+                     for j in range(k)] for i in range(k)]
+            for _ in range(k):
+                i, j = rng.sample(range(k), 2)
+                c = rand_poly(spec, rng, rng.randrange(2))
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+                cols = list(zip(*rows))
+                c = rand_poly(spec, rng, 0)
+                i, j = rng.sample(range(k), 2)
+                cols[i] = tuple(x + c * y for x, y in zip(cols[i], cols[j]))
+                rows = [list(r) for r in zip(*cols)]
+            i, j = rng.sample(range(k), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+            pm = PolyMatrix(spec, rows)
+            seen.add(det_kernel(pm))
+            assert pm.det() == want
+    assert seen == set(kernels(spec))

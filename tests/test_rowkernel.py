@@ -9,7 +9,8 @@ by regime: log tables in GF(2^m) up to the table cap, inline arithmetic
 in GF(p), and scalar multiplies and adds in every other field. A product
 runs on its transposed operands when only the left side's height reaches
 the lanes. The shapes here sit on both sides of that width. Polynomial
-products use the code-list kernel directly. The oracles call only the
+products and exact divisions are kernel calls too, checked here in every
+kernel class against convolution. The oracles call only the
 scalar _mul_codes and _add_codes, one element at a time, and sympy's
 DomainMatrix rank over prime fields; the scalars meet digit-wise
 arithmetic.
@@ -31,7 +32,6 @@ from netcode.galois import (
     _LaneKernel,
     _LogLists,
     _MulLists,
-    _mul_into,
     _PrimeLists,
     build_field,
     element_of_order,
@@ -489,8 +489,60 @@ def test_mul_into_matches_convolution(p, m):
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 want[i + j] = add(want[i + j], mul(x, y))
-        _mul_into(spec, out, a, spec._lists.prep(b))
+        out = spec._lists.mul_into(out, a, spec._lists.prep(b))
         assert out == want
+
+
+def _convolve(spec, a, b):
+    """a * b for code lists, lowest power first, by scalar calls."""
+    mul, add = spec._mul_codes, spec._add_codes
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _trim(codes):
+    codes = list(codes)
+    while codes and not codes[-1]:
+        codes.pop()
+    return tuple(codes)
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_poly_calls_match_convolution_in_every_kernel(p, m):
+    """mul_into onto an empty row (zero()) and onto a longer one, and
+    div_exact by monic divisors, some with a power of D as a factor, in
+    the code lists of every regime and in byte lanes."""
+    spec = build_field(p, m)
+    kerns = [spec._kernel(0)] + ([_lanes(spec)] if _lanes(spec) else [])
+    minus_one = _neg(spec, 1)
+    for kern in kerns:
+        rng = random.Random(f"polycalls:{p}:{m}")
+        pack, unpack, prep = kern.pack, kern.unpack, kern.prep
+        for la, lb in [(1, 1), (1, 7), (7, 1), (5, 9), (12, 4), (3, W + 2)]:
+            a, b = _rand(spec, rng, 1, la)[0], _rand(spec, rng, 1, lb)[0]
+            n = la + lb - 1
+            scale = rng.randrange(1, spec.q)
+            want = _convolve(spec, a, [spec._mul_codes(scale, y) for y in b])
+            assert _trim(unpack(kern.mul_into(kern.zero(), a, prep(b, scale)), n)) == _trim(want)
+            out = _rand(spec, rng, 1, n + 3)[0]
+            want = [spec._add_codes(x, y) for x, y in zip(out, want + [0] * 3)]
+            assert list(unpack(kern.mul_into(pack(out), a, prep(b, scale)), n + 3)) == want
+            # the monic divisor D^s * (c + ... + D^d), with s low zeros
+            monic = [0] * rng.randrange(3) + _rand(spec, rng, 1, rng.randrange(4))[0] + [1]
+            quot = _rand(spec, rng, 1, la)[0]
+            dividend = _convolve(spec, quot, monic)
+            assert _trim(kern.div_exact(pack(dividend + [0] * 2), prep(monic, minus_one))) \
+                == _trim(quot)
+            assert tuple(kern.div_exact(pack(dividend), prep(monic, minus_one))) == _trim(quot)
+            if len(monic) > 1:
+                rem = [0] * (len(monic) - 1)
+                rem[rng.randrange(len(rem))] = rng.randrange(1, spec.q)
+                bad = [spec._add_codes(x, y) for x, y in zip(dividend, rem + [0] * la)]
+                with pytest.raises(ArithmeticError):
+                    kern.div_exact(pack(bad), prep(monic, minus_one))
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from netcode.galois import (
     PolyMatrix,
     build_field,
     element_of_order,
+    multiplicative_order,
 )
 from netcode.netmodel import (
     Edge,
@@ -82,6 +83,46 @@ def test_make_plan_validation():
         make_plan(7, GF16, alpha, 2)  # alpha lives in GF(8)
     with pytest.raises(ValueError):
         make_plan(7, GF8, GF8.one(), 2)  # order 1, not 7
+
+
+def _divisors(k):
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+@pytest.mark.parametrize("p, m", [(2, 5), (3, 3)])
+def test_plan_order_check_matches_the_order_on_every_element(p, m):
+    """make_plan checks alpha^n = 1 and alpha^(n/r) != 1 for each prime
+    r | n: it accepts exactly the alpha of order n, for every n | q - 1."""
+    spec = build_field(p, m)
+    for code in range(1, spec.q):
+        alpha = FieldElement(spec, code)
+        order = multiplicative_order(alpha)
+        for n in _divisors(spec.q - 1):
+            if order == n:
+                assert make_plan(n, spec, alpha, 0).alpha == alpha
+            else:
+                with pytest.raises(ValueError, match="order exactly"):
+                    make_plan(n, spec, alpha, 0)
+    with pytest.raises(ValueError, match="order exactly"):
+        make_plan(1, spec, spec.zero(), 0)
+
+
+def test_plan_order_check_above_the_table_cap():
+    """GF(3^11) has no log tables; q - 1 = 2 * 23 * 3851."""
+    spec = build_field(3, 11)
+    rng = random.Random("plan-order")
+    divisors = _divisors(spec.q - 1)
+    assert len(divisors) == 8
+    alphas = [FieldElement(spec, rng.randrange(1, spec.q)) for _ in range(6)]
+    alphas += [element_of_order(spec, n) for n in (23, 46, 3851)]
+    for alpha in alphas:
+        order = multiplicative_order(alpha)
+        for n in divisors:
+            if order == n:
+                assert make_plan(n, spec, alpha, 0).n == n
+            else:
+                with pytest.raises(ValueError, match="order exactly"):
+                    make_plan(n, spec, alpha, 0)
 
 
 def test_plan_allows_memoryless():
