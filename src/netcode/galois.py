@@ -604,7 +604,9 @@ class FieldSpec:
 # a code-list row in place, and div_exact consumes it. No call takes a
 # factor per entry: a time-indexed term (netmodel._window) multiplies its
 # factors and series entry by entry and adds the product with axpy at
-# factor 1. PolyMatrix.det runs in the kernel of its degree bound + 1.
+# factor 1. Poly products and PolyMatrix.det run in byte lanes whenever the
+# field has them, whatever their length: a lane polynomial is packed per
+# entry, not per row, so the row-width crossover does not apply.
 
 
 class _CodeLists:
@@ -1413,9 +1415,9 @@ class Poly:
             scaled = self.spec._kernel(len(self.codes)).scaled
             return Poly(self.spec, scaled(other._valid(), self._valid()))
         a, b = sorted(self._check(other), key=len)  # lanes translate b once per code of a
-        n = len(a) + len(b) - 1
-        kern = self.spec._kernel(n)
-        return Poly(self.spec, kern.unpack(kern.mul_into(kern.zero(), a, kern.prep(b)), n))
+        kern = self.spec._lanes or self.spec._lists
+        out = kern.mul_into(kern.zero(), a, kern.prep(b))
+        return Poly(self.spec, kern.unpack(out, max(len(a) + len(b) - 1, 0)))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -1514,15 +1516,15 @@ class PolyMatrix:
 
         Step k sets a_ij = (a_kk a_ij - a_ik a_kj) / a_(k-1)(k-1) for
         i, j > k; every division is exact, so entries stay polynomials.
-        Products and divisions run in the row kernel (FieldSpec._kernel) of
-        width bound + 1, for bound the sum of the rows' largest degrees.
+        Products and divisions run in byte lanes in GF(2^m), m <= 8, at any
+        size, and in the field's code lists otherwise.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         spec, n = self.spec, self.nrows
         a = [[p.codes for p in row] for row in self.rows]
         Poly(spec, list(chain.from_iterable(chain.from_iterable(a))))._valid()
-        kern = spec._kernel(sum(max(map(len, row)) for row in a) - n + 1)
+        kern = spec._lanes or spec._lists
         zero, prep, mul_into, div_exact = kern.zero, kern.prep, kern.mul_into, kern.div_exact
         prev, negate = (1,), False
         for k in range(n - 1):

@@ -187,8 +187,8 @@ def test_poly_arithmetic_refuses_codes_outside_the_field(p, m):
                  lambda: bad.format_str()]
         cases += [lambda op=op, a=a, b=b: op(a, b) for op in binary
                   for a, b in ((bad, ok), (ok, bad), (bad, bad))]
-        # a 2 x 2 det of degree bound 4 runs in code lists; a 4 x 4 one of
-        # degree bound 16 runs in byte lanes where the field has them
+        # a 2 x 2 det of degree bound 4 and a 4 x 4 one of degree bound 16,
+        # both in byte lanes where the field has them, else in code lists
         for k, diag in ((2, ok), (4, ok.shift(2))):
             rows = [[diag if i == j else one for j in range(k)] for i in range(k)]
             rows[k - 1][0] = bad

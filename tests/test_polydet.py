@@ -1,9 +1,10 @@
 """PolyMatrix.det (fraction-free elimination) against independent oracles.
 
-A det runs its products and exact divisions in the row kernel of width
-bound + 1, for bound the sum of its rows' largest degrees: byte lanes in
-GF(2^m), m <= 8, from _LANE_MIN_WIDTH on, and the field's code lists
-otherwise. The cases here sit on both sides of that width.
+A det runs its products and exact divisions in byte lanes in GF(2^m),
+m <= 8, at every size, and in the field's code lists otherwise. The
+cases here still put bound + 1, for bound the sum of a matrix's row
+degrees, on both sides of _LANE_MIN_WIDTH, the crossover of matrix rows,
+which a det does not use.
 """
 
 import itertools
@@ -15,10 +16,11 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, strategies as st
 
 from netcode.galois import (
-    _LANE_MIN_WIDTH,
     FqMatrix,
     Poly,
     PolyMatrix,
+    _CodeLists,
+    _LaneKernel,
     build_field,
     generator,
     poly_eval_matrix,
@@ -47,14 +49,7 @@ def cofactor_det(pm: PolyMatrix) -> Poly:
 
 def kernels(spec):
     """The code-list kernel of spec, then its byte lanes if it has them."""
-    narrow, wide = spec._kernel(0), spec._kernel(_LANE_MIN_WIDTH)
-    return [narrow] if wide is narrow else [narrow, wide]
-
-
-def det_kernel(pm):
-    """The kernel PolyMatrix.det picks: the one of width bound + 1."""
-    bound = sum(max(p.degree() for p in row) for row in pm.rows)
-    return pm.spec._kernel(bound + 1)
+    return [spec._lists] + ([spec._lanes] if spec._lanes else [])
 
 
 def _div_exact(spec, kern, a, b):
@@ -283,7 +278,7 @@ def test_div_exact_raises_on_remainder(spec):
 
 
 # ----------------------------------------------------------------------
-# either kernel: code lists below the lane width, byte lanes from it on
+# one kernel per field, whatever a det's size
 # ----------------------------------------------------------------------
 
 # each field with a larger one it embeds in, for the pointwise oracle
@@ -292,17 +287,14 @@ LANE_IDS = ["gf2", "gf2_4", "gf2_6", "gf2_8"]
 
 
 @pytest.mark.parametrize("spec, big", LANE_FIELDS, ids=LANE_IDS)
-def test_det_in_either_kernel_matches_cofactor_and_points(spec, big):
+def test_det_on_both_sides_of_the_lane_width_matches_cofactor_and_points(spec, big):
     rng = random.Random(f"lanes:{spec}")
-    seen = set()
     for k, deg in [(2, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 1), (6, 2), (7, 2)]:
         for density in (1.0, 0.5):
             pm = rand_pm(spec, rng, k, deg, density)
             det = pm.det()
-            seen.add(det_kernel(pm) is spec._kernel(_LANE_MIN_WIDTH))
             assert det == cofactor_det(pm)
             pointwise_matches(pm, det, big)
-    assert seen == {False, True}
 
 
 def _power_factor_pm(spec, rng, k, deg):
@@ -318,10 +310,8 @@ def _power_factor_pm(spec, rng, k, deg):
 @pytest.mark.parametrize("spec", FIELDS + [build_field(2, 1)], ids=FIELD_IDS + ["gf2"])
 def test_pivots_with_a_power_of_d_factor(spec):
     rng = random.Random(f"dpower:{spec}")
-    seen = set()
     for k in range(2, 7):
         pm = _power_factor_pm(spec, rng, k, 1 if k < 4 else 2)
-        seen.add(det_kernel(pm))
         assert pm.det() == cofactor_det(pm)
         # swapped rows negate it; a row that repeats another zeroes it
         rows = pm.rows[1:] + pm.rows[:1]
@@ -330,7 +320,6 @@ def test_pivots_with_a_power_of_d_factor(spec):
         assert PolyMatrix(spec, rows).det() == (-want if sign < 0 else want)
         rows = pm.rows[:-1] + [[p.shift(1) for p in pm.rows[0]]]
         assert not PolyMatrix(spec, rows).det()
-    assert seen == set(kernels(spec))
 
 
 @pytest.mark.parametrize("spec", [build_field(2, 4), build_field(2, 8)], ids=["gf2_4", "gf2_8"])
@@ -338,11 +327,9 @@ def test_known_det_with_a_power_of_d_factor(spec):
     """det = D^5 (11 + 9D + 5D^2), as design's sink blocks have it, or
     D^2 (11 + 9D), from a triangular matrix mixed by row and column
     additions, which keep the det, and one row swap, which in
-    characteristic 2 keeps it too. A det of degree 7 has bound + 1 >= 8,
-    so only the smaller one can run in code lists."""
+    characteristic 2 keeps it too."""
     rng = random.Random(f"known:{spec}")
     D = Poly(spec, [0, 1])
-    seen = set()
     for head in ([D**2, D**3, Poly(spec, [11, 9, 5])], [D, D, Poly(spec, [11, 9])]):
         diag = head + [Poly.one(spec)] * 3
         want = head[0] * head[1] * head[2]
@@ -360,7 +347,30 @@ def test_known_det_with_a_power_of_d_factor(spec):
                 rows = [list(r) for r in zip(*cols)]
             i, j = rng.sample(range(k), 2)
             rows[i], rows[j] = rows[j], rows[i]
-            pm = PolyMatrix(spec, rows)
-            seen.add(det_kernel(pm))
-            assert pm.det() == want
-    assert seen == set(kernels(spec))
+            assert PolyMatrix(spec, rows).det() == want
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 4), (2, 8), (2, 9), (3, 2), (7, 1)])
+def test_det_and_products_run_in_one_kernel_per_field(p, m, monkeypatch):
+    """Byte lanes in GF(2^m), m <= 8, and code lists in every other field,
+    for a 2 x 2 det of bound + 1 = 3 and a 6 x 6 one of bound + 1 = 13
+    alike, and for short and long products."""
+    spec = build_field(p, m)
+    used = set()
+    for cls in (_CodeLists, _LaneKernel):
+        for name in ("mul_into", "div_exact"):
+            call = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, *args, call=call: (
+                used.add(type(self)), call(self, *args))[1])
+    want = {_LaneKernel} if p == 2 and m <= 8 else {type(spec._lists)}
+    rng = random.Random(f"perfield:{spec}")
+    for k, deg in [(2, 1), (6, 2)]:
+        pm = rand_pm(spec, rng, k, deg)
+        used.clear()
+        det = pm.det()
+        assert used == want, (k, deg)
+        assert det == cofactor_det(pm)
+    for la, lb in [(1, 1), (2, 3), (9, 9)]:
+        used.clear()
+        Poly(spec, [1] * la) * Poly(spec, [1] * lb)
+        assert used == want, (la, lb)
