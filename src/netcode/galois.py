@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 # Fields at least this small get exp/log tables, built with their spec;
-# larger ones fall back to schoolbook reduction per product.
+# larger ones multiply carry-less in GF(2^m) and, for odd p, by one integer
+# multiply of spread digits, folded back by x^k mod f (FieldSpec._kron_mul).
 _TABLE_CAP = 1 << 16
 
 # Fields at least this small get whole-field codec tables
@@ -51,8 +52,8 @@ _TABLE_CAP = 1 << 16
 _CODEC_CAP = 1 << 12
 
 # The largest field order accepted from an input document or flag. Past it
-# the default-modulus search and the primality test of p take seconds to
-# hours; every bundled and benchmarked field is at most 2^20.
+# trial division (p's primality, q - 1's factors for the generator) takes
+# seconds to hours; every bundled and benchmarked field is at most 2^20.
 _MAX_FIELD_ORDER = 1 << 24
 
 # Matrix rows at least this wide run in byte lanes in GF(2^m), m <= 8
@@ -135,19 +136,38 @@ def _pf_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _pf_trim(r)
 
 
+def _pf_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ac in enumerate(a):
+        if ac:
+            for j, bc in enumerate(b, i):
+                prod[j] += ac * bc
+    return _pf_mod([c % p for c in prod], f, p)
+
+
 def _pf_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    # trial division by every monic polynomial of degree up to deg/2
+    """Ben-Or's test: the monic f = coeffs of degree m is irreducible exactly
+    when gcd(x^(p^i) - x, f) = 1 for every i <= m/2."""
     deg = len(coeffs) - 1
     if deg < 1:
         return False
     if coeffs[0] == 0:
         # divisible by x, unless the polynomial is x itself
         return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for low in range(p**d):
-            div = _digits(low, p, d) + [1]
-            if not _pf_mod(coeffs, div, p):
-                return False
+    xp = [0, 1]
+    for _ in range(deg // 2):
+        base = xp  # xp = base^p mod f, by square and multiply
+        for bit in bin(p)[3:]:
+            xp = _pf_mulmod(xp, xp, coeffs, p)
+            if bit == "1":
+                xp = _pf_mulmod(xp, base, coeffs, p)
+        b = xp + [0]  # xp - x; xp != 0, as x is a unit mod f
+        b[1] = (b[1] - 1) % p
+        a, b = coeffs, _pf_trim(b)
+        while b:
+            a, b = b, _pf_mod(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -192,6 +212,20 @@ def _spread(code: int, p: int, w: int) -> int:
         out |= d << shift
         shift += w
     return out
+
+
+def _kron_form(p: int, m: int, modulus: Sequence[int]) -> tuple:
+    """GF(p^m)'s spread form for odd p, digit i in bit field i of w bits, as
+    w, its mask, (shift of field k, spread x^k mod f) for m <= k <= 2m - 2,
+    the low fields' shifts and digit i's scale when spread and in a code."""
+    w = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+    shifts = range(0, w * m, w)
+    x_m = [-c % p for c in modulus[:m]]  # x^m mod f
+    folds, red = [], x_m
+    for k in range(m, 2 * m - 1):
+        folds.append((w * k, sum(d << s for d, s in zip(red, shifts))))
+        red = [(lo + red[-1] * t) % p for lo, t in zip([0] + red[:-1], x_m)]
+    return w, (1 << w) - 1, folds, shifts, [1 << s for s in shifts], [p**i for i in range(m)]
 
 
 def _unspread_table(p: int, w: int, k: int) -> list[int]:
@@ -264,7 +298,7 @@ class FieldSpec:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_tail", "_mod_bits", "_exp", "_log", "_lists", "_lanes",
+        "p", "m", "q", "modulus", "_mod_bits", "_kron", "_exp", "_log", "_lists", "_lanes",
         "_gen_code", "_codec_cache",
     )
 
@@ -273,10 +307,9 @@ class FieldSpec:
         self.m = m
         self.q = p**m
         self.modulus = tuple(int(c) for c in modulus)
-        # x^m = sum of t * x^i over these (i, t): the modulus's negated tail
-        self._tail = tuple((i, -c % p) for i, c in enumerate(self.modulus[:m]) if c)
         # in GF(2^m), the modulus as an int with bit i for x^i
         self._mod_bits = _undigits(self.modulus, 2) if p == 2 else None
+        self._kron = None if p == 2 else _kron_form(p, m, self.modulus)
         self._gen_code = self._find_generator()
         self._exp, self._log = self._build_tables() if self.q <= _TABLE_CAP else (None, None)
         # the code-list kernel of this field's regime, the only place one is picked
@@ -397,8 +430,8 @@ class FieldSpec:
         return out
 
     def _neg_code(self, a: int) -> int:
-        # -a = (p - 1) * a, with the one-digit factor second: _schoolbook_mul
-        # loops over the bits or digits of its second argument
+        # -a = (p - 1) * a, with the one-digit factor second: in GF(2^m)
+        # _schoolbook_mul loops over the bits of its second argument
         return self._mul_codes(a, self.p - 1)
 
     def _schoolbook_mul(self, a: int, b: int) -> int:
@@ -417,35 +450,35 @@ class FieldSpec:
                 if a & top:
                     a ^= mod
             return out
-        bv = _pf_trim(_digits(b, p, m))
-        prod = [0] * (2 * m - 1)
-        shift = 0
-        while a:
-            a, ac = divmod(a, p)
-            if ac:
-                for j, bc in enumerate(bv, shift):
-                    prod[j] += ac * bc
-            shift += 1
-        # coefficients are reduced mod p only where they are read
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k] % p
+        w = self._kron[0]
+        return self._kron_mul(_spread(a, p, w), _spread(b, p, w), True)
+
+    def _kron_mul(self, a: int, b: int, code: bool = False) -> int:
+        """a * b for odd p, both in spread form; the product spread, or as a code.
+
+        One integer multiply sums the digit products of each power x^k in
+        field k; each digit k >= m, mod p, adds its multiple of x^k mod f.
+        """
+        _, mask, folds, shifts, spread, codes = self._kron
+        p = self.p
+        prod = low = a * b
+        for s, fold in folds:
+            c = (prod >> s & mask) % p
             if c:
-                for i, t in self._tail:
-                    prod[k - m + i] += c * t
-        code = 0
-        for k in range(m - 1, -1, -1):
-            code = code * p + prod[k] % p
-        return code
+                low += c * fold
+        return sum((low >> s & mask) % p * k for s, k in zip(shifts, codes if code else spread))
 
     def _pow_code_slow(self, a: int, e: int) -> int:
-        out = 1
-        base = a
+        # odd p squares and multiplies in spread form, converted at the ends
+        kron = self._kron
+        mul = self._schoolbook_mul if kron is None else self._kron_mul
+        out, base = 1, a if kron is None else _spread(a, self.p, kron[0])
         while e:
             if e & 1:
-                out = self._schoolbook_mul(out, base)
-            base = self._schoolbook_mul(base, base)
+                out = mul(out, base)
+            base = mul(base, base)
             e >>= 1
-        return out
+        return out if kron is None else self._kron_mul(out, 1, True)
 
     def _order_of_code(self, a: int) -> int:
         if a == 0:
@@ -466,34 +499,47 @@ class FieldSpec:
         """The primitive element with the smallest code, found without tables."""
         if self.q == 2:
             return 1
-        # codes below p are the prime subfield, of orders dividing p - 1
+        # a generates exactly when a^((q - 1) / r) != 1 for each prime r of
+        # q - 1; codes below p are the prime subfield, of orders dividing p - 1
+        cofactors = [(self.q - 1) // r for r in _factorint(self.q - 1)]
         for cand in range(2 if self.m == 1 else self.p, self.q):
-            if self._order_slow(cand) == self.q - 1:
+            if all(self._pow_code_slow(cand, e) != 1 for e in cofactors):
                 return cand
         # every finite field is cyclic
         raise NetcodeError("no generator found")  # pragma: no cover
 
-    def _build_tables(self) -> tuple[list[int], list[int]]:
-        """exp and log: exp[i] = g^i for the generator g, log[exp[i]] = i."""
+    def _build_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """exp and log: exp[i] = g^i for the generator g, log[exp[i]] = i.
+
+        They are tuples of ints, which the garbage collector stops tracking."""
         p, m, q = self.p, self.m, self.q
         g = self._gen_code
         # acc = lo + x^h * hi, so acc * g = lo * g + hi * (x^h * g): two
         # lookups in tables of p^h and p^(m-h) products replace a schoolbook
-        # multiply per step. The products are stored spread, one w-bit field
-        # per digit, so adding two is one integer addition; one lookup per
-        # half then reduces the digit sums mod p.
+        # multiply per step
         h = m // 2
         split = p**h
-        w = (2 * p - 2).bit_length()
         mul = self._schoolbook_mul
-        lo_g = [_spread(mul(a, g), p, w) for a in range(split)]
+        lo_g = [mul(a, g) for a in range(split)]
         shifted_g = mul(split, g)
-        hi_g = [_spread(mul(b, shifted_g), p, w) for b in range(q // split)]
+        hi_g = [mul(b, shifted_g) for b in range(q // split)]
+        exp = [1] * (q - 1)
+        log = [0] * q
+        if p == 2:  # the sum is an XOR, and acc splits by bits
+            acc, low = 1, split - 1
+            for i in range(1, q - 1):
+                acc = lo_g[acc & low] ^ hi_g[acc >> h]
+                exp[i] = acc
+                log[acc] = i
+            return tuple(exp), tuple(log)
+        # odd p: the products are stored spread, one w-bit field per digit,
+        # so adding two is one integer addition; one lookup per half then
+        # reduces the digit sums mod p
+        w = (2 * p - 2).bit_length()
+        lo_g, hi_g = ([_spread(c, p, w) for c in t] for t in (lo_g, hi_g))
         lo_of, hi_of = _unspread_table(p, w, h), _unspread_table(p, w, m - h)
         cut = w * h
         mask = (1 << cut) - 1
-        exp = [1] * (q - 1)
-        log = [0] * q
         lo, hi = 1 % split, 1 // split
         for i in range(1, q - 1):
             total = lo_g[lo] + hi_g[hi]
@@ -501,7 +547,7 @@ class FieldSpec:
             acc = lo + split * hi
             exp[i] = acc
             log[acc] = i
-        return exp, log
+        return tuple(exp), tuple(log)
 
     def _codec(self) -> _Codec:
         """This field's codec tables, made on the first call.
@@ -674,7 +720,7 @@ class _LogLists(_CodeLists):
 
     __slots__ = ("log", "qm1", "exp2")
 
-    def __init__(self, exp: list[int], log: list[int]):
+    def __init__(self, exp: tuple[int, ...], log: tuple[int, ...]):
         # axpy adds two logs in [0, q - 2] and reads the sum in exp2
         self.log, self.qm1, self.exp2 = log, len(exp), exp + exp
 
@@ -792,7 +838,7 @@ class _LaneKernel:
         exp, log, q = spec._exp, spec._log, spec.q
         rotations = bytes(exp + exp)
         pad = bytes(257 - q)
-        by_log = bytes([255] + log[1:] + [255] * (256 - q))
+        by_log = bytes([255, *log[1:]] + [255] * (256 - q))
         self.tables = [bytes(256)] + [
             by_log.translate(rotations[k : k + q - 1] + pad) for k in log[1:]
         ]

@@ -5,7 +5,9 @@ package computes each eigenblock Mhat(t) directly (transform.eigen_blocks,
 transform.run_pipeline). This module keeps the derivation itself: the
 circulant, its diagonalisation, the DFT matrices Q and the per-generation
 decode solve, plus the plain transfer tree and the flat input and output
-offsets of a network. None of it runs in the package.
+offsets of a network, and the trial-division irreducibility test that
+chose the default moduli before Ben-Or's test did. None of it runs in the
+package.
 """
 
 from __future__ import annotations
@@ -25,6 +27,28 @@ from netcode.galois import (
 )
 from netcode.netmodel import NetworkSpec, TransferResult
 from netcode.transform import BlockTooLong, TransformPlan, eigen_blocks
+
+# ----------------------------------------------------------------------
+# irreducible polynomials
+# ----------------------------------------------------------------------
+
+
+def trial_division_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """Whether the monic polynomial coeffs over GF(p), lowest power first,
+    is irreducible: no monic polynomial of degree 1 to deg / 2 divides it."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in range(p**d):
+            div = [low // p**i % p for i in range(d)] + [1]
+            rem = list(coeffs)
+            for shift in range(deg - d, -1, -1):
+                c = rem[shift + d]
+                for i, b in enumerate(div):
+                    rem[shift + i] = (rem[shift + i] - c * b) % p
+            if not any(rem):
+                return False
+    return deg >= 1
+
 
 # ----------------------------------------------------------------------
 # DFT matrices

@@ -461,13 +461,16 @@ def _textbook_mul(spec, a, b):
     "p, m, modulus",
     [(2, 8, None), (2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]), (3, 5, None), (5, 3, None),
      (7, 2, None), (2, 17, None), (2, 20, None), (3, 11, None), (5, 7, None),
-     (65537, 1, None)],
+     (65537, 1, None), (257, 3, None), (4093, 2, None), (3, 15, None)],
 )
 def test_schoolbook_mul_matches_textbook_product(p, m, modulus):
     spec = build_field(p, m, modulus)
     rng = random.Random(f"mul:{p}:{m}:{modulus}")
     pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(200)]
-    pairs += [(0, 1), (1, spec.q - 1), (spec.q - 1, spec.q - 1), (p ** (m - 1), p ** (m - 1))]
+    # x^(m-1) squared reaches the top power x^(2m-2), and q - 1 (every
+    # digit p - 1) the largest digit sums of an odd-p Kronecker product
+    edges = (0, 1, p - 1, p, p ** (m - 1), (spec.q - 1) // (p - 1), spec.q - 1)
+    pairs += [(a, b) for a in edges for b in edges]
     for a, b in pairs:
         assert spec._schoolbook_mul(a, b) == _textbook_mul(spec, a, b), (a, b)
 
@@ -491,7 +494,7 @@ def test_tables_match_schoolbook_steps():
         while p**m <= 1 << 12:
             spec = build_field(p, m)
             exp, log = _stepped_tables(spec)
-            assert spec._exp == exp and spec._log[1:] == log[1:], (p, m)
+            assert list(spec._exp) == exp and list(spec._log[1:]) == log[1:], (p, m)
             m += 1
 
 
