@@ -10,6 +10,8 @@ every artifact down to the bit.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import chain, cycle, islice, zip_longest
 from math import gcd
 from operator import xor
@@ -59,6 +61,22 @@ _MAX_FIELD_ORDER = 1 << 24
 # Matrix rows at least this wide run in byte lanes in GF(2^m), m <= 8
 # (FieldSpec._kernel); narrower ones run in code lists.
 _LANE_MIN_WIDTH = 8
+
+# Matrix rows at least this wide run in packed lanes in GF(2^m), 8 < m <= 24
+# (FieldSpec._kernel): with log tables (m <= 16) and without them. Sparse
+# rows, such as a transfer window's impulse responses, run faster in code
+# lists at every width; the first keeps the stream benchmark's 44- to
+# 84-step GF(2^10) transfer windows there.
+_PACKED_MIN_WIDTH = 128
+_PACKED_MIN_WIDTH_NO_TABLES = 8
+
+# Packed lanes read and write arrays of 16- and 32-bit codes as the bytes
+# of little-endian ints.
+_PACKED_ROWS = sys.byteorder == "little" and array("I").itemsize == 4
+
+# A packed src that axpys adds to at least this many rows is first summed
+# into 4-bit windows of its multiples.
+_PACKED_WINDOW_USES = 10
 
 
 class NetcodeError(Exception):
@@ -299,7 +317,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "q", "modulus", "_mod_bits", "_kron", "_exp", "_log", "_lists", "_lanes",
-        "_gen_code", "_codec_cache",
+        "_wide", "_wide_min", "_gen_code", "_codec_cache",
     )
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -319,6 +337,14 @@ class FieldSpec:
             else _MulLists(self._mul_codes, xor if p == 2 else self._add_codes)
         )
         self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
+        # the kernel of rows at least _wide_min wide
+        if self._lanes:
+            self._wide, self._wide_min = self._lanes, _LANE_MIN_WIDTH
+        elif p == 2 and m <= 24 and _PACKED_ROWS:
+            self._wide = _PackedKernel(self)
+            self._wide_min = _PACKED_MIN_WIDTH if self._exp else _PACKED_MIN_WIDTH_NO_TABLES
+        else:
+            self._wide, self._wide_min = self._lists, 0
         self._codec_cache: list[_Codec] = []  # filled by _codec on first use
 
     def __eq__(self, other: object) -> bool:
@@ -623,16 +649,18 @@ class FieldSpec:
 
     # -- row kernels ---------------------------------------------------
 
-    def _kernel(self, width: int) -> "_CodeLists | _LaneKernel":
-        """The row kernel for rows this wide: byte lanes or this field's code lists."""
-        if width >= _LANE_MIN_WIDTH and self._lanes is not None:
-            return self._lanes
-        return self._lists
+    def _kernel(self, width: int) -> "_CodeLists | _LaneKernel | _PackedKernel":
+        """The row kernel for rows this wide: this field's code lists, or its
+        byte lanes or packed lanes from their least width on."""
+        return self._wide if width >= self._wide_min else self._lists
 
 
 # Every row kernel offers the same calls, each on a whole row or a set of
 # rows, so the loops over entries stay inside them:
-#   pack(codes) -> row; unpack(row, width) -> its codes, bytes or a list;
+#   pack(codes) -> row, from a sequence of codes or an unpacked row, never
+#     from raw bytes: n zero codes are unpack(pack([0]), 1) * n
+#   unpack(row, width) -> its codes: a list, bytes, or an array of 16- or
+#     32-bit codes
 #   join(unpacked rows) -> their codes end to end
 #   column(rows, start, c) -> entry c of each row from rows[start] on
 #   prep(codes, scale=1) -> scale * codes, prepared as a src for axpy,
@@ -646,13 +674,15 @@ class FieldSpec:
 #     polynomials lowest power first, lengthening a code-list row as needed
 #   div_exact(row, src) -> row / b as unpack's codes, for the monic b of
 #     src = prep(b, -1); ArithmeticError unless b divides row
-# matvec and scaled return code lists; axpy, axpys and mul_into also change
-# a code-list row in place, and div_exact consumes it. No call takes a
-# factor per entry: a time-indexed term (netmodel._window) multiplies its
-# factors and series entry by entry and adds the product with axpy at
-# factor 1. Poly products and PolyMatrix.det run in byte lanes whenever the
-# field has them, whatever their length: a lane polynomial is packed per
-# entry, not per row, so the row-width crossover does not apply.
+# matvec and scaled return lists, as FqMatrix compares rows as lists; axpy,
+# axpys and mul_into also change a code-list row in place, and div_exact
+# consumes it. No call takes a factor per entry: a time-indexed term
+# (netmodel._window) multiplies its factors and series entry by entry and
+# adds the product with axpy at factor 1. Poly products and PolyMatrix.det
+# run in byte lanes whenever the field has them, whatever their length: a
+# lane polynomial is packed per entry, not per row, so the row-width
+# crossover does not apply. Packed lanes serve the rows alone, with no
+# zero, mul_into or div_exact: polynomials there stay in code lists.
 
 
 class _CodeLists:
@@ -911,6 +941,111 @@ class _LaneKernel:
         if rem:
             raise ArithmeticError("polynomial division leaves a remainder")
         return quot.to_bytes(quot.bit_length() + 7 >> 3, "little")
+
+
+class _PackedKernel:
+    """Rows of GF(2^m), 8 < m <= 24, as ints with a 16-bit lane per entry,
+    or a 32-bit one for m > 16.
+
+    Packing and unpacking are one array conversion, and the sum of two
+    rows is one XOR. x * row shifts every lane up a bit and adds the
+    modulus tail, x^m mod f, to each lane whose top bit left, with no
+    tables. A prepared src holds the multiples x^k * row for k < m, and
+    f * src is the XOR of those that the bits of f select. axpys, which
+    adds a src to many rows, first sums each four multiples into the 16
+    combinations a 4-bit window of a factor selects.
+    """
+
+    __slots__ = ("m", "code", "bits", "tail", "width", "ones", "low")
+
+    def __init__(self, spec: FieldSpec):
+        self.m = spec.m
+        self.code, self.bits = ("H", 16) if spec.m <= 16 else ("I", 32)
+        self.tail = spec._mod_bits ^ 1 << spec.m
+        # bit 0 and bits 0 to m - 2 of every lane of the widest row so far;
+        # they mask any narrower row as well
+        self.width = self.ones = self.low = 0
+
+    def pack(self, codes: Sequence[int]) -> int:
+        return int.from_bytes(codes if type(codes) is array else array(self.code, codes), "little")
+
+    def unpack(self, row: int, width: int) -> array:
+        return array(self.code, row.to_bytes(width * self.bits >> 3, "little"))
+
+    def join(self, rows: Sequence[array]) -> array:
+        return array(self.code, b"".join(rows))
+
+    def column(self, rows: list[int], start: int, c: int) -> list[int]:
+        shift, mask = self.bits * c, (1 << self.bits) - 1
+        return [row >> shift & mask for row in rows[start:]]
+
+    def _multiples(self, row: int, width: int) -> list[int]:
+        """x^k * row for k < m, for a row of at most width entries."""
+        if width > self.width:
+            self.width = width
+            self.ones = int.from_bytes(array(self.code, [1]) * width, "little")
+            self.low = self.ones * ((1 << self.m - 1) - 1)
+        ones, low, top, tail = self.ones, self.low, self.m - 1, self.tail
+        mults = [row]
+        for _ in range(top):
+            row = (row & low) << 1 ^ (row >> top & ones) * tail
+            mults.append(row)
+        return mults
+
+    def prep(self, codes: Sequence[int], scale: int = 1) -> list[int]:
+        width = len(codes)
+        mults = self._multiples(self.pack(codes), width)
+        return mults if scale == 1 else self._multiples(self.axpy(0, scale, mults), width)
+
+    def axpy(self, row: int, factor: int, src: list, off: int = 0) -> int:
+        out, k = 0, 0
+        while factor:
+            if factor & 1:
+                out ^= src[k]
+            factor >>= 1
+            k += 1
+        return row ^ out << self.bits * off
+
+    def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
+        prep, axpy = self.prep, self.axpy
+        for factors, codes in zip(columns, srcs):
+            uses = len(factors) - factors.count(0)
+            if not uses:
+                continue
+            mults = prep(codes, scale)
+            if uses < _PACKED_WINDOW_USES:
+                for i, f in enumerate(factors, start):
+                    if f:
+                        rows[i] = axpy(rows[i], f, mults)
+                continue
+            windows = []
+            for k in range(0, len(mults), 4):
+                combos = [0]
+                for v in mults[k : k + 4]:
+                    combos += [c ^ v for c in combos]
+                windows.append(combos)
+            for i, f in enumerate(factors, start):
+                if f:
+                    out = rows[i]
+                    for combos in windows:
+                        out ^= combos[f & 15]
+                        f >>= 4
+                    rows[i] = out
+
+    def matvec(self, factors: Sequence[int], srcs: Sequence[list], width: int) -> list[int]:
+        acc = 0
+        for x, src in zip(factors, srcs):
+            k = 0
+            while x:
+                if x & 1:
+                    acc ^= src[k]
+                x >>= 1
+                k += 1
+        return self.unpack(acc, width).tolist()
+
+    def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
+        width = len(codes)
+        return self.unpack(self.axpy(0, factor, self.prep(codes)), width).tolist()
 
 
 # One spec per field, so its tables and generator are computed once per
@@ -1369,7 +1504,8 @@ def _dft(
     degrees = max(map(len, polys), default=0)
     ring = kern.unpack(kern.pack(powers), n) * min(n, degrees)
     cols = (ring[: e * n : e] if e else ring[:1] * n for e in islice(cycle(range(n)), degrees))
-    accs = [kern.pack(bytes(n)) for _ in polys]  # n zero codes each
+    zero = kern.unpack(kern.pack([0]), 1) * n  # n zero codes, unpacked
+    accs = [kern.pack(zero) for _ in polys]
     kern.axpys(accs, 0, zip_longest(*polys, fillvalue=0), cols)
     return [list(kern.unpack(acc, n)) for acc in accs]
 

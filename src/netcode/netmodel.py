@@ -691,7 +691,7 @@ def _window(
             groups[dst].append((src, f))
     alpha_in, beta_in, eps_in = grouped
     delay = [e.delay for e in net.edges]
-    zero = bytes(steps)
+    zero = unpack(pack([0]), 1) * steps  # steps zero codes, unpacked
 
     def run(inputs: Sequence[Sequence[int]]) -> list:
         # The series written to edge e sums alpha * x_c and beta * (the

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -342,6 +343,19 @@ def test_all_four_categories_align_and_decode(gf64):
         assert out.recovered == (x1, x2, x3)
         if name == "cat4":
             assert out.throughputs[2] == 1
+
+
+def test_cat1_half_rate_at_n_257_in_gf2_16():
+    """The paper's rates (n+1)/(2n+1) and n/(2n+1) at n = 128, decoded
+    exactly; the N = 257 rows run in packed 16-bit lanes."""
+    spec = build_field(2, 16)
+    res = align_search(cat_net(CATEGORY_LENGTHS["cat1"]), 128, spec, seed="half-rate", budget=3)
+    assert res.report["ok"] and res.instance.N == 257
+    rng = random.Random("half-rate")
+    xs = [rand_syms(spec, rng, k) for k in (129, 128, 128)]
+    out = encode_decode(res.instance, *xs)
+    assert out.recovered == tuple(xs)
+    assert out.throughputs == (Fraction(129, 257), Fraction(128, 257), Fraction(128, 257))
 
 
 def instance_digest(inst):

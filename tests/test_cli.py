@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -769,6 +770,38 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, 2, 0]
     assert reused[2][1] == "" and reused[2][3] == reused[3][1]
     assert "invalid int value: 'x'" in reused[6][2]
+
+
+# argv a subcommand's own parser reads alone, and argv that falls back to
+# the full parser: no or another first token, left-over or bad arguments,
+# help, abbreviations and "--"
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["Validate", "x"], ["val", "x"], ["-o", "f", "validate", "x"],
+    ["validate"], ["validate", "x"], ["validate", "x", "y"], ["validate", "-h"],
+    ["validate", "x", "--pretty", "-o", "f"], ["validate", "x", "--pre"], ["validate", "x", "--n", "3"],
+    ["validate", "x", "-h", "--bogus"], ["validate", "x", "--"], ["validate", "--", "-x"],
+    ["mincut", "x", "-o"], ["transfer", "x", "--seed", "4"], ["simulate", "x", "--seed=4"],
+    ["feasibility", "x", "--find-plan", "--n-min", "5", "--max-ext-degree", "3"],
+    ["feasibility", "x", "--n-min", "x"], ["transform", "x", "--n", "7"], ["transform", "x", "--n"],
+    ["transform", "x", "--n", "q"], ["transform", "x", "--n=-3"], ["transform", "x", "--max-ext", "3"],
+    ["transform", "x", "--n", "5", "--n", "6"], ["transform", "--", "x"],
+    ["align", "x", "--n", "7", "--budget", "3"], ["align", "x", "--verify-only", "--budget", "-1"],
+    ["align", "x", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_subcommand_parser_agrees_with_the_full_parser(capsys, argv):
+    parser = _build_parser()
+
+    def outcome(parse):
+        try:
+            parsed, code = parse(parser, list(argv)), None
+        except SystemExit as e:
+            parsed, code = None, e.code
+        return parsed, code, capsys.readouterr()
+
+    assert outcome(type(parser).parse_args) == outcome(argparse.ArgumentParser.parse_args)
 
 
 def test_byte_determinism(capsys):

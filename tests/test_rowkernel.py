@@ -3,17 +3,21 @@
 Elimination (rank, det, solve, inverse), back substitution, matrix
 products, row scaling and the DFT each have one loop, which runs in the
 row kernel that FieldSpec._kernel picks by row width: byte lanes in
-GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH wide, and the
-field's code-list kernel everywhere else. A spec picks that kernel once,
-by regime: log tables in GF(2^m) up to the table cap, inline arithmetic
-in GF(p), and scalar multiplies and adds in every other field. A product
-runs on its transposed operands when only the left side's height reaches
-the lanes. The shapes here sit on both sides of that width. Polynomial
-products and exact divisions are kernel calls too, checked here in every
-kernel class against convolution. The oracles call only the
-scalar _mul_codes and _add_codes, one element at a time, and sympy's
-DomainMatrix rank over prime fields; the scalars meet digit-wise
-arithmetic.
+GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH wide, packed 16- or
+32-bit lanes in GF(2^m) with 8 < m <= 24 from their own crossover on, and
+the field's code-list kernel everywhere else. A spec picks that kernel
+once, by regime: log tables in GF(2^m) up to the table cap, inline
+arithmetic in GF(p), and scalar multiplies and adds in every other field.
+A product runs on its transposed operands when only the left side's
+height reaches the wide kernel. Here the packed lanes serve from
+_LANE_MIN_WIDTH on, as byte lanes do (the autouse fixture below), so the
+shapes sit on both sides of every crossover; test_lanes_serve_wide_rows_
+of_gf2m_up_to_m8 pins the real crossovers, and the DFT and the cat1
+searches run at them too. Polynomial products and exact divisions are
+kernel calls too, checked here in every kernel class that has them
+against convolution. The oracles call only the scalar _mul_codes and
+_add_codes, one element at a time, and sympy's DomainMatrix rank over
+prime fields; the scalars meet digit-wise arithmetic.
 """
 
 import random
@@ -24,26 +28,45 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from netcode.alignment import align_search
 from netcode.galois import (
     _LANE_MIN_WIDTH,
+    _PACKED_MIN_WIDTH,
+    _PACKED_MIN_WIDTH_NO_TABLES,
     FieldElement,
     FieldSpec,
     FqMatrix,
+    _dft,
     _LaneKernel,
     _LogLists,
     _MulLists,
+    _PackedKernel,
     _PrimeLists,
     build_field,
     element_of_order,
 )
+from netcode.netmodel import _simulate_rows, random_leks, transfer_matrix
 from netcode.transform import _dft_apply, make_plan
+from tests.conftest import CATEGORY_LENGTHS, cat_net
 from tests.oracles import dft_matrix, inverse_dft_matrix
 
-# byte lanes in the first four; log tables up to GF(2^16); above the table
-# cap, carry-less products in GF(2^17) and schoolbook digits in GF(3^11)
-FIELDS = [(2, 1), (2, 4), (2, 6), (2, 8), (2, 9), (2, 16), (3, 2), (7, 1), (2, 17), (3, 11)]
+# byte lanes in the first four; packed 16-bit lanes over log tables up to
+# GF(2^16) and over carry-less products in GF(2^17); packed 32-bit lanes
+# in GF(2^20) and GF(2^24); schoolbook digits in GF(3^11)
+FIELDS = [
+    (2, 1), (2, 4), (2, 6), (2, 8), (2, 9), (2, 10), (2, 12), (2, 16), (3, 2), (7, 1),
+    (2, 17), (2, 20), (2, 24), (3, 11),
+]
+PACKED = [(p, m) for p, m in FIELDS if p == 2 and 8 < m <= 24]
 W = _LANE_MIN_WIDTH
 SHAPES = [(6, 6), (4, 7), (8, 5), (1, 1), (1, 5), (5, 1), (W + 3, W + 3), (W + 6, W), (4, W + 5)]
+
+
+@pytest.fixture(autouse=True)
+def _packed_lanes_from_w(monkeypatch):
+    """Packed lanes serve rows from W entries on, as byte lanes do."""
+    for p, m in PACKED:
+        monkeypatch.setattr(build_field(p, m), "_wide_min", W)
 
 
 # ----------------------------------------------------------------------
@@ -173,21 +196,36 @@ def _cases(spec, seed):
 
 
 def _lanes(spec):
-    """The byte-lane kernel of spec, or None when every width gets code lists."""
+    """The kernel of wide rows of spec, byte or packed lanes, or None when
+    every width gets code lists."""
     kern = spec._kernel(W)
     return None if kern is spec._kernel(0) else kern
 
 
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_lanes_serve_wide_rows_of_gf2m_up_to_m8(p, m):
-    spec = build_field(p, m)
+    """Byte lanes from width 8 in GF(2^m), m <= 8; packed lanes from 128
+    with log tables (m <= 16) and from 8 without (16 < m <= 24); code lists
+    for every width in every other field, and below each crossover."""
+    spec = FieldSpec(p, m, build_field(p, m).modulus)  # the real crossovers
     narrow = spec._kernel(0)
-    assert all(spec._kernel(w) is narrow for w in range(W))
-    lanes = _lanes(spec)
-    assert (lanes is not None) == (p == 2 and m <= 8)
-    assert all(spec._kernel(w) is (lanes or narrow) for w in (W, W + 1, 85, 255))
-    if lanes is not None:
-        tables = lanes.tables
+    wide = spec._kernel(1 << 20)
+    start = {
+        _LaneKernel: _LANE_MIN_WIDTH,
+        _PackedKernel: _PACKED_MIN_WIDTH if spec._exp else _PACKED_MIN_WIDTH_NO_TABLES,
+    }.get(type(wide))
+    if p == 2 and m <= 8:
+        assert type(wide) is _LaneKernel and start == 8
+    elif p == 2 and m <= 24:
+        assert type(wide) is _PackedKernel and start == (128 if m <= 16 else 8)
+        assert (wide.code, wide.bits) == (("H", 16) if m <= 16 else ("I", 32))
+    else:
+        assert wide is narrow and start is None
+    start = start or 1 << 20
+    for w in (0, 1, 7, 8, 9, 85, 127, 128, 129, 255):
+        assert spec._kernel(w) is (wide if w >= start else narrow), w
+    if type(wide) is _LaneKernel:
+        tables = wide.tables
         assert len(tables) == spec.q and all(len(t) == 256 for t in tables)
         for c in range(spec.q):
             assert list(tables[c][: spec.q]) == [spec._mul_codes(c, x) for x in range(spec.q)]
@@ -217,21 +255,24 @@ def test_mul_and_scale_match_textbook(p, m):
             assert FqMatrix(spec, a).scale(FieldElement(spec, s)).rows == scaled
 
 
-# the code-list kernel of each regime, and whether wide rows get byte lanes
+# the code-list kernel of each regime, and the kernel of its wide rows
 REGIMES = {
-    (2, 1): (_LogLists, True), (2, 8): (_LogLists, True), (2, 9): (_LogLists, False),
-    (2, 16): (_LogLists, False), (2, 17): (_MulLists, False), (2, 20): (_MulLists, False),
-    (3, 1): (_PrimeLists, False), (65537, 1): (_PrimeLists, False),
-    (3, 2): (_MulLists, False), (3, 10): (_MulLists, False), (3, 11): (_MulLists, False),
+    (2, 1): (_LogLists, _LaneKernel), (2, 8): (_LogLists, _LaneKernel),
+    (2, 9): (_LogLists, _PackedKernel), (2, 16): (_LogLists, _PackedKernel),
+    (2, 17): (_MulLists, _PackedKernel), (2, 20): (_MulLists, _PackedKernel),
+    (2, 24): (_MulLists, _PackedKernel), (2, 25): (_MulLists, _MulLists),
+    (3, 1): (_PrimeLists, _PrimeLists), (65537, 1): (_PrimeLists, _PrimeLists),
+    (3, 2): (_MulLists, _MulLists), (3, 10): (_MulLists, _MulLists),
+    (3, 11): (_MulLists, _MulLists),
 }
 
 
 @pytest.mark.parametrize("p, m", REGIMES)
 def test_kernel_class_per_regime(p, m):
     spec = build_field(p, m)
-    lists, lanes = REGIMES[p, m]
+    lists, wide = REGIMES[p, m]
     assert type(spec._kernel(1)) is lists
-    assert type(spec._kernel(W)) is (_LaneKernel if lanes else lists)
+    assert type(spec._kernel(1 << 20)) is wide
     assert spec._kernel(W - 1) is spec._kernel(1)
 
 
@@ -287,10 +328,11 @@ class _Spy:
         return self.kern.matvec(vec, srcs, width)
 
 
-@pytest.mark.parametrize("p, m", FIELDS[:4] + [(2, 9), (3, 2), (7, 1)])
+@pytest.mark.parametrize("p, m", FIELDS[:6] + [(2, 16), (2, 20), (3, 2), (7, 1)])
 def test_products_in_both_lane_orientations(p, m, monkeypatch):
-    """A * B in byte lanes by B's rows when B is wide and by A's columns when
-    A is tall; otherwise, and in every field without lanes, in code lists by
+    """A * B in the wide kernel, byte lanes for m <= 8 and packed lanes for
+    8 < m <= 24, by B's rows when B is wide and by A's columns when A is
+    tall; otherwise, and in every field without lanes, in code lists by
     B's rows. Each output row is one matvec of the selected kernel."""
     spec = build_field(p, m)
     lanes, lists = _lanes(spec), spec._kernel(0)
@@ -514,9 +556,11 @@ def _trim(codes):
 def test_poly_calls_match_convolution_in_every_kernel(p, m):
     """mul_into onto an empty row (zero()) and onto a longer one, and
     div_exact by monic divisors, some with a power of D as a factor, in
-    the code lists of every regime and in byte lanes."""
+    the code lists of every regime and in byte lanes. Packed lanes have no
+    polynomial calls: Poly products and PolyMatrix.det run in byte lanes
+    or code lists."""
     spec = build_field(p, m)
-    kerns = [spec._kernel(0)] + ([_lanes(spec)] if _lanes(spec) else [])
+    kerns = [spec._lists] + ([spec._lanes] if spec._lanes else [])
     minus_one = _neg(spec, 1)
     for kern in kerns:
         rng = random.Random(f"polycalls:{p}:{m}")
@@ -550,10 +594,15 @@ def test_poly_calls_match_convolution_in_every_kernel(p, m):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "p, m, n",
-    [(2, 8, 3), (2, 8, 5), (2, 8, 15), (2, 8, 17), (2, 8, 51), (2, 8, 255), (2, 16, 257)],
-)
+# n below and above W, odd n included; GF(2^17) has no n but 1 below 2^17 - 1
+DFT_SIZES = [
+    (2, 8, 3), (2, 8, 5), (2, 8, 15), (2, 8, 17), (2, 8, 51), (2, 8, 255), (2, 9, 7),
+    (2, 9, 73), (2, 10, 3), (2, 10, 33), (2, 12, 5), (2, 12, 13), (2, 16, 5), (2, 16, 257),
+    (2, 17, 1), (2, 20, 5), (2, 20, 41), (2, 24, 7), (2, 24, 17),
+]
+
+
+@pytest.mark.parametrize("p, m, n", DFT_SIZES)
 @pytest.mark.parametrize("width", [1, 3])
 def test_dft_apply_matches_dense_transform(p, m, n, width):
     spec = build_field(p, m)
@@ -611,3 +660,147 @@ def test_prime_field_rows_match_scalar_calls(p):
 @pytest.mark.parametrize("p, m", [(2, 4), (2, 8), (2, 16), (3, 2), (2, 17), (3, 11)])
 def test_code_list_rows_match_scalar_calls(p, m):
     _check_rows(build_field(p, m), random.Random(f"rows:{p}:{m}"))
+
+
+@pytest.mark.parametrize("p, m, n", DFT_SIZES)
+def test_dft_matches_horner(p, m, n):
+    """scale * f(a^k) for polynomials shorter and longer than n, zero ones
+    included; their degrees wrap mod n."""
+    spec = build_field(p, m)
+    a = element_of_order(spec, n).code
+    rng = random.Random(f"horner:{p}:{m}:{n}")
+    polys = [_rand(spec, rng, 1, k)[0] for k in (0, 1, n, n + 3, 2 * n + 1)] + [[0] * 4]
+    scale = rng.randrange(1, spec.q)
+    mul, add = spec._mul_codes, spec._add_codes
+    got = _dft(spec, polys, a, n, scale)
+    for f, row in zip(polys, got):
+        assert type(row) is list
+        want = []
+        for k in range(n):
+            x, acc = spec._pow_code(a, k), 0
+            for c in reversed(f):
+                acc = add(mul(acc, x), c)
+            want.append(mul(scale, acc))
+        assert row == want
+
+
+# ----------------------------------------------------------------------
+# every kernel's row calls against scalar calls
+# ----------------------------------------------------------------------
+
+
+def _kernels(spec):
+    """The code-list kernel of spec and, when it has one, its wide kernel."""
+    return [spec._lists] + ([_lanes(spec)] if _lanes(spec) else [])
+
+
+@pytest.mark.parametrize("p, m", FIELDS)
+def test_row_calls_match_scalar_calls(p, m):
+    """pack and unpack, join, column, axpy with offsets and scales, axpys
+    on a few and on many rows per src, matvec and scaled, in every kernel,
+    at widths on both sides of W. matvec and scaled give lists, as
+    FqMatrix rows are compared as lists."""
+    spec = build_field(p, m)
+    mul, add = spec._mul_codes, spec._add_codes
+    for kern in _kernels(spec):
+        rng = random.Random(f"calls:{p}:{m}:{type(kern).__name__}")
+        pack, unpack = kern.pack, kern.unpack
+        for width in (1, 5, W, W + 5, 2 * W + 1):
+            row = _rand(spec, rng, 1, width)[0]
+            dst = _rand(spec, rng, 1, width + 4)[0]
+            assert list(unpack(pack(row), width)) == row
+            assert list(unpack(pack([0] * width), width)) == [0] * width
+            for scale in (0, 1, rng.randrange(1, spec.q)):
+                src = kern.prep(row, scale)
+                for off in (0, 4):
+                    for f in (0, 1, rng.randrange(spec.q)):
+                        want = dst[:]
+                        for j, v in enumerate(row):
+                            want[off + j] = add(want[off + j], mul(f, mul(scale, v)))
+                        got = kern.axpy(pack(dst), f, src, off)
+                        assert list(unpack(got, width + 4)) == want, (width, scale, off, f)
+            f = rng.randrange(spec.q)
+            for factor in (0, 1, f):
+                got = kern.scaled(factor, row)
+                assert type(got) is list and got == [mul(factor, v) for v in row]
+            rows = _rand(spec, rng, 4, width)
+            vec = _rand(spec, rng, 1, 4)[0]
+            want = [0] * width
+            for x, r in zip(vec, rows):
+                want = [add(w, mul(x, v)) for w, v in zip(want, r)]
+            got = kern.matvec(vec, [kern.prep(r) for r in rows], width)
+            assert type(got) is list and got == want
+            packed = [pack(r) for r in rows]
+            for c in {0, width // 2, width - 1}:
+                assert kern.column(packed, 1, c) == [r[c] for r in rows[1:]]
+            assert list(kern.join([unpack(r, width) for r in packed])) == sum(rows, [])
+            for height in (4, 2 * W + 3):  # packed lanes sum many-row srcs in 4-bit windows
+                base = _rand(spec, rng, height, width)
+                columns = _rand(spec, rng, 2, height - 1, zero_share=0.3)
+                srcs = _rand(spec, rng, 2, width)
+                scale = rng.randrange(1, spec.q)
+                rows_k = [pack(r) for r in base]
+                kern.axpys(rows_k, 1, columns, [unpack(pack(r), width) for r in srcs], scale)
+                for factors, r in zip(columns, srcs):
+                    for i, f in enumerate(factors, 1):
+                        base[i] = [add(x, mul(mul(f, scale), v)) for x, v in zip(base[i], r)]
+                assert [list(unpack(r, width)) for r in rows_k] == base
+
+
+@pytest.mark.parametrize("p, m", PACKED)
+def test_wide_products_and_scales_compare_as_matrices(p, m):
+    """FqMatrix == compares rows as lists, so products and scales in packed
+    lanes must come back as lists, or an identity check reads false."""
+    spec = build_field(p, m)
+    rng = random.Random(f"eq:{p}:{m}")
+    a, b = _rand(spec, rng, W + 2, 3), _rand(spec, rng, 3, W + 1)
+    s = FieldElement(spec, rng.randrange(2, spec.q))
+    assert FqMatrix(spec, a) * FqMatrix(spec, b) == FqMatrix(spec, _matmul(spec, a, b))
+    want = [[spec._mul_codes(s.code, x) for x in row] for row in b]
+    assert FqMatrix(spec, b).scale(s) == FqMatrix(spec, want)
+    assert all(type(row) is list for row in (FqMatrix(spec, a) * FqMatrix(spec, b)).rows)
+
+
+# ----------------------------------------------------------------------
+# packed lanes against code lists on whole jobs
+# ----------------------------------------------------------------------
+
+
+def _lists_only(monkeypatch, spec):
+    monkeypatch.setattr(spec, "_wide_min", 1 << 30)
+
+
+@pytest.mark.parametrize("p, m, steps", [(2, 10, 9), (2, 10, 129), (2, 16, 131), (2, 20, 9)])
+def test_windows_match_code_lists(p, m, steps, monkeypatch):
+    """simulate and transfer windows of odd widths, whose zero rows are
+    explicit: a bytes object of steps zero bytes is steps / 2 16-bit codes."""
+    spec = build_field(p, m)
+    rng = random.Random(f"windows:{p}:{m}:{steps}")
+    net = cat_net(CATEGORY_LENGTHS["cat1"])
+    leks = random_leks(net, spec, "windows", nonzero=True)
+    codes = [rng.randrange(spec.q) if rng.random() < 0.7 else 0 for _ in range(3 * steps)]
+    inputs = [[[0], [0], [0]] for _ in range(steps)]
+    assert type(spec._kernel(steps)) is _PackedKernel
+    packed = [list(row) for row in _simulate_rows(net, leks, inputs, 0, False, codes)]
+    tr = transfer_matrix(net, leks)
+    _lists_only(monkeypatch, spec)
+    assert packed == _simulate_rows(net, leks, inputs, 0, False, codes)
+    assert transfer_matrix(net, leks).M == tr.M
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 10, 16), (2, 20, 20)])
+def test_cat1_search_matches_code_lists(p, m, n, monkeypatch):
+    """The first passing cat1 instance is the same in packed lanes and in
+    code lists, precoders, free matrices and decode factors included."""
+    spec = build_field(p, m)
+    net = cat_net(CATEGORY_LENGTHS["cat1"])
+
+    def instance():
+        inst = align_search(net, n, spec, seed="packed").instance
+        factors = [(f.rank, f.pivots, [list(r) for r in f.upper]) for f in inst.decode_factors]
+        return [M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)], factors
+
+    assert type(spec._kernel(2 * n + 1)) is _PackedKernel
+    packed = instance()
+    _lists_only(monkeypatch, spec)
+    assert instance() == packed

@@ -5,7 +5,10 @@ The reference clocks the network one step at a time: each step is one
 row-kernel mat-vec [Z(t+1); Y(t)] = K [X(t); Z(t)] over the edge registers,
 and a delay-d edge keeps d - 1 symbols in a delay line behind its register.
 The window lengths sit on both sides of the byte-lane crossover, where the
-edge pass switches from code lists to byte lanes in GF(2^m), m <= 8.
+edge pass switches from code lists to byte lanes in GF(2^m), m <= 8, and
+to packed lanes in GF(2^m), 16 < m <= 24; test_edge_pass_across_the_
+packed_crossover puts them on both sides of the crossover of packed lanes
+over log tables, 8 < m <= 16.
 """
 
 import random
@@ -15,7 +18,14 @@ from itertools import count, repeat
 
 import pytest
 
-from netcode.galois import _LANE_MIN_WIDTH, FieldElement, build_field, element_of_order
+from netcode.galois import (
+    _LANE_MIN_WIDTH,
+    _PACKED_MIN_WIDTH,
+    _PACKED_MIN_WIDTH_NO_TABLES,
+    FieldElement,
+    build_field,
+    element_of_order,
+)
 from netcode.netmodel import (
     Edge,
     NetworkSpec,
@@ -32,10 +42,11 @@ from netcode.transform import WindowMismatch, cp_decode, cp_encode, make_plan, r
 from tests.conftest import random_dag_net
 from tests.test_netmodel import DELAYS
 
-# lanes in GF(2), GF(8) and GF(256); GF(9) and GF(2^10) stay in code lists
-FIELDS = [(2, 1), (2, 3), (3, 2), (2, 8), (2, 10)]
+# byte lanes in GF(2), GF(8) and GF(256), packed lanes in GF(2^20); GF(9)
+# and GF(2^10) stay in code lists at these widths
+FIELDS = [(2, 1), (2, 3), (3, 2), (2, 8), (2, 10), (2, 20)]
 WINDOWS = [0, 1, 7, 8, 9, 40]
-assert _LANE_MIN_WIDTH in WINDOWS
+assert {_LANE_MIN_WIDTH, _PACKED_MIN_WIDTH_NO_TABLES} <= set(WINDOWS)
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +153,18 @@ def test_edge_pass_matches_step_recursion(pm, mode):
             window = (t_start, t_start + max(steps, 1) - 1) if mode == "time" else None
             leks = random_leks(net, spec, f"{pm}:{steps}:{trial}", mode=mode, window=window)
             _check(net, leks, _codes(rng, net, spec, steps), t_start)
+
+
+@pytest.mark.parametrize("pm", [(2, 10), (2, 16)])
+@pytest.mark.parametrize("mode", ["invariant", "time"])
+def test_edge_pass_across_the_packed_crossover(pm, mode):
+    spec = build_field(*pm)
+    rng = random.Random(f"packed-pass:{pm}:{mode}")
+    for steps in (_PACKED_MIN_WIDTH - 1, _PACKED_MIN_WIDTH + 1):
+        net = random_dag_net(rng, max_nodes=6, delays=DELAYS)
+        window = (0, steps - 1) if mode == "time" else None
+        leks = random_leks(net, spec, f"{pm}:{steps}", mode=mode, window=window)
+        _check(net, leks, _codes(rng, net, spec, steps), 0)
 
 
 def _long_edge_net(long: int) -> NetworkSpec:
