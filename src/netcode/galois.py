@@ -74,10 +74,6 @@ _PACKED_MIN_WIDTH_NO_TABLES = 8
 # of little-endian ints.
 _PACKED_ROWS = sys.byteorder == "little" and array("I").itemsize == 4
 
-# A packed src that axpys adds to at least this many rows is first summed
-# into 4-bit windows of its multiples.
-_PACKED_WINDOW_USES = 10
-
 
 class NetcodeError(Exception):
     """Base class for every error raised by this package."""
@@ -714,7 +710,7 @@ class _CodeLists:
                 src = prep(codes, scale)
                 for i, f in enumerate(factors, start):
                     if f:
-                        axpy(rows[i], f, src)
+                        rows[i] = axpy(rows[i], f, src)
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return self.axpy([0] * len(codes), factor, self.prep(codes))
@@ -951,9 +947,7 @@ class _PackedKernel:
     rows is one XOR. x * row shifts every lane up a bit and adds the
     modulus tail, x^m mod f, to each lane whose top bit left, with no
     tables. A prepared src holds the multiples x^k * row for k < m, and
-    f * src is the XOR of those that the bits of f select. axpys, which
-    adds a src to many rows, first sums each four multiples into the 16
-    combinations a 4-bit window of a factor selects.
+    f * src is the XOR of those that the bits of f select.
     """
 
     __slots__ = ("m", "code", "bits", "tail", "width", "ones", "low")
@@ -1006,31 +1000,8 @@ class _PackedKernel:
             k += 1
         return row ^ out << self.bits * off
 
-    def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
-        prep, axpy = self.prep, self.axpy
-        for factors, codes in zip(columns, srcs):
-            uses = len(factors) - factors.count(0)
-            if not uses:
-                continue
-            mults = prep(codes, scale)
-            if uses < _PACKED_WINDOW_USES:
-                for i, f in enumerate(factors, start):
-                    if f:
-                        rows[i] = axpy(rows[i], f, mults)
-                continue
-            windows = []
-            for k in range(0, len(mults), 4):
-                combos = [0]
-                for v in mults[k : k + 4]:
-                    combos += [c ^ v for c in combos]
-                windows.append(combos)
-            for i, f in enumerate(factors, start):
-                if f:
-                    out = rows[i]
-                    for combos in windows:
-                        out ^= combos[f & 15]
-                        f >>= 4
-                    rows[i] = out
+    # the code lists' loop: axpy returns the updated row, which it stores
+    axpys = _CodeLists.axpys
 
     def matvec(self, factors: Sequence[int], srcs: Sequence[list], width: int) -> list[int]:
         acc = 0

@@ -734,7 +734,7 @@ def test_row_calls_match_scalar_calls(p, m):
             for c in {0, width // 2, width - 1}:
                 assert kern.column(packed, 1, c) == [r[c] for r in rows[1:]]
             assert list(kern.join([unpack(r, width) for r in packed])) == sum(rows, [])
-            for height in (4, 2 * W + 3):  # packed lanes sum many-row srcs in 4-bit windows
+            for height in (4, 2 * W + 3):
                 base = _rand(spec, rng, height, width)
                 columns = _rand(spec, rng, 2, height - 1, zero_share=0.3)
                 srcs = _rand(spec, rng, 2, width)
