@@ -1004,14 +1004,10 @@ class _PackedKernel:
     axpys = _CodeLists.axpys
 
     def matvec(self, factors: Sequence[int], srcs: Sequence[list], width: int) -> list[int]:
-        acc = 0
+        acc, axpy = 0, self.axpy
         for x, src in zip(factors, srcs):
-            k = 0
-            while x:
-                if x & 1:
-                    acc ^= src[k]
-                x >>= 1
-                k += 1
+            if x:
+                acc = axpy(acc, x, src)
         return self.unpack(acc, width).tolist()
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
