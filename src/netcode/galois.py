@@ -950,15 +950,16 @@ class _PackedKernel:
     f * src is the XOR of those that the bits of f select.
     """
 
-    __slots__ = ("m", "code", "bits", "tail", "width", "ones", "low")
+    __slots__ = ("m", "code", "bits", "tail", "masks")
 
     def __init__(self, spec: FieldSpec):
         self.m = spec.m
         self.code, self.bits = ("H", 16) if spec.m <= 16 else ("I", 32)
         self.tail = spec._mod_bits ^ 1 << spec.m
-        # bit 0 and bits 0 to m - 2 of every lane of the widest row so far;
-        # they mask any narrower row as well
-        self.width = self.ones = self.low = 0
+        # (width, bit 0 and bits 0 to m - 2 of every lane) for the widest row
+        # so far, which mask any narrower row as well; one tuple, so that a
+        # reader never sees a width with the masks of a narrower one
+        self.masks = (0, 0, 0)
 
     def pack(self, codes: Sequence[int]) -> int:
         return int.from_bytes(codes if type(codes) is array else array(self.code, codes), "little")
@@ -975,11 +976,12 @@ class _PackedKernel:
 
     def _multiples(self, row: int, width: int) -> list[int]:
         """x^k * row for k < m, for a row of at most width entries."""
-        if width > self.width:
-            self.width = width
-            self.ones = int.from_bytes(array(self.code, [1]) * width, "little")
-            self.low = self.ones * ((1 << self.m - 1) - 1)
-        ones, low, top, tail = self.ones, self.low, self.m - 1, self.tail
+        widest, ones, low = self.masks
+        if width > widest:
+            ones = int.from_bytes(array(self.code, [1]) * width, "little")
+            low = ones * ((1 << self.m - 1) - 1)
+            self.masks = width, ones, low
+        top, tail = self.m - 1, self.tail
         mults = [row]
         for _ in range(top):
             row = (row & low) << 1 ^ (row >> top & ones) * tail

@@ -21,6 +21,8 @@ prime fields; the scalars meet digit-wise arithmetic.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 import sympy
@@ -759,6 +761,41 @@ def test_wide_products_and_scales_compare_as_matrices(p, m):
     want = [[spec._mul_codes(s.code, x) for x in row] for row in b]
     assert FqMatrix(spec, b).scale(s) == FqMatrix(spec, want)
     assert all(type(row) is list for row in (FqMatrix(spec, a) * FqMatrix(spec, b)).rows)
+
+
+def test_packed_masks_grow_safely_under_threads():
+    """A spec's packed kernel widens its lane masks as wider rows come.
+    Threads preparing rows of many widths at once on one fresh kernel get
+    what a kernel of their own gives."""
+    spec = build_field(2, 12)
+    ref = _PackedKernel(spec)
+    rng = random.Random("threads")
+    rows = [_rand(spec, rng, 1, w)[0] for w in range(1, 400, 5)]
+    want = [ref.prep(row) for row in rows]
+    wrong = []
+
+    def work(kern, order):
+        for i in order:
+            if kern.prep(rows[i]) != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            kern = _PackedKernel(spec)
+            threads = [
+                threading.Thread(target=work, args=(kern, rng.sample(range(len(rows)), len(rows))))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 # ----------------------------------------------------------------------
