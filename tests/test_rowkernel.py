@@ -11,9 +11,8 @@ arithmetic in GF(p), and scalar multiplies and adds in every other field.
 A product runs on its transposed operands when only the left side's
 height reaches the wide kernel. Here the packed lanes serve from
 _LANE_MIN_WIDTH on, as byte lanes do (the autouse fixture below), so the
-shapes sit on both sides of every crossover; test_lanes_serve_wide_rows_
-of_gf2m_up_to_m8 pins the real crossovers, and the DFT and the cat1
-searches run at them too. Polynomial products and exact divisions are
+shapes sit on both sides of every crossover; the first kernel-choice test
+pins the real crossovers on fresh specs. Polynomial products and exact divisions are
 kernel calls too, checked here in every kernel class that has them
 against convolution. The oracles call only the scalar _mul_codes and
 _add_codes, one element at a time, and sympy's DomainMatrix rank over
