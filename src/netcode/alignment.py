@@ -36,7 +36,6 @@ from .netmodel import (
     TransferResult,
     WindowUnderspecified,
     _cutter,
-    _path_extremes,
     _window,
     random_leks,
     transfer_matrix,
@@ -285,8 +284,10 @@ def _build_instance(
     plan = make_plan(N, spec, alpha, tr.d_max)
 
     pattern = _CATEGORY_PATTERNS[category]
-    blocks = [tr.block(perm[a], perm[b]).entry(0, 0) for a in range(3) for b in range(3)]
-    evals = _dft(spec, [p.codes for p in blocks], alpha.code, N)
+    # block (a, b) is the 1 x 1 M_ij(D) of source perm[a] to sink perm[b]
+    M = tr.M.rows
+    blocks = [M[perm[b]][perm[a]].codes for a in range(3) for b in range(3)]
+    evals = _dft(spec, blocks, alpha.code, N)
     mhat: list[tuple[tuple[int, ...], ...]] = []
     for a in range(3):
         row = []
@@ -575,7 +576,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     spec = leks.field
     if N % spec.p == 0:
         raise CharacteristicDividesBlock(f"characteristic {spec.p} divides {N}")
-    extremes = _path_extremes(net)
+    extremes = net._path_extremes
     if extremes is None:
         raise ValueError("no source-to-sink path")
     d_prime_min, d_prime_max = extremes

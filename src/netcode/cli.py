@@ -306,8 +306,10 @@ def _transform_text(dets, spec: FieldSpec, pretty: bool) -> str:
     d = int(pretty)  # a record's depth
     text_of = lay.leaves(spec, (det.code for _, _, det in dets if det is not None), d + 1)
     record = lay.obj(dict.fromkeys(("det", "sink", "solvable", "t"), "%s"), d)
+    # det.code rather than bool(det), a Python-level call per record
     texts = [
-        record % ("null" if det is None else text_of(det.code), j, "true" if det else "false", t)
+        record % ("null", j, "false", t) if det is None
+        else record % (text_of(det.code), j, "true" if det.code else "false", t)
         for t, j, det in dets
     ]
     if pretty:

@@ -651,14 +651,16 @@ class FieldSpec:
         return self._wide if width >= self._wide_min else self._lists
 
 
-# Every row kernel offers the same calls, each on a whole row or a set of
+# Every row kernel offers these calls, each on a whole row or a set of
 # rows, so the loops over entries stay inside them:
 #   pack(codes) -> row, from a sequence of codes or an unpacked row, never
 #     from raw bytes: n zero codes are unpack(pack([0]), 1) * n
 #   unpack(row, width) -> its codes: a list, bytes, or an array of 16- or
 #     32-bit codes
 #   join(unpacked rows) -> their codes end to end
-#   column(rows, start, c) -> entry c of each row from rows[start] on
+#   column(rows, start, c) -> entry c of each row from rows[start] on, for
+#     the generic elimination loop alone; byte lanes have no column, as
+#     FqMatrix._eliminate runs them on shrinking big-endian rows
 #   prep(codes, scale=1) -> scale * codes, prepared as a src for axpy,
 #     which returns row + f * src (src from entry off on), and for
 #     matvec, which returns the sum of factors[i] * srcs[i]
@@ -879,11 +881,6 @@ class _LaneKernel:
 
     join = staticmethod(b"".join)
     zero = int
-
-    @staticmethod
-    def column(rows: list[int], start: int, c: int) -> list[int]:
-        shift = 8 * c
-        return [row >> shift & 255 for row in rows[start:]]
 
     def prep(self, codes: Sequence[int], scale: int = 1) -> bytes:
         row = bytes(codes)
@@ -1313,11 +1310,48 @@ class FqMatrix:
         swapped into place k, then row k + 1 + i gained m times row k for
         each entry m at position i of the prepared row mults. The replay is
         FqFactors.solve.
+
+        Byte lanes run a loop of their own on big-endian rows, column c in
+        lane ncols - 1 - c: the rows from the pivot's on are zero left of
+        its column c, so entry c is row >> 8 * (ncols - 1 - c), and an
+        update translates only the ncols - c bytes from the pivot on. It
+        gives the rows, pivots, swaps and steps of the generic loop, which
+        code lists and packed lanes run.
         """
         spec, ncols = self.spec, self.ncols
         kern = spec._kernel(ncols)
-        column, unpack, prep, axpys = kern.column, kern.unpack, kern.prep, kern.axpys
         neg, inv = spec._neg_code, spec._inv_code
+        if kern is spec._lanes:
+            tables, from_bytes = kern.tables, int.from_bytes
+            rows = [from_bytes(bytes(row), "big") for row in self.rows]
+            nrows, pivots, swaps, r = len(rows), [], 0, 0
+            for c in range(ncols):
+                if r == nrows:
+                    break
+                shift = 8 * (ncols - 1 - c)
+                col = [row >> shift for row in rows[r:]]
+                for k, x in enumerate(col):
+                    if x:
+                        break
+                else:
+                    continue
+                if k:
+                    rows[r], rows[r + k] = rows[r + k], rows[r]
+                    col[0], col[k] = col[k], col[0]
+                    swaps += 1
+                scale = tables[neg(inv(col[0]))]
+                below = col[1:]
+                if record is not None:
+                    record.append((r + k, bytes(below).translate(scale)))
+                if any(below):
+                    src = rows[r].to_bytes(ncols - c, "big").translate(scale)
+                    for i, f in enumerate(below, r + 1):
+                        if f:
+                            rows[i] ^= from_bytes(src.translate(tables[f]), "big")
+                pivots.append(c)
+                r += 1
+            return [row.to_bytes(ncols, "big") for row in rows], pivots, swaps
+        column, unpack, prep, axpys = kern.column, kern.unpack, kern.prep, kern.axpys
         rows = [kern.pack(row) for row in self.rows]
         nrows = len(rows)
         pivots: list[int] = []

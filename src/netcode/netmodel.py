@@ -119,7 +119,9 @@ class NetworkSpec:
 
     connections holds demand triples (source index, sink index, process
     index): sink j wants process l of source i. The edge order of the
-    simulator is computed on first use and kept with the object.
+    simulator, the path delays and the kernel positions are computed on
+    first use and kept with the object; a dataclasses.replace copy is a
+    new object and computes its own.
     """
 
     nodes: tuple[str, ...]
@@ -190,6 +192,49 @@ class NetworkSpec:
         outs = [(j, r, s.node) for j, s in enumerate(self.sinks) for r in range(s.outputs)]
         pos = {(e.tail, e.head, e.index): k for k, e in enumerate(self.edges)}
         return pos, dict(zip(ins, count())), dict(zip(outs, count()))
+
+    @cached_property
+    def _path_extremes(self) -> tuple[int, int] | None:
+        """Shortest and longest source-to-sink path delays, None without a path.
+
+        Every edge is visited once, after every edge into its tail.
+        """
+        reach = dict.fromkeys((s.node for s in self.sources), (0, 0))  # (shortest, longest)
+        for k in self._edge_order:
+            e = self.edges[k]
+            got = reach.get(e.tail)
+            if got is not None:
+                lo, hi = got[0] + e.delay, got[1] + e.delay
+                was = reach.get(e.head)
+                reach[e.head] = (lo, hi) if was is None else (min(was[0], lo), max(was[1], hi))
+        ends = [reach[s.node] for s in self.sinks if s.node in reach]
+        if not ends:
+            return None
+        return min(lo for lo, _ in ends), max(hi for _, hi in ends)
+
+    @cached_property
+    def _admissible_positions(self):
+        """Kernel positions (alpha, beta, eps) in canonical order (edges
+        already sorted), as tuples."""
+        keys = [e.key for e in self.edges]
+        leaving, entering = defaultdict(list), defaultdict(list)  # edge keys by tail, by head
+        for k in keys:
+            leaving[k[0]].append(k)
+            entering[k[1]].append(k)
+        alpha_keys = tuple(
+            ((i, l), k)
+            for i, src in enumerate(self.sources)
+            for l in range(src.processes)
+            for k in leaving[src.node]
+        )
+        beta_keys = tuple((k1, k2) for k1 in keys for k2 in leaving[k1[1]])
+        eps_keys = tuple(
+            (k, (j, r))
+            for j, snk in enumerate(self.sinks)
+            for k in entering[snk.node]
+            for r in range(snk.outputs)
+        )
+        return alpha_keys, beta_keys, eps_keys
 
 
 # ----------------------------------------------------------------------
@@ -517,25 +562,6 @@ class TransferResult:
         return self.M.coeff_matrix(d)
 
 
-def _path_extremes(net: NetworkSpec) -> tuple[int, int] | None:
-    """Shortest and longest source-to-sink path delays, None without a path.
-
-    Every edge is visited once, after every edge into its tail.
-    """
-    reach = dict.fromkeys((s.node for s in net.sources), (0, 0))  # (shortest, longest)
-    for k in net._edge_order:
-        e = net.edges[k]
-        got = reach.get(e.tail)
-        if got is not None:
-            lo, hi = got[0] + e.delay, got[1] + e.delay
-            was = reach.get(e.head)
-            reach[e.head] = (lo, hi) if was is None else (min(was[0], lo), max(was[1], hi))
-    ends = [reach[s.node] for s in net.sinks if s.node in reach]
-    if not ends:
-        return None
-    return min(lo for lo, _ in ends), max(hi for _, hi in ends)
-
-
 def _compiled_kernels(net: NetworkSpec, triple: KernelTriple, spec: FieldSpec):
     """Index kernel dicts against the sorted edge list; validate adjacency."""
     # a known edge key (tail, head, index) names the edge's ends itself
@@ -624,7 +650,7 @@ def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
     """
     if leks.mode != "invariant":
         raise ValueError("transfer_matrix needs time-invariant kernels")
-    extremes = _path_extremes(net)
+    extremes = net._path_extremes
     span = 1 if extremes is None else extremes[1] + 1
     steps = net.mu * span
     try:
@@ -834,29 +860,6 @@ def simulate(
 # ----------------------------------------------------------------------
 
 
-def _admissible_positions(net: NetworkSpec):
-    """Kernel positions in canonical order (edges already sorted)."""
-    keys = [e.key for e in net.edges]
-    leaving, entering = defaultdict(list), defaultdict(list)  # edge keys by tail, by head
-    for k in keys:
-        leaving[k[0]].append(k)
-        entering[k[1]].append(k)
-    alpha_keys = [
-        ((i, l), k)
-        for i, src in enumerate(net.sources)
-        for l in range(src.processes)
-        for k in leaving[src.node]
-    ]
-    beta_keys = [(k1, k2) for k1 in keys for k2 in leaving[k1[1]]]
-    eps_keys = [
-        (k, (j, r))
-        for j, snk in enumerate(net.sinks)
-        for k in entering[snk.node]
-        for r in range(snk.outputs)
-    ]
-    return alpha_keys, beta_keys, eps_keys
-
-
 def random_leks(
     net: NetworkSpec,
     field: FieldSpec,
@@ -872,14 +875,25 @@ def random_leks(
     draws an independent triple for every step of the window.
     """
     rng = random.Random(f"leks:{seed}")
-    alpha_keys, beta_keys, eps_keys = _admissible_positions(net)
+    positions = net._admissible_positions
     lo = 1 if nonzero else 0
+    # randrange(lo, q) is lo + a draw of getrandbits(k) below q - lo, redrawn
+    # until it is; running that loop here skips its Python layers and leaves
+    # the same draws and the same generator state
+    span, draw = field.q - lo, rng.getrandbits
+    k = span.bit_length()
 
     def draw_triple() -> KernelTriple:
-        al = {k: FieldElement(field, rng.randrange(lo, field.q)) for k in alpha_keys}
-        be = {k: FieldElement(field, rng.randrange(lo, field.q)) for k in beta_keys}
-        ep = {k: FieldElement(field, rng.randrange(lo, field.q)) for k in eps_keys}
-        return (al, be, ep)
+        triple = []
+        for keys in positions:
+            part = {}
+            for key in keys:
+                x = draw(k)
+                while x >= span:
+                    x = draw(k)
+                part[key] = FieldElement(field, lo + x)
+            triple.append(part)
+        return tuple(triple)
 
     if mode == "invariant":
         al, be, ep = draw_triple()

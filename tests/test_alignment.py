@@ -266,6 +266,42 @@ def test_align_search_detects_the_category_once(monkeypatch, ex2, gf64):
     assert len(calls) == 1 and calls[0] is net
 
 
+def test_replaced_network_keeps_its_own_memos(ex2):
+    # README's slow-link copy: dataclasses.replace makes a new object, whose
+    # path delays, kernel positions and transfer are its own
+    net, leks = ex2
+    assert net._path_extremes == (3, 5)
+    before = transfer_matrix(net, leks)
+    slow = dataclasses.replace(net, edges=[
+        dataclasses.replace(e, delay=3) if e.tail == "C" else e for e in net.edges
+    ])
+    fresh = NetworkSpec(slow.nodes, slow.edges, slow.sources, slow.sinks, slow.connections)
+    assert not {"_edge_order", "_path_extremes", "_admissible_positions"} & set(vars(slow))
+    assert slow._path_extremes == fresh._path_extremes == (3, 7)
+    assert slow._admissible_positions == fresh._admissible_positions
+    assert transfer_matrix(slow, leks) == transfer_matrix(fresh, leks) != before
+    assert net._path_extremes == (3, 5) and transfer_matrix(net, leks) == before
+
+
+def test_exhausting_search_computes_the_network_memos_once(monkeypatch, ex2, gf64):
+    # N = 63 = q - 1: every nonzero element is an eigenvalue point, and
+    # every one of the 25 draws has a singular block
+    calls = []
+    for name in ("_path_extremes", "_admissible_positions"):
+        prop = vars(NetworkSpec)[name]
+
+        def counted(net, plain=prop.func, name=name):
+            calls.append((name, net))
+            return plain(net)
+
+        monkeypatch.setattr(prop, "func", counted)
+    net = dataclasses.replace(ex2[0])  # a fresh object, with no memos yet
+    with pytest.raises(NotFound, match="^no passing assignment in 25 attempts"):
+        align_search(net, 31, gf64, budget=25)
+    assert sorted(name for name, _ in calls) == ["_admissible_positions", "_path_extremes"]
+    assert all(seen is net for _, seen in calls)
+
+
 def _count_validate(monkeypatch) -> list:
     """Count validate calls, wherever a netcode module holds the name."""
     calls = []

@@ -1,10 +1,12 @@
 """Network model: validation, min-cut, transfer matrix, simulation."""
 
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 
+from netcode import netmodel
 from netcode.galois import FieldElement, Poly, build_field
 from netcode.netmodel import (
     CycleDetected,
@@ -350,6 +352,57 @@ def test_random_leks_reproducible():
         random_leks(net, GF8, 1, mode="time")  # window missing
     with pytest.raises(ValueError):
         random_leks(net, GF8, 1, mode="sliding")
+
+
+def _randrange_leks(net, field, seed, steps, nonzero):
+    """Each step's (alpha, beta, eps) codes as dicts, drawn position by
+    position with rng.randrange(lo, q) in canonical order, and the rng."""
+    rng = random.Random(f"leks:{seed}")
+    lo = 1 if nonzero else 0
+    keys = [e.key for e in net.edges]
+    alpha = [((i, l), k) for i, s in enumerate(net.sources) for l in range(s.processes)
+             for k in keys if k[0] == s.node]
+    beta = [(k1, k2) for k1 in keys for k2 in keys if k2[0] == k1[1]]
+    eps = [(k, (j, r)) for j, s in enumerate(net.sinks) for k in keys if k[1] == s.node
+           for r in range(s.outputs)]
+    triples = [
+        tuple({key: rng.randrange(lo, field.q) for key in part} for part in (alpha, beta, eps))
+        for _ in range(steps)
+    ]
+    return triples, rng
+
+
+@pytest.mark.parametrize(
+    "p, m", [(2, 1), (3, 1), (7, 1), (2, 4), (2, 6), (2, 8), (3, 5), (2, 16)]
+)
+@pytest.mark.parametrize("nonzero", [True, False])
+def test_random_leks_is_the_randrange_stream(p, m, nonzero, monkeypatch):
+    # kernels are drawn as randrange(lo, q) would draw them, leaving the
+    # generator in the same state, so every seeded assignment keeps its codes
+    field = build_field(p, m)
+    made = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(netmodel, "random", SimpleNamespace(Random=Kept))
+    nets = [_butterfly(), random_dag_net(random.Random("stream"), delays=DELAYS)]
+    for net in nets:
+        for mode, window, steps in [("invariant", None, 1), ("time", (-2, 3), 6)]:
+            made.clear()
+            leks = random_leks(net, field, f"{p}:{m}", mode=mode, window=window, nonzero=nonzero)
+            want, ref = _randrange_leks(net, field, f"{p}:{m}", steps, nonzero)
+            got = [leks.kernels_at(t) for t in range(-2, 4)] if mode == "time" else [
+                leks.kernels_at(0)
+            ]
+            # in draw order: the dicts' orders are compared too
+            assert [[[(k, v.code) for k, v in part.items()] for part in triple]
+                    for triple in got] == [[list(part.items()) for part in t] for t in want]
+            assert all(v.spec is field for triple in got for part in triple
+                       for v in part.values())
+            assert len(made) == 1 and made[0].getstate() == ref.getstate()
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ A product runs on its transposed operands when only the left side's
 height reaches the wide kernel. Here the packed lanes serve from
 _LANE_MIN_WIDTH on, as byte lanes do (the autouse fixture below), so the
 shapes sit on both sides of every crossover; the first kernel-choice test
-pins the real crossovers on fresh specs. Polynomial products and exact divisions are
-kernel calls too, checked here in every kernel class that has them
-against convolution. The oracles call only the scalar _mul_codes and
+pins the real crossovers on fresh specs. Byte lanes eliminate in a loop of
+their own, checked against the generic loop in code lists. Polynomial
+products and exact divisions are kernel calls too, checked here in every
+kernel class that has them against convolution. The oracles call only the scalar _mul_codes and
 _add_codes, one element at a time, and sympy's DomainMatrix rank over
 prime fields; the scalars meet digit-wise arithmetic.
 """
@@ -697,9 +698,9 @@ def _kernels(spec):
 
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_row_calls_match_scalar_calls(p, m):
-    """pack and unpack, join, column, axpy with offsets and scales, axpys
-    on a few and on many rows per src, matvec and scaled, in every kernel,
-    at widths on both sides of W. matvec and scaled give lists, as
+    """pack and unpack, join, column (but in byte lanes), axpy with offsets
+    and scales, axpys on a few and on many rows per src, matvec and scaled,
+    in every kernel, at widths on both sides of W. matvec and scaled give lists, as
     FqMatrix rows are compared as lists."""
     spec = build_field(p, m)
     mul, add = spec._mul_codes, spec._add_codes
@@ -732,7 +733,8 @@ def test_row_calls_match_scalar_calls(p, m):
             got = kern.matvec(vec, [kern.prep(r) for r in rows], width)
             assert type(got) is list and got == want
             packed = [pack(r) for r in rows]
-            for c in {0, width // 2, width - 1}:
+            # column serves the generic elimination loop; byte lanes run their own
+            for c in {0, width // 2, width - 1} if kern is not spec._lanes else ():
                 assert kern.column(packed, 1, c) == [r[c] for r in rows[1:]]
             assert list(kern.join([unpack(r, width) for r in packed])) == sum(rows, [])
             for height in (4, 2 * W + 3):
@@ -824,19 +826,118 @@ def test_windows_match_code_lists(p, m, steps, monkeypatch):
     assert transfer_matrix(net, leks).M == tr.M
 
 
-@pytest.mark.parametrize("p, m, n", [(2, 10, 16), (2, 20, 20)])
+def _cat1_instance(spec, n, seed):
+    """The first passing cat1 instance's precoders and free matrices, and
+    its decode factors with their steps as codes."""
+    inst = align_search(cat_net(CATEGORY_LENGTHS["cat1"]), n, spec, seed=seed).instance
+    factors = [
+        (f.rank, f.pivots, [list(r) for r in f.upper], _step_codes(spec, f.steps, f.nrows))
+        for f in inst.decode_factors
+    ]
+    return [M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)], factors
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 10, 16), (2, 20, 20), (2, 8, 25), (2, 6, 31)])
 def test_cat1_search_matches_code_lists(p, m, n, monkeypatch):
-    """The first passing cat1 instance is the same in packed lanes and in
-    code lists, precoders, free matrices and decode factors included."""
+    """The first passing cat1 instance is the same in packed lanes (m > 8)
+    or byte lanes and in code lists, precoders, free matrices and decode
+    factors with their steps included. At N = 63 in GF(2^6) the DFT runs
+    over every nonzero element."""
     spec = build_field(p, m)
-    net = cat_net(CATEGORY_LENGTHS["cat1"])
-
-    def instance():
-        inst = align_search(net, n, spec, seed="packed").instance
-        factors = [(f.rank, f.pivots, [list(r) for r in f.upper]) for f in inst.decode_factors]
-        return [M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)], factors
-
-    assert type(spec._kernel(2 * n + 1)) is _PackedKernel
-    packed = instance()
+    wide = _PackedKernel if m > 8 else _LaneKernel
+    assert type(spec._kernel(2 * n + 1)) is wide
+    lanes = _cat1_instance(spec, n, "packed")
     _lists_only(monkeypatch, spec)
-    assert instance() == packed
+    assert _cat1_instance(spec, n, "packed") == lanes
+
+
+# ----------------------------------------------------------------------
+# byte-lane elimination against the code-list loop
+# ----------------------------------------------------------------------
+
+
+def _step_codes(spec, steps, nrows):
+    """Recorded steps as (swapped row, multiplier codes), from byte-lane
+    bytes, packed-lane multiples (the first is the row itself), or
+    code-list (j, value) pairs, (j, log value) over log tables."""
+    logs = type(spec._lists) is _LogLists
+    out = []
+    for k, (p, mults) in enumerate(steps):
+        width = nrows - k - 1
+        if type(mults) is bytes:
+            codes = list(mults)
+        elif mults and type(mults[0]) is int:
+            codes = list(spec._wide.unpack(mults[0], width))
+        else:
+            codes = [0] * width
+            for j, v in mults:
+                codes[j] = spec._exp[v] if logs else v
+        out.append((p, codes))
+    return out
+
+
+LANE_FIELDS = [(2, 4), (2, 6), (2, 8)]
+
+
+def _elimination_cases(spec, ncols):
+    rng = random.Random(f"lane-elim:{spec.m}:{ncols}")
+    c = ncols
+    holed = _rand(spec, rng, c, c)
+    for row in holed:
+        row[c // 3] = 0  # a column with no pivot, mid-matrix
+    return {
+        "square": _rand(spec, rng, c, c),
+        "tall": _rand(spec, rng, c + 5, c),
+        "wide": _rand(spec, rng, c // 2 + 1, c),
+        "singular": _singular(spec, rng, c),
+        "all-zero": [[0] * c for _ in range(3)],
+        "swapping": _swapping(spec, rng, c),
+        "holed": holed,
+        "dense": _rand(spec, rng, c, c, zero_share=0.0),
+    }
+
+
+def _eliminations(spec, cases):
+    """Per case: echelon rows, pivots, swaps and steps with and without
+    record, det, rank, and the solution of a consistent right-hand side
+    or the refusal of a rank-deficient system."""
+    rng = random.Random(f"lane-solve:{spec.m}")
+    out = {}
+    for name, rows in cases.items():
+        A = FqMatrix(spec, [row[:] for row in rows])
+        steps = []
+        ech, pivots, swaps = A._eliminate(steps)
+        plain = A._eliminate()
+        x = _rand(spec, rng, A.ncols, 2)
+        try:
+            solved = A.solve(FqMatrix(spec, _matmul(spec, rows, x))).rows
+            assert solved == x
+        except ValueError as exc:
+            solved = str(exc)
+        out[name] = (
+            [list(r) for r in ech], pivots, swaps, _step_codes(spec, steps, A.nrows),
+            ([list(r) for r in plain[0]], plain[1], plain[2]),
+            A.det().code if A.nrows == A.ncols else None,
+            A.rank(),
+            solved,
+        )
+    return out
+
+
+@pytest.mark.parametrize("p, m", LANE_FIELDS)
+@pytest.mark.parametrize("ncols", [8, 9, 17, 51, 85])
+def test_lane_elimination_matches_code_lists(p, m, ncols, monkeypatch):
+    """Byte lanes eliminate on big-endian rows that shrink as the pivot
+    moves; the generic loop in code lists gives the same echelon rows,
+    pivots, swaps, steps, det, rank and solutions."""
+    spec = build_field(p, m)
+    cases = _elimination_cases(spec, ncols)
+    assert spec._kernel(ncols) is spec._lanes
+    lanes = _eliminations(spec, cases)
+    _lists_only(monkeypatch, spec)
+    assert spec._kernel(ncols) is spec._lists
+    lists = _eliminations(spec, cases)
+    for name in cases:
+        assert lanes[name] == lists[name], name
+    assert lists["singular"][6] == ncols - 1 and lists["swapping"][2] >= 1
+    assert lists["all-zero"][1] == [] and lists["wide"][7] == "system is rank deficient"

@@ -23,7 +23,6 @@ from netcode.netmodel import (
     Source,
     TransferResult,
     _compiled_kernels,
-    _path_extremes,
     network_from_dict,
     network_to_dict,
     random_leks,
@@ -130,7 +129,7 @@ def test_impulse_response_matches_edge_pass(p, m):
             net = _with_unreached_sink(net)
         leks = _zero_leks(net, spec) if k % 8 == 7 else random_leks(net, spec, f"imp{k}")
         tr = _same(net, leks)
-        extremes = _path_extremes(net)
+        extremes = net._path_extremes
         window = net.mu * (1 if extremes is None else extremes[1] + 1)
         seen.add("short" if window < _LANE_MIN_WIDTH else "long")
         keys = [e.key[:2] for e in net.edges]
@@ -157,7 +156,7 @@ def test_no_source_to_sink_path_is_a_zero_matrix(p, m):
         [Source("S", 2)],
         [Sink("T", 2), Sink("B", 1)],
     )
-    assert _path_extremes(net) is None
+    assert net._path_extremes is None
     tr = _same(net, random_leks(net, spec, "nopath", nonzero=True))
     assert (tr.d_prime_min, tr.d_prime_max) == (0, 0)
     assert tr.M.nrows == 3 and tr.M.ncols == 2
