@@ -35,12 +35,13 @@ from .netmodel import (
     NetworkSpec,
     TransferResult,
     WindowUnderspecified,
+    _check_codes,
     _cutter,
     _window,
     random_leks,
     transfer_matrix,
 )
-from .transform import TransformPlan, make_plan, run_pipeline
+from .transform import TransformPlan, _pipeline, make_plan
 
 __all__ = [
     "MinCutViolation",
@@ -144,15 +145,27 @@ def detect_category(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
     matching no category under any relabeling are rejected.
     """
     _check_three_unicast(net)
-    # a cross pair only needs to know whether any path joins it
+    sources, sinks = [s.node for s in net.sources], [t.node for t in net.sinks]
+    if set(sources) & set(sinks):
+        raise ValueError("source and sink share a node; min-cut undefined")
+    # a cross pair only needs to know whether any path joins it: one walk
+    # per source over the edges, tails in topological order; the gate on a
+    # diagonal pair only whether its cut is 1
+    edges = [net.edges[k] for k in net._edge_order]
+    reached = []
+    for s in sources:
+        seen = {s}
+        for e in edges:
+            if e.tail in seen:
+                seen.add(e.head)
+        reached.append(seen)
     cut = _cutter(net)
-    cuts = [[cut(i, j, None if i == j else 1) for j in range(3)] for i in range(3)]
     for i in range(3):
-        if cuts[i][i] != 1:
+        if cut(i, i, 2) != 1:
             raise MinCutViolation(
-                f"session {i + 1} needs min-cut exactly 1, found {cuts[i][i]}"
+                f"session {i + 1} needs min-cut exactly 1, found {cut(i, i)}"
             )
-    zero = {(i, j) for i in range(3) for j in range(3) if i != j and cuts[i][j] == 0}
+    zero = {(i, j) for i in range(3) for j in range(3) if i != j and sinks[j] not in reached[i]}
     for cat, pattern in _CATEGORY_PATTERNS.items():
         for perm in _PERMUTATIONS:
             internal = {
@@ -491,38 +504,36 @@ def encode_decode(
     recovered symbol lists in the same order plus the throughput
     accounting; recovery is exact whenever the instance passed
     check_alignment. The sinks decode from the factors check_alignment
-    kept, or from freshly factored systems if it never ran.
+    kept, or from freshly factored systems if it never ran. A symbol of
+    another field, or whose code is outside [0, q), raises ValueError.
+    Everything between runs on codes, through the pipeline's code core.
     """
     spec = inst.field
     N = inst.N
     V = (inst.V1, inst.V2, inst.V3)
-    xs = (list(x1), list(x2), list(x3))
-    for k, vec in enumerate(xs):
+    kern = spec._kernel(N)
+    lanes: list = [None, None, None]
+    for k, vec in enumerate(map(list, (x1, x2, x3))):
         if any(sym.spec is not spec and sym.spec != spec for sym in vec):
             raise ValueError("input symbol from a different field")
         if len(vec) != V[k].ncols:
             raise ValueError(f"session {k + 1} expects {V[k].ncols} symbols, got {len(vec)}")
-    stacked = [V[k] * FqMatrix(spec, [[sym.code] for sym in xs[k]]) for k in range(3)]
-
-    # stacked position r is generation N-1-r; route by the session perm
-    inputs_by_net_source: list = [None, None, None]
-    for k in range(3):
-        gens = [[FieldElement(spec, stacked[k].rows[N - 1 - t][0])] for t in range(N)]
-        inputs_by_net_source[inst.perm[k]] = gens
-    decoded = run_pipeline(inst.net, inst.leks, inst.plan, inputs_by_net_source, inst.transfer)
-    y = [
-        FqMatrix(spec, [[decoded[inst.perm[k]][N - 1 - r][0].code] for r in range(N)])
-        for k in range(3)
-    ]
+        codes = [sym.code for sym in vec]
+        _check_codes(codes, spec, len(codes), lambda _: f"session {k + 1}")
+        # V x as a sum of V's columns; stacked position r is generation
+        # N-1-r, and the session goes out on the network's source perm[k]
+        cols = [kern.prep(col) for col in zip(*V[k].rows)]
+        lanes[inst.perm[k]] = kern.matvec(codes, cols, N)[::-1]
+    decoded = _pipeline(inst.net, inst.leks, inst.plan, lanes, inst.transfer)
 
     recovered: list = [None, None, None]
     factors = inst.decode_factors or _decode_factors(inst)
     for (name, j, _), system in zip(_DECODE_SYSTEMS[inst.category], factors):
         try:
-            sol = system.solve(y[j])
+            (sol,) = system._solve([decoded[inst.perm[j]][::-1]])
         except ValueError as exc:
             raise SingularDecodeSystem(f"{name}: {exc}") from None
-        recovered[j] = [sol.entry(r, 0) for r in range(V[j].ncols)]
+        recovered[j] = [FieldElement(spec, c) for c in sol[: V[j].ncols]]
 
     return DecodeResult(
         recovered=tuple(recovered),

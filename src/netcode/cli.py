@@ -46,7 +46,7 @@ from .netmodel import (
     validate,
 )
 from .transform import make_plan
-from .feasibility import FeasibilityReport, SearchExhausted, analyze, generation_dets
+from .feasibility import FeasibilityReport, SearchExhausted, _generation_codes, analyze
 from .alignment import (
     NotFound,
     align_search,
@@ -296,20 +296,19 @@ def _transfer_text(tr: TransferResult, pretty: bool) -> str:
 
 def _transform_text(dets, spec: FieldSpec, pretty: bool) -> str:
     """transform's report as JSON text: a {"det", "sink", "solvable", "t"}
-    record for each (t, j, det) of dets, one per line, or in the indented
-    layout one array of them.
+    record for each (t, j, det) of dets, det a code or None, one per line,
+    or in the indented layout one array of them.
 
     The text is what _render writes for those records, det being its
     code's coefficient list, or null for None.
     """
     lay = _LAYOUTS[pretty]
     d = int(pretty)  # a record's depth
-    text_of = lay.leaves(spec, (det.code for _, _, det in dets if det is not None), d + 1)
+    text_of = lay.leaves(spec, (det for _, _, det in dets if det is not None), d + 1)
     record = lay.obj(dict.fromkeys(("det", "sink", "solvable", "t"), "%s"), d)
-    # det.code rather than bool(det), a Python-level call per record
     texts = [
         record % ("null", j, "false", t) if det is None
-        else record % (text_of(det.code), j, "true" if det.code else "false", t)
+        else record % (text_of(det), j, "true" if det else "false", t)
         for t, j, det in dets
     ]
     if pretty:
@@ -441,7 +440,7 @@ def _cmd_transform(args) -> int:
         )
     spec = base if a == 1 else build_field(base.p, base.m * a)
     plan = make_plan(args.n, spec, element_of_order(spec, args.n), tr.d_max)
-    dets = generation_dets(tr, conns, plan)
+    dets = _generation_codes(tr, conns, plan)
     _write(_transform_text(dets, plan.field, args.pretty), args.out)
     return 0 if all(det for _, _, det in dets) else 1
 

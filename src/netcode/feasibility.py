@@ -168,6 +168,15 @@ def generation_dets(
     eigenblock, so sink j decodes generation t exactly when it is nonzero.
     It is None where the block is not square.
     """
+    spec = plan.field
+    return [
+        (t, j, None if det is None else FieldElement(spec, det))
+        for t, j, det in _generation_codes(tr, connections, plan)
+    ]
+
+
+def _generation_codes(tr: TransferResult, connections, plan: TransformPlan) -> list[tuple]:
+    """generation_dets with each det as its code of plan.field."""
     systems = _sink_systems(tr, connections)
     demanding = [j for j, (_, cols) in enumerate(systems) if cols]
     square = [j for j in demanding if len(systems[j][1]) == len(systems[j][0])]
@@ -175,7 +184,7 @@ def generation_dets(
     vals = dict(zip(square, _at_powers(dets, plan)))
     n = plan.n
     return [
-        (t, j, FieldElement(plan.field, vals[j][n - 1 - t]) if j in vals else None)
+        (t, j, vals[j][n - 1 - t] if j in vals else None)
         for t in range(n) for j in demanding
     ]
 

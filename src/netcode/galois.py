@@ -1452,19 +1452,60 @@ class FqFactors:
             raise ValueError("mixed fields")
         if rhs.nrows != self.nrows:
             raise ValueError("right-hand side has wrong number of rows")
+        xs = self._solve(zip(*rhs.rows))
+        rows = [list(row) for row in zip(*xs)] if xs else [[] for _ in range(self.ncols)]
+        return FqMatrix(self.spec, rows)
+
+    def _solve(self, cols: Iterable[Sequence[int]]) -> list[list[int]]:
+        """solve on codes: the solution of each column of nrows codes.
+
+        Byte lanes replay a column on one big-endian int, the twin of
+        FqMatrix._eliminate's lane loop: entry k is b >> 8 * (m - 1 - k)
+        & 255, so step k's multipliers for rows k + 1 on are its low
+        lanes, and back substitution drops solved lanes off the low end
+        and XORs each translated column of the upper rows into the rest.
+        Code lists and packed lanes run the generic loop.
+        """
         m, n = self.nrows, self.ncols
         if len(self.pivots) < n:
             raise ValueError("system is rank deficient")
         spec = self.spec
         kern = spec._kernel(n)
-        pack, unpack, axpy = kern.pack, kern.unpack, kern.axpy
-        # -U[:r, r] for each column r of the square upper triangle U
-        flat, minus_one = kern.join(self.upper), spec._neg_code(1)
-        above = [kern.prep(flat[r : r * n : n], minus_one) for r in range(n)]
-        inv_diag = [spec._inv_code(u) for u in flat[:: n + 1]]
-        mul = spec._mul_codes
+        flat, inv = kern.join(self.upper), spec._inv_code
         xs = []
-        for col in zip(*rhs.rows):
+        if kern is spec._lanes:
+            tables, from_bytes = kern.tables, int.from_bytes
+            # U[:r, r] and the table of 1 / U[r, r] for each column r of U
+            above = [flat[r : r * n : n] for r in range(n)]
+            divide = [tables[inv(u)] for u in flat[:: n + 1]]
+            low = (1 << 8 * (m - n)) - 1  # the lanes of rows n on
+            for col in cols:
+                b = from_bytes(bytes(col), "big")
+                for k, (p, mults) in enumerate(self.steps):
+                    if p != k:
+                        sk, sp = 8 * (m - 1 - k), 8 * (m - 1 - p)
+                        d = (b >> sk ^ b >> sp) & 255
+                        b ^= d << sk | d << sp
+                    f = b >> 8 * (m - 1 - k) & 255
+                    if f:
+                        b ^= from_bytes(mults.translate(tables[f]), "big")
+                if b & low:
+                    raise ValueError("system is rank deficient")
+                b >>= 8 * (m - n)
+                x = [0] * n
+                for r in range(n - 1, -1, -1):
+                    x[r] = f = divide[r][b & 255]
+                    b >>= 8
+                    if f:
+                        b ^= from_bytes(above[r].translate(tables[f]), "big")
+                xs.append(x)
+            return xs
+        # -U[:r, r] for each column r of the square upper triangle U
+        minus_one, mul = spec._neg_code(1), spec._mul_codes
+        above = [kern.prep(flat[r : r * n : n], minus_one) for r in range(n)]
+        inv_diag = [inv(u) for u in flat[:: n + 1]]
+        pack, unpack, axpy = kern.pack, kern.unpack, kern.axpy
+        for col in cols:
             b = pack(col)
             for k, (p, mults) in enumerate(self.steps):
                 if p != k:  # rare enough to go through a code list
@@ -1479,7 +1520,7 @@ class FqFactors:
                 x[r] = mul(unpack(b, n)[r], inv_diag[r])
                 b = axpy(b, x[r], above[r])
             xs.append(x)
-        return FqMatrix(spec, [list(row) for row in zip(*xs)] if xs else [[] for _ in range(n)])
+        return xs
 
 
 # ----------------------------------------------------------------------

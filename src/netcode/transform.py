@@ -180,6 +180,28 @@ def cp_decode(plan: TransformPlan, slots: Sequence[Sequence[FieldElement]]) -> l
     return _gens(plan.field, _dft_apply(plan, kept, invert=True), plan.n)
 
 
+def _pipeline(
+    net: NetworkSpec, leks: LekAssignment, plan: TransformPlan, lanes: Sequence, tr: TransferResult
+) -> list[list[int]]:
+    """run_pipeline's chain on checked codes: each flat sink output's n codes.
+
+    lanes holds one lane per flat source process, its n generations of
+    codes in natural order, and tr is transfer_matrix(net, leks). One DFT
+    over every source lane, one simulation of the transmission window and
+    one inverse DFT over every sink lane.
+    """
+    n, d_max = plan.n, plan.d_max
+    primed = _dft_apply(plan, lanes, invert=False)
+    # transmission slot k goes out at step k, and its response reaches the
+    # sinks d_prime_min steps later; the window ends with the last one
+    horizon = tr.d_prime_min + n + d_max
+    pad = [0] * tr.d_prime_min
+    series = [lane[n - d_max :] + lane + pad for lane in primed]
+    outs = _window(net, leks, 0, horizon)(series)
+    # the responses to the cyclic prefix are dropped with the steps before them
+    return _dft_apply(plan, [row[horizon - n :] for row in outs], invert=True)
+
+
 def run_pipeline(
     net: NetworkSpec,
     leks: LekAssignment,
@@ -192,10 +214,8 @@ def run_pipeline(
     inputs[i] holds source i's n generations. Returns decoded[j], sink
     j's n generations of nu_j-vectors, each equal to
     sum_i Mhat_ij(t) X_i(t) when the plan matches the channel. The chain
-    runs on codes: one DFT over every source's lanes, one simulation of
-    the transmission window and one inverse DFT over every sink's lanes.
-    transfer, when given, is transfer_matrix(net, leks); it is computed
-    here if not given.
+    runs on codes (_pipeline). transfer, when given, is
+    transfer_matrix(net, leks); it is computed here if not given.
     """
     net._edge_order  # validates the network before any other check
     tr = transfer if transfer is not None else transfer_matrix(net, leks)
@@ -203,23 +223,12 @@ def run_pipeline(
         raise BlockTooLong(
             f"plan.d_max = {plan.d_max} below channel memory {tr.d_max}"
         )
-    n, d_max = plan.n, plan.d_max
-    spec = plan.field
     if len(inputs) != len(net.sources):
         raise ValueError("one generation list per source expected")
     lanes = []
     for i, (gens, src) in enumerate(zip(inputs, net.sources)):
         lanes += _lanes(plan, gens, f"source {i}", src.processes)
-    if spec != leks.field:
+    if plan.field != leks.field:
         raise ValueError("input symbol from a different field")
-    primed = _dft_apply(plan, lanes, invert=False)
-    # transmission slot k goes out at step k, and its response reaches the
-    # sinks d_prime_min steps later; the window ends with the last one
-    horizon = tr.d_prime_min + n + d_max
-    pad = [0] * tr.d_prime_min
-    series = [lane[n - d_max :] + lane + pad for lane in primed]
-    outs = _window(net, leks, 0, horizon)(series)
-    # the responses to the cyclic prefix are dropped with the steps before them
-    decoded = _dft_apply(plan, [row[horizon - n :] for row in outs], invert=True)
-    rows = iter(decoded)
-    return [_gens(spec, list(islice(rows, snk.outputs)), n) for snk in net.sinks]
+    rows = iter(_pipeline(net, leks, plan, lanes, tr))
+    return [_gens(plan.field, list(islice(rows, snk.outputs)), plan.n) for snk in net.sinks]

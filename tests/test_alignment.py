@@ -25,7 +25,7 @@ from netcode.alignment import (
     encode_decode,
     tv_assignment_from_alignment,
 )
-from netcode.galois import FieldElement, FqMatrix, build_field
+from netcode.galois import FieldElement, FqMatrix, NetcodeError, build_field
 from netcode.netmodel import (
     Edge,
     LekAssignment,
@@ -107,6 +107,85 @@ def test_detect_category_refuses_a_shared_source_sink_node():
         detect_category(net)
     with pytest.raises(ValueError, match="source and sink share a node"):
         align_search(net, 3, GF8)
+
+
+def _pairwise_category(net):
+    """detect_category by one min-cut per (source, sink) pair: a cross pair
+    tested for a path, a diagonal one cut in full. A refusal reads as its
+    type and message."""
+    try:
+        alignment._check_three_unicast(net)
+        cut = netmodel._cutter(net)
+        cuts = [[cut(i, j, None if i == j else 1) for j in range(3)] for i in range(3)]
+        for i in range(3):
+            if cuts[i][i] != 1:
+                raise MinCutViolation(
+                    f"session {i + 1} needs min-cut exactly 1, found {cuts[i][i]}"
+                )
+        zero = {(i, j) for i in range(3) for j in range(3) if i != j and not cuts[i][j]}
+        for cat, pattern in alignment._CATEGORY_PATTERNS.items():
+            for perm in alignment._PERMUTATIONS:
+                internal = {
+                    (a, b) for a in range(3) for b in range(3)
+                    if a != b and (perm[a], perm[b]) in zero
+                }
+                if internal == pattern:
+                    return cat, perm
+        raise UnsupportedPattern(f"zero pattern {sorted(zero)} matches no known category")
+    except (ValueError, NetcodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _detected(net):
+    try:
+        return detect_category(net)
+    except (ValueError, NetcodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_three_unicast(rng):
+    """Three single-process sources and sinks joined by a path of 1-3 hops
+    per diagonal pair and about half the cross pairs, plus a few extra
+    edges from lower to higher path depth, which may add routes, parallel
+    ones too; now and then a sink sits on a source's node."""
+    sources, sinks = ["S1", "S2", "S3"], ["D1", "D2", "D3"]
+    if rng.random() < 0.05:
+        sinks[rng.randrange(3)] = rng.choice(sources)
+    depth = dict.fromkeys(sinks, 9)
+    depth.update(dict.fromkeys(sources, 0))
+    edges = []
+    for i in range(3):
+        for j in range(3):
+            if (i == j or rng.random() < 0.5) and sources[i] != sinks[j]:
+                hops = [sources[i]] + [f"P{i}{j}_{h}" for h in range(rng.randrange(3))]
+                hops.append(sinks[j])
+                depth.update((v, h) for h, v in enumerate(hops[1:-1], 1))
+                edges += [Edge(a, b, 0, 1) for a, b in zip(hops, hops[1:])]
+    nodes = list(depth)
+    for k in range(rng.randrange(5)):
+        a, b = rng.sample(nodes, 2)
+        if depth[a] < depth[b]:
+            edges.append(Edge(a, b, k + 1, 1))
+    return NetworkSpec(nodes, edges, [Source(s, 1) for s in sources], [Sink(d, 1) for d in sinks])
+
+
+def test_detect_category_matches_pairwise_cuts():
+    # one walk per source for the cross pairs and a cut limited to 2 per
+    # diagonal pair give the pairwise rule's category, perm and refusals
+    rng = random.Random("detect-pairwise")
+    seen = set()
+    for _ in range(400):
+        net = _random_three_unicast(rng)
+        want = _pairwise_category(net)
+        assert _detected(net) == want, net
+        seen.add(want[0])
+    assert {MinCutViolation, UnsupportedPattern, ValueError, *alignment._CATEGORY_PATTERNS} <= seen
+    for lengths in [full_lengths(), *CATEGORY_LENGTHS.values()]:
+        for perm in alignment._PERMUTATIONS:
+            relabeled = {(perm[i - 1] + 1, perm[j - 1] + 1): l for (i, j), l in lengths.items()}
+            net = cat_net(relabeled)
+            assert _detected(net) == _pairwise_category(net)
+            assert _detected(net)[0] == _detected(cat_net(lengths))[0]
 
 
 def test_three_unicast_shape_enforced():
@@ -213,6 +292,22 @@ def test_encode_decode_refuses_symbols_of_another_field(ex2):
         with pytest.raises(ValueError, match="^input symbol from a different field$"):
             encode_decode(inst, *edited)
     assert encode_decode(inst, *xs).recovered == tuple(xs)
+    # so are codes outside [0, q): one past q once raised IndexError in the
+    # precoding product, and -1 over GF(2^6) decoded to 63 with no error.
+    # N = 9 runs in byte lanes, GF(3^5) at N = 11 in code lists
+    for p, m, n in [(2, 6, 4), (3, 5, 5)]:
+        spec = build_field(p, m)
+        inst = align_search(net, n, spec).instance
+        assert spec._kernel(inst.N) is (spec._lanes or spec._lists)
+        xs = [rand_syms(spec, rng, v.ncols) for v in (inst.V1, inst.V2, inst.V3)]
+        for code in (spec.q, spec.q + 35, 10**6, -1):  # 64 and 99 in GF(2^6)
+            for k in range(3):
+                edited = [x[:] for x in xs]
+                edited[k][0] = FieldElement(spec, code)
+                message = f"session {k + 1}: input code {code} is not a code of {spec}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    encode_decode(inst, *edited)
+        assert encode_decode(inst, *xs).recovered == tuple(xs)
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 4), (2, 6), (2, 8), (2, 16), (3, 10), (2, 20)])

@@ -941,3 +941,71 @@ def test_lane_elimination_matches_code_lists(p, m, ncols, monkeypatch):
         assert lanes[name] == lists[name], name
     assert lists["singular"][6] == ncols - 1 and lists["swapping"][2] >= 1
     assert lists["all-zero"][1] == [] and lists["wide"][7] == "system is rank deficient"
+
+
+def _lane_solve_cases(spec, n):
+    """(A, right-hand sides) per case: square, tall and row-swapping
+    matrices of full column rank with one- and three-column sides, the
+    tall one also with an inconsistent side, and a singular matrix."""
+    rng = random.Random(f"lane-solve:{spec.m}:{n}")
+    cases = {
+        "square": _full_column_rank(spec, rng, lambda: _rand(spec, rng, n, n)),
+        "tall": _full_column_rank(spec, rng, lambda: _rand(spec, rng, n + 5, n)),
+        "swapping": _full_column_rank(spec, rng, lambda: _swapping(spec, rng, n)),
+        "swapping-tall": _full_column_rank(
+            spec, rng, lambda: _swapping(spec, rng, n) + _rand(spec, rng, 2, n)
+        ),
+        "singular": _singular(spec, rng, n),
+    }
+    out = {}
+    for name, a in cases.items():
+        sides = [_matmul(spec, a, _rand(spec, rng, n, k)) for k in (1, 3)]
+        if name == "tall":
+            bad = [row[:] for row in sides[1]]
+            while _rank(spec, [ra + rb for ra, rb in zip(a, bad)]) == n:
+                bad[-1][1] = spec._add_codes(bad[-1][1], 1)
+            sides.append(bad)
+        out[name] = a, sides
+    return out
+
+
+def _lane_solves(spec, cases):
+    """Each case's solutions, or the refusal's message, by factor().solve
+    and by solve, with the swaps its steps record."""
+    out = {}
+    for name, (a, sides) in cases.items():
+        A = FqMatrix(spec, a)
+        f = A.factor()
+        got = []
+        for b in sides:
+            for solve in (f.solve, A.solve):
+                try:
+                    got.append(solve(FqMatrix(spec, b)).rows)
+                except ValueError as exc:
+                    got.append(str(exc))
+        out[name] = got, [k for k, (p, _) in enumerate(f.steps) if p != k]
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(2, 6), (2, 8)])
+@pytest.mark.parametrize("ncols", [W - 1, W, W + 1])
+def test_lane_solve_matches_code_lists(p, m, ncols, monkeypatch):
+    """Byte lanes replay a right-hand side on one big-endian int; on both
+    sides of the lane crossover the generic loop in code lists gives the
+    same solutions and refusals, and every solution X has A X = B."""
+    spec = build_field(p, m)
+    cases = _lane_solve_cases(spec, ncols)
+    assert (spec._kernel(ncols) is spec._lanes) == (ncols >= W)
+    lanes = _lane_solves(spec, cases)
+    _lists_only(monkeypatch, spec)
+    assert lanes == _lane_solves(spec, cases)
+    deficient = "system is rank deficient"
+    for name, (a, sides) in cases.items():
+        got, swaps = lanes[name]
+        if name == "singular":
+            assert got == [deficient] * 4
+            continue
+        assert got[4:] == ([deficient] * 2 if name == "tall" else [])
+        for x, b in zip(got[:4:2], sides):
+            assert _matmul(spec, a, x) == b, name
+        assert 0 in swaps or not name.startswith("swapping"), name
