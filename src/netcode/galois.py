@@ -312,7 +312,7 @@ class FieldSpec:
     """
 
     __slots__ = (
-        "p", "m", "q", "modulus", "_mod_bits", "_kron", "_exp", "_log", "_lists", "_lanes",
+        "p", "m", "q", "modulus", "_mod_bits", "_kron", "_exp", "_log", "_lists", "_poly",
         "_wide", "_wide_min", "_gen_code", "_codec_cache",
     )
 
@@ -332,10 +332,12 @@ class FieldSpec:
             else _PrimeLists(p) if m == 1
             else _MulLists(self._mul_codes, xor if p == 2 else self._add_codes)
         )
-        self._lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
+        lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
+        # the kernel of polynomial products and divisions, at any length
+        self._poly = lanes or self._lists
         # the kernel of rows at least _wide_min wide
-        if self._lanes:
-            self._wide, self._wide_min = self._lanes, _LANE_MIN_WIDTH
+        if lanes:
+            self._wide, self._wide_min = lanes, _LANE_MIN_WIDTH
         elif p == 2 and m <= 24 and _PACKED_ROWS:
             self._wide = _PackedKernel(self)
             self._wide_min = _PACKED_MIN_WIDTH if self._exp else _PACKED_MIN_WIDTH_NO_TABLES
@@ -657,10 +659,6 @@ class FieldSpec:
 #     from raw bytes: n zero codes are unpack(pack([0]), 1) * n
 #   unpack(row, width) -> its codes: a list, bytes, or an array of 16- or
 #     32-bit codes
-#   join(unpacked rows) -> their codes end to end
-#   column(rows, start, c) -> entry c of each row from rows[start] on, for
-#     the generic elimination loop alone; byte lanes have no column, as
-#     FqMatrix._eliminate runs them on shrinking big-endian rows
 #   prep(codes, scale=1) -> scale * codes, prepared as a src for axpy,
 #     which returns row + f * src (src from entry off on), and for
 #     matvec, which returns the sum of factors[i] * srcs[i]
@@ -668,6 +666,11 @@ class FieldSpec:
 #     (one factor per row) and src (codes as unpack gives them),
 #     rows[start + i] += factors[i] * scale * src
 #   scaled(f, codes) -> f * codes
+#   eliminate(rows, ncols, spec, record) -> FqMatrix._eliminate of code-list
+#     rows; solve(factors, cols) -> FqFactors._solve of factors that this
+#     kernel's eliminate recorded. Code lists and packed lanes share one
+#     loop for each, which reads pivot columns through the helper column;
+#     byte lanes run their own on big-endian rows
 #   zero() -> an empty row; mul_into(row, a, src) -> row + a * src, for
 #     polynomials lowest power first, lengthening a code-list row as needed
 #   div_exact(row, src) -> row / b as unpack's codes, for the monic b of
@@ -677,10 +680,10 @@ class FieldSpec:
 # consumes it. No call takes a factor per entry: a time-indexed term
 # (netmodel._window) multiplies its factors and series entry by entry and
 # adds the product with axpy at factor 1. Poly products and PolyMatrix.det
-# run in byte lanes whenever the field has them, whatever their length: a
-# lane polynomial is packed per entry, not per row, so the row-width
-# crossover does not apply. Packed lanes serve the rows alone, with no
-# zero, mul_into or div_exact: polynomials there stay in code lists.
+# run in FieldSpec._poly, byte lanes whenever the field has them, whatever
+# their length: a lane polynomial is packed per entry, not per row, so the
+# row-width crossover does not apply. Packed lanes serve the rows alone,
+# with no zero, mul_into or div_exact: polynomials there stay in code lists.
 
 
 class _CodeLists:
@@ -698,11 +701,8 @@ class _CodeLists:
         return row
 
     @staticmethod
-    def join(rows: Sequence[list[int]]) -> list[int]:
-        return [x for row in rows for x in row]
-
-    @staticmethod
     def column(rows: list[list[int]], start: int, c: int) -> list[int]:
+        """Entry c of each row from rows[start] on, for eliminate."""
         return [row[c] for row in rows[start:]]
 
     def axpys(self, rows: list, start: int, columns: Iterable, srcs: Iterable, scale=1) -> None:
@@ -725,6 +725,63 @@ class _CodeLists:
             if x:
                 axpy(out, x, src, i)
         return out
+
+    def eliminate(self, rows: Sequence, ncols: int, spec: FieldSpec, record: list | None) -> tuple:
+        column, unpack, prep, axpys = self.column, self.unpack, self.prep, self.axpys
+        neg, inv = spec._neg_code, spec._inv_code
+        rows = [self.pack(row) for row in rows]
+        nrows, pivots, swaps, r = len(rows), [], 0, 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            col = column(rows, r, c)
+            for k, x in enumerate(col):
+                if x:
+                    break
+            else:
+                continue
+            if k:
+                rows[r], rows[r + k] = rows[r + k], rows[r]
+                col[0], col[k] = col[k], col[0]
+                swaps += 1
+            # row r is zero left of column c, and adding f * scale * row r
+            # to a row whose entry c is f clears that entry
+            scale = neg(inv(col[0]))
+            below = col[1:]
+            if record is not None:
+                record.append((r + k, prep(below, scale)))
+            axpys(rows, r + 1, (below,), (unpack(rows[r], ncols),), scale)
+            pivots.append(c)
+            r += 1
+        return [unpack(row, ncols) for row in rows], pivots, swaps
+
+    def solve(self, factors: "FqFactors", cols: Iterable[Sequence[int]]) -> list[list[int]]:
+        m, n, spec, upper = factors.nrows, factors.ncols, factors.spec, factors.upper
+        minus_one, mul, inv = spec._neg_code(1), spec._mul_codes, spec._inv_code
+        pack, unpack, axpy, prep = self.pack, self.unpack, self.axpy, self.prep
+        flat = upper[0][:0] if upper else []  # U's rows end to end, a list or an array
+        for row in upper:
+            flat += row
+        # -U[:r, r] and 1 / U[r, r] for each column r of the square upper triangle U
+        above = [prep(flat[r : r * n : n], minus_one) for r in range(n)]
+        inv_diag = [inv(u) for u in flat[:: n + 1]]
+        xs = []
+        for col in cols:
+            b = pack(col)
+            for k, (p, mults) in enumerate(factors.steps):
+                if p != k:  # rare enough to go through a code list
+                    codes = list(unpack(b, m))
+                    codes[k], codes[p] = codes[p], codes[k]
+                    b = pack(codes)
+                b = axpy(b, unpack(b, m)[k], mults, k + 1)
+            if any(unpack(b, m)[n:]):
+                raise ValueError("system is rank deficient")
+            x = [0] * n
+            for r in range(n - 1, -1, -1):
+                x[r] = mul(unpack(b, n)[r], inv_diag[r])
+                b = axpy(b, x[r], above[r])
+            xs.append(x)
+        return xs
 
     def div_exact(self, rem: list[int], src: list) -> tuple[int, ...]:
         while rem and not rem[-1]:
@@ -879,7 +936,6 @@ class _LaneKernel:
     def unpack(row: int, width: int) -> bytes:
         return row.to_bytes(width, "little")
 
-    join = staticmethod(b"".join)
     zero = int
 
     def prep(self, codes: Sequence[int], scale: int = 1) -> bytes:
@@ -910,6 +966,75 @@ class _LaneKernel:
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return list(bytes(codes).translate(self.tables[factor]))
+
+    def eliminate(self, rows: Sequence, ncols: int, spec: FieldSpec, record: list | None) -> tuple:
+        # column c is lane ncols - 1 - c of a big-endian row: the rows from the
+        # pivot's on are zero left of its column c, so entry c is row >> 8 *
+        # (ncols - 1 - c), and an update translates their ncols - c low bytes
+        tables, from_bytes = self.tables, int.from_bytes
+        neg, inv = spec._neg_code, spec._inv_code
+        rows = [from_bytes(bytes(row), "big") for row in rows]
+        nrows, pivots, swaps, r = len(rows), [], 0, 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            shift = 8 * (ncols - 1 - c)
+            col = [row >> shift for row in rows[r:]]
+            for k, x in enumerate(col):
+                if x:
+                    break
+            else:
+                continue
+            if k:
+                rows[r], rows[r + k] = rows[r + k], rows[r]
+                col[0], col[k] = col[k], col[0]
+                swaps += 1
+            scale = tables[neg(inv(col[0]))]
+            below = col[1:]
+            if record is not None:
+                record.append((r + k, bytes(below).translate(scale)))
+            if any(below):
+                src = rows[r].to_bytes(ncols - c, "big").translate(scale)
+                for i, f in enumerate(below, r + 1):
+                    if f:
+                        rows[i] ^= from_bytes(src.translate(tables[f]), "big")
+            pivots.append(c)
+            r += 1
+        return [row.to_bytes(ncols, "big") for row in rows], pivots, swaps
+
+    def solve(self, factors: "FqFactors", cols: Iterable[Sequence[int]]) -> list[list[int]]:
+        # a column is one big-endian int, entry k in lane m - 1 - k, so step k's
+        # multipliers for rows k + 1 on are its low lanes; back substitution
+        # drops solved lanes off the low end and XORs in the upper rows' columns
+        m, n, steps = factors.nrows, factors.ncols, factors.steps
+        tables, from_bytes, inv = self.tables, int.from_bytes, factors.spec._inv_code
+        # U[:r, r] and the table of 1 / U[r, r] for each column r of U
+        flat = b"".join(factors.upper)
+        above = [flat[r : r * n : n] for r in range(n)]
+        divide = [tables[inv(u)] for u in flat[:: n + 1]]
+        low = (1 << 8 * (m - n)) - 1  # the lanes of rows n on
+        xs = []
+        for col in cols:
+            b = from_bytes(bytes(col), "big")
+            for k, (p, mults) in enumerate(steps):
+                if p != k:
+                    sk, sp = 8 * (m - 1 - k), 8 * (m - 1 - p)
+                    d = (b >> sk ^ b >> sp) & 255
+                    b ^= d << sk | d << sp
+                f = b >> 8 * (m - 1 - k) & 255
+                if f:
+                    b ^= from_bytes(mults.translate(tables[f]), "big")
+            if b & low:
+                raise ValueError("system is rank deficient")
+            b >>= 8 * (m - n)
+            x = [0] * n
+            for r in range(n - 1, -1, -1):
+                x[r] = f = divide[r][b & 255]
+                b >>= 8
+                if f:
+                    b ^= from_bytes(above[r].translate(tables[f]), "big")
+            xs.append(x)
+        return xs
 
     def mul_into(self, row: int, a: Sequence[int], src: bytes) -> int:
         tables, unpack, shift = self.tables, int.from_bytes, 0
@@ -964,10 +1089,8 @@ class _PackedKernel:
     def unpack(self, row: int, width: int) -> array:
         return array(self.code, row.to_bytes(width * self.bits >> 3, "little"))
 
-    def join(self, rows: Sequence[array]) -> array:
-        return array(self.code, b"".join(rows))
-
     def column(self, rows: list[int], start: int, c: int) -> list[int]:
+        """Entry c of each row from rows[start] on, for eliminate."""
         shift, mask = self.bits * c, (1 << self.bits) - 1
         return [row >> shift & mask for row in rows[start:]]
 
@@ -999,8 +1122,8 @@ class _PackedKernel:
             k += 1
         return row ^ out << self.bits * off
 
-    # the code lists' loop: axpy returns the updated row, which it stores
-    axpys = _CodeLists.axpys
+    # the code lists' loops: axpy returns the updated row, which they store
+    axpys, eliminate, solve = _CodeLists.axpys, _CodeLists.eliminate, _CodeLists.solve
 
     def matvec(self, factors: Sequence[int], srcs: Sequence[list], width: int) -> list[int]:
         acc, axpy = 0, self.axpy
@@ -1261,8 +1384,8 @@ class FqMatrix:
     def scale(self, s: FieldElement) -> "FqMatrix":
         if s.spec != self.spec:
             raise ValueError("mixed fields")
-        scaled = self.spec._kernel(self.ncols).scaled
-        return FqMatrix(self.spec, [scaled(s.code, row) for row in self.rows])
+        code, scaled = s._valid(), self.spec._kernel(self.ncols).scaled
+        return FqMatrix(self.spec, [scaled(code, row) for row in self.rows])
 
     def __mul__(self, other: "FqMatrix | FieldElement") -> "FqMatrix":
         if isinstance(other, FieldElement):
@@ -1305,81 +1428,16 @@ class FqMatrix:
     def _eliminate(self, record: list | None = None) -> tuple[list, list[int], int]:
         """Forward-eliminate a copy of the rows: (echelon rows, pivot columns, swaps).
 
-        The rows run in the row kernel of their width and come back unpacked.
-        With record a list, each pivot step k appends (p, mults): row p was
-        swapped into place k, then row k + 1 + i gained m times row k for
-        each entry m at position i of the prepared row mults. The replay is
+        The loop is the eliminate of the row kernel of the rows' width:
+        byte lanes run their own, and code lists and packed lanes share
+        one. The rows come back unpacked. With record a list, each pivot
+        step k appends (p, mults): row p was swapped into place k, then row
+        k + 1 + i gained m times row k for each entry m at position i of
+        the prepared row mults. Every kernel gives the same rows, pivots,
+        swaps and steps, the steps in its own prepared form. The replay is
         FqFactors.solve.
-
-        Byte lanes run a loop of their own on big-endian rows, column c in
-        lane ncols - 1 - c: the rows from the pivot's on are zero left of
-        its column c, so entry c is row >> 8 * (ncols - 1 - c), and an
-        update translates only the ncols - c bytes from the pivot on. It
-        gives the rows, pivots, swaps and steps of the generic loop, which
-        code lists and packed lanes run.
         """
-        spec, ncols = self.spec, self.ncols
-        kern = spec._kernel(ncols)
-        neg, inv = spec._neg_code, spec._inv_code
-        if kern is spec._lanes:
-            tables, from_bytes = kern.tables, int.from_bytes
-            rows = [from_bytes(bytes(row), "big") for row in self.rows]
-            nrows, pivots, swaps, r = len(rows), [], 0, 0
-            for c in range(ncols):
-                if r == nrows:
-                    break
-                shift = 8 * (ncols - 1 - c)
-                col = [row >> shift for row in rows[r:]]
-                for k, x in enumerate(col):
-                    if x:
-                        break
-                else:
-                    continue
-                if k:
-                    rows[r], rows[r + k] = rows[r + k], rows[r]
-                    col[0], col[k] = col[k], col[0]
-                    swaps += 1
-                scale = tables[neg(inv(col[0]))]
-                below = col[1:]
-                if record is not None:
-                    record.append((r + k, bytes(below).translate(scale)))
-                if any(below):
-                    src = rows[r].to_bytes(ncols - c, "big").translate(scale)
-                    for i, f in enumerate(below, r + 1):
-                        if f:
-                            rows[i] ^= from_bytes(src.translate(tables[f]), "big")
-                pivots.append(c)
-                r += 1
-            return [row.to_bytes(ncols, "big") for row in rows], pivots, swaps
-        column, unpack, prep, axpys = kern.column, kern.unpack, kern.prep, kern.axpys
-        rows = [kern.pack(row) for row in self.rows]
-        nrows = len(rows)
-        pivots: list[int] = []
-        swaps = 0
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            col = column(rows, r, c)
-            for k, x in enumerate(col):
-                if x:
-                    break
-            else:
-                continue
-            if k:
-                rows[r], rows[r + k] = rows[r + k], rows[r]
-                col[0], col[k] = col[k], col[0]
-                swaps += 1
-            # row r is zero left of column c, and adding f * scale * row r
-            # to a row whose entry c is f clears that entry
-            scale = neg(inv(col[0]))
-            below = col[1:]
-            if record is not None:
-                record.append((r + k, prep(below, scale)))
-            axpys(rows, r + 1, (below,), (unpack(rows[r], ncols),), scale)
-            pivots.append(c)
-            r += 1
-        return [unpack(row, ncols) for row in rows], pivots, swaps
+        return self.spec._kernel(self.ncols).eliminate(self.rows, self.ncols, self.spec, record)
 
     def factor(self) -> "FqFactors":
         """The forward elimination of self, recorded so right-hand sides can replay it."""
@@ -1419,8 +1477,8 @@ class FqFactors:
 
     steps holds each pivot step's swap and multipliers (see
     FqMatrix._eliminate) and upper the rank nonzero echelon rows, both in
-    the forms of the row kernel that A's width selects; solve replays them
-    in that kernel, one right-hand-side column at a time.
+    the forms of the row kernel of A's width, whose solve replays them one
+    right-hand-side column at a time.
     """
 
     __slots__ = ("spec", "nrows", "ncols", "pivots", "steps", "upper")
@@ -1457,70 +1515,11 @@ class FqFactors:
         return FqMatrix(self.spec, rows)
 
     def _solve(self, cols: Iterable[Sequence[int]]) -> list[list[int]]:
-        """solve on codes: the solution of each column of nrows codes.
-
-        Byte lanes replay a column on one big-endian int, the twin of
-        FqMatrix._eliminate's lane loop: entry k is b >> 8 * (m - 1 - k)
-        & 255, so step k's multipliers for rows k + 1 on are its low
-        lanes, and back substitution drops solved lanes off the low end
-        and XORs each translated column of the upper rows into the rest.
-        Code lists and packed lanes run the generic loop.
-        """
-        m, n = self.nrows, self.ncols
-        if len(self.pivots) < n:
+        """solve on codes: the solution of each column of nrows codes, from
+        the solve of the row kernel that recorded the steps."""
+        if len(self.pivots) < self.ncols:
             raise ValueError("system is rank deficient")
-        spec = self.spec
-        kern = spec._kernel(n)
-        flat, inv = kern.join(self.upper), spec._inv_code
-        xs = []
-        if kern is spec._lanes:
-            tables, from_bytes = kern.tables, int.from_bytes
-            # U[:r, r] and the table of 1 / U[r, r] for each column r of U
-            above = [flat[r : r * n : n] for r in range(n)]
-            divide = [tables[inv(u)] for u in flat[:: n + 1]]
-            low = (1 << 8 * (m - n)) - 1  # the lanes of rows n on
-            for col in cols:
-                b = from_bytes(bytes(col), "big")
-                for k, (p, mults) in enumerate(self.steps):
-                    if p != k:
-                        sk, sp = 8 * (m - 1 - k), 8 * (m - 1 - p)
-                        d = (b >> sk ^ b >> sp) & 255
-                        b ^= d << sk | d << sp
-                    f = b >> 8 * (m - 1 - k) & 255
-                    if f:
-                        b ^= from_bytes(mults.translate(tables[f]), "big")
-                if b & low:
-                    raise ValueError("system is rank deficient")
-                b >>= 8 * (m - n)
-                x = [0] * n
-                for r in range(n - 1, -1, -1):
-                    x[r] = f = divide[r][b & 255]
-                    b >>= 8
-                    if f:
-                        b ^= from_bytes(above[r].translate(tables[f]), "big")
-                xs.append(x)
-            return xs
-        # -U[:r, r] for each column r of the square upper triangle U
-        minus_one, mul = spec._neg_code(1), spec._mul_codes
-        above = [kern.prep(flat[r : r * n : n], minus_one) for r in range(n)]
-        inv_diag = [inv(u) for u in flat[:: n + 1]]
-        pack, unpack, axpy = kern.pack, kern.unpack, kern.axpy
-        for col in cols:
-            b = pack(col)
-            for k, (p, mults) in enumerate(self.steps):
-                if p != k:  # rare enough to go through a code list
-                    codes = list(unpack(b, m))
-                    codes[k], codes[p] = codes[p], codes[k]
-                    b = pack(codes)
-                b = axpy(b, unpack(b, m)[k], mults, k + 1)
-            if any(unpack(b, m)[n:]):
-                raise ValueError("system is rank deficient")
-            x = [0] * n
-            for r in range(n - 1, -1, -1):
-                x[r] = mul(unpack(b, n)[r], inv_diag[r])
-                b = axpy(b, x[r], above[r])
-            xs.append(x)
-        return xs
+        return self.spec._kernel(self.ncols).solve(self, cols)
 
 
 # ----------------------------------------------------------------------
@@ -1641,7 +1640,7 @@ class Poly:
             scaled = self.spec._kernel(len(self.codes)).scaled
             return Poly(self.spec, scaled(other._valid(), self._valid()))
         a, b = sorted(self._check(other), key=len)  # lanes translate b once per code of a
-        kern = self.spec._lanes or self.spec._lists
+        kern = self.spec._poly
         out = kern.mul_into(kern.zero(), a, kern.prep(b))
         return Poly(self.spec, kern.unpack(out, max(len(a) + len(b) - 1, 0)))
 
@@ -1750,7 +1749,7 @@ class PolyMatrix:
         spec, n = self.spec, self.nrows
         a = [[p.codes for p in row] for row in self.rows]
         Poly(spec, list(chain.from_iterable(chain.from_iterable(a))))._valid()
-        kern = spec._lanes or spec._lists
+        kern = spec._poly
         zero, prep, mul_into, div_exact = kern.zero, kern.prep, kern.mul_into, kern.div_exact
         prev, negate = (1,), False
         for k in range(n - 1):

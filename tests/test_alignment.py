@@ -298,7 +298,7 @@ def test_encode_decode_refuses_symbols_of_another_field(ex2):
     for p, m, n in [(2, 6, 4), (3, 5, 5)]:
         spec = build_field(p, m)
         inst = align_search(net, n, spec).instance
-        assert spec._kernel(inst.N) is (spec._lanes or spec._lists)
+        assert spec._kernel(inst.N) is spec._poly
         xs = [rand_syms(spec, rng, v.ncols) for v in (inst.V1, inst.V2, inst.V3)]
         for code in (spec.q, spec.q + 35, 10**6, -1):  # 64 and 99 in GF(2^6)
             for k in range(3):

@@ -141,12 +141,15 @@ def test_division_by_zero():
         GF8.one() / GF8.zero()
 
 
-@pytest.mark.parametrize("p, m", [(2, 3), (7, 1), (3, 5), (2, 20)])
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 1), (7, 1), (3, 5), (2, 20)])
 def test_arithmetic_refuses_codes_outside_the_field(p, m):
     """The constructor takes any int; every operator refuses an operand
-    whose code is not in [0, q), before any table is read."""
+    whose code is not in [0, q), before any table is read. So do a
+    matrix's scale and its product with an element, in code lists and,
+    9 entries wide, in byte lanes over GF(2^3): over GF(3), 99 once scaled
+    [[1, 1]] to [[0, 0]], and over GF(2^3) it raised IndexError."""
     spec = build_field(p, m)
-    ok, top = FieldElement(spec, 3), FieldElement(spec, spec.q - 1)
+    ok, top = FieldElement(spec, min(3, spec.q - 1)), FieldElement(spec, spec.q - 1)
     binary = [
         lambda x, y: x + y,
         lambda x, y: x - y,
@@ -154,6 +157,9 @@ def test_arithmetic_refuses_codes_outside_the_field(p, m):
         lambda x, y: x / y,
     ]
     unary = [lambda x: -x, lambda x: x.inverse(), lambda x: x**2]
+    for width in (2, 9):
+        unary += [lambda x, w=width: FqMatrix(spec, [[1] * w]).scale(x),
+                  lambda x, w=width: FqMatrix(spec, [[1] * w]) * x]
     for code in (spec.q, spec.q + 91, -1):
         bad = FieldElement(spec, code)
         match = rf"^code {code} is not a code of {re.escape(str(spec))}$"
@@ -168,6 +174,7 @@ def test_arithmetic_refuses_codes_outside_the_field(p, m):
     assert (top + ok) - ok == top and -(-top) == top
     assert top * top.inverse() == spec.one() == top / top
     assert top**2 == top * top and spec.zero() * top == spec.zero()
+    assert (FqMatrix(spec, [[1] * 9]) * top).rows == [[top.code] * 9]
 
 
 @pytest.mark.parametrize("p, m", [(2, 3), (2, 6), (7, 1), (3, 5), (2, 20)])

@@ -48,8 +48,9 @@ def cofactor_det(pm: PolyMatrix) -> Poly:
 
 
 def kernels(spec):
-    """The code-list kernel of spec, then its byte lanes if it has them."""
-    return [spec._lists] + ([spec._lanes] if spec._lanes else [])
+    """The code-list kernel of spec, then its byte lanes if it has them:
+    the polynomial kernel, when that is not the code lists."""
+    return [spec._lists] + ([spec._poly] if spec._poly is not spec._lists else [])
 
 
 def _div_exact(spec, kern, a, b):

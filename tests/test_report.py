@@ -25,6 +25,7 @@ from netcode.galois import (
     Poly,
     PolyMatrix,
     _digits,
+    _LaneKernel,
     build_field,
     element_of_order,
 )
@@ -145,7 +146,7 @@ def test_simulate_report_matches_the_encoder(tmp_path, capsys, pm, mode, steps):
         window = (t_start, t_start + steps - 1)
         leks = random_leks(net, spec, f"report:{k}", mode=mode, window=window)
         doc, rows = _simulation(net, leks, steps, rng, t_start)
-        lanes = spec._lanes is not None and steps >= 8
+        lanes = type(spec._kernel(steps)) is _LaneKernel
         assert {type(row) for row in rows} == {bytes if lanes else list}
         for pretty in (False, True):
             code, out = _run(capsys, doc, tmp_path, *["--pretty"] * pretty)

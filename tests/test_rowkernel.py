@@ -1,23 +1,25 @@
 """The row kernels against textbook loops over scalar field arithmetic.
 
-Elimination (rank, det, solve, inverse), back substitution, matrix
-products, row scaling and the DFT each have one loop, which runs in the
-row kernel that FieldSpec._kernel picks by row width: byte lanes in
-GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH wide, packed 16- or
-32-bit lanes in GF(2^m) with 8 < m <= 24 from their own crossover on, and
-the field's code-list kernel everywhere else. A spec picks that kernel
-once, by regime: log tables in GF(2^m) up to the table cap, inline
-arithmetic in GF(p), and scalar multiplies and adds in every other field.
-A product runs on its transposed operands when only the left side's
-height reaches the wide kernel. Here the packed lanes serve from
+Matrix products, row scaling and the DFT each have one loop, and
+elimination (rank, det, solve, inverse) and its replay are each one call,
+eliminate and solve, of the row kernel that FieldSpec._kernel picks by row
+width: byte lanes in GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH
+wide, packed 16- or 32-bit lanes in GF(2^m) with 8 < m <= 24 from their
+own crossover on, and the field's code-list kernel everywhere else. A spec
+picks that kernel once, by regime: log tables in GF(2^m) up to the table
+cap, inline arithmetic in GF(p), and scalar multiplies and adds in every
+other field. A product runs on its transposed operands when only the left
+side's height reaches the wide kernel. Here the packed lanes serve from
 _LANE_MIN_WIDTH on, as byte lanes do (the autouse fixture below), so the
 shapes sit on both sides of every crossover; the first kernel-choice test
-pins the real crossovers on fresh specs. Byte lanes eliminate in a loop of
-their own, checked against the generic loop in code lists. Polynomial
-products and exact divisions are kernel calls too, checked here in every
-kernel class that has them against convolution. The oracles call only the scalar _mul_codes and
-_add_codes, one element at a time, and sympy's DomainMatrix rank over
-prime fields; the scalars meet digit-wise arithmetic.
+pins the real crossovers on fresh specs. Byte lanes eliminate and replay
+in loops of their own and packed lanes in the code lists' loops; each wide
+kernel's eliminate and solve is checked, called directly, against the code
+lists'. Polynomial products and exact divisions are kernel calls too,
+checked here in every kernel class that has them against convolution. The
+oracles call only the scalar _mul_codes and _add_codes, one element at a
+time, and sympy's DomainMatrix rank over prime fields; the scalars meet
+digit-wise arithmetic.
 """
 
 import random
@@ -37,6 +39,7 @@ from netcode.galois import (
     _PACKED_MIN_WIDTH_NO_TABLES,
     FieldElement,
     FieldSpec,
+    FqFactors,
     FqMatrix,
     _dft,
     _LaneKernel,
@@ -562,7 +565,7 @@ def test_poly_calls_match_convolution_in_every_kernel(p, m):
     polynomial calls: Poly products and PolyMatrix.det run in byte lanes
     or code lists."""
     spec = build_field(p, m)
-    kerns = [spec._lists] + ([spec._lanes] if spec._lanes else [])
+    kerns = [spec._lists] + ([spec._poly] if spec._poly is not spec._lists else [])
     minus_one = _neg(spec, 1)
     for kern in kerns:
         rng = random.Random(f"polycalls:{p}:{m}")
@@ -698,7 +701,7 @@ def _kernels(spec):
 
 @pytest.mark.parametrize("p, m", FIELDS)
 def test_row_calls_match_scalar_calls(p, m):
-    """pack and unpack, join, column (but in byte lanes), axpy with offsets
+    """pack and unpack, column (but in byte lanes), axpy with offsets
     and scales, axpys on a few and on many rows per src, matvec and scaled,
     in every kernel, at widths on both sides of W. matvec and scaled give lists, as
     FqMatrix rows are compared as lists."""
@@ -734,9 +737,8 @@ def test_row_calls_match_scalar_calls(p, m):
             assert type(got) is list and got == want
             packed = [pack(r) for r in rows]
             # column serves the generic elimination loop; byte lanes run their own
-            for c in {0, width // 2, width - 1} if kern is not spec._lanes else ():
+            for c in {0, width // 2, width - 1} if type(kern) is not _LaneKernel else ():
                 assert kern.column(packed, 1, c) == [r[c] for r in rows[1:]]
-            assert list(kern.join([unpack(r, width) for r in packed])) == sum(rows, [])
             for height in (4, 2 * W + 3):
                 base = _rand(spec, rng, height, width)
                 columns = _rand(spec, rng, 2, height - 1, zero_share=0.3)
@@ -852,7 +854,7 @@ def test_cat1_search_matches_code_lists(p, m, n, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# byte-lane elimination against the code-list loop
+# each wide kernel's eliminate and solve against the code lists'
 # ----------------------------------------------------------------------
 
 
@@ -876,136 +878,133 @@ def _step_codes(spec, steps, nrows):
     return out
 
 
-LANE_FIELDS = [(2, 4), (2, 6), (2, 8)]
+# (ncols, p, m): byte lanes from 8 to 85 columns, packed 16-bit lanes at
+# 128 and 131, and packed 32-bit lanes from 8 to 41
+WIDE = (
+    [(c, 2, m) for m in (4, 6, 8) for c in (8, 9, 17, 51, 85)]
+    + [(c, 2, m) for m in (10, 16) for c in (128, 131)]
+    + [(c, 2, 20) for c in (8, 9, 41)]
+)
 
 
-def _elimination_cases(spec, ncols):
-    rng = random.Random(f"lane-elim:{spec.m}:{ncols}")
-    c = ncols
-    holed = _rand(spec, rng, c, c)
-    for row in holed:
-        row[c // 3] = 0  # a column with no pivot, mid-matrix
+def _swap_heavy(spec, rng, n):
+    """n x n on which every pivot step swaps and then clears rows.
+
+    Built backwards from an upper triangle with a nonzero diagonal: for k
+    from n - 2 down, the rows below some p > k gain multiples of row k,
+    then rows k and p trade places, so step k finds its pivot in row p."""
+    lists = spec._lists
+    rows = [[0] * i + [rng.randrange(1, spec.q)] + _rand(spec, rng, 1, n - 1 - i)[0]
+            for i in range(n)]
+    for k in range(n - 2, -1, -1):
+        p = rng.randrange(k + 1, min(k + 4, n))
+        src = lists.prep(rows[k])
+        for i in range(p + 1, n):
+            rows[i] = lists.axpy(rows[i], rng.randrange(1, spec.q), src)
+        rows[k], rows[p] = rows[p], rows[k]
+    return rows
+
+
+def _square_and_tall(spec, rng, n, full=lambda draw: draw()):
+    """Matrices of n columns, by name, each draw passed through full."""
     return {
-        "square": _rand(spec, rng, c, c),
-        "tall": _rand(spec, rng, c + 5, c),
-        "wide": _rand(spec, rng, c // 2 + 1, c),
-        "singular": _singular(spec, rng, c),
-        "all-zero": [[0] * c for _ in range(3)],
-        "swapping": _swapping(spec, rng, c),
-        "holed": holed,
-        "dense": _rand(spec, rng, c, c, zero_share=0.0),
+        "square": full(lambda: _rand(spec, rng, n, n)),
+        "tall": full(lambda: _rand(spec, rng, n + 5, n)),
+        "swapping": full(lambda: _swapping(spec, rng, n)),
+        "swapping-tall": full(lambda: _swapping(spec, rng, n) + _rand(spec, rng, 2, n)),
+        "swap-heavy": _swap_heavy(spec, rng, n),
     }
 
 
-def _eliminations(spec, cases):
-    """Per case: echelon rows, pivots, swaps and steps with and without
-    record, det, rank, and the solution of a consistent right-hand side
-    or the refusal of a rank-deficient system."""
-    rng = random.Random(f"lane-solve:{spec.m}")
-    out = {}
+def _elimination_cases(spec, n):
+    rng = random.Random(f"lane-elim:{spec.m}:{n}")
+    holed = _rand(spec, rng, n, n)
+    for row in holed:
+        row[n // 3] = 0  # a column with no pivot, mid-matrix
+    return {
+        **_square_and_tall(spec, rng, n),
+        "wide": _rand(spec, rng, n // 2 + 1, n),
+        "singular": _singular(spec, rng, n),
+        "all-zero": [[0] * n for _ in range(3)],
+        "holed": holed,
+        "dense": _rand(spec, rng, n, n, zero_share=0.0),
+    }
+
+
+def _eliminate(spec, kern, rows, n, record=True):
+    """kern's eliminate: echelon rows, pivots, swaps, and with record the
+    steps as codes."""
+    steps = [] if record else None
+    ech, pivots, swaps = kern.eliminate(rows, n, spec, steps)
+    out = [list(r) for r in ech], pivots, swaps
+    return out + (_step_codes(spec, steps, len(rows)),) if record else out
+
+
+@pytest.mark.parametrize("ncols, p, m", WIDE)
+def test_lane_elimination_matches_code_lists(ncols, p, m):
+    """Byte lanes eliminate on big-endian rows that shrink as the pivot
+    moves, packed lanes in the code lists' loop; each wide kernel's
+    eliminate gives the code lists' echelon rows, pivots, swaps and
+    steps, on full-rank, swap-heavy and rank-deficient matrices alike."""
+    spec = build_field(p, m)
+    wide = spec._wide
+    assert type(wide) is (_LaneKernel if m <= 8 else _PackedKernel)
+    cases = _elimination_cases(spec, ncols)
+    want = {name: _eliminate(spec, spec._lists, rows, ncols) for name, rows in cases.items()}
     for name, rows in cases.items():
-        A = FqMatrix(spec, [row[:] for row in rows])
-        steps = []
-        ech, pivots, swaps = A._eliminate(steps)
-        plain = A._eliminate()
-        x = _rand(spec, rng, A.ncols, 2)
+        got = _eliminate(spec, wide, rows, ncols)
+        assert got == want[name], name
+        assert _eliminate(spec, wide, rows, ncols, record=False) == got[:3], name
+    assert want["swap-heavy"][2] == ncols - 1 and want["swapping"][2] >= 1
+    assert len(want["singular"][1]) == ncols - 1 and len(want["holed"][1]) == ncols - 1
+    assert want["all-zero"][1] == [] and len(want["wide"][1]) < ncols
+
+
+def _solutions(spec, kern, a, sides):
+    """kern's replay of each side on a's factors in kern: the solution's
+    rows, or the refusal's message."""
+    steps = []
+    ech, pivots, _ = kern.eliminate(a, len(a[0]), spec, steps)
+    factors = FqFactors(spec, len(a), len(a[0]), pivots, steps, ech[: len(pivots)])
+    out = []
+    for b in sides:
         try:
-            solved = A.solve(FqMatrix(spec, _matmul(spec, rows, x))).rows
-            assert solved == x
+            out.append([list(r) for r in zip(*kern.solve(factors, zip(*b)))])
         except ValueError as exc:
-            solved = str(exc)
-        out[name] = (
-            [list(r) for r in ech], pivots, swaps, _step_codes(spec, steps, A.nrows),
-            ([list(r) for r in plain[0]], plain[1], plain[2]),
-            A.det().code if A.nrows == A.ncols else None,
-            A.rank(),
-            solved,
-        )
+            out.append(str(exc))
     return out
 
 
-@pytest.mark.parametrize("p, m", LANE_FIELDS)
-@pytest.mark.parametrize("ncols", [8, 9, 17, 51, 85])
-def test_lane_elimination_matches_code_lists(p, m, ncols, monkeypatch):
-    """Byte lanes eliminate on big-endian rows that shrink as the pivot
-    moves; the generic loop in code lists gives the same echelon rows,
-    pivots, swaps, steps, det, rank and solutions."""
+@pytest.mark.parametrize("ncols, p, m", WIDE + [(7, 2, 6), (7, 2, 8)])
+def test_lane_solve_matches_code_lists(ncols, p, m):
+    """Byte lanes replay a right-hand side on one big-endian int, packed
+    lanes in the code lists' loop; each wide kernel's solve gives the code
+    lists' solutions, each the X with A X = B, and refuses an inconsistent
+    tall system as they do. Rank-deficient factors are refused before any
+    kernel replays them."""
     spec = build_field(p, m)
-    cases = _elimination_cases(spec, ncols)
-    assert spec._kernel(ncols) is spec._lanes
-    lanes = _eliminations(spec, cases)
-    _lists_only(monkeypatch, spec)
-    assert spec._kernel(ncols) is spec._lists
-    lists = _eliminations(spec, cases)
-    for name in cases:
-        assert lanes[name] == lists[name], name
-    assert lists["singular"][6] == ncols - 1 and lists["swapping"][2] >= 1
-    assert lists["all-zero"][1] == [] and lists["wide"][7] == "system is rank deficient"
+    wide = spec._wide
+    rng = random.Random(f"lane-solve:{m}:{ncols}")
+    deficient = "system is rank deficient"
 
+    def full(draw):
+        for _ in range(50):
+            a = draw()
+            if FqMatrix(spec, a).rank() == ncols:
+                return a
+        raise AssertionError("no full-rank draw")  # pragma: no cover
 
-def _lane_solve_cases(spec, n):
-    """(A, right-hand sides) per case: square, tall and row-swapping
-    matrices of full column rank with one- and three-column sides, the
-    tall one also with an inconsistent side, and a singular matrix."""
-    rng = random.Random(f"lane-solve:{spec.m}:{n}")
-    cases = {
-        "square": _full_column_rank(spec, rng, lambda: _rand(spec, rng, n, n)),
-        "tall": _full_column_rank(spec, rng, lambda: _rand(spec, rng, n + 5, n)),
-        "swapping": _full_column_rank(spec, rng, lambda: _swapping(spec, rng, n)),
-        "swapping-tall": _full_column_rank(
-            spec, rng, lambda: _swapping(spec, rng, n) + _rand(spec, rng, 2, n)
-        ),
-        "singular": _singular(spec, rng, n),
-    }
-    out = {}
-    for name, a in cases.items():
-        sides = [_matmul(spec, a, _rand(spec, rng, n, k)) for k in (1, 3)]
+    for name, a in _square_and_tall(spec, rng, ncols, full).items():
+        xs = [_rand(spec, rng, ncols, k) for k in (1, 3)]
+        sides = [_matmul(spec, a, x) for x in xs]
         if name == "tall":
             bad = [row[:] for row in sides[1]]
-            while _rank(spec, [ra + rb for ra, rb in zip(a, bad)]) == n:
+            while FqMatrix(spec, [ra + rb for ra, rb in zip(a, bad)]).rank() == ncols:
                 bad[-1][1] = spec._add_codes(bad[-1][1], 1)
             sides.append(bad)
-        out[name] = a, sides
-    return out
-
-
-def _lane_solves(spec, cases):
-    """Each case's solutions, or the refusal's message, by factor().solve
-    and by solve, with the swaps its steps record."""
-    out = {}
-    for name, (a, sides) in cases.items():
-        A = FqMatrix(spec, a)
-        f = A.factor()
-        got = []
-        for b in sides:
-            for solve in (f.solve, A.solve):
-                try:
-                    got.append(solve(FqMatrix(spec, b)).rows)
-                except ValueError as exc:
-                    got.append(str(exc))
-        out[name] = got, [k for k, (p, _) in enumerate(f.steps) if p != k]
-    return out
-
-
-@pytest.mark.parametrize("p, m", [(2, 6), (2, 8)])
-@pytest.mark.parametrize("ncols", [W - 1, W, W + 1])
-def test_lane_solve_matches_code_lists(p, m, ncols, monkeypatch):
-    """Byte lanes replay a right-hand side on one big-endian int; on both
-    sides of the lane crossover the generic loop in code lists gives the
-    same solutions and refusals, and every solution X has A X = B."""
-    spec = build_field(p, m)
-    cases = _lane_solve_cases(spec, ncols)
-    assert (spec._kernel(ncols) is spec._lanes) == (ncols >= W)
-    lanes = _lane_solves(spec, cases)
-    _lists_only(monkeypatch, spec)
-    assert lanes == _lane_solves(spec, cases)
-    deficient = "system is rank deficient"
-    for name, (a, sides) in cases.items():
-        got, swaps = lanes[name]
-        if name == "singular":
-            assert got == [deficient] * 4
-            continue
-        assert got[4:] == ([deficient] * 2 if name == "tall" else [])
-        for x, b in zip(got[:4:2], sides):
-            assert _matmul(spec, a, x) == b, name
-        assert 0 in swaps or not name.startswith("swapping"), name
+            xs.append(deficient)
+        got = _solutions(spec, wide, a, sides)
+        assert got == _solutions(spec, spec._lists, a, sides) == xs, name
+    singular = FqMatrix(spec, _singular(spec, rng, ncols)).factor()
+    with pytest.raises(ValueError, match=deficient):
+        singular.solve(FqMatrix(spec, _rand(spec, rng, ncols, 1)))
