@@ -17,7 +17,6 @@ import random
 import sys
 from importlib import resources
 from itertools import chain
-from typing import Callable, Iterable
 
 from .galois import (
     FieldElement,
@@ -175,59 +174,24 @@ def _net_and_leks(doc: dict, need_kernels: bool = True):
 # ----------------------------------------------------------------------
 
 
-class _Layout:
-    """Report text as json.JSONEncoder(sort_keys=True) writes it, compact
-    or indented by two spaces, put together from the texts of its values.
-
-    A value at depth d is one whose items sit d + 1 levels deep; a report's
-    top-level value is at depth 0.
-    """
-
-    def __init__(self, pretty: bool):
-        self.pretty = pretty
-        # reports are freshly built trees, so the cycle check finds nothing
-        layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-        self.encode = json.JSONEncoder(sort_keys=True, check_circular=False, **layout).encode
-        self.colon = ": " if pretty else ":"
-
-    def ind(self, d: int) -> str:
-        return "\n" + "  " * d if self.pretty else ""
-
-    def _join(self, items: list[str], d: int, brackets: str) -> str:
-        if not items:
-            return brackets
-        sep = self.ind(d + 1)
-        return brackets[0] + sep + ("," + sep).join(items) + self.ind(d) + brackets[1]
-
-    def array(self, items: list[str], d: int) -> str:
-        """An array of these item texts at depth d."""
-        return self._join(items, d, "[]")
-
-    def obj(self, fields: dict[str, str], d: int) -> str:
-        """An object of these value texts at depth d; no key needs escaping."""
-        return self._join([f'"{k}"{self.colon}{v}' for k, v in sorted(fields.items())], d, "{}")
-
-    def value(self, v, d: int) -> str:
-        """The encoder's text for v at depth d."""
-        text = self.encode(v)
-        return text.replace("\n", self.ind(d)) if self.pretty and d else text
-
-    def leaves(self, spec: FieldSpec, codes: Iterable[int], d: int) -> Callable[[int], str]:
-        """code -> its coefficient list's text at depth d, for these codes:
-        the field's compact text, or one made once per distinct code."""
-        if not self.pretty:
-            return spec._codec().text_of
-        codes = list(set(codes))
-        texts = (self.array(list(map(str, c)), d) for c in spec.codes_to_json(codes))
-        return dict(zip(codes, texts)).__getitem__
+# reports are freshly built trees, so the cycle check finds nothing
+_COMPACT = json.JSONEncoder(sort_keys=True, check_circular=False, separators=(",", ":")).encode
+_INDENTED = json.JSONEncoder(sort_keys=True, check_circular=False, indent=2).encode
 
 
-_LAYOUTS = (_Layout(False), _Layout(True))
+def _array(items: list[str]) -> str:
+    """The compact text of an array of these item texts."""
+    return "[" + ",".join(items) + "]"
+
+
+def _obj(fields: dict[str, str]) -> str:
+    """The compact text of an object of these value texts; no key needs escaping."""
+    return "{" + ",".join(f'"{k}":{v}' for k, v in sorted(fields.items())) + "}"
 
 
 def _render(obj, pretty: bool) -> str:
     """obj as one JSON document, the report text."""
-    return _LAYOUTS[pretty].encode(obj) + "\n"
+    return (_INDENTED if pretty else _COMPACT)(obj) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -246,37 +210,43 @@ def _emit(obj, args) -> None:
     _write(_render(obj, args.pretty), args.out)
 
 
-def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int, pretty: bool) -> str:
-    """simulate's report {"outputs": outputs[t][j][r]} as JSON text.
+def _emit_text(text: str, args, lines: bool = False) -> None:
+    """Write a compact report text, or with --pretty the indented text of
+    the tree it holds: the array of its records when it is JSON lines."""
+    if args.pretty:
+        text = _render(json.loads(_array(text.splitlines()) if lines else text), True)
+    _write(text, args.out)
 
-    The text is what _render writes for those nested coefficient lists,
-    in either layout. rows[r] holds flat output r's codes at each step,
-    and each symbol is written as its code's text.
+
+def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int) -> str:
+    """simulate's report {"outputs": outputs[t][j][r]} as compact JSON text.
+
+    The text is what _render writes for those nested coefficient lists.
+    rows[r] holds flat output r's codes at each step, and each symbol is
+    written as its code's text.
     """
-    lay = _LAYOUTS[pretty]
-    text_of = lay.leaves(spec, chain.from_iterable(rows), 4)
+    text_of = spec._codec().text_of
     # one format string per step, a {} for each symbol; no text holds a brace
-    step = lay.array([lay.array(["{}"] * snk.outputs, 3) for snk in net.sinks], 2)
+    step = _array([_array(["{}"] * snk.outputs) for snk in net.sinks])
     if rows:
         each = list(map(step.format, *(map(text_of, row) for row in rows)))
     else:
         each = [step] * steps
-    return lay.obj({"outputs": lay.array(each, 1)}, 0) + "\n"
+    return _obj({"outputs": _array(each)}) + "\n"
 
 
-def _transfer_text(tr: TransferResult, pretty: bool) -> str:
-    """transfer's report as JSON text, in either layout: the field,
-    d_prime_min/max, mu_list, nu_list and d_max, the entries' coefficient
-    lists (the transfer document transfer_from_dict reads) and entry_strs,
-    each entry's display string.
+def _transfer_text(tr: TransferResult) -> str:
+    """transfer's report as compact JSON text: the field, d_prime_min/max,
+    mu_list, nu_list and d_max, the entries' coefficient lists (the
+    transfer document transfer_from_dict reads) and entry_strs, each
+    entry's display string.
 
     The text is what _render writes for that tree; each coefficient list
     is written as its code's text.
     """
-    lay = _LAYOUTS[pretty]
     rows = tr.M.rows
-    text_of = lay.leaves(tr.field, (c for row in rows for p in row for c in p.codes), 4)
-    entries = [[lay.array(list(map(text_of, p.codes)), 3) for p in row] for row in rows]
+    text_of = tr.field._codec().text_of
+    entries = [[_array(list(map(text_of, p.codes))) for p in row] for row in rows]
     # a display string holds only digits, letters, ^, +, parentheses and
     # spaces, which json writes as they are
     strs = [[f'"{p.format_str()}"' for p in row] for row in rows]
@@ -288,32 +258,26 @@ def _transfer_text(tr: TransferResult, pretty: bool) -> str:
         "nu_list": list(tr.nu_list),
         "d_max": tr.d_max,
     }
-    texts = {k: lay.value(v, 1) for k, v in fields.items()}
+    texts = {k: _COMPACT(v) for k, v in fields.items()}
     for key, table in (("entries", entries), ("entry_strs", strs)):
-        texts[key] = lay.array([lay.array(row, 2) for row in table], 1)
-    return lay.obj(texts, 0) + "\n"
+        texts[key] = _array([_array(row) for row in table])
+    return _obj(texts) + "\n"
 
 
-def _transform_text(dets, spec: FieldSpec, pretty: bool) -> str:
-    """transform's report as JSON text: a {"det", "sink", "solvable", "t"}
-    record for each (t, j, det) of dets, det a code or None, one per line,
-    or in the indented layout one array of them.
+def _transform_text(dets, spec: FieldSpec) -> str:
+    """transform's report as JSON lines: a {"det", "sink", "solvable", "t"}
+    record for each (t, j, det) of dets, det a code or None.
 
-    The text is what _render writes for those records, det being its
-    code's coefficient list, or null for None.
+    Each line is what _render writes for its record, det being its code's
+    coefficient list, or null for None.
     """
-    lay = _LAYOUTS[pretty]
-    d = int(pretty)  # a record's depth
-    text_of = lay.leaves(spec, (det for _, _, det in dets if det is not None), d + 1)
-    record = lay.obj(dict.fromkeys(("det", "sink", "solvable", "t"), "%s"), d)
-    texts = [
+    text_of = spec._codec().text_of
+    record = _obj(dict.fromkeys(("det", "sink", "solvable", "t"), "%s")) + "\n"
+    return "".join([
         record % ("null", j, "false", t) if det is None
         else record % (text_of(det), j, "true" if det else "false", t)
         for t, j, det in dets
-    ]
-    if pretty:
-        return lay.array(texts, 0) + "\n"
-    return "".join(map("{}\n".format, texts))
+    ])
 
 
 def _poly_json(p: Poly) -> list[list[int]]:
@@ -381,7 +345,7 @@ def _cmd_mincut(args) -> int:
 def _cmd_transfer(args) -> int:
     doc = _load_doc(args.input, "network")
     net, leks = _net_and_leks(doc)
-    _write(_transfer_text(transfer_matrix(net, leks), args.pretty), args.out)
+    _emit_text(_transfer_text(transfer_matrix(net, leks)), args)
     return 0
 
 
@@ -402,7 +366,7 @@ def _cmd_simulate(args) -> int:
         raise
     t_start = _int(doc.get("t_start", 0), "t_start")
     rows = _simulate_rows(net, leks, inputs, t_start, False, codes)
-    _write(_outputs_text(net, spec, rows, len(inputs), args.pretty), args.out)
+    _emit_text(_outputs_text(net, spec, rows, len(inputs)), args)
     return 0
 
 
@@ -441,7 +405,7 @@ def _cmd_transform(args) -> int:
     spec = base if a == 1 else build_field(base.p, base.m * a)
     plan = make_plan(args.n, spec, element_of_order(spec, args.n), tr.d_max)
     dets = _generation_codes(tr, conns, plan)
-    _write(_transform_text(dets, plan.field, args.pretty), args.out)
+    _emit_text(_transform_text(dets, plan.field), args, lines=True)
     return 0 if all(det for _, _, det in dets) else 1
 
 

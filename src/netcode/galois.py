@@ -769,8 +769,8 @@ class _CodeLists:
         for col in cols:
             b = pack(col)
             for k, (p, mults) in enumerate(factors.steps):
-                if p != k:  # rare enough to go through a code list
-                    codes = list(unpack(b, m))
+                if p != k:  # swapped in b's codes: the list itself, or an array
+                    codes = unpack(b, m)
                     codes[k], codes[p] = codes[p], codes[k]
                     b = pack(codes)
                 b = axpy(b, unpack(b, m)[k], mults, k + 1)

@@ -207,18 +207,16 @@ def run_pipeline(
     leks: LekAssignment,
     plan: TransformPlan,
     inputs: Sequence[Sequence[Sequence[FieldElement]]],
-    transfer: TransferResult | None = None,
 ) -> list[list[list[FieldElement]]]:
     """Full chain: cp_encode each source, simulate, slice, cp_decode.
 
     inputs[i] holds source i's n generations. Returns decoded[j], sink
     j's n generations of nu_j-vectors, each equal to
     sum_i Mhat_ij(t) X_i(t) when the plan matches the channel. The chain
-    runs on codes (_pipeline). transfer, when given, is
-    transfer_matrix(net, leks); it is computed here if not given.
+    runs on codes (_pipeline) through transfer_matrix(net, leks).
     """
     net._edge_order  # validates the network before any other check
-    tr = transfer if transfer is not None else transfer_matrix(net, leks)
+    tr = transfer_matrix(net, leks)
     if plan.d_max < tr.d_max:
         raise BlockTooLong(
             f"plan.d_max = {plan.d_max} below channel memory {tr.d_max}"

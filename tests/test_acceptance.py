@@ -146,7 +146,7 @@ def test_criterion_04_pipeline_matches_eigenblock_prediction():
              for _ in range(n)]
             for s in net.sources
         ]
-        decoded = run_pipeline(net, leks, plan, inputs, transfer=tr)
+        decoded = run_pipeline(net, leks, plan, inputs)
         for j, snk in enumerate(net.sinks):
             hats = [eigen_blocks(tr.block(i, j), plan)
                     for i in range(len(net.sources))]

@@ -110,7 +110,7 @@ def ladder_decode(inst, x1, x2, x3):
         by_source[inst.perm[k]] = [
             [FieldElement(spec, stacked[k].rows[N - 1 - t][0])] for t in range(N)
         ]
-    decoded = run_pipeline(inst.net, inst.leks, inst.plan, by_source, transfer=inst.transfer)
+    decoded = run_pipeline(inst.net, inst.leks, inst.plan, by_source)
     y = [
         FqMatrix(spec, [[decoded[inst.perm[k]][N - 1 - r][0].code] for r in range(N)])
         for k in range(3)

@@ -3,7 +3,9 @@
 Each example mutates one bundled document's JSON tree a few times (a
 value swapped for another type, a key or item dropped, a list cut
 short) and runs every subcommand on the result. A traceback, a non-JSON
-report or any other exit code fails the test.
+report or any other exit code fails the test. Each subcommand runs again
+with --pretty, which must exit alike and write one JSON document holding
+the compact report's tree.
 """
 
 import contextlib
@@ -98,11 +100,20 @@ def test_every_subcommand_answers_in_json(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc))
     for cmd in COMMANDS:
+        argv = (cmd[0], str(path)) + cmd[1:]
         start = time.perf_counter()
-        code, out = _run((cmd[0], str(path)) + cmd[1:])
+        code, out = _run(argv)
         assert code in (0, 1, 2), (cmd, out)
         lines = out.splitlines()
         assert lines, cmd
-        for line in lines:
-            json.loads(line)
+        records = [json.loads(line) for line in lines]
         assert time.perf_counter() - start < 5.0, cmd
+        # the compact report's tree: a transform report's records, or the
+        # one document of any other report, error reports included
+        if cmd[0] == "transform" and code != 2:
+            tree = records
+        else:
+            (tree,) = records
+        pretty_code, pretty = _run(argv + ("--pretty",))
+        assert pretty_code == code, (cmd, pretty)
+        assert json.loads(pretty) == tree, cmd

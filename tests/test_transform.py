@@ -272,7 +272,7 @@ def test_pipeline_on_two_path_net():
     plan = plan8(n=7, d_max=1)
     rng = random.Random("2p-x")
     gens = rand_gens(GF8, rng, 7, 1)
-    decoded = run_pipeline(net, leks, plan, [gens], transfer=tr)
+    decoded = run_pipeline(net, leks, plan, [gens])
     blocks = eigen_blocks(tr.block(0, 0), plan)
     singular = []
     for t in range(7):
@@ -303,7 +303,7 @@ def test_pipeline_matches_eigenblock_map_on_random_nets():
             continue
         plan = plan8(n=7, d_max=max(tr.d_max, 1))
         inputs = [rand_gens(GF8, rng, 7, s.processes) for s in net.sources]
-        decoded = run_pipeline(net, leks, plan, inputs, transfer=tr)
+        decoded = run_pipeline(net, leks, plan, inputs)
         for j, snk in enumerate(net.sinks):
             hats = [eigen_blocks(tr.block(i, j), plan) for i in range(len(net.sources))]
             for t in range(7):
