@@ -606,7 +606,7 @@ def build_tv(net: NetworkSpec, leks: LekAssignment, n: int) -> TvInstance:
     try:
         window = _window(net, leks, -d_max, horizon)
         silent = [0] * horizon
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ValueError(
             f"longest path delay {d_prime_max} needs a window of {horizon} steps, "
             "too many to allocate"

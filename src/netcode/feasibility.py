@@ -26,7 +26,7 @@ from .galois import (
     _lift,
 )
 from .netmodel import TransferResult, _check_demand
-from .transform import TransformPlan, eigen_blocks, make_plan
+from .transform import TransformPlan, make_plan
 
 __all__ = [
     "NonSquare",
@@ -41,7 +41,6 @@ __all__ = [
     "check_plan",
     "generation_dets",
     "find_plan",
-    "nontransform_equivalence",
     "analyze",
 ]
 
@@ -242,7 +241,7 @@ def find_plan(
 
 
 # ----------------------------------------------------------------------
-# report assembly and the equivalence check
+# report assembly
 # ----------------------------------------------------------------------
 
 
@@ -286,53 +285,3 @@ def analyze(
         )
     return FeasibilityReport(tuple(viol), cols, dets, f, f1, divides, feasible, plan)
 
-
-def nontransform_equivalence(
-    tr: TransferResult,
-    connections,
-    plan: TransformPlan | None = None,
-    n_min: int = 2,
-) -> dict:
-    """Check both directions of the feasibility equivalence on an instance.
-
-    Forward: a working delay-domain code with f(1) != 0 admits a verified
-    transform plan (found by search when none is supplied). Backward: for
-    the plan's eigenblocks, the generation evaluating at D = 1 is
-    nonsingular per sink, and a column is zero in every eigenblock exactly
-    when it is zero at every delay lag (the two codes silence the same
-    interference).
-    """
-    rep = analyze(tr, connections, find=plan is None, n_min=n_min)
-    report: dict = {"nontransform_feasible": rep.feasible}
-    if not rep.feasible:
-        report["forward"] = {"ok": False, "reason": "no feasible delay-domain code"}
-        return report
-    report["f_divisible_by_D_minus_1"] = rep.d_minus_one_divides
-    if rep.d_minus_one_divides:
-        report["forward"] = {"ok": False, "reason": "f(1) = 0"}
-        return report
-    plan = plan or rep.plan
-    report["forward"] = {
-        "ok": check_plan(rep.f, plan).ok,
-        "n": plan.n,
-        "ext_degree": plan.field.m // tr.field.m,
-    }
-
-    # backward: evaluate the eigenblocks and compare structural zeros
-    evals = eigen_blocks(tr.M, plan)
-    # alpha^(n-1-t) = 1 at t = n-1: that generation is M'_j(1)
-    det_at_one_ok = [
-        bool(evals[-1].submatrix(rows, cols).det())
-        for rows, cols in _sink_systems(tr, connections)
-    ]
-    cells = [(r, c) for r in range(tr.nu) for c in range(tr.mu)]
-    zero_delay = {(r, c) for r, c in cells if not tr.M.rows[r][c]}
-    zero_eigen = {(r, c) for r, c in cells if not any(ev.rows[r][c] for ev in evals)}
-    match = zero_delay == zero_eigen
-    report["backward"] = {
-        "det_at_one_nonzero": det_at_one_ok,
-        "zero_pattern_match": match,
-        "ok": all(det_at_one_ok) and match,
-    }
-    report["ok"] = bool(report["forward"]["ok"] and report["backward"]["ok"])
-    return report

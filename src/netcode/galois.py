@@ -13,7 +13,6 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, cycle, islice, zip_longest
-from math import gcd
 from operator import xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -26,9 +25,7 @@ __all__ = [
     "FieldSpec",
     "FieldElement",
     "build_field",
-    "generator",
     "element_of_order",
-    "multiplicative_order",
     "FqMatrix",
     "FqFactors",
     "Poly",
@@ -503,21 +500,6 @@ class FieldSpec:
             base = mul(base, base)
             e >>= 1
         return out if kron is None else self._kron_mul(out, 1, True)
-
-    def _order_of_code(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        if self._log is not None:
-            # a = g^k has order (q - 1) / gcd(k, q - 1)
-            return (self.q - 1) // gcd(self._log[a], self.q - 1)
-        return self._order_slow(a)
-
-    def _order_slow(self, a: int) -> int:
-        order = self.q - 1
-        for r in _factorint(self.q - 1):
-            while order % r == 0 and self._pow_code_slow(a, order // r) == 1:
-                order //= r
-        return order
 
     def _find_generator(self) -> int:
         """The primitive element with the smallest code, found without tables."""
@@ -1287,15 +1269,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<{self.spec._codec().str_of(self.code)} in {self.spec!r}>"
-
-
-def generator(spec: FieldSpec) -> FieldElement:
-    """The fixed generator: the primitive element with the smallest encoding."""
-    return FieldElement(spec, spec._gen_code)
-
-
-def multiplicative_order(elem: FieldElement) -> int:
-    return elem.spec._order_of_code(elem.code)
 
 
 def element_of_order(spec: FieldSpec, n: int) -> FieldElement:

@@ -656,7 +656,7 @@ def transfer_matrix(net: NetworkSpec, leks: LekAssignment) -> TransferResult:
     try:
         impulses = [[0] * (c * span) + [1] + [0] * (steps - c * span - 1) for c in range(net.mu)]
         rows = _window(net, leks, 0, steps)(impulses)
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ValueError(
             f"longest path delay {span - 1} needs a window of {steps} steps, "
             "too many to allocate"

@@ -6,8 +6,11 @@ transform.run_pipeline). This module keeps the derivation itself: the
 circulant, its diagonalisation, the DFT matrices Q and the per-generation
 decode solve, plus the plain transfer tree and the flat input and output
 offsets of a network, and the trial-division irreducibility test that
-chose the default moduli before Ben-Or's test did. None of it runs in the
-package.
+chose the default moduli before Ben-Or's test did. It also holds a field's
+fixed generator and an element's multiplicative order, found by powering,
+and nontransform_equivalence, which checks the paper's first claim on an
+instance: with f(1) != 0, a delay-domain code exists exactly when a
+transform code does. None of it runs in the package.
 """
 
 from __future__ import annotations
@@ -15,14 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from netcode.feasibility import _sink_systems, analyze, check_plan
 from netcode.galois import (
     FieldElement,
+    FieldSpec,
     FqMatrix,
     NetcodeError,
     Poly,
     PolyMatrix,
     _dft,
-    multiplicative_order,
+    _factorint,
     spec_to_dict,
 )
 from netcode.netmodel import NetworkSpec, TransferResult
@@ -48,6 +53,28 @@ def trial_division_irreducible(coeffs: Sequence[int], p: int) -> bool:
             if not any(rem):
                 return False
     return deg >= 1
+
+
+# ----------------------------------------------------------------------
+# generators and orders
+# ----------------------------------------------------------------------
+
+
+def generator(spec: FieldSpec) -> FieldElement:
+    """The fixed generator: the primitive element with the smallest encoding."""
+    return FieldElement(spec, spec._gen_code)
+
+
+def multiplicative_order(elem: FieldElement) -> int:
+    """elem's order: strip each prime r of q - 1 from q - 1 while elem^(order / r) = 1."""
+    spec, a = elem.spec, elem.code
+    if a == 0:
+        raise ValueError("zero has no multiplicative order")
+    order = spec.q - 1
+    for r in _factorint(spec.q - 1):
+        while order % r == 0 and spec._pow_code(a, order // r) == 1:
+            order //= r
+    return order
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +214,62 @@ def instantaneous_solve(
     except ValueError as exc:
         raise SingularAtGeneration(t, f"generation {t}: {exc}") from None
     return [sol.entry(r, 0) for r in range(nu)]
+
+
+# ----------------------------------------------------------------------
+# the feasibility equivalence
+# ----------------------------------------------------------------------
+
+
+def nontransform_equivalence(
+    tr: TransferResult,
+    connections,
+    plan: TransformPlan | None = None,
+    n_min: int = 2,
+) -> dict:
+    """Check both directions of the feasibility equivalence on an instance.
+
+    Forward: a working delay-domain code with f(1) != 0 admits a verified
+    transform plan (found by search when none is supplied). Backward: for
+    the plan's eigenblocks, the generation evaluating at D = 1 is
+    nonsingular per sink, and a column is zero in every eigenblock exactly
+    when it is zero at every delay lag (the two codes silence the same
+    interference).
+    """
+    rep = analyze(tr, connections, find=plan is None, n_min=n_min)
+    report: dict = {"nontransform_feasible": rep.feasible}
+    if not rep.feasible:
+        report["forward"] = {"ok": False, "reason": "no feasible delay-domain code"}
+        return report
+    report["f_divisible_by_D_minus_1"] = rep.d_minus_one_divides
+    if rep.d_minus_one_divides:
+        report["forward"] = {"ok": False, "reason": "f(1) = 0"}
+        return report
+    plan = plan or rep.plan
+    report["forward"] = {
+        "ok": check_plan(rep.f, plan).ok,
+        "n": plan.n,
+        "ext_degree": plan.field.m // tr.field.m,
+    }
+
+    # backward: evaluate the eigenblocks and compare structural zeros
+    evals = eigen_blocks(tr.M, plan)
+    # alpha^(n-1-t) = 1 at t = n-1: that generation is M'_j(1)
+    det_at_one_ok = [
+        bool(evals[-1].submatrix(rows, cols).det())
+        for rows, cols in _sink_systems(tr, connections)
+    ]
+    cells = [(r, c) for r in range(tr.nu) for c in range(tr.mu)]
+    zero_delay = {(r, c) for r, c in cells if not tr.M.rows[r][c]}
+    zero_eigen = {(r, c) for r, c in cells if not any(ev.rows[r][c] for ev in evals)}
+    match = zero_delay == zero_eigen
+    report["backward"] = {
+        "det_at_one_nonzero": det_at_one_ok,
+        "zero_pattern_match": match,
+        "ok": all(det_at_one_ok) and match,
+    }
+    report["ok"] = bool(report["forward"]["ok"] and report["backward"]["ok"])
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,6 @@ from netcode.galois import (
     PolyMatrix,
     build_field,
     element_of_order,
-    multiplicative_order,
 )
 from netcode.netmodel import (
     CycleDetected,
@@ -49,7 +48,13 @@ from netcode.transform import (
     run_pipeline,
 )
 from tests.conftest import CATEGORY_LENGTHS, cat_net, kron, random_dag_net
-from tests.oracles import build_circulant, dft_matrix, diagonalize, inverse_dft_matrix
+from tests.oracles import (
+    build_circulant,
+    dft_matrix,
+    diagonalize,
+    inverse_dft_matrix,
+    multiplicative_order,
+)
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)

@@ -221,17 +221,20 @@ def test_build_rejects_bad_arguments():
 
 def test_build_tv_window_too_long_to_allocate(ex2):
     # every path leaves a source, so d_max stays small and the channel
-    # memory check passes; the window of ~10^15 steps cannot be allocated
+    # memory check passes; the window of ~10^15 steps cannot be allocated,
+    # and one of ~2^63 steps does not even fit an index
     net, leks = ex2
     sources = {s.node for s in net.sources}
-    edges = [dataclasses.replace(e, delay=10**15) if e.tail in sources else e for e in net.edges]
-    net = dataclasses.replace(net, edges=edges)
-    with pytest.raises(ValueError) as exc:
-        build_tv(net, leks, 3)
-    assert str(exc.value) == (
-        "longest path delay 1000000000000004 needs a window of 1000000000000011 "
-        "steps, too many to allocate"
-    )
+    for delay, want in [
+        (10**15, "longest path delay 1000000000000004 needs a window of 1000000000000011 "),
+        (2**63, "longest path delay 9223372036854775812 needs a window of "
+                "9223372036854775819 "),
+    ]:
+        edges = [dataclasses.replace(e, delay=delay) if e.tail in sources else e
+                 for e in net.edges]
+        with pytest.raises(ValueError) as exc:
+            build_tv(dataclasses.replace(net, edges=edges), leks, 3)
+        assert str(exc.value) == want + "steps, too many to allocate"
 
 
 def test_singular_block_on_dead_diagonal_path():

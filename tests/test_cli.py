@@ -444,17 +444,20 @@ def test_simulate_report(tmp_path, capsys):
     "argv", [["transfer"], ["feasibility"], ["transform", "--n", "7"], ["align", "--verify-only"]]
 )
 def test_window_too_long_to_allocate_is_input_error(tmp_path, capsys, argv):
-    # a window of 3 * (10^15 + 5) steps fails to allocate on any host
-    doc = load_fixture("example2")
-    doc["network"]["edges"][0]["delay"] = 10**15
-    p = tmp_path / "huge.json"
-    p.write_text(json.dumps(doc))
-    code, rep = jcli(capsys, argv[0], str(p), *argv[1:])
-    assert code == 2 and rep["error"] == "ValueError"
-    assert rep["message"] == (
-        "longest path delay 1000000000000004 needs a window of 3000000000000015 "
-        "steps, too many to allocate"
-    )
+    # a window of 3 * (10^15 + 5) steps fails to allocate on any host, and
+    # one of 3 * (2^63 + 5) steps does not even fit an index
+    for delay, want in [
+        (10**15, "longest path delay 1000000000000004 needs a window of 3000000000000015 "),
+        (2**63, "longest path delay 9223372036854775812 needs a window of "
+                "27670116110564327439 "),
+    ]:
+        doc = load_fixture("example2")
+        doc["network"]["edges"][0]["delay"] = delay
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        code, rep = jcli(capsys, argv[0], str(p), *argv[1:])
+        assert code == 2 and rep["error"] == "ValueError"
+        assert rep["message"] == want + "steps, too many to allocate"
 
 
 @pytest.mark.parametrize("sub", ["transfer", "simulate"])

@@ -1,5 +1,6 @@
 """Demand solvability, the product polynomial f, and plan search."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from netcode.feasibility import (
     find_plan,
     generation_dets,
     invertibility,
-    nontransform_equivalence,
     zero_interference,
 )
 from netcode.galois import (
@@ -23,11 +23,12 @@ from netcode.galois import (
     PolyMatrix,
     build_field,
     element_of_order,
-    generator,
     spec_to_dict,
 )
-from netcode.netmodel import TransferResult, transfer_from_dict
+from netcode.netmodel import Sink, TransferResult, random_leks, transfer_from_dict, transfer_matrix
 from netcode.transform import eigen_blocks, make_plan
+from tests.conftest import random_dag_net
+from tests.oracles import generator, nontransform_equivalence
 
 GF2 = build_field(2, 1)
 GF8 = build_field(2, 3)
@@ -74,6 +75,45 @@ def test_reference_instance_equivalence(table1):
     assert rep["backward"]["zero_pattern_match"]
     assert all(rep["backward"]["det_at_one_nonzero"])
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 4)])
+def test_equivalence_on_random_delayed_networks(p, m):
+    """The paper's first claim on seeded networks with delays 1-3: one sink
+    reads as many outputs as the source has processes and demands them all.
+    A delay-domain code with f(1) != 0 has a transform code, and the
+    backward check's readings match Poly.eval at the plan's eigenvalues."""
+    spec = build_field(p, m)
+    rng = random.Random(f"equivalence:{p}:{m}")
+    backward = f_one_zero = 0
+    for seed in range(80):
+        net = random_dag_net(rng, multi_terminal=False, delays=(1, 2, 3))
+        mu = net.sources[0].processes
+        net = dataclasses.replace(net, sinks=[Sink(net.sinks[0].node, mu)],
+                                  connections=[(0, 0, l) for l in range(mu)])
+        tr = transfer_matrix(net, random_leks(net, spec, seed, nonzero=True))
+        dets = [d for _, d in invertibility(tr, net.connections)]
+        plan = analyze(tr, net.connections, find=True).plan
+        rep = nontransform_equivalence(tr, net.connections, plan)
+        assert rep["nontransform_feasible"] == all(dets)
+        if not all(dets):
+            assert rep["forward"]["reason"] == "no feasible delay-domain code"
+            continue
+        if not all(d.eval(spec.one()) for d in dets):
+            assert rep["forward"] == {"ok": False, "reason": "f(1) = 0"}
+            f_one_zero += 1
+            continue
+        assert rep["ok"]
+        # a cell is zero in every eigenblock exactly when its entry has all
+        # n eigenvalues alpha^t as roots
+        powers = [plan.alpha**t for t in range(plan.n)]
+        assert rep["backward"]["zero_pattern_match"] == all(
+            (not e) == (sum(not e.eval(x) for x in powers) == plan.n)
+            for row in tr.M.rows for e in row
+        )
+        assert rep["backward"]["det_at_one_nonzero"] == [bool(d.eval(spec.one())) for d in dets]
+        backward += 1
+    assert backward >= 5 and f_one_zero >= 1
 
 
 def test_missing_demand_breaks_both_conditions(table1):

@@ -22,9 +22,9 @@ from netcode.galois import (
     _CodeLists,
     _LaneKernel,
     build_field,
-    generator,
     poly_eval_matrix,
 )
+from tests.oracles import generator
 
 FIELDS = [build_field(2, 4), build_field(2, 8), build_field(3, 2), build_field(7, 1)]
 FIELD_IDS = ["gf2_4", "gf2_8", "gf3_2", "gf7"]

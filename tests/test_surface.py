@@ -5,27 +5,33 @@ from the package must keep resolving: the callables perfbench/tracing.py
 wraps by module attribute (CALLABLES), the names its modules import from
 netcode and the attributes they read off imported netcode modules. The
 files are read with ast, so perfbench itself is never imported. Every
-name in a module's __all__ resolves, and the code that only tests use
-lives in tests/oracles.py, not in any __all__.
+name in a module's __all__ resolves, and something outside the tests
+reads it: src outside the name's own definition, the README's python
+blocks or perfbench. The code that only tests use lives in
+tests/oracles.py, not in any __all__.
 """
 
 import ast
 import importlib
-from functools import reduce
+import re
+from functools import cache, reduce
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 MODULES = ("galois", "netmodel", "transform", "feasibility", "alignment", "cli")
 
 # moved to tests/oracles.py: the package has no caller for them
 MOVED = {
     "galois": {"dft_matrix", "inverse_dft_matrix", "_check_dft_args",
-               "CharacteristicDividesN", "WrongOrder"},
+               "CharacteristicDividesN", "WrongOrder", "generator",
+               "multiplicative_order"},
     "transform": {"BlockCirculant", "build_circulant", "diagonalize",
                   "instantaneous_solve", "SingularAtGeneration"},
     "netmodel": {"transfer_to_dict"},
+    "feasibility": {"nontransform_equivalence"},
 }
 
 
@@ -82,3 +88,34 @@ def test_public_names_resolve(name):
     for public in module.__all__:
         assert hasattr(module, public), f"netcode.{name}.__all__ lists {public}"
     assert not MOVED.get(name, set()) & set(module.__all__)
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Every name tree reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+@cache
+def _reached() -> frozenset[str]:
+    """Names read by src outside their own top-level definition, by the
+    README's python blocks, and by perfbench (imports, attributes read off
+    netcode modules and the tracer's CALLABLES)."""
+    reached = set()
+    for path in sorted((ROOT / "src" / "netcode").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            reached |= _reads(stmt) - {getattr(stmt, "name", None)}
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        reached |= _reads(ast.parse(block))
+    reached |= {path.split(".")[0] for _, path in _callables() + _imports()}
+    return frozenset(reached)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_are_reached_outside_the_tests(name):
+    unreached = sorted(set(importlib.import_module(f"netcode.{name}").__all__) - _reached())
+    assert not unreached, (
+        f"netcode.{name}.__all__ lists {unreached}, which nothing outside the tests reads: "
+        "move them to tests/oracles.py"
+    )

@@ -11,7 +11,6 @@ from netcode.galois import (
     PolyMatrix,
     build_field,
     element_of_order,
-    multiplicative_order,
 )
 from netcode.netmodel import (
     Edge,
@@ -40,6 +39,7 @@ from tests.oracles import (
     diagonalize,
     instantaneous_solve,
     inverse_dft_matrix,
+    multiplicative_order,
     poly_matrix,
 )
 
