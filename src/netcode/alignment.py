@@ -17,8 +17,9 @@ import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from .galois import (
@@ -120,6 +121,14 @@ _PERMUTATIONS = (
     (2, 1, 0),
 )
 
+# Each network zero pattern some category matches, mapped to the first
+# (category, perm) above whose relabeling gives it: internal pair (a, b) is
+# the network's (perm[a], perm[b]), and a later entry overwrites an earlier
+_ZERO_PATTERNS: dict[frozenset[tuple[int, int]], tuple[str, tuple[int, int, int]]] = {
+    frozenset((perm[a], perm[b]) for a, b in pattern): (cat, perm)
+    for cat, pattern in reversed(_CATEGORY_PATTERNS.items())
+    for perm in reversed(_PERMUTATIONS)
+}
 
 # ----------------------------------------------------------------------
 # category detection
@@ -165,18 +174,12 @@ def detect_category(net: NetworkSpec) -> tuple[str, tuple[int, int, int]]:
             raise MinCutViolation(
                 f"session {i + 1} needs min-cut exactly 1, found {cut(i, i)}"
             )
-    zero = {(i, j) for i in range(3) for j in range(3) if i != j and sinks[j] not in reached[i]}
-    for cat, pattern in _CATEGORY_PATTERNS.items():
-        for perm in _PERMUTATIONS:
-            internal = {
-                (a, b)
-                for a in range(3)
-                for b in range(3)
-                if a != b and (perm[a], perm[b]) in zero
-            }
-            if internal == pattern:
-                return cat, perm
-    raise UnsupportedPattern(f"zero pattern {sorted(zero)} matches no known category")
+    zero = frozenset(
+        (i, j) for i in range(3) for j in range(3) if i != j and sinks[j] not in reached[i]
+    )
+    if zero not in _ZERO_PATTERNS:
+        raise UnsupportedPattern(f"zero pattern {sorted(zero)} matches no known category")
+    return _ZERO_PATTERNS[zero]
 
 
 # ----------------------------------------------------------------------
@@ -388,13 +391,18 @@ def _decode_system(apply, j: int, sessions: Sequence[int], V) -> FqMatrix:
     return FqMatrix.hstack([apply(i, j, V[i]) for i in sessions])
 
 
-def _decode_factors(inst: AlignmentInstance) -> tuple[FqFactors, ...]:
-    """Each sink's decode system, factored, in _DECODE_SYSTEMS order."""
-    V = (inst.V1, inst.V2, inst.V3)
-    return tuple(
-        _decode_system(partial(_dv, inst), j, sessions, V).factor()
-        for _, j, sessions in _DECODE_SYSTEMS[inst.category]
-    )
+def _decode_systems(inst: AlignmentInstance) -> list[FqMatrix]:
+    """Each sink's _decode_system of Mhat_ij V_i blocks, in _DECODE_SYSTEMS
+    order, its rows as the eliminate of its width takes them: V's rows are
+    prepared once in the field's polynomial kernel, and a block is one
+    scaled_rows call there, a translate per row in byte lanes."""
+    kern = inst.field._poly
+    V = [(list(map(kern.prep, M.rows)), M.ncols) for M in (inst.V1, inst.V2, inst.V3)]
+    systems = []
+    for _, j, sessions in _DECODE_SYSTEMS[inst.category]:
+        blocks = [kern.scaled_rows(inst.mhat[i][j], *V[i]) for i in sessions]
+        systems.append(FqMatrix(inst.field, [reduce(add, parts) for parts in zip(*blocks)]))
+    return systems
 
 
 def check_alignment(inst: AlignmentInstance) -> dict:
@@ -423,7 +431,7 @@ def check_alignment(inst: AlignmentInstance) -> dict:
         ids["sink3_absorption"] = _dv(inst, 1, 2, V2) == _dv(inst, 0, 2, V1) * inst.A
 
     # kept for encode_decode, which then only substitutes
-    factors = _decode_factors(inst)
+    factors = tuple(map(FqMatrix.factor, _decode_systems(inst)))
     object.__setattr__(inst, "decode_factors", factors)
     for (name, _, _), f in zip(_DECODE_SYSTEMS[inst.category], factors):
         report["conditions"].append(
@@ -527,7 +535,7 @@ def encode_decode(
     decoded = _pipeline(inst.net, inst.leks, inst.plan, lanes, inst.transfer)
 
     recovered: list = [None, None, None]
-    factors = inst.decode_factors or _decode_factors(inst)
+    factors = inst.decode_factors or tuple(map(FqMatrix.factor, _decode_systems(inst)))
     for (name, j, _), system in zip(_DECODE_SYSTEMS[inst.category], factors):
         try:
             (sol,) = system._solve([decoded[inst.perm[j]][::-1]])

@@ -652,11 +652,13 @@ class FieldSpec:
 #     rows; solve(factors, cols) -> FqFactors._solve of factors that this
 #     kernel's eliminate recorded. Code lists and packed lanes share one
 #     loop for each, which reads pivot columns through the helper column;
-#     byte lanes run their own on big-endian rows
+#     byte lanes run their own on all the rows at once, as one int
 #   zero() -> an empty row; mul_into(row, a, src) -> row + a * src, for
 #     polynomials lowest power first, lengthening a code-list row as needed
 #   div_exact(row, src) -> row / b as unpack's codes, for the monic b of
 #     src = prep(b, -1); ArithmeticError unless b divides row
+#   scaled_rows(factors, srcs, width) -> factors[r] * srcs[r] for each r,
+#     srcs of width entries from prep, as eliminate takes rows
 # matvec and scaled return lists, as FqMatrix compares rows as lists; axpy,
 # axpys and mul_into also change a code-list row in place, and div_exact
 # consumes it. No call takes a factor per entry: a time-indexed term
@@ -665,7 +667,8 @@ class FieldSpec:
 # run in FieldSpec._poly, byte lanes whenever the field has them, whatever
 # their length: a lane polynomial is packed per entry, not per row, so the
 # row-width crossover does not apply. Packed lanes serve the rows alone,
-# with no zero, mul_into or div_exact: polynomials there stay in code lists.
+# with no zero, mul_into, div_exact or scaled_rows: polynomials there stay
+# in code lists.
 
 
 class _CodeLists:
@@ -698,6 +701,10 @@ class _CodeLists:
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return self.axpy([0] * len(codes), factor, self.prep(codes))
+
+    def scaled_rows(self, factors: Sequence[int], srcs: Sequence[list], width: int) -> list:
+        axpy = self.axpy
+        return [axpy([0] * width, f, src) for f, src in zip(factors, srcs)]
 
     def mul_into(self, out: list[int], a: Sequence[int], src: list) -> list[int]:
         if src and len(out) < len(a) + src[-1][0]:
@@ -949,40 +956,42 @@ class _LaneKernel:
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         return list(bytes(codes).translate(self.tables[factor]))
 
+    def scaled_rows(self, factors: Sequence[int], srcs: Sequence[bytes], width: int) -> list:
+        return list(map(bytes.translate, srcs, map(self.tables.__getitem__, factors)))
+
     def eliminate(self, rows: Sequence, ncols: int, spec: FieldSpec, record: list | None) -> tuple:
-        # column c is lane ncols - 1 - c of a big-endian row: the rows from the
-        # pivot's on are zero left of its column c, so entry c is row >> 8 *
-        # (ncols - 1 - c), and an update translates their ncols - c low bytes
-        tables, from_bytes = self.tables, int.from_bytes
-        neg, inv = spec._neg_code, spec._inv_code
-        rows = [from_bytes(bytes(row), "big") for row in rows]
-        nrows, pivots, swaps, r = len(rows), [], 0, 0
+        # the rows from the pivot's on are one big-endian int, acc, and its
+        # bytes, data: column c is every ncols-th byte from c. A step adds
+        # f * src to each of those rows, f its entry c and src the pivot row
+        # over the pivot (-1 / x = 1 / x in GF(2^m)), by one XOR of their
+        # join; the pivot row's own f is the pivot, so that XOR also clears
+        # it off acc's top.
+        tables, from_bytes, inv = self.tables, int.from_bytes, spec._inv_code
+        data = b"".join(map(bytes, rows))
+        acc, nrows, upper, pivots, swaps = from_bytes(data, "big"), len(rows), [], [], 0
         for c in range(ncols):
-            if r == nrows:
+            if not data:
                 break
-            shift = 8 * (ncols - 1 - c)
-            col = [row >> shift for row in rows[r:]]
-            for k, x in enumerate(col):
-                if x:
-                    break
-            else:
+            col = data[c::ncols]
+            rest = col.lstrip(b"\0")
+            if not rest:
                 continue
+            k = len(col) - len(rest)
             if k:
-                rows[r], rows[r + k] = rows[r + k], rows[r]
-                col[0], col[k] = col[k], col[0]
+                s = k * ncols
+                data = data[s : s + ncols] + data[ncols:s] + data[:ncols] + data[s + ncols :]
+                acc, col = from_bytes(data, "big"), data[c::ncols]
                 swaps += 1
-            scale = tables[neg(inv(col[0]))]
-            below = col[1:]
+            scale = tables[inv(rest[0])]
             if record is not None:
-                record.append((r + k, bytes(below).translate(scale)))
-            if any(below):
-                src = rows[r].to_bytes(ncols - c, "big").translate(scale)
-                for i, f in enumerate(below, r + 1):
-                    if f:
-                        rows[i] ^= from_bytes(src.translate(tables[f]), "big")
+                record.append((len(upper) + k, col[1:].translate(scale)))
+            upper.append(data[:ncols])
+            src = upper[-1].translate(scale)
+            acc ^= from_bytes(b"".join([src.translate(tables[f]) for f in col]), "big")
+            data = acc.to_bytes(len(data) - ncols, "big")
             pivots.append(c)
-            r += 1
-        return [row.to_bytes(ncols, "big") for row in rows], pivots, swaps
+        # every column is done, so the rows left are zero
+        return upper + [bytes(ncols)] * (nrows - len(upper)), pivots, swaps
 
     def solve(self, factors: "FqFactors", cols: Iterable[Sequence[int]]) -> list[list[int]]:
         # a column is one big-endian int, entry k in lane m - 1 - k, so step k's

@@ -10,7 +10,9 @@ chose the default moduli before Ben-Or's test did. It also holds a field's
 fixed generator and an element's multiplicative order, found by powering,
 and nontransform_equivalence, which checks the paper's first claim on an
 instance: with f(1) != 0, a delay-domain code exists exactly when a
-transform code does. None of it runs in the package.
+transform code does. The search over categories and relabelings that
+detect_category ran before it read a table is here too. None of it runs
+in the package.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from netcode.alignment import _CATEGORY_PATTERNS, _PERMUTATIONS, UnsupportedPattern
 from netcode.feasibility import _sink_systems, analyze, check_plan
 from netcode.galois import (
     FieldElement,
@@ -299,3 +302,24 @@ def transfer_to_dict(tr: TransferResult) -> dict:
         "nu_list": list(tr.nu_list),
         "entries": entries,
     }
+
+
+# ----------------------------------------------------------------------
+# alignment categories
+# ----------------------------------------------------------------------
+
+
+def category_of_zeros(zero: set[tuple[int, int]]) -> tuple[str, tuple[int, int, int]]:
+    """The first category and relabeling, in _CATEGORY_PATTERNS and
+    _PERMUTATIONS order, under which the network's zero cross pairs zero
+    (0-based (source, sink)) are the category's pattern; UnsupportedPattern
+    when none is."""
+    for cat, pattern in _CATEGORY_PATTERNS.items():
+        for perm in _PERMUTATIONS:
+            internal = {
+                (a, b) for a in range(3) for b in range(3)
+                if a != b and (perm[a], perm[b]) in zero
+            }
+            if internal == pattern:
+                return cat, perm
+    raise UnsupportedPattern(f"zero pattern {sorted(zero)} matches no known category")

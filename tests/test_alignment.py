@@ -38,7 +38,7 @@ from netcode.netmodel import (
     transfer_matrix,
 )
 from tests.conftest import CATEGORY_LENGTHS, cat_net
-from tests.oracles import build_circulant
+from tests.oracles import build_circulant, category_of_zeros
 
 GF8 = build_field(2, 3)
 
@@ -122,16 +122,9 @@ def _pairwise_category(net):
                 raise MinCutViolation(
                     f"session {i + 1} needs min-cut exactly 1, found {cuts[i][i]}"
                 )
-        zero = {(i, j) for i in range(3) for j in range(3) if i != j and not cuts[i][j]}
-        for cat, pattern in alignment._CATEGORY_PATTERNS.items():
-            for perm in alignment._PERMUTATIONS:
-                internal = {
-                    (a, b) for a in range(3) for b in range(3)
-                    if a != b and (perm[a], perm[b]) in zero
-                }
-                if internal == pattern:
-                    return cat, perm
-        raise UnsupportedPattern(f"zero pattern {sorted(zero)} matches no known category")
+        return category_of_zeros(
+            {(i, j) for i in range(3) for j in range(3) if i != j and not cuts[i][j]}
+        )
     except (ValueError, NetcodeError) as exc:
         return type(exc), str(exc)
 
@@ -141,6 +134,25 @@ def _detected(net):
         return detect_category(net)
     except (ValueError, NetcodeError) as exc:
         return type(exc), str(exc)
+
+
+def test_detect_category_reads_the_search_for_every_zero_pattern():
+    """Each of the 64 sets of zero cross pairs, on one direct path per
+    other pair: detect_category gives the first (category, perm) the
+    search finds, for the 18 sets some category matches, and the search's
+    refusal for the other 46."""
+    cross = [(i, j) for i in range(3) for j in range(3) if i != j]
+    matched = 0
+    for mask in range(64):
+        zero = {pair for k, pair in enumerate(cross) if mask >> k & 1}
+        net = cat_net({(i + 1, j + 1): 1 for i in range(3) for j in range(3) if (i, j) not in zero})
+        try:
+            want = category_of_zeros(zero)
+            matched += 1
+        except UnsupportedPattern as exc:
+            want = UnsupportedPattern, str(exc)
+        assert _detected(net) == want, sorted(zero)
+    assert matched == len(alignment._ZERO_PATTERNS) == 18
 
 
 def _random_three_unicast(rng):

@@ -12,9 +12,11 @@ ranks, verdicts, recovered symbols and check_tv reports must agree.
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from netcode import alignment
 from netcode.alignment import (
     SingularBlock,
     SingularDecodeSystem,
@@ -27,7 +29,7 @@ from netcode.alignment import (
     tv_assignment_from_alignment,
 )
 from netcode.cli import load_fixture
-from netcode.galois import FieldElement, FqMatrix, build_field
+from netcode.galois import FieldElement, FqMatrix, _LaneKernel, build_field
 from netcode.netmodel import LekAssignment, leks_from_dict, network_from_dict, random_leks
 from netcode.transform import run_pipeline
 from tests.conftest import CATEGORY_LENGTHS, cat_net
@@ -364,3 +366,91 @@ def test_check_tv_matches_ladder(key):
         assert str(got.value) == str(exc)
         return
     assert check_tv(tv, theta, *TV_ABC) == want
+
+
+# ----------------------------------------------------------------------
+# the decode systems as built for elimination
+# ----------------------------------------------------------------------
+
+
+def _built_instance(spec, category, n):
+    """The first instance of category over spec at N = 2n + 1 that passes
+    check_alignment, or else the first whose blocks are all nonsingular:
+    on example2's network for "full", on cat_net otherwise. Over GF(2^6)
+    at N = 63 every nonzero element is an eigenvalue point, so each of
+    example2's two-term blocks has a zero eigenvalue there; "full" then
+    takes one path per pair, whose single-term blocks cannot align."""
+    if category != "full":
+        net = cat_net(CATEGORY_LENGTHS[category])
+    elif spec.q - 1 == 2 * n + 1:
+        net = cat_net({(i, j): 1 + ((i, j) == (1, 3)) for i in (1, 2, 3) for j in (1, 2, 3)})
+    else:
+        net = _example2()[0]
+    built = None
+    for k in range(100):
+        try:
+            inst = build_instance(net, random_leks(net, spec, f"built{k}", nonzero=True), n, seed=k)
+        except SingularBlock:
+            continue
+        assert inst.category == category
+        if check_alignment(inst)["ok"]:
+            return inst
+        built = built or inst
+    assert built is not None, "no nonsingular draw"
+    return built
+
+
+# byte lanes in GF(2^6) at N = 9 and 63 and in GF(2^8) at N = 15 and 85,
+# the benchmark's largest; code lists in GF(2^10) at N = 31, below its
+# packed lanes' crossover, and in GF(3^5) at N = 11
+BUILT_FIELDS = [((2, 6), 4), ((2, 6), 31), ((2, 8), 7), ((2, 8), 42), ((2, 10), 15), ((3, 5), 5)]
+# every instance passes but "full" over GF(2^6) at N = 63 (see _built_instance)
+BUILT = [
+    (pm, n, category)
+    for pm, n in BUILT_FIELDS
+    for category in ("full", "cat1", "cat2", "cat3", "cat4")
+]
+
+
+def _rand_rows(spec, rng, nrows, ncols):
+    return [[rng.randrange(spec.q) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _solved(factors, rhs):
+    try:
+        return factors.solve(rhs).rows
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "pm, n, category", BUILT, ids=[f"GF{p}^{m}-N{2 * n + 1}-{c}" for (p, m), n, c in BUILT]
+)
+def test_built_systems_match_stacked_blocks(pm, n, category):
+    """Each sink's system, built as rows of the polynomial kernel, holds
+    the codes of its Mhat_ij V_i blocks stacked side by side, as bytes in
+    byte lanes; its factors solve every right-hand side as the stacked
+    system's do, and encode_decode recovers the symbols exactly."""
+    spec = build_field(*pm)
+    inst = _built_instance(spec, category, n)
+    V = (inst.V1, inst.V2, inst.V3)
+    rng = random.Random(f"built:{pm}:{n}:{category}")
+    lanes = type(spec._poly) is _LaneKernel
+    systems = alignment._decode_systems(inst)
+    assert len(systems) == 3
+    for system, (_, j, sessions) in zip(systems, alignment._DECODE_SYSTEMS[category]):
+        stacked = alignment._decode_system(partial(_dv, inst), j, sessions, V)
+        assert [list(row) for row in system.rows] == stacked.rows
+        assert {type(row) for row in system.rows} == {bytes if lanes else list}
+        got, want = system.factor(), stacked.factor()
+        assert (got.pivots, [list(u) for u in got.upper]) == (want.pivots, [list(u) for u in want.upper])
+        x = FqMatrix(spec, _rand_rows(spec, rng, stacked.ncols, 2))
+        for rhs in (stacked * x, FqMatrix(spec, _rand_rows(spec, rng, stacked.nrows, 1))):
+            assert _solved(got, rhs) == _solved(want, rhs)
+    xs = [[FieldElement(spec, rng.randrange(spec.q)) for _ in range(v.ncols)] for v in V]
+    if check_alignment(inst)["ok"]:
+        assert encode_decode(inst, *xs).recovered == tuple(xs)
+    else:
+        assert (pm, n, category) == ((2, 6), 31, "full")
+        with pytest.raises(SingularDecodeSystem):
+            encode_decode(inst, *xs)
