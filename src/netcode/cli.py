@@ -76,23 +76,39 @@ def load_fixture(name: str) -> dict:
     return json.loads(text)
 
 
-def _read_input(path: str) -> dict:
-    """A real file wins; otherwise path must be a bundled fixture's bare name."""
+# int() refuses the text of every float and constant that json hands
+# these hooks, so this decoder raises ValueError at the first of them
+_DECODE_INTS = json.JSONDecoder(parse_float=int, parse_constant=int).decode
+
+
+def _read_input(path: str) -> tuple[object, str | None]:
+    """(document, text): text is the file's text when it holds no float
+    and no NaN or Infinity, else None. A real file wins; otherwise path
+    must be a bundled fixture's bare name."""
     import os
 
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+        except OSError as e:  # a directory, or no read permission
+            raise ParseError(f"{path}: cannot read: {e.strerror}") from None
+        try:
+            try:
+                return _DECODE_INTS(text), text
+            except ValueError:  # a literal, or an error that json.loads words
+                return json.loads(text), None
         except json.JSONDecodeError as e:
             raise ParseError(
                 f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
-        except OSError as e:  # a directory, or no read permission
-            raise ParseError(f"{path}: cannot read: {e.strerror}") from None
+        except RecursionError:
+            raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
     if os.sep in path or path.endswith(".json"):
         raise ParseError(f"{path}: no such file")
-    return load_fixture(path)
+    return load_fixture(path), None
 
 
 def _check_schema(doc: dict, need: str) -> list[str]:
@@ -138,14 +154,14 @@ def _require(doc: dict, need: str) -> None:
 
 
 def _load_doc(path: str, need: str) -> dict:
-    doc = _read_input(path)
+    doc, _ = _read_input(path)
     _require(doc, need)
     return doc
 
 
 def _load_transfer(path: str):
     """(transfer result, demand triples) from a transfer or network document."""
-    doc = _read_input(path)
+    doc, _ = _read_input(path)
     if isinstance(doc, dict) and doc.get("kind") == "transfer":
         _require(doc, "transfer")
         tr = transfer_from_dict(doc["transfer"])
@@ -222,17 +238,24 @@ def _outputs_text(net: NetworkSpec, spec: FieldSpec, rows, steps: int) -> str:
     """simulate's report {"outputs": outputs[t][j][r]} as compact JSON text.
 
     The text is what _render writes for those nested coefficient lists.
-    rows[r] holds flat output r's codes at each step, and each symbol is
-    written as its code's text.
+    rows[r] holds flat output r's codes at each step. The report is one
+    join of each symbol's code's text, step by step, with the brackets and
+    commas between them.
     """
-    text_of = spec._codec().text_of
-    # one format string per step, a {} for each symbol; no text holds a brace
     step = _array([_array(["{}"] * snk.outputs) for snk in net.sinks])
-    if rows:
-        each = list(map(step.format, *(map(text_of, row) for row in rows)))
-    else:
-        each = [step] * steps
-    return _obj({"outputs": _array(each)}) + "\n"
+    if not (rows and steps):
+        return _obj({"outputs": _array([step] * steps)}) + "\n"
+    # the text before, between and after one step's symbols; no text holds
+    # a brace, and one step's last symbol is followed by the next's first
+    head, *seps, tail = step.split("{}")
+    seps.append(f"{tail},{head}")
+    # each step's parts: every symbol's text, then the text after it
+    parts = ['{"outputs":[' + head] + [x for sep in seps for x in ("", sep)] * steps
+    text_of, every = spec._codec().text_of, 2 * len(rows)
+    for r, row in enumerate(rows):
+        parts[1 + 2 * r :: every] = map(text_of, row)
+    parts[-1] = tail + "]}\n"
+    return "".join(parts)
 
 
 def _transfer_text(tr: TransferResult) -> str:
@@ -350,12 +373,16 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_doc(args.input, "simulation")
+    doc, text = _read_input(args.input)
+    _require(doc, "simulation")
     net, leks = _net_and_leks(doc)
     spec = leks.field
     inputs = doc["inputs"]
+    # a text with no float, NaN, Infinity, true or false holds no bool or float
+    ints_only = text is not None and "true" not in text and "false" not in text
     try:
-        codes = spec.codes_from_json(list(chain.from_iterable(chain.from_iterable(inputs))))
+        symbols = list(chain.from_iterable(chain.from_iterable(inputs)))
+        codes = spec.codes_from_json(symbols, ints_only=ints_only)
     except (ParseError, TypeError):
         # walk the steps again to name the bad value; building a path per
         # symbol up front costs ~5% of a simulate job

@@ -372,7 +372,8 @@ class FieldSpec:
         return FieldElement(self, self.codes_from_json([coeffs], where)[0])
 
     def codes_from_json(
-        self, items: Sequence[Sequence[int]], where: Callable[[int], str] | None = None
+        self, items: Sequence[Sequence[int]], where: Callable[[int], str] | None = None,
+        ints_only: bool = False,
     ) -> list[int]:
         """The codes of these coefficient lists, lowest degree first.
 
@@ -381,18 +382,20 @@ class FieldSpec:
         looked up all at once; a batch that misses, and every batch in a
         field without tables, is converted item by item, and its first bad
         item raises a ParseError, prefixed with where(k) for its index k
-        when where is given.
+        when where is given. ints_only says that no coefficient is a bool
+        or a float, as in JSON text without those literals, so the lookup
+        alone checks the coefficients.
         """
         code_of = self._codec().code_of
         # True and 1.0 hash like 1, so the types are checked before lookup
         if (
             code_of is not None
             and set(map(type, items)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(items))) <= {int}
+            and (ints_only or set(map(type, chain.from_iterable(items))) <= {int})
         ):
             try:
                 return list(map(code_of.__getitem__, map(tuple, items)))
-            except KeyError:  # too many coefficients, or one out of range
+            except (KeyError, TypeError):  # a miss, or a list among the coefficients
                 pass
         p, m = self.p, self.m
         out: list[int] = []
@@ -986,9 +989,15 @@ class _LaneKernel:
             if record is not None:
                 record.append((len(upper) + k, col[1:].translate(scale)))
             upper.append(data[:ncols])
-            src = upper[-1].translate(scale)
-            acc ^= from_bytes(b"".join([src.translate(tables[f]) for f in col]), "big")
-            data = acc.to_bytes(len(data) - ncols, "big")
+            if rest.count(0) == len(rest) - 1:
+                # no row below the pivot has an entry in its column: the
+                # pivot row leaves the block, and no other row changes
+                data = data[ncols:]
+                acc &= (1 << 8 * len(data)) - 1
+            else:
+                src = upper[-1].translate(scale)
+                acc ^= from_bytes(b"".join([src.translate(tables[f]) for f in col]), "big")
+                data = acc.to_bytes(len(data) - ncols, "big")
             pivots.append(c)
         # every column is done, so the rows left are zero
         return upper + [bytes(ncols)] * (nrows - len(upper)), pivots, swaps
@@ -1378,15 +1387,15 @@ class FqMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         spec = self.spec
-        # row i of the product is the sum over j of a_ij * B[j, :]; when only
-        # A's larger height reaches another kernel, the loop runs on the
-        # transposed operands: column k is the sum over j of b_jk * A[:, j]
+        # row i of the product is the sum over j of a_ij * B[j, :]; when A is
+        # taller than B is wide, the loop runs on the transposed operands,
+        # fewer matvec calls on longer rows: column k is the sum over j of
+        # b_jk * A[:, j]
         a, b, width = self.rows, other.rows, other.ncols
-        kern = spec._kernel(width)
-        flip = self.nrows > width and spec._kernel(self.nrows) is not kern
+        flip = self.nrows > width
         if flip:
             a, b, width = list(zip(*b)), list(zip(*a)), self.nrows
-            kern = spec._kernel(width)
+        kern = spec._kernel(width)
         srcs = [kern.prep(row) for row in b]
         out = [kern.matvec(arow, srcs, width) for arow in a]
         if flip:

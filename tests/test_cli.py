@@ -11,13 +11,14 @@ import pytest
 from netcode import cli as cli_module, galois
 from netcode.cli import UnknownFixture, _build_parser, load_fixture, run
 from netcode.feasibility import analyze
-from netcode.galois import FieldSpec, ParseError, build_field
+from netcode.galois import FieldSpec, ParseError, _digits, build_field
 from netcode.netmodel import (
     Edge,
     NetworkSpec,
     Sink,
     Source,
     leks_to_dict,
+    network_from_dict,
     network_to_dict,
     random_leks,
 )
@@ -77,6 +78,23 @@ def test_broken_json_reports_position(tmp_path, capsys):
     assert code == 2
     assert rep["error"] == "ParseError"
     assert "line 2" in rep["message"] and "column" in rep["message"]
+
+
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    # json's decoder recurses once per level and gives up with a RecursionError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, rep = jcli(capsys, "validate", str(p))
+    assert code == 2
+    assert rep == {"error": "ParseError", "message": f"{p}: invalid JSON: nested too deeply"}
+
+
+def test_input_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"kind": "network", "network": {"nodes": ["\u00ff"]}}'.encode("latin-1"))
+    code, rep = jcli(capsys, "validate", str(p))
+    assert code == 2
+    assert rep == {"error": "ParseError", "message": f"{p}: not UTF-8 text: invalid start byte"}
 
 
 def test_schema_errors_are_exhaustive(tmp_path, capsys):
@@ -959,3 +977,99 @@ def test_simulate_report_bytes_match_recorded_digest(tmp_path, capsys, argv):
         assert out == ""
         out = dest.read_text()
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == SIM_GOLDEN[argv]
+
+
+# ----------------------------------------------------------------------
+# literal-free simulation documents against the checked reading
+# ----------------------------------------------------------------------
+
+
+def _literal_free_doc(spec) -> dict:
+    """example2 as a simulation document over spec: no float, NaN, Infinity,
+    true or false anywhere in its text."""
+    doc = load_fixture("example2")
+    del doc["align"]
+    net = network_from_dict(doc["network"])
+    rng = random.Random(f"literal-free:{spec}")
+    doc["kernels"] = leks_to_dict(random_leks(net, spec, 1, nonzero=True))
+    doc["inputs"] = [
+        [
+            [_digits(rng.randrange(spec.q), spec.p, spec.m) for _ in range(src.processes)]
+            for src in net.sources
+        ]
+        for _ in range(4)
+    ]
+    doc.update(kind="simulation")
+    return doc
+
+
+def _simulate_both_ways(capsys, monkeypatch, path):
+    """(exit code, report) of simulate on path, the same with every symbol
+    read by the checked reading, and the ints_only of the symbol batch."""
+    checked = FieldSpec.codes_from_json
+    seen = []
+
+    def spy(self, items, where=None, ints_only=False):
+        if where is None:  # the whole batch; the walk naming a bad value passes where
+            seen.append(ints_only)
+        return checked(self, items, where, ints_only)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(FieldSpec, "codes_from_json", spy)
+        got = cli(capsys, "simulate", str(path))
+    with monkeypatch.context() as mp:
+        mp.setattr(FieldSpec, "codes_from_json", lambda self, items, where=None, **_:
+                   checked(self, items, where))
+        want = cli(capsys, "simulate", str(path))
+    return got, want, seen[-1]
+
+
+# a bad coefficient as JSON text, and whether the text stays literal-free
+BAD_COEFFS = [
+    ("true", False), ("false", False), ("1.0", False), ("1e0", False), ("NaN", False),
+    ('"1"', True), ("null", True), ("[1]", True), ("-1", True), ("p", True),
+]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 4), (2, 8), (3, 5), (2, 10)])
+def test_literal_free_reading_refuses_as_the_checked_reading(tmp_path, capsys, monkeypatch, p, m):
+    """One bad coefficient in inputs: a literal-free text is read by table
+    lookup alone, any other by the checked reading, and both refuse it
+    with the checked reading's exit code and message."""
+    spec = build_field(p, m)
+    doc = _literal_free_doc(spec)
+    doc["inputs"][2][1][0] = "@"
+    text = json.dumps(doc)
+    path = tmp_path / "sim.json"
+    zeros = ",0" * (m - 1)
+    cases = [(f"[{bad if bad != 'p' else p}{zeros}]", free) for bad, free in BAD_COEFFS]
+    cases.append(("[" + ",".join(["1"] * (m + 1)) + "]", True))  # m + 1 digits
+    for element, free in cases:
+        path.write_text(text.replace('"@"', element))
+        got, want, ints_only = _simulate_both_ways(capsys, monkeypatch, path)
+        assert got == want, element
+        assert ints_only is free, element
+        code, out = got
+        assert code == 2 and json.loads(out)["message"].startswith("inputs[2][1][0]: "), element
+
+
+@pytest.mark.parametrize("p, m", [(2, 8), (3, 5)])
+def test_literals_elsewhere_leave_the_report_as_it_is(tmp_path, capsys, monkeypatch, p, m):
+    """A node named "true" or an extra float field sends the symbols to the
+    checked reading, and the report is its literal-free twin's."""
+    text = json.dumps(_literal_free_doc(build_field(p, m)))
+    assert '"B"' in text
+    path = tmp_path / "sim.json"
+    reports = []
+    for variant, free in [
+        (text, True),
+        (text.replace('"B"', '"true"'), False),
+        (text.replace('"B"', '"t"'), True),
+        (text[:-1] + ', "note": 1.5}', False),
+    ]:
+        path.write_text(variant)
+        got, want, ints_only = _simulate_both_ways(capsys, monkeypatch, path)
+        assert got == want and got[0] == 0
+        assert ints_only is free
+        reports.append(got)
+    assert reports[1:] == reports[:1] * 3

@@ -93,9 +93,9 @@ def _refused(spec):
     ]
 
 
-def _message(spec, items, where=None):
+def _message(spec, items, where=None, ints_only=False):
     with pytest.raises(ParseError) as exc:
-        spec.codes_from_json(items, where)
+        spec.codes_from_json(items, where, ints_only)
     return str(exc.value)
 
 
@@ -133,7 +133,16 @@ def test_refusals_match_the_loop(pm):
             assert expected.startswith(f"v[{at}]: ")
             assert _message(spec, items, lambda k: f"v[{k}]") == expected
             assert _message(spec, items) == _message(loop, items)
+            if not _holds_bool_or_float(bad):
+                # what a literal-free JSON text can hold: the lookup alone refuses it
+                assert _message(spec, items, lambda k: f"v[{k}]", True) == expected
         assert _message(spec, [bad]) == _message(loop, [bad])
+
+
+def _holds_bool_or_float(value):
+    if isinstance(value, (list, tuple, set)):
+        return any(map(_holds_bool_or_float, value))
+    return isinstance(value, (bool, float))
 
 
 def test_field_above_the_cap_takes_the_loop():

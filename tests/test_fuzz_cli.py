@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from netcode.cli import load_fixture, run
 
-SWAPS = (0, -1, 1.5, "x", True, None, [], {})
+SWAPS = (0, -1, 1.5, float("nan"), "x", True, None, [], {})
 
 
 def _simulation_doc() -> dict:

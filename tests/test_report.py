@@ -140,6 +140,25 @@ def test_writer_matches_the_encoder_on_every_code(pm, pretty):
     assert _difference(got, _oracle(net, spec, rows, steps, pretty)) is None
 
 
+def _one_sink():
+    return NetworkSpec(["S", "T"], [Edge("S", "T", 0, 1)], [Source("S", 1)], [Sink("T", 1)])
+
+
+@pytest.mark.parametrize("pm", [(2, 8), (2, 13)])
+@pytest.mark.parametrize("steps", [0, 1, 450])
+@pytest.mark.parametrize("net", [_one_sink(), _three_sinks()])
+def test_writer_is_render_of_its_tree(pm, steps, net):
+    """The one join of the codes' texts and the brackets between them is
+    what _render writes for the report's tree, below the codec-table cap
+    and above it, for sinks of 1 to 3 outputs."""
+    spec = build_field(*pm)
+    rng = random.Random(f"join:{pm}:{steps}")
+    rows = [[rng.randrange(spec.q) for _ in range(steps)] for _ in range(net.nu)]
+    tree = _by_step(net, [spec.codes_to_json(row) for row in rows], steps)
+    got = _outputs_text(net, spec, rows, steps)
+    assert _difference(got, _render({"outputs": tree}, False)) is None
+
+
 @pytest.mark.parametrize("pm", FIELDS)
 @pytest.mark.parametrize("mode", ["invariant", "time"])
 @pytest.mark.parametrize("steps", [5, 12])

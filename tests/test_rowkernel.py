@@ -335,12 +335,18 @@ class _Spy:
 
 @pytest.mark.parametrize("p, m", FIELDS[:6] + [(2, 16), (2, 20), (3, 2), (7, 1)])
 def test_products_in_both_lane_orientations(p, m, monkeypatch):
-    """A * B in the wide kernel, byte lanes for m <= 8 and packed lanes for
-    8 < m <= 24, by B's rows when B is wide and by A's columns when A is
-    tall; otherwise, and in every field without lanes, in code lists by
-    B's rows. Each output row is one matvec of the selected kernel."""
+    """A * B by A's columns when A has more rows than B has columns, and
+    otherwise by B's rows, so it makes the fewer matvec calls, on the
+    longer rows. Those rows run in the wide kernel from W entries on, byte
+    lanes for m <= 8 and packed lanes for 8 < m <= 24, and in code lists
+    below W and in every field without lanes. Each output row is one
+    matvec of the selected kernel."""
     spec = build_field(p, m)
     lanes, lists = _lanes(spec), spec._kernel(0)
+
+    def kern(width):
+        return lanes if lanes is not None and width >= W else lists
+
     rng = random.Random(f"orient:{p}:{m}")
     served: list = []
     spies = {id(k): _Spy(k, served) for k in (lanes, lists) if k is not None}
@@ -355,12 +361,10 @@ def test_products_in_both_lane_orientations(p, m, monkeypatch):
                    for i, row in enumerate(a)]
         holed_b = [[0 if i == k // 2 or j == c // 2 else x for j, x in enumerate(row)]
                    for i, row in enumerate(b)]
-        if lanes is not None and c >= W:
-            want = [(lanes, c)] * r  # B's rows
-        elif lanes is not None and r >= W:
-            want = [(lanes, r)] * c  # A's columns
+        if r > c:
+            want = [(kern(r), r)] * c  # A's columns
         else:
-            want = [(lists, c)] * r
+            want = [(kern(c), c)] * r  # B's rows
         for x, y in [(a, b), (holed_a, holed_b), (zero_a, b), (a, zero_b), (zero_a, zero_b)]:
             served.clear()
             got = FqMatrix(spec, x) * FqMatrix(spec, y)
@@ -935,7 +939,24 @@ def _elimination_cases(spec, n):
         "first-empty": [[0] + row[1:] for row in _rand(spec, rng, n, n)],
         "last-empty": [row[:-1] + [0] for row in _rand(spec, rng, n, n)],
         "one-row": [[0] + [rng.randrange(1, spec.q)] + _rand(spec, rng, 1, n - 2)[0]],
+        # every pivot column already clear below the pivot, and then only
+        # the first half of them
+        "identity": [[int(i == j) for j in range(n)] for i in range(n)],
+        "diagonal": [[rng.randrange(1, spec.q) if i == j else 0 for j in range(n)]
+                     for i in range(n)],
+        "upper": _upper(spec, rng, n, n),
+        "half-upper": _upper(spec, rng, n // 2, n) + [
+            [0] * (n // 2) + row for row in _rand(spec, rng, n - n // 2, n - n // 2)
+        ],
     }
+
+
+def _upper(spec, rng, nrows, n):
+    """nrows x n, upper triangular with a nonzero diagonal."""
+    rows = _rand(spec, rng, nrows, n)
+    for i, row in enumerate(rows):
+        row[:i + 1] = [0] * i + [rng.randrange(1, spec.q)]
+    return rows
 
 
 def _eliminate(spec, kern, rows, n, record=True):
@@ -970,6 +991,9 @@ def test_lane_elimination_matches_code_lists(ncols, p, m):
     assert want["all-zero"][1] == [] and len(want["wide"][1]) < ncols
     assert want["first-empty"][1][0] == 1 and want["last-empty"][1][-1] < ncols - 1
     assert want["one-row"][1] == [1]
+    every = list(range(ncols))
+    assert [want[name][1:3] for name in ("identity", "diagonal", "upper")] == [(every, 0)] * 3
+    assert want["identity"][0] == cases["identity"]
 
 
 def _solutions(spec, kern, a, sides):
