@@ -106,6 +106,8 @@ def _read_input(path: str) -> tuple[object, str | None]:
             ) from None
         except RecursionError:
             raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
+        except ValueError as e:  # an integer of more digits than int() converts
+            raise ParseError(f"{path}: invalid JSON: {e}") from None
     if os.sep in path or path.endswith(".json"):
         raise ParseError(f"{path}: no such file")
     return load_fixture(path), None

@@ -59,17 +59,21 @@ _MAX_FIELD_ORDER = 1 << 24
 # (FieldSpec._kernel); narrower ones run in code lists.
 _LANE_MIN_WIDTH = 8
 
-# Matrix rows at least this wide run in packed lanes in GF(2^m), 8 < m <= 24
-# (FieldSpec._kernel): with log tables (m <= 16) and without them. Sparse
-# rows, such as a transfer window's impulse responses, run faster in code
-# lists at every width; the first keeps the stream benchmark's 44- to
-# 84-step GF(2^10) transfer windows there.
+# Matrix rows at least this wide run in packed lanes (FieldSpec._kernel) in
+# GF(2^m), 8 < m <= 24, and for odd p <= _PACKED_MAX_P: in GF(p) and over
+# GF(2^m) log tables from _PACKED_MIN_WIDTH, over GF(p^m) log tables from
+# _PACKED_MIN_WIDTH_DIGITS, without tables from _PACKED_MIN_WIDTH_NO_TABLES.
+# Sparse rows, such as a transfer window's impulse responses, run faster in
+# code lists; the first keeps stream's 44- to 104-step GF(3) and GF(2^10)
+# transfer windows there. Above _PACKED_MAX_P a prepared row's (p - 1) * m
+# multiples cost more than 16-entry rows save.
+_PACKED_MAX_P = 31
 _PACKED_MIN_WIDTH = 128
+_PACKED_MIN_WIDTH_DIGITS = 16
 _PACKED_MIN_WIDTH_NO_TABLES = 8
 
-# Packed lanes read and write arrays of 16- and 32-bit codes as the bytes
-# of little-endian ints.
-_PACKED_ROWS = sys.byteorder == "little" and array("I").itemsize == 4
+# Packed lanes read and write arrays of 8- to 64-bit codes as little-endian ints.
+_PACKED_ROWS = sys.byteorder == "little" and array("I").itemsize == 4 and array("Q").itemsize == 8
 
 
 class NetcodeError(Exception):
@@ -239,18 +243,6 @@ def _kron_form(p: int, m: int, modulus: Sequence[int]) -> tuple:
     return w, (1 << w) - 1, folds, shifts, [1 << s for s in shifts], [p**i for i in range(m)]
 
 
-def _unspread_table(p: int, w: int, k: int) -> list[int]:
-    """Code of the digits mod p, indexed by k w-bit fields of digits < 2p - 1."""
-    spreads, codes = [0], [0]
-    for i in range(k):
-        spreads = [s + (d << w * i) for d in range(2 * p - 1) for s in spreads]
-        codes = [c + d % p * p**i for d in range(2 * p - 1) for c in codes]
-    table = [0] * (1 << w * k)
-    for s, c in zip(spreads, codes):
-        table[s] = c
-    return table
-
-
 def _digit_tables(
     p: int, start: int, stop: int, code_of: dict | None = None
 ) -> tuple[list[tuple[int, ...]], list[str], list[str]]:
@@ -328,6 +320,11 @@ class FieldSpec:
             _LogLists(self._exp, self._log) if p == 2 and self._exp
             else _PrimeLists(p) if m == 1
             else _MulLists(self._mul_codes, xor if p == 2 else self._add_codes)
+            if p == 2 or self._exp
+            else _MulLists(
+                lambda a, b: self._kron_mul(a, b, True), self._add_codes,
+                lambda c: _spread(c, p, self._kron[0]),
+            )
         )
         lanes = _LaneKernel(self) if p == 2 and m <= 8 else None
         # the kernel of polynomial products and divisions, at any length
@@ -335,9 +332,11 @@ class FieldSpec:
         # the kernel of rows at least _wide_min wide
         if lanes:
             self._wide, self._wide_min = lanes, _LANE_MIN_WIDTH
-        elif p == 2 and m <= 24 and _PACKED_ROWS:
+        elif _PACKED_ROWS and (m <= 24 if p == 2 else p <= _PACKED_MAX_P):
             self._wide = _PackedKernel(self)
-            self._wide_min = _PACKED_MIN_WIDTH if self._exp else _PACKED_MIN_WIDTH_NO_TABLES
+            self._wide_min = _PACKED_MIN_WIDTH_NO_TABLES if not self._exp else (
+                _PACKED_MIN_WIDTH if p == 2 or m == 1 else _PACKED_MIN_WIDTH_DIGITS
+            )
         else:
             self._wide, self._wide_min = self._lists, 0
         self._codec_cache: list[_Codec] = []  # filled by _codec on first use
@@ -377,14 +376,14 @@ class FieldSpec:
     ) -> list[int]:
         """The codes of these coefficient lists, lowest degree first.
 
-        An item holds at most m coefficients, each an int (not a bool or
-        float) in [0, p). With codec tables, lists and tuples of ints are
-        looked up all at once; a batch that misses, and every batch in a
-        field without tables, is converted item by item, and its first bad
-        item raises a ParseError, prefixed with where(k) for its index k
-        when where is given. ints_only says that no coefficient is a bool
-        or a float, as in JSON text without those literals, so the lookup
-        alone checks the coefficients.
+        An item is a list or tuple of at most m coefficients, each an int
+        (not a bool or float) in [0, p). With codec tables, lists and tuples
+        of ints are looked up all at once; a batch that misses, and every
+        batch in a field without tables, is converted item by item, and its
+        first bad item raises a ParseError, prefixed with where(k) for its
+        index k when where is given. ints_only says that no coefficient is a
+        bool or a float, as in JSON text without those literals, so the
+        lookup alone checks the coefficients.
         """
         code_of = self._codec().code_of
         # True and 1.0 hash like 1, so the types are checked before lookup
@@ -400,23 +399,20 @@ class FieldSpec:
         p, m = self.p, self.m
         out: list[int] = []
         append = out.append
-        try:
-            for coeffs in items:
-                if len(coeffs) > m:
-                    break
-                code = 0
-                # code * p + c beats shifts for p = 2: CPython 3.11
-                # specializes int multiply, add and compare, not shift or or
-                for c in reversed(coeffs):
-                    if type(c) is not int or not 0 <= c < p:
-                        break
-                    code = code * p + c
-                else:
-                    append(code)
-                    continue
+        for coeffs in items:
+            if not isinstance(coeffs, (list, tuple)) or len(coeffs) > m:
                 break
-        except TypeError:  # an item with no len() or no reversed()
-            pass
+            code = 0
+            # code * p + c beats shifts for p = 2: CPython 3.11
+            # specializes int multiply, add and compare, not shift or or
+            for c in reversed(coeffs):
+                if type(c) is not int or not 0 <= c < p:
+                    break
+                code = code * p + c
+            else:
+                append(code)
+                continue
+            break
         k = len(out)
         if k == len(items):
             return out
@@ -520,42 +516,25 @@ class FieldSpec:
     def _build_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """exp and log: exp[i] = g^i for the generator g, log[exp[i]] = i.
 
-        They are tuples of ints, which the garbage collector stops tracking."""
-        p, m, q = self.p, self.m, self.q
-        g = self._gen_code
-        # acc = lo + x^h * hi, so acc * g = lo * g + hi * (x^h * g): two
-        # lookups in tables of p^h and p^(m-h) products replace a schoolbook
-        # multiply per step
-        h = m // 2
-        split = p**h
-        mul = self._schoolbook_mul
-        lo_g = [mul(a, g) for a in range(split)]
-        shifted_g = mul(split, g)
-        hi_g = [mul(b, shifted_g) for b in range(q // split)]
-        exp = [1] * (q - 1)
+        In GF(p^m), m > 1, block k of exp is g^(kB) times block 0, the
+        powers below B = p^ceil(m/2): one packed-lane product per block in
+        place of a multiply per power. They are tuples of ints, which the
+        garbage collector stops tracking."""
+        q, g, mul = self.q, self._gen_code, self._schoolbook_mul
+        block = self.p ** ((self.m + 1) // 2) if self.m > 1 and _PACKED_ROWS else q - 1
+        exp = [1]
+        for _ in range(min(block, q - 1) - 1):
+            exp.append(exp[-1] * g % q if self.m == 1 else mul(exp[-1], g))
+        if block < q - 1:
+            kern, f = _PackedKernel(self), 1
+            src, step = kern.prep(exp), mul(exp[-1], g)
+            while len(exp) < q - 1:
+                f = mul(f, step)
+                exp += kern.unpack(kern.axpy(0, f, src), block)
+            del exp[q - 1 :]
         log = [0] * q
-        if p == 2:  # the sum is an XOR, and acc splits by bits
-            acc, low = 1, split - 1
-            for i in range(1, q - 1):
-                acc = lo_g[acc & low] ^ hi_g[acc >> h]
-                exp[i] = acc
-                log[acc] = i
-            return tuple(exp), tuple(log)
-        # odd p: the products are stored spread, one w-bit field per digit,
-        # so adding two is one integer addition; one lookup per half then
-        # reduces the digit sums mod p
-        w = (2 * p - 2).bit_length()
-        lo_g, hi_g = ([_spread(c, p, w) for c in t] for t in (lo_g, hi_g))
-        lo_of, hi_of = _unspread_table(p, w, h), _unspread_table(p, w, m - h)
-        cut = w * h
-        mask = (1 << cut) - 1
-        lo, hi = 1 % split, 1 // split
-        for i in range(1, q - 1):
-            total = lo_g[lo] + hi_g[hi]
-            lo, hi = lo_of[total & mask], hi_of[total >> cut]
-            acc = lo + split * hi
-            exp[i] = acc
-            log[acc] = i
+        for i, c in enumerate(exp):
+            log[c] = i
         return tuple(exp), tuple(log)
 
     def _codec(self) -> _Codec:
@@ -642,8 +621,8 @@ class FieldSpec:
 # rows, so the loops over entries stay inside them:
 #   pack(codes) -> row, from a sequence of codes or an unpacked row, never
 #     from raw bytes: n zero codes are unpack(pack([0]), 1) * n
-#   unpack(row, width) -> its codes: a list, bytes, or an array of 16- or
-#     32-bit codes
+#   unpack(row, width) -> its codes: a list, bytes, or an array of 8- to
+#     64-bit codes
 #   prep(codes, scale=1) -> scale * codes, prepared as a src for axpy,
 #     which returns row + f * src (src from entry off on), and for
 #     matvec, which returns the sum of factors[i] * srcs[i]
@@ -669,9 +648,9 @@ class FieldSpec:
 # adds the product with axpy at factor 1. Poly products and PolyMatrix.det
 # run in FieldSpec._poly, byte lanes whenever the field has them, whatever
 # their length: a lane polynomial is packed per entry, not per row, so the
-# row-width crossover does not apply. Packed lanes serve the rows alone,
-# with no zero, mul_into, div_exact or scaled_rows: polynomials there stay
-# in code lists.
+# row-width crossover does not apply. Packed lanes, in GF(2^m) and odd p,
+# serve the rows alone, with no zero, mul_into, div_exact or scaled_rows:
+# polynomials in those fields stay in code lists.
 
 
 class _CodeLists:
@@ -867,16 +846,23 @@ class _PrimeLists(_CodeLists):
 
 
 class _MulLists(_CodeLists):
-    """Every other field: entries hold (j, v); an update calls scalar multiply and add."""
+    """Every other field: entries hold (j, v); an update calls scalar multiply and add.
 
-    __slots__ = ("mul", "add")
+    With spread (odd p above the table cap) v is held spread, as mul takes
+    it, and axpy and matvec spread each factor once, not once per entry."""
 
-    def __init__(self, mul: Callable[[int, int], int], add: Callable[[int, int], int]):
-        self.mul, self.add = mul, add
+    __slots__ = ("mul", "add", "spread")
+
+    def __init__(self, mul: Callable, add: Callable, spread: Callable | None = None):
+        # with spread, mul takes both arguments spread and returns a code
+        self.mul, self.add, self.spread = mul, add, spread
 
     def prep(self, row: Sequence[int], scale: int = 1) -> list[tuple[int, int]]:
         if not scale:
             return []
+        if spread := self.spread:
+            row = row if scale == 1 else self.scaled(scale, row)
+            return [(j, spread(v)) for j, v in enumerate(row) if v]
         if scale == 1:
             return [(j, v) for j, v in enumerate(row) if v]
         mul = self.mul
@@ -885,15 +871,17 @@ class _MulLists(_CodeLists):
     def axpy(self, dst: list, factor: int, src: list, off: int = 0) -> list[int]:
         if factor:
             mul, add = self.mul, self.add
+            factor = self.spread(factor) if self.spread else factor
             for j, v in src:
                 dst[off + j] = add(dst[off + j], mul(factor, v))
         return dst
 
     def matvec(self, vec: Sequence[int], rows: Sequence[list], width: int) -> list[int]:
         dst = [0] * width
-        mul, add = self.mul, self.add
+        mul, add, spread = self.mul, self.add, self.spread
         for x, row in zip(vec, rows):
             if x:
+                x = spread(x) if spread else x
                 for j, v in row:
                     dst[j] = add(dst[j], mul(x, v))
         return dst
@@ -1062,45 +1050,97 @@ class _LaneKernel:
 
 
 class _PackedKernel:
-    """Rows of GF(2^m), 8 < m <= 24, as ints with a 16-bit lane per entry,
-    or a 32-bit one for m > 16.
+    """Rows as ints with one 8-, 16-, 32- or 64-bit lane per entry, in GF(2^m)
+    for 8 < m <= 24 and in every field of odd p <= _PACKED_MAX_P, packed and
+    unpacked by one array conversion each.
 
-    Packing and unpacking are one array conversion, and the sum of two
-    rows is one XOR. x * row shifts every lane up a bit and adds the
-    modulus tail, x^m mod f, to each lane whose top bit left, with no
-    tables. A prepared src holds the multiples x^k * row for k < m, and
-    f * src is the XOR of those that the bits of f select.
+    In GF(2^m) a lane holds a code's bits in 16 bits (32 for m > 16), and a
+    sum of rows is one XOR. x * row shifts every lane up a bit and adds the
+    tail x^m mod f to each lane whose top bit left; a prepared src holds
+    x^k * row for k < m, and f * src XORs those that f's bits select.
+
+    In odd characteristic digit i of a code sits in field i of its lane, of
+    w = (2p - 2).bit_length() bits, which hold a sum of two reduced digits.
+    An add is one integer add and one SWAR reduction (simultaneous modular
+    reduction, Dumas, Fousse & Salvy 2011): t = (R + bias) >> (w - 1) & ones;
+    R -= p * t, with bias = 2^(w-1) - p in each field. x * row shifts every
+    field up one and folds the top digit back through x^m mod f, reduced. A
+    prepared src holds its (ones, bias) masks, then the reduced d * x^k * row
+    at k * p + d; f * src adds those that f's base-p digits select. pack
+    spreads codes through two half-code tables; unpack merges fields pairwise.
     """
 
-    __slots__ = ("m", "code", "bits", "tail", "masks")
+    __slots__ = (
+        "p", "m", "code", "bits", "w", "tail", "lanes", "masks", "spread", "merges", "axpy",
+        "_multiples",
+    )
 
     def __init__(self, spec: FieldSpec):
-        self.m = spec.m
-        self.code, self.bits = ("H", 16) if spec.m <= 16 else ("I", 32)
-        self.tail = spec._mod_bits ^ 1 << spec.m
-        # (width, bit 0 and bits 0 to m - 2 of every lane) for the widest row
-        # so far, which mask any narrower row as well; one tuple, so that a
-        # reader never sees a width with the masks of a narrower one
-        self.masks = (0, 0, 0)
+        p, m = self.p, self.m = spec.p, spec.m
+        if p == 2:
+            self.code, self.bits = ("H", 16) if m <= 16 else ("I", 32)
+            self.tail = spec._mod_bits ^ 1 << m
+            # bit 0 and bits 0 to m - 2 of a lane
+            self.lanes = (1, (1 << m - 1) - 1)
+            self.spread, self.merges = None, ()
+            self.axpy, self._multiples = self._xor_axpy, self._bit_multiples
+        else:
+            w = self.w = (2 * p - 2).bit_length()
+            self.code, self.bits = next(cb for cb in zip("BHIQ", (8, 16, 32, 64)) if cb[1] >= m * w)
+            fields = sum(1 << w * i for i in range(m))
+            # lane masks: bit 0, fields 0 to m - 2, bit 0 and the bias of each field, field
+            # 0; then each merge's low fields, and those whose high one is in the lane
+            lanes = [1, (1 << w * m - w) - 1, fields, fields * ((1 << w - 1) - p), (1 << w) - 1]
+            bits = self.bits
+            self.merges = tuple((w << j, p ** (1 << j)) for j in range((m - 1).bit_length()))
+            for f, _ in self.merges:
+                low = sum((1 << f) - 1 << g for g in range(0, bits, 2 * f)) & (1 << bits) - 1
+                lanes += [low, low & (1 << bits - f) - 1]
+            self.lanes = tuple(lanes)
+            # 2^b * x^m mod f, spread, for the w - 1 bits b of a digit
+            xm = [-c % p for c in spec.modulus[:m]]
+            self.tail = [sum((c << b) % p << w * i for i, c in enumerate(xm)) for b in range(w - 1)]
+            # pack's tables: a code's low h digits spread, and its high ones
+            h, lo = (m + 1) // 2, [0]
+            for i in range(h):
+                lo = [s + (d << w * i) for d in range(p) for s in lo]
+            self.spread = None if m == 1 else (lo, [s << w * h for s in lo[: p ** (m - h)]], p**h)
+            self.axpy, self._multiples = self._digit_axpy, self._digit_multiples
+        # (width, the lane masks over width lanes) for the widest row so far, which mask
+        # narrower rows too; one tuple, so no reader sees masks narrower than the width
+        self.masks = (0,) + (0,) * len(self.lanes)
+
+    def _masks(self, width: int) -> tuple:
+        masks = self.masks
+        if width > masks[0]:
+            lanes = (array(self.code, [lane]) * width for lane in self.lanes)
+            self.masks = masks = (width,) + tuple(int.from_bytes(a, "little") for a in lanes)
+        return masks
 
     def pack(self, codes: Sequence[int]) -> int:
+        if self.spread:
+            lo, hi, b = self.spread
+            codes = array(self.code, [lo[c % b] + hi[c // b] for c in codes])
         return int.from_bytes(codes if type(codes) is array else array(self.code, codes), "little")
 
     def unpack(self, row: int, width: int) -> array:
+        if self.merges:
+            lows = iter(self._masks(width)[6:])
+            for (shift, scale), low, paired in zip(self.merges, lows, lows):
+                row = (row & low) + (row >> shift & paired) * scale
         return array(self.code, row.to_bytes(width * self.bits >> 3, "little"))
 
     def column(self, rows: list[int], start: int, c: int) -> list[int]:
         """Entry c of each row from rows[start] on, for eliminate."""
         shift, mask = self.bits * c, (1 << self.bits) - 1
-        return [row >> shift & mask for row in rows[start:]]
+        col = [row >> shift & mask for row in rows[start:]]
+        if not self.merges:
+            return col
+        return self.unpack(int.from_bytes(array(self.code, col), "little"), len(col)).tolist()
 
-    def _multiples(self, row: int, width: int) -> list[int]:
+    def _bit_multiples(self, row: int, width: int) -> list[int]:
         """x^k * row for k < m, for a row of at most width entries."""
-        widest, ones, low = self.masks
-        if width > widest:
-            ones = int.from_bytes(array(self.code, [1]) * width, "little")
-            low = ones * ((1 << self.m - 1) - 1)
-            self.masks = width, ones, low
+        _, ones, low = self._masks(width)
         top, tail = self.m - 1, self.tail
         mults = [row]
         for _ in range(top):
@@ -1108,12 +1148,39 @@ class _PackedKernel:
             mults.append(row)
         return mults
 
-    def prep(self, codes: Sequence[int], scale: int = 1) -> list[int]:
+    def _digit_multiples(self, row: int, width: int) -> list:
+        """(ones, bias) of width lanes, then d * x^k * row at k * p + d, 0 < d < p, k < m."""
+        widest, ones, low, fields, bias, digit = self._masks(width)[:6]
+        cut = self.bits * (widest - width)
+        fields, bias = fields >> cut, bias >> cut
+        p, w, tail = self.p, self.w, self.tail
+        w1, top = w - 1, w * (self.m - 1)
+        mults: list = [(fields, bias)]
+        for k in range(self.m):
+            if k:
+                t = row >> top & digit
+                row = (row & low) << w
+                fold = (t & ones) * tail[0]
+                for b in range(1, len(tail)):
+                    fold += (t >> b & ones) * tail[b]
+                    fold -= p * ((fold + bias) >> w1 & fields)
+                row += fold
+                row -= p * ((row + bias) >> w1 & fields)
+                mults.append(0)
+            mults.append(row)
+            acc = row
+            for _ in range(p - 2):
+                acc += row
+                acc -= p * ((acc + bias) >> w1 & fields)
+                mults.append(acc)
+        return mults
+
+    def prep(self, codes: Sequence[int], scale: int = 1) -> list:
         width = len(codes)
         mults = self._multiples(self.pack(codes), width)
         return mults if scale == 1 else self._multiples(self.axpy(0, scale, mults), width)
 
-    def axpy(self, row: int, factor: int, src: list, off: int = 0) -> int:
+    def _xor_axpy(self, row: int, factor: int, src: list, off: int = 0) -> int:
         out, k = 0, 0
         while factor:
             if factor & 1:
@@ -1121,6 +1188,19 @@ class _PackedKernel:
             factor >>= 1
             k += 1
         return row ^ out << self.bits * off
+
+    def _digit_axpy(self, row: int, factor: int, src: list, off: int = 0) -> int:
+        (fields, bias), p, w1, shift = src[0], self.p, self.w - 1, self.bits * off
+        if shift:
+            fields, bias = fields << shift, bias << shift
+        k = 0
+        while factor:
+            factor, d = divmod(factor, p)
+            if d:
+                row += src[k + d] << shift
+                row -= p * ((row + bias) >> w1 & fields)
+            k += p
+        return row
 
     # the code lists' loops: axpy returns the updated row, which they store
     axpys, eliminate, solve = _CodeLists.axpys, _CodeLists.eliminate, _CodeLists.solve
@@ -1527,15 +1607,14 @@ def _dft(
     power (d mod n) k mod n. Every n-point evaluation in the package is a
     call here.
     """
-    mul = spec._mul_codes
+    mul, degrees = spec._mul_codes, max(map(len, polys), default=0)
     powers = [scale]
-    for _ in range(n - 1):
+    for _ in range(n - 1 if degrees > 1 else 0):  # constants need no power of a
         powers.append(mul(powers[-1], a))
     kern = spec._kernel(n)
     # the column of exponent e > 0, scale * a^(ek) for k < n, is every e-th
     # entry of the powers repeated, in the kernel's code sequence; each is
     # built once for all polys and dropped before the next degree
-    degrees = max(map(len, polys), default=0)
     ring = kern.unpack(kern.pack(powers), n) * min(n, degrees)
     cols = (ring[: e * n : e] if e else ring[:1] * n for e in islice(cycle(range(n)), degrees))
     zero = kern.unpack(kern.pack([0]), 1) * n  # n zero codes, unpacked

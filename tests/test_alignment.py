@@ -504,6 +504,19 @@ def test_cat1_half_rate_at_n_257_in_gf2_16():
     assert out.throughputs == (Fraction(129, 257), Fraction(128, 257), Fraction(128, 257))
 
 
+def test_cat1_at_n_121_in_gf3_5():
+    """n = 60 in GF(3^5), decoded exactly: N = 121 divides 3^5 - 1, and the
+    N-wide rows run in packed digit lanes, 16 bits a lane."""
+    spec = build_field(3, 5)
+    res = align_search(cat_net(CATEGORY_LENGTHS["cat1"]), 60, spec, seed="gf3-5", budget=3)
+    assert res.report["ok"] and res.instance.N == 121
+    rng = random.Random("gf3-5")
+    xs = [rand_syms(spec, rng, k) for k in (61, 60, 60)]
+    out = encode_decode(res.instance, *xs)
+    assert out.recovered == tuple(xs)
+    assert out.throughputs == (Fraction(61, 121), Fraction(60, 121), Fraction(60, 121))
+
+
 def instance_digest(inst):
     doc = [None if M is None else M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)]
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()

@@ -89,6 +89,15 @@ def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
     assert rep == {"error": "ParseError", "message": f"{p}: invalid JSON: nested too deeply"}
 
 
+def test_integer_too_long_to_convert_is_parse_error(tmp_path, capsys):
+    # int() refuses more than 4,300 digits; the refusal names the path
+    p = tmp_path / "long.json"
+    p.write_text('{"kind": "network", "x": ' + "7" * 5000 + "}")
+    code, rep = jcli(capsys, "validate", str(p))
+    assert code == 2 and rep["error"] == "ParseError"
+    assert rep["message"].startswith(f"{p}: invalid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_input_that_is_not_utf8_is_parse_error(tmp_path, capsys):
     p = tmp_path / "latin1.json"
     p.write_bytes('{"kind": "network", "network": {"nodes": ["\u00ff"]}}'.encode("latin-1"))
@@ -348,6 +357,28 @@ def test_kernel_on_unknown_edge_is_refused_where_compiled(tmp_path, capsys, sub,
     if exit_code:
         message = "alpha kernel on unknown edge ('S1', 'nowhere', 0)"
         assert rep == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("value", [{}, ""])
+@pytest.mark.parametrize("sub", ["transfer", "simulate"])
+def test_element_that_is_not_a_list_is_parse_error(tmp_path, capsys, sub, value):
+    # an empty object or string has a len() and a reversed() of no
+    # coefficients, so it once read as the zero element
+    doc = load_fixture("example2")
+    if sub == "transfer":
+        doc["kernels"]["alpha"][0][-1] = value
+        where = "kernels.alpha[0]"
+    else:
+        doc.update(kind="simulation", inputs=[[[[1]], [[0]], [[1]]], [[value], [[0]], [[1]]]])
+        where = "inputs[1][0][0]"
+    p = tmp_path / "element.json"
+    p.write_text(json.dumps(doc))
+    code, rep = jcli(capsys, sub, str(p))
+    assert code == 2
+    message = f"{where}: a field element is a list of integer coefficients, got {value!r}"
+    assert rep == {"error": "ParseError", "message": message}
+    with pytest.raises(ParseError):
+        build_field(3, 2).codes_from_json([[1], value])
 
 
 @pytest.mark.parametrize("coeff", [1.0, True])

@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 
 from netcode.cli import load_fixture, run
 
-SWAPS = (0, -1, 1.5, float("nan"), "x", True, None, [], {})
+# LONG stands for an integer of 5,000 digits, more than int() converts; it
+# is written into the file's text, as json.dumps refuses to write it
+LONG = "<5000-digit integer>"
+SWAPS = (0, -1, 1.5, float("nan"), "x", "", True, None, [], {}, [{}], {"k": {}}, LONG)
 
 
 def _simulation_doc() -> dict:
@@ -98,7 +101,7 @@ def _run(argv) -> tuple[int, str]:
 @given(mutated_docs())
 def test_every_subcommand_answers_in_json(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace(json.dumps(LONG), "9" * 5000))
     for cmd in COMMANDS:
         argv = (cmd[0], str(path)) + cmd[1:]
         start = time.perf_counter()

@@ -4,12 +4,13 @@ Matrix products, row scaling and the DFT each have one loop, and
 elimination (rank, det, solve, inverse) and its replay are each one call,
 eliminate and solve, of the row kernel that FieldSpec._kernel picks by row
 width: byte lanes in GF(2^m) with m <= 8 for rows at least _LANE_MIN_WIDTH
-wide, packed 16- or 32-bit lanes in GF(2^m) with 8 < m <= 24 from their
-own crossover on, and the field's code-list kernel everywhere else. A spec
-picks that kernel once, by regime: log tables in GF(2^m) up to the table
-cap, inline arithmetic in GF(p), and scalar multiplies and adds in every
-other field. A product runs on its transposed operands when only the left
-side's height reaches the wide kernel. Here the packed lanes serve from
+wide, packed lanes in GF(2^m) with 8 < m <= 24 and in every field of odd
+p <= _PACKED_MAX_P from their own crossovers on, and the field's code-list
+kernel everywhere else. A spec picks that kernel once, by regime: log
+tables in GF(2^m) up to the table cap, inline arithmetic in GF(p), and
+scalar multiplies and adds in every other field. A product runs on its
+transposed operands when only the left side's height reaches the wide
+kernel. Here the packed lanes serve from
 _LANE_MIN_WIDTH on, as byte lanes do (the autouse fixture below), so the
 shapes sit on both sides of every crossover; the first kernel-choice test
 pins the real crossovers on fresh specs. Byte lanes eliminate and replay
@@ -35,7 +36,9 @@ from sympy.polys.matrices import DomainMatrix
 from netcode.alignment import align_search
 from netcode.galois import (
     _LANE_MIN_WIDTH,
+    _PACKED_MAX_P,
     _PACKED_MIN_WIDTH,
+    _PACKED_MIN_WIDTH_DIGITS,
     _PACKED_MIN_WIDTH_NO_TABLES,
     FieldElement,
     FieldSpec,
@@ -47,6 +50,7 @@ from netcode.galois import (
     _MulLists,
     _PackedKernel,
     _PrimeLists,
+    _spread,
     build_field,
     element_of_order,
 )
@@ -57,12 +61,14 @@ from tests.oracles import dft_matrix, inverse_dft_matrix
 
 # byte lanes in the first four; packed 16-bit lanes over log tables up to
 # GF(2^16) and over carry-less products in GF(2^17); packed 32-bit lanes
-# in GF(2^20) and GF(2^24); schoolbook digits in GF(3^11)
+# in GF(2^20) and GF(2^24); packed digit lanes in the odd-p fields, in 8
+# bits up to GF(3^2) and GF(7), 16 bits in GF(3^5), GF(5^3) and GF(7^4),
+# and 64 bits in GF(3^11), whose code lists multiply spread digits
 FIELDS = [
     (2, 1), (2, 4), (2, 6), (2, 8), (2, 9), (2, 10), (2, 12), (2, 16), (3, 2), (7, 1),
-    (2, 17), (2, 20), (2, 24), (3, 11),
+    (2, 17), (2, 20), (2, 24), (3, 11), (3, 1), (5, 1), (3, 5), (5, 3), (7, 4),
 ]
-PACKED = [(p, m) for p, m in FIELDS if p == 2 and 8 < m <= 24]
+PACKED = [(p, m) for p, m in FIELDS if type(build_field(p, m)._wide) is _PackedKernel]
 W = _LANE_MIN_WIDTH
 SHAPES = [(6, 6), (4, 7), (8, 5), (1, 1), (1, 5), (5, 1), (W + 3, W + 3), (W + 6, W), (4, W + 5)]
 
@@ -207,27 +213,37 @@ def _lanes(spec):
     return None if kern is spec._kernel(0) else kern
 
 
-@pytest.mark.parametrize("p, m", FIELDS)
+# the lane bits of each packed field
+LANE_BITS = {
+    (2, 9): 16, (2, 10): 16, (2, 12): 16, (2, 16): 16, (2, 17): 32, (2, 20): 32, (2, 24): 32,
+    (3, 1): 8, (5, 1): 8, (7, 1): 8, (3, 2): 8, (31, 1): 8, (3, 5): 16, (5, 3): 16, (7, 4): 16,
+    (11, 2): 16, (3, 10): 32, (3, 11): 64, (3, 15): 64,
+}
+
+
+@pytest.mark.parametrize("p, m", FIELDS + [(11, 2), (31, 1), (37, 1), (3, 10), (3, 15)])
 def test_lanes_serve_wide_rows_of_gf2m_up_to_m8(p, m):
-    """Byte lanes from width 8 in GF(2^m), m <= 8; packed lanes from 128
-    with log tables (m <= 16) and from 8 without (16 < m <= 24); code lists
-    for every width in every other field, and below each crossover."""
+    """Byte lanes from width 8 in GF(2^m), m <= 8. Packed lanes from 128 in
+    GF(p) and in GF(2^m) with log tables (m <= 16), from 16 in GF(p^m) with
+    log tables, and from 8 in every field without them, for p = 2 up to
+    m = 24 and for odd p up to 31. Code lists for every width in every
+    other field, and below each crossover."""
+    assert (_PACKED_MIN_WIDTH, _PACKED_MIN_WIDTH_DIGITS, _PACKED_MIN_WIDTH_NO_TABLES) == (128, 16, 8)
     spec = FieldSpec(p, m, build_field(p, m).modulus)  # the real crossovers
     narrow = spec._kernel(0)
     wide = spec._kernel(1 << 20)
-    start = {
-        _LaneKernel: _LANE_MIN_WIDTH,
-        _PackedKernel: _PACKED_MIN_WIDTH if spec._exp else _PACKED_MIN_WIDTH_NO_TABLES,
-    }.get(type(wide))
+    start = None
     if p == 2 and m <= 8:
-        assert type(wide) is _LaneKernel and start == 8
-    elif p == 2 and m <= 24:
-        assert type(wide) is _PackedKernel and start == (128 if m <= 16 else 8)
-        assert (wide.code, wide.bits) == (("H", 16) if m <= 16 else ("I", 32))
+        assert type(wide) is _LaneKernel
+        start = _LANE_MIN_WIDTH
+    elif m <= 24 if p == 2 else p <= _PACKED_MAX_P:
+        assert type(wide) is _PackedKernel
+        assert wide.bits == LANE_BITS[p, m] and wide.code == "BHIQ"[LANE_BITS[p, m].bit_length() - 4]
+        start = 8 if not spec._exp else 128 if p == 2 or m == 1 else 16
     else:
-        assert wide is narrow and start is None
+        assert wide is narrow
     start = start or 1 << 20
-    for w in (0, 1, 7, 8, 9, 85, 127, 128, 129, 255):
+    for w in (0, 1, 7, 8, 9, 15, 16, 17, 85, 127, 128, 129, 255):
         assert spec._kernel(w) is (wide if w >= start else narrow), w
     if type(wide) is _LaneKernel:
         tables = wide.tables
@@ -266,9 +282,10 @@ REGIMES = {
     (2, 9): (_LogLists, _PackedKernel), (2, 16): (_LogLists, _PackedKernel),
     (2, 17): (_MulLists, _PackedKernel), (2, 20): (_MulLists, _PackedKernel),
     (2, 24): (_MulLists, _PackedKernel), (2, 25): (_MulLists, _MulLists),
-    (3, 1): (_PrimeLists, _PrimeLists), (65537, 1): (_PrimeLists, _PrimeLists),
-    (3, 2): (_MulLists, _MulLists), (3, 10): (_MulLists, _MulLists),
-    (3, 11): (_MulLists, _MulLists),
+    (3, 1): (_PrimeLists, _PackedKernel), (31, 1): (_PrimeLists, _PackedKernel),
+    (37, 1): (_PrimeLists, _PrimeLists), (65537, 1): (_PrimeLists, _PrimeLists),
+    (3, 2): (_MulLists, _PackedKernel), (3, 10): (_MulLists, _PackedKernel),
+    (3, 11): (_MulLists, _PackedKernel), (37, 2): (_MulLists, _MulLists),
 }
 
 
@@ -338,9 +355,9 @@ def test_products_in_both_lane_orientations(p, m, monkeypatch):
     """A * B by A's columns when A has more rows than B has columns, and
     otherwise by B's rows, so it makes the fewer matvec calls, on the
     longer rows. Those rows run in the wide kernel from W entries on, byte
-    lanes for m <= 8 and packed lanes for 8 < m <= 24, and in code lists
-    below W and in every field without lanes. Each output row is one
-    matvec of the selected kernel."""
+    lanes in GF(2^m) for m <= 8 and packed lanes for 8 < m <= 24 and in
+    GF(3^2) and GF(7), and in code lists below W and in every field without
+    lanes. Each output row is one matvec of the selected kernel."""
     spec = build_field(p, m)
     lanes, lists = _lanes(spec), spec._kernel(0)
 
@@ -644,6 +661,8 @@ def _check_rows(spec, rng):
             want = [(j, mul(scale, v)) for j, v in enumerate(row) if mul(scale, v)]
             if type(lists) is _LogLists:  # entries hold (j, log v)
                 want = [(j, spec._log[v]) for j, v in want]
+            if getattr(lists, "spread", None):  # entries hold (j, v spread)
+                want = [(j, _spread(v, p, spec._kron[0])) for j, v in want]
             assert src == want
             for off in (0, 4):
                 for f in (0, 1, p - 1, rng.randrange(spec.q)):
@@ -666,7 +685,7 @@ def test_prime_field_rows_match_scalar_calls(p):
     _check_rows(build_field(p, 1), random.Random(f"gfp-rows:{p}"))
 
 
-@pytest.mark.parametrize("p, m", [(2, 4), (2, 8), (2, 16), (3, 2), (2, 17), (3, 11)])
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 8), (2, 16), (3, 2), (2, 17), (3, 11), (5, 3)])
 def test_code_list_rows_match_scalar_calls(p, m):
     _check_rows(build_field(p, m), random.Random(f"rows:{p}:{m}"))
 
@@ -773,36 +792,38 @@ def test_wide_products_and_scales_compare_as_matrices(p, m):
 def test_packed_masks_grow_safely_under_threads():
     """A spec's packed kernel widens its lane masks as wider rows come.
     Threads preparing rows of many widths at once on one fresh kernel get
-    what a kernel of their own gives."""
-    spec = build_field(2, 12)
-    ref = _PackedKernel(spec)
-    rng = random.Random("threads")
-    rows = [_rand(spec, rng, 1, w)[0] for w in range(1, 400, 5)]
-    want = [ref.prep(row) for row in rows]
-    wrong = []
+    what a kernel of their own gives, in GF(2^12) and in GF(3^5)."""
+    for spec in (build_field(2, 12), build_field(3, 5)):
+        ref = _PackedKernel(spec)
+        rng = random.Random("threads")
+        rows = [_rand(spec, rng, 1, w)[0] for w in range(1, 400, 5)]
+        want = [ref.prep(row) for row in rows]
+        wrong = []
 
-    def work(kern, order):
-        for i in order:
-            if kern.prep(rows[i]) != want[i]:
-                wrong.append(i)
+        def work(kern, order):
+            for i in order:
+                if kern.prep(rows[i]) != want[i]:
+                    wrong.append(i)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(40):
-            kern = _PackedKernel(spec)
-            threads = [
-                threading.Thread(target=work, args=(kern, rng.sample(range(len(rows)), len(rows))))
-                for _ in range(6)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert wrong == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                kern = _PackedKernel(spec)
+                threads = [
+                    threading.Thread(
+                        target=work, args=(kern, rng.sample(range(len(rows)), len(rows)))
+                    )
+                    for _ in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [], spec
 
 
 # ----------------------------------------------------------------------
@@ -814,22 +835,32 @@ def _lists_only(monkeypatch, spec):
     monkeypatch.setattr(spec, "_wide_min", 1 << 30)
 
 
-@pytest.mark.parametrize("p, m, steps", [(2, 10, 9), (2, 10, 129), (2, 16, 131), (2, 20, 9)])
+@pytest.mark.parametrize(
+    "p, m, steps",
+    [
+        (2, 10, 9), (2, 10, 129), (2, 16, 131), (2, 20, 9), (3, 1, 128), (3, 1, 131),
+        (7, 1, 130), (3, 5, 16), (5, 3, 17), (7, 4, 16), (3, 11, 9),
+    ],
+)
 def test_windows_match_code_lists(p, m, steps, monkeypatch):
     """simulate and transfer windows of odd widths, whose zero rows are
-    explicit: a bytes object of steps zero bytes is steps / 2 16-bit codes."""
+    explicit: a bytes object of steps zero bytes is steps / 2 16-bit codes.
+    Dense and sparse inputs; every edge and output term past the first is
+    an axpy at an offset, its delay."""
     spec = build_field(p, m)
     rng = random.Random(f"windows:{p}:{m}:{steps}")
     net = cat_net(CATEGORY_LENGTHS["cat1"])
     leks = random_leks(net, spec, "windows", nonzero=True)
-    codes = [rng.randrange(spec.q) if rng.random() < 0.7 else 0 for _ in range(3 * steps)]
     inputs = [[[0], [0], [0]] for _ in range(steps)]
     assert type(spec._kernel(steps)) is _PackedKernel
-    packed = [list(row) for row in _simulate_rows(net, leks, inputs, 0, False, codes)]
     tr = transfer_matrix(net, leks)
-    _lists_only(monkeypatch, spec)
-    assert packed == _simulate_rows(net, leks, inputs, 0, False, codes)
-    assert transfer_matrix(net, leks).M == tr.M
+    for density in (0.7, 0.05):
+        codes = [rng.randrange(spec.q) if rng.random() < density else 0 for _ in range(3 * steps)]
+        packed = [list(row) for row in _simulate_rows(net, leks, inputs, 0, False, codes)]
+        with monkeypatch.context() as patch:
+            _lists_only(patch, spec)
+            assert packed == _simulate_rows(net, leks, inputs, 0, False, codes)
+            assert transfer_matrix(net, leks).M == tr.M
 
 
 def _cat1_instance(spec, n, seed):
@@ -837,20 +868,23 @@ def _cat1_instance(spec, n, seed):
     its decode factors with their steps as codes."""
     inst = align_search(cat_net(CATEGORY_LENGTHS["cat1"]), n, spec, seed=seed).instance
     factors = [
-        (f.rank, f.pivots, [list(r) for r in f.upper], _step_codes(spec, f.steps, f.nrows))
+        (f.rank, f.pivots, [list(r) for r in f.upper],
+         _step_codes(spec, spec._kernel(f.ncols), f.steps, f.nrows))
         for f in inst.decode_factors
     ]
     return [M.rows for M in (inst.V1, inst.V2, inst.V3, inst.A, inst.B)], factors
 
 
-@pytest.mark.parametrize("p, m, n", [(2, 10, 16), (2, 20, 20), (2, 8, 25), (2, 6, 31)])
+@pytest.mark.parametrize(
+    "p, m, n", [(2, 10, 16), (2, 20, 20), (2, 8, 25), (2, 6, 31), (3, 11, 11), (5, 3, 15)]
+)
 def test_cat1_search_matches_code_lists(p, m, n, monkeypatch):
-    """The first passing cat1 instance is the same in packed lanes (m > 8)
-    or byte lanes and in code lists, precoders, free matrices and decode
-    factors with their steps included. At N = 63 in GF(2^6) the DFT runs
-    over every nonzero element."""
+    """The first passing cat1 instance is the same in packed lanes (m > 8,
+    or odd p) or byte lanes and in code lists, precoders, free matrices and
+    decode factors with their steps included. At N = 63 in GF(2^6) the DFT
+    runs over every nonzero element."""
     spec = build_field(p, m)
-    wide = _PackedKernel if m > 8 else _LaneKernel
+    wide = _LaneKernel if p == 2 and m <= 8 else _PackedKernel
     assert type(spec._kernel(2 * n + 1)) is wide
     lanes = _cat1_instance(spec, n, "packed")
     _lists_only(monkeypatch, spec)
@@ -862,22 +896,27 @@ def test_cat1_search_matches_code_lists(p, m, n, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _step_codes(spec, steps, nrows):
-    """Recorded steps as (swapped row, multiplier codes), from byte-lane
-    bytes, packed-lane multiples (the first is the row itself), or
-    code-list (j, value) pairs, (j, log value) over log tables."""
-    logs = type(spec._lists) is _LogLists
+def _step_codes(spec, kern, steps, nrows):
+    """Recorded steps of kern as (swapped row, multiplier codes), from
+    byte-lane bytes, packed-lane multiples (the row itself is the first in
+    GF(2^m) and the second, after the masks, in odd characteristic), or
+    code-list (j, value) pairs: (j, log value) over log tables, (j, spread
+    value) above them in odd characteristic."""
     out = []
     for k, (p, mults) in enumerate(steps):
         width = nrows - k - 1
-        if type(mults) is bytes:
+        if type(kern) is _LaneKernel:
             codes = list(mults)
-        elif mults and type(mults[0]) is int:
-            codes = list(spec._wide.unpack(mults[0], width))
+        elif type(kern) is _PackedKernel:
+            codes = list(kern.unpack(mults[spec.p > 2], width))
         else:
             codes = [0] * width
             for j, v in mults:
-                codes[j] = spec._exp[v] if logs else v
+                codes[j] = (
+                    spec._exp[v] if type(kern) is _LogLists
+                    else spec._kron_mul(v, 1, True) if getattr(kern, "spread", None)
+                    else v
+                )
         out.append((p, codes))
     return out
 
@@ -885,12 +924,15 @@ def _step_codes(spec, steps, nrows):
 # (ncols, p, m): byte lanes from 8 to 85 columns, in GF(2) up to GF(2^8),
 # and at 127 and 255 in GF(2^8), 255 being the widest decode system of a
 # GF(256) align block; packed 16-bit lanes at 128 and 131, and packed
-# 32-bit lanes from 8 to 41
+# 32-bit lanes from 8 to 41; packed digit lanes in 8 bits in GF(3) and
+# GF(7), 16 bits in GF(3^5), GF(5^3) and GF(7^4), and 64 bits in GF(3^11)
 WIDE = (
     [(c, 2, m) for m in (1, 2, 4, 6, 8) for c in (8, 9, 17, 51, 85)]
     + [(c, 2, 8) for c in (127, 255)]
     + [(c, 2, m) for m in (10, 16) for c in (128, 131)]
     + [(c, 2, 20) for c in (8, 9, 41)]
+    + [(c, 3, 1) for c in (8, 41, 128)] + [(9, 7, 1), (16, 3, 5), (17, 3, 5), (9, 5, 3), (9, 7, 4)]
+    + [(c, 3, 11) for c in (8, 23)]
 )
 
 
@@ -965,7 +1007,7 @@ def _eliminate(spec, kern, rows, n, record=True):
     steps = [] if record else None
     ech, pivots, swaps = kern.eliminate(rows, n, spec, steps)
     out = [list(r) for r in ech], pivots, swaps
-    return out + (_step_codes(spec, steps, len(rows)),) if record else out
+    return out + (_step_codes(spec, kern, steps, len(rows)),) if record else out
 
 
 @pytest.mark.parametrize("ncols, p, m", WIDE)
@@ -977,7 +1019,7 @@ def test_lane_elimination_matches_code_lists(ncols, p, m):
     with no pivot in the first or last column, and on a single row."""
     spec = build_field(p, m)
     wide = spec._wide
-    assert type(wide) is (_LaneKernel if m <= 8 else _PackedKernel)
+    assert type(wide) is (_LaneKernel if p == 2 and m <= 8 else _PackedKernel)
     cases = _elimination_cases(spec, ncols)
     want = {name: _eliminate(spec, spec._lists, rows, ncols) for name, rows in cases.items()}
     for name, rows in cases.items():
