@@ -42,6 +42,11 @@ __all__ = [
 # multiply of spread digits, folded back by x^k mod f (FieldSpec._kron_mul).
 _TABLE_CAP = 1 << 16
 
+# Exp/log tables of fields at least this small are tuples of ints, which
+# read fastest; larger ones are 2-byte arrays, 0.53 MB against 6.0 MB in
+# GF(2^16), which read faster too from 2^15 elements on (README).
+_TUPLE_TABLE_CAP = 1 << 13
+
 # Fields at least this small get whole-field codec tables
 # (FieldSpec._codec_tables), made on a spec's first use, so JSON coefficient
 # lists convert by lookup and each code's coefficient tuple, compact JSON
@@ -513,13 +518,14 @@ class FieldSpec:
         # every finite field is cyclic
         raise NetcodeError("no generator found")  # pragma: no cover
 
-    def _build_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _build_tables(self) -> tuple[Sequence[int], Sequence[int]]:
         """exp and log: exp[i] = g^i for the generator g, log[exp[i]] = i.
 
         In GF(p^m), m > 1, block k of exp is g^(kB) times block 0, the
         powers below B = p^ceil(m/2): one packed-lane product per block in
-        place of a multiply per power. They are tuples of ints, which the
-        garbage collector stops tracking."""
+        place of a multiply per power. Up to _TUPLE_TABLE_CAP elements they
+        are tuples of ints, which the garbage collector stops tracking; above
+        it, 2-byte arrays."""
         q, g, mul = self.q, self._gen_code, self._schoolbook_mul
         block = self.p ** ((self.m + 1) // 2) if self.m > 1 and _PACKED_ROWS else q - 1
         exp = [1]
@@ -535,6 +541,8 @@ class FieldSpec:
         log = [0] * q
         for i, c in enumerate(exp):
             log[c] = i
+        if q > _TUPLE_TABLE_CAP:
+            return array("H", exp), array("H", log)
         return tuple(exp), tuple(log)
 
     def _codec(self) -> _Codec:
@@ -776,7 +784,7 @@ class _LogLists(_CodeLists):
 
     __slots__ = ("log", "qm1", "exp2")
 
-    def __init__(self, exp: tuple[int, ...], log: tuple[int, ...]):
+    def __init__(self, exp: Sequence[int], log: Sequence[int]):
         # axpy adds two logs in [0, q - 2] and reads the sum in exp2
         self.log, self.qm1, self.exp2 = log, len(exp), exp + exp
 
@@ -901,7 +909,7 @@ class _LaneKernel:
         # tables[c][x] = c * x: exp rotated by log c and read through log;
         # log of 0 reads index 255, one past every log, which holds a zero
         exp, log, q = spec._exp, spec._log, spec.q
-        rotations = bytes(exp + exp)
+        rotations = bytes([*exp, *exp])  # the values: bytes() of an array reads its buffer
         pad = bytes(257 - q)
         by_log = bytes([255, *log[1:]] + [255] * (256 - q))
         self.tables = [bytes(256)] + [
@@ -1068,6 +1076,9 @@ class _PackedKernel:
     prepared src holds its (ones, bias) masks, then the reduced d * x^k * row
     at k * p + d; f * src adds those that f's base-p digits select. pack
     spreads codes through two half-code tables; unpack merges fields pairwise.
+
+    A row scaled by one factor f (scaled, and prep(codes, f) before it
+    prepares the product) makes only the multiples that f selects.
     """
 
     __slots__ = (
@@ -1138,24 +1149,38 @@ class _PackedKernel:
             return col
         return self.unpack(int.from_bytes(array(self.code, col), "little"), len(col)).tolist()
 
-    def _bit_multiples(self, row: int, width: int) -> list[int]:
-        """x^k * row for k < m, for a row of at most width entries."""
+    def _bit_multiples(self, row: int, width: int, f: int | None = None) -> list[int] | int:
+        """x^k * row for k < m, for a row of at most width entries; or, given
+        f, f * row, with row stepped by x only up to f's top bit."""
         _, ones, low = self._masks(width)
         top, tail = self.m - 1, self.tail
+        if f is not None:
+            out = 0
+            while True:
+                if f & 1:
+                    out ^= row
+                f >>= 1
+                if not f:
+                    return out
+                row = (row & low) << 1 ^ (row >> top & ones) * tail
         mults = [row]
         for _ in range(top):
             row = (row & low) << 1 ^ (row >> top & ones) * tail
             mults.append(row)
         return mults
 
-    def _digit_multiples(self, row: int, width: int) -> list:
-        """(ones, bias) of width lanes, then d * x^k * row at k * p + d, 0 < d < p, k < m."""
+    def _digit_multiples(self, row: int, width: int, f: int | None = None) -> list | int:
+        """(fields, bias) of width lanes, then d * x^k * row at k * p + d, 0 < d < p,
+        k < m; or, given f, f * row, from only the d * x^k * row that f's base-p
+        digits select, each by doubling and adding, with x^k * row made only
+        up to f's top digit."""
         widest, ones, low, fields, bias, digit = self._masks(width)[:6]
         cut = self.bits * (widest - width)
         fields, bias = fields >> cut, bias >> cut
         p, w, tail = self.p, self.w, self.tail
         w1, top = w - 1, w * (self.m - 1)
         mults: list = [(fields, bias)]
+        out = 0
         for k in range(self.m):
             if k:
                 t = row >> top & digit
@@ -1167,18 +1192,32 @@ class _PackedKernel:
                 row += fold
                 row -= p * ((row + bias) >> w1 & fields)
                 mults.append(0)
-            mults.append(row)
-            acc = row
-            for _ in range(p - 2):
-                acc += row
-                acc -= p * ((acc + bias) >> w1 & fields)
-                mults.append(acc)
+            if f is None:
+                mults.append(row)
+                acc = row
+                for _ in range(p - 2):
+                    acc += row
+                    acc -= p * ((acc + bias) >> w1 & fields)
+                    mults.append(acc)
+                continue
+            f, d = divmod(f, p)
+            if d:
+                acc = row
+                for bit in bin(d)[3:]:
+                    acc += acc
+                    acc -= p * ((acc + bias) >> w1 & fields)
+                    if bit == "1":
+                        acc += row
+                        acc -= p * ((acc + bias) >> w1 & fields)
+                out += acc
+                out -= p * ((out + bias) >> w1 & fields)
+            if not f:
+                return out
         return mults
 
     def prep(self, codes: Sequence[int], scale: int = 1) -> list:
-        width = len(codes)
-        mults = self._multiples(self.pack(codes), width)
-        return mults if scale == 1 else self._multiples(self.axpy(0, scale, mults), width)
+        width, row = len(codes), self.pack(codes)
+        return self._multiples(row if scale == 1 else self._multiples(row, width, scale), width)
 
     def _xor_axpy(self, row: int, factor: int, src: list, off: int = 0) -> int:
         out, k = 0, 0
@@ -1214,7 +1253,7 @@ class _PackedKernel:
 
     def scaled(self, factor: int, codes: Sequence[int]) -> list[int]:
         width = len(codes)
-        return self.unpack(self.axpy(0, factor, self.prep(codes)), width).tolist()
+        return self.unpack(self._multiples(self.pack(codes), width, factor), width).tolist()
 
 
 # One spec per field, so its tables and generator are computed once per

@@ -297,11 +297,16 @@ class _Kept(UserDict):
     def __init__(self, spec: FieldSpec, part: str, cols: list, codes: list[int]):
         self._read = spec, part, cols, codes
 
+    def kept_codes(self) -> dict:
+        """Each kernel's code by its key, as the columns were read."""
+        _, part, (a, b, *c), codes = self._read
+        keys = {"alpha": zip(zip(a, b), *c), "beta": zip(a, b), "eps": zip(a, zip(b, *c))}[part]
+        return dict(zip(keys, codes))  # last value wins
+
     @cached_property
     def data(self) -> dict:
-        spec, part, (a, b, *c), codes = self._read
-        keys = {"alpha": zip(zip(a, b), *c), "beta": zip(a, b), "eps": zip(a, zip(b, *c))}[part]
-        return {k: FieldElement(spec, v) for k, v in zip(keys, codes)}  # last value wins
+        spec = self._read[0]
+        return {k: FieldElement(spec, v) for k, v in self.kept_codes().items()}
 
 
 # ----------------------------------------------------------------------
@@ -980,8 +985,14 @@ def leks_to_dict(leks: LekAssignment) -> dict:
     to_json = leks.field.codes_to_json
 
     def triple_to_json(triple: KernelTriple) -> dict:
-        al, be, ep = (sorted(part.items()) for part in triple)
-        values = iter(to_json([v.code for part in (al, be, ep) for _, v in part]))
+        # a part read in bulk whose mapping was never read writes its kept
+        # codes, so no mapping is made
+        al, be, ep = (
+            sorted(part.kept_codes().items() if type(part) is _Kept and "data" not in vars(part)
+                   else ((k, v.code) for k, v in part.items()))
+            for part in triple
+        )
+        values = iter(to_json([c for part in (al, be, ep) for _, c in part]))
         return {
             "alpha": [[i, l, list(ek), x] for (((i, l), ek), _), x in zip(al, values)],
             "beta": [[list(k1), list(k2), x] for ((k1, k2), _), x in zip(be, values)],

@@ -17,6 +17,8 @@ from netcode.netmodel import (
     NetworkSpec,
     Sink,
     Source,
+    _Kept,
+    leks_from_dict,
     leks_to_dict,
     network_from_dict,
     network_to_dict,
@@ -712,6 +714,52 @@ def test_align_verify_only(capsys):
     assert rep["throughputs"] == [[4, 7], [3, 7], [3, 7]]
     assert rep["channel_uses"] == 9
     assert "attempts" not in rep
+
+
+def _spy_on_mappings(monkeypatch):
+    """The parts whose kernel mapping is read from now on."""
+    reads, made = [], _Kept.data
+
+    def data(self):
+        reads.append(self._read[1])
+        return made.__get__(self, _Kept)
+
+    monkeypatch.setattr(_Kept, "data", property(data))
+    return reads
+
+
+def test_align_verify_only_makes_no_kernel_mapping(capsys, monkeypatch):
+    reads = _spy_on_mappings(monkeypatch)
+    code, rep = jcli(capsys, "align", "example2", "--verify-only")
+    assert code == 0 and reads == []
+    assert rep["kernels"] == leks_to_dict(leks_from_dict(load_fixture("example2")["kernels"]))
+
+
+def test_align_verify_only_writes_repeated_kernels_as_the_mappings(tmp_path, capsys, monkeypatch):
+    # the kept codes are written as the mappings would be: the last value of
+    # a repeated position wins, and entries are sorted by position
+    doc = load_fixture("example2")
+    kernels = doc["kernels"]
+    kernels["alpha"] = kernels["alpha"][::-1] + [kernels["alpha"][1][:3] + [[0, 1]]]
+    kernels["beta"] = [kernels["beta"][0][:2] + [[1, 1]]] + kernels["beta"][::-1]
+    kernels["eps"] = kernels["eps"] + kernels["eps"][:1]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    leks = leks_from_dict(kernels)
+    for part in (leks.alpha, leks.beta, leks.eps):
+        assert type(part) is _Kept
+        len(part)  # makes the mapping
+    want = leks_to_dict(leks)
+    reads = _spy_on_mappings(monkeypatch)
+    code, out = cli(capsys, "align", str(path), "--verify-only")
+    rep = json.loads(out)
+    assert reads == [] and rep["kernels"] == want
+    alpha = {(i, l, tuple(e)): x for i, l, e, x in want["alpha"]}
+    beta = {(tuple(e), tuple(f)): x for e, f, x in want["beta"]}
+    assert alpha[0, 0, ("S1", "G12a", 0)] == [0, 1, 0, 0, 0, 0]
+    assert beta[("A", "B", 0), ("B", "C", 0)] == kernels["beta"][-1][2] == [1, 0, 0, 0, 0, 0]
+    assert len(want["alpha"]) == len(kernels["alpha"]) - 1
+    assert len(want["eps"]) == len(kernels["eps"]) - 1
 
 
 def test_align_search_from_embedded_field(capsys):

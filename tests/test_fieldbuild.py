@@ -1,13 +1,23 @@
 """Field construction: Ben-Or's irreducibility test against trial division,
-and the pinned identity of every field the fixtures, the benchmark
-workloads and the tests build."""
+the pinned identity of every field the fixtures, the benchmark workloads
+and the tests build, and the form of its exp/log tables: tuples up to
+_TUPLE_TABLE_CAP = 2^13 elements, 2-byte arrays above, read alike."""
 
 import hashlib
+import random
+import sys
 from itertools import product
 
 import pytest
 
-from netcode.galois import _factorint, _pf_is_irreducible, _undigits, build_field
+from netcode.galois import (
+    FieldSpec,
+    _factorint,
+    _LogLists,
+    _pf_is_irreducible,
+    _undigits,
+    build_field,
+)
 from tests.oracles import trial_division_irreducible
 
 # (p, m): (code of the default modulus, code of the generator), recorded from
@@ -110,3 +120,56 @@ def _digest(table):
 def test_table_digests_are_pinned(p, m):
     spec = build_field(p, m)
     assert (_digest(spec._exp), _digest(spec._log)) == TABLE_DIGESTS[p, m]
+
+
+@pytest.mark.parametrize("p, m", [(2, 14), (2, 16), (3, 10), (5, 6)])
+def test_big_tables_are_two_byte_arrays(p, m):
+    spec = build_field(p, m)
+    assert spec._exp.itemsize == spec._log.itemsize == 2
+    assert sys.getsizeof(spec._exp) + sys.getsizeof(spec._log) <= 4 * spec.q + 256
+
+
+@pytest.mark.parametrize("p, m", [(2, 8), (2, 10), (2, 12), (2, 13), (3, 5)])
+def test_small_tables_are_tuples(p, m):
+    spec = build_field(p, m)
+    assert type(spec._exp) is tuple and type(spec._log) is tuple
+
+
+@pytest.mark.parametrize("p, m", [(2, 16), (3, 10)])
+def test_array_tables_read_as_tuples(p, m):
+    spec = build_field(p, m)
+    twin = FieldSpec(p, m, spec.modulus)  # a fresh spec, read through tuple copies
+    twin._exp, twin._log = tuple(spec._exp), tuple(spec._log)
+    rng = random.Random(f"forms:{p}:{m}")
+    codes = [0, 1, spec.q - 1] + [rng.randrange(spec.q) for _ in range(500)]
+    for a in codes:
+        b, e = rng.randrange(spec.q), rng.randrange(-spec.q, 2 * spec.q)
+        assert spec._mul_codes(a, b) == twin._mul_codes(a, b), (a, b)
+        assert spec._pow_code(a, abs(e)) == twin._pow_code(a, abs(e)), (a, e)
+        if a:
+            assert spec._inv_code(a) == twin._inv_code(a), a
+            assert spec._pow_code(a, e) == twin._pow_code(a, e), (a, e)
+
+
+def test_log_lists_over_arrays_match_tuples():
+    spec = build_field(2, 16)
+    arrays, tuples = spec._lists, _LogLists(tuple(spec._exp), tuple(spec._log))
+    assert type(arrays) is _LogLists and type(arrays.exp2) is not tuple
+    rng = random.Random("forms:lists")
+    for width in (1, 7, 40):
+        rows = [[rng.randrange(spec.q) if rng.random() < 0.8 else 0 for _ in range(width)]
+                for _ in range(width + 2)]
+        vec = [rng.randrange(spec.q) for _ in rows]
+        for scale in (0, 1, rng.randrange(2, spec.q)):
+            srcs = [k.prep(rows[0], scale) for k in (arrays, tuples)]
+            assert srcs[0] == srcs[1]
+            for f, off in ((0, 0), (1, 0), (rng.randrange(spec.q), 2)):
+                dsts = [
+                    k.axpy(rows[1] + [0, 0], f, src, off) for k, src in zip((arrays, tuples), srcs)
+                ]
+                assert dsts[0] == dsts[1]
+        preps = [[k.prep(r) for r in rows] for k in (arrays, tuples)]
+        assert arrays.matvec(vec, preps[0], width) == tuples.matvec(vec, preps[1], width)
+        records = [], []
+        got = [k.eliminate(rows, width, spec, rec) for k, rec in zip((arrays, tuples), records)]
+        assert got[0] == got[1] and records[0] == records[1]

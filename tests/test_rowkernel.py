@@ -775,6 +775,28 @@ def test_row_calls_match_scalar_calls(p, m):
                 assert [list(unpack(r, width)) for r in rows_k] == base
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 2)])
+def test_packed_scales_by_every_factor_as_code_lists(p, m):
+    """Packed lanes scale a row by the multiples that the factor's digits
+    select, and prepare a scaled row from it once: for every nonzero factor,
+    on dense and sparse rows, scaled gives the code lists' product and
+    prep(codes, f) the prepared product, which then adds as the code lists'."""
+    spec = build_field(p, m)
+    packed, lists = _PackedKernel(spec), spec._lists
+    rng = random.Random(f"scales:{p}:{m}")
+    for width in (1, 5, W, 2 * W + 1):
+        for zero_share in (0.2, 0.8):
+            row = _rand(spec, rng, 1, width, zero_share)[0]
+            for f in range(1, spec.q):
+                want = lists.scaled(f, row)
+                assert packed.scaled(f, row) == want, (width, f)
+                src = packed.prep(row, f)
+                assert src == packed.prep(want), (width, f)
+                g = rng.randrange(1, spec.q)
+                got = packed.unpack(packed.axpy(0, g, src), width).tolist()
+                assert got == lists.scaled(g, want), (width, f, g)
+
+
 @pytest.mark.parametrize("p, m", PACKED)
 def test_wide_products_and_scales_compare_as_matrices(p, m):
     """FqMatrix == compares rows as lists, so products and scales in packed
